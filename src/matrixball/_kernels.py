@@ -1,52 +1,22 @@
 """Low-level batch kernels: log-determinant ratios, Moebius pushes, heights.
 
-Every public function has two implementations: a vectorized numpy one and a
-numba-compiled loop. The active backend is selected once at import time:
-numba is used when it can be imported and the environment variable
-MATRIXBALL_DISABLE_NUMBA is unset (or set to a falsy value). The private
-``_*_np`` / ``_*_nb`` twins stay importable so tests and
-benchmarks/bench_kernels.py can compare the two paths directly.
+Each kernel is a vectorized numpy closed form over a leading batch axis: the
+r x r determinants are written out for r <= 3 and fall back to
+``np.linalg.slogdet`` above that.
 
 All kernels assume validated inputs (sizes r <= a few, complex128); membership
 and degeneracy checks live in the higher-level modules.
 """
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via MATRIXBALL_DISABLE_NUMBA
-    numba = None
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_DISABLE = os.environ.get("MATRIXBALL_DISABLE_NUMBA", "").strip().lower()
-USE_NUMBA = HAVE_NUMBA and _DISABLE in ("", "0", "false", "no")
 
 
 def backend() -> str:
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation; always 'numpy'."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _logabsdet_small_np(T):
+def _logabsdet_small(T):
     """log|det T| for a (..., r, r) complex stack, closed forms for r <= 3."""
     r = T.shape[-1]
     if r == 1:
@@ -71,7 +41,8 @@ def _eye_minus(M):
     return out
 
 
-def _logdet_ipzz_np(Z):
+def _logdet_ipzz(Z):
+    # h1_batch calls this form directly, so one h1_batch call is one kernel call
     Z = np.asarray(Z, dtype=np.complex128)
     r = Z.shape[-2]
     if r == 1:
@@ -92,30 +63,36 @@ def _logdet_ipzz_np(Z):
     return ld
 
 
-def _logabsdet_izuh_np(Z, U):
+def logdet_ipzz(Z):
+    """log det(I_r - Z Z^H) for a stack of domain points, shape (..., r, q) -> (...)."""
+    return _logdet_ipzz(Z)
+
+
+def logabsdet_izuh(Z, U):
+    """log|det(I_r - Z U^H)| elementwise over a broadcast-matched stack."""
     Z = np.asarray(Z, dtype=np.complex128)
     U = np.asarray(U, dtype=np.complex128)
-    T = _eye_minus(Z @ np.swapaxes(U, -1, -2).conj())
-    return _logabsdet_small_np(T)
+    return _logabsdet_small(_eye_minus(Z @ np.swapaxes(U, -1, -2).conj()))
 
 
-def _logabsdet_izu0_np(Z):
+def logabsdet_izu0(Z):
+    """log|det(I_r - Z[:, :r])|: pairing against the base Shilov point [I_r | 0]."""
     Z = np.asarray(Z, dtype=np.complex128)
-    r = Z.shape[-2]
-    T = _eye_minus(Z[..., :, :r])
-    return _logabsdet_small_np(T)
+    return _logabsdet_small(_eye_minus(Z[..., :, : Z.shape[-2]]))
 
 
-def _radial_logweight_np(V1, t):
+def radial_logweight(V1, t):
+    """log|det(cosh(t) I_r + sinh(t) V1)| for V1 of shape (..., r, r)."""
     V1 = np.asarray(V1, dtype=np.complex128)
-    c, s = np.cosh(t), np.sinh(t)
-    T = s * V1.copy()
+    t = float(t)
+    T = np.sinh(t) * V1
     idx = np.arange(V1.shape[-1])
-    T[..., idx, idx] += c
-    return _logabsdet_small_np(T)
+    T[..., idx, idx] += np.cosh(t)
+    return _logabsdet_small(T)
 
 
-def _mobius_batch_np(g, Z, r):
+def mobius_batch(g, Z, r):
+    """Apply one group element to a stack of points: (m,m) x (..., r, q) -> same."""
     g = np.asarray(g, dtype=np.complex128)
     Z = np.asarray(Z, dtype=np.complex128)
     A, B = g[:r, :r], g[:r, r:]
@@ -127,7 +104,12 @@ def _mobius_batch_np(g, Z, r):
     return np.swapaxes(Xt, -1, -2)
 
 
-def _h1_batch_np(G, r):
+def h1_batch(G, r):
+    """Horospherical height h1 for a stack of group elements (..., m, m) -> (...).
+
+    h1 = -(1/2r) log[det(I - Z Z^H) / |det(I - Z U0^H)|^2] with Z = (g^-1).0
+    and U0 = [I_r | 0] the base Shilov point.
+    """
     G = np.asarray(G, dtype=np.complex128)
     gi = np.swapaxes(G, -1, -2).conj().copy()  # g^H
     gi[..., :r, r:] *= -1.0  # J g^H J
@@ -136,11 +118,12 @@ def _h1_batch_np(G, r):
     Dblk = gi[..., r:, r:]
     Zt = np.linalg.solve(np.swapaxes(Dblk, -1, -2), np.swapaxes(Bblk, -1, -2))
     Z = np.swapaxes(Zt, -1, -2)
-    return -(_logdet_ipzz_np(Z) - 2.0 * _logabsdet_izu0_np(Z)) / (2.0 * r)
+    izu0 = _logabsdet_small(_eye_minus(Z[..., :, :r]))
+    return -(_logdet_ipzz(Z) - 2.0 * izu0) / (2.0 * r)
 
 
-def _cross_logabsdet_np(Z, U):
-    """log|det(I - Z_m U_n^H)| for all pairs: (M,r,q) x (N,r,q) -> (M,N)."""
+def cross_logabsdet(Z, U):
+    """All-pairs log|det(I - Z_m U_n^H)|: (M,r,q) x (N,r,q) -> (M,N)."""
     Z = np.asarray(Z, dtype=np.complex128)
     U = np.asarray(U, dtype=np.complex128)
     r = Z.shape[-2]
@@ -148,11 +131,12 @@ def _cross_logabsdet_np(Z, U):
         W = np.einsum("miq,njq->mn", Z, U.conj())
         return np.log(np.abs(1.0 - W))
     G = np.einsum("mrq,nsq->mnrs", Z, U.conj())
-    return _logabsdet_small_np(_eye_minus(G))
+    return _logabsdet_small(_eye_minus(G))
 
 
-def _jacobi_batch_np(k, alpha, beta, x):
-    """Jacobi polynomial P_k^(alpha,beta)(x), three-term recurrence, vectorized in x."""
+def jacobi_batch(k, alpha, beta, x):
+    """Jacobi polynomial P_k^(alpha,beta) on a real array, by the three-term recurrence."""
+    k, alpha, beta = int(k), float(alpha), float(beta)
     x = np.asarray(x)
     pm1 = np.ones_like(x)
     if k == 0:
@@ -166,346 +150,3 @@ def _jacobi_batch_np(k, alpha, beta, x):
         c4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + ab)
         p, pm1 = ((c2 + c3 * x) * p - c4 * pm1) / c1, p
     return p
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _logabsdet_one_nb(T):  # pragma: no cover - compiled
-    r = T.shape[0]
-    if r == 1:
-        return np.log(np.abs(T[0, 0]))
-    if r == 2:
-        return np.log(np.abs(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]))
-    if r == 3:
-        det = (
-            T[0, 0] * (T[1, 1] * T[2, 2] - T[1, 2] * T[2, 1])
-            - T[0, 1] * (T[1, 0] * T[2, 2] - T[1, 2] * T[2, 0])
-            + T[0, 2] * (T[1, 0] * T[2, 1] - T[1, 1] * T[2, 0])
-        )
-        return np.log(np.abs(det))
-    # generic: Gaussian elimination with partial pivoting on a copy
-    A = T.copy()
-    acc = 0.0
-    for col in range(r):
-        piv = col
-        best = np.abs(A[col, col])
-        for row in range(col + 1, r):
-            v = np.abs(A[row, col])
-            if v > best:
-                best = v
-                piv = row
-        if piv != col:
-            for j in range(r):
-                tmp = A[col, j]
-                A[col, j] = A[piv, j]
-                A[piv, j] = tmp
-        acc += np.log(np.abs(A[col, col]))
-        for row in range(col + 1, r):
-            fac = A[row, col] / A[col, col]
-            for j in range(col, r):
-                A[row, j] -= fac * A[col, j]
-    return acc
-
-
-@njit(cache=True)
-def _solve_small_nb(A, B):  # pragma: no cover - compiled
-    """Solve A X = B in place for small complex systems; returns X."""
-    q = A.shape[0]
-    p = B.shape[1]
-    M = A.copy()
-    X = B.copy()
-    for col in range(q):
-        piv = col
-        best = np.abs(M[col, col])
-        for row in range(col + 1, q):
-            v = np.abs(M[row, col])
-            if v > best:
-                best = v
-                piv = row
-        if piv != col:
-            for j in range(q):
-                tmp = M[col, j]
-                M[col, j] = M[piv, j]
-                M[piv, j] = tmp
-            for j in range(p):
-                tmp = X[col, j]
-                X[col, j] = X[piv, j]
-                X[piv, j] = tmp
-        for row in range(col + 1, q):
-            fac = M[row, col] / M[col, col]
-            for j in range(col, q):
-                M[row, j] -= fac * M[col, j]
-            for j in range(p):
-                X[row, j] -= fac * X[col, j]
-    for col in range(q - 1, -1, -1):
-        for j in range(p):
-            acc = X[col, j]
-            for kk in range(col + 1, q):
-                acc -= M[col, kk] * X[kk, j]
-            X[col, j] = acc / M[col, col]
-    return X
-
-
-@njit(cache=True)
-def _logdet_ipzz_nb(Z):  # pragma: no cover - compiled
-    N, r, q = Z.shape
-    out = np.empty(N, dtype=np.float64)
-    for n in range(N):
-        if r == 1:
-            acc = 0.0
-            for j in range(q):
-                acc += (Z[n, 0, j] * np.conj(Z[n, 0, j])).real
-            out[n] = np.log(1.0 - acc)
-        else:
-            H = np.empty((r, r), dtype=np.complex128)
-            for i in range(r):
-                for j in range(r):
-                    acc_c = 0.0 + 0.0j
-                    for kk in range(q):
-                        acc_c += Z[n, i, kk] * np.conj(Z[n, j, kk])
-                    H[i, j] = -acc_c
-                H[i, i] += 1.0
-            out[n] = _logabsdet_one_nb(H)
-    return out
-
-
-@njit(cache=True)
-def _logabsdet_izuh_nb(Z, U):  # pragma: no cover - compiled
-    N, r, q = Z.shape
-    out = np.empty(N, dtype=np.float64)
-    T = np.empty((r, r), dtype=np.complex128)
-    for n in range(N):
-        for i in range(r):
-            for j in range(r):
-                acc = 0.0 + 0.0j
-                for kk in range(q):
-                    acc += Z[n, i, kk] * np.conj(U[n, j, kk])
-                T[i, j] = -acc
-            T[i, i] += 1.0
-        out[n] = _logabsdet_one_nb(T)
-    return out
-
-
-@njit(cache=True)
-def _logabsdet_izu0_nb(Z):  # pragma: no cover - compiled
-    N, r, _ = Z.shape
-    out = np.empty(N, dtype=np.float64)
-    T = np.empty((r, r), dtype=np.complex128)
-    for n in range(N):
-        for i in range(r):
-            for j in range(r):
-                T[i, j] = -Z[n, i, j]
-            T[i, i] += 1.0
-        out[n] = _logabsdet_one_nb(T)
-    return out
-
-
-@njit(cache=True)
-def _radial_logweight_nb(V1, t):  # pragma: no cover - compiled
-    N, r, _ = V1.shape
-    c, s = np.cosh(t), np.sinh(t)
-    out = np.empty(N, dtype=np.float64)
-    T = np.empty((r, r), dtype=np.complex128)
-    for n in range(N):
-        for i in range(r):
-            for j in range(r):
-                T[i, j] = s * V1[n, i, j]
-            T[i, i] += c
-        out[n] = _logabsdet_one_nb(T)
-    return out
-
-
-@njit(cache=True)
-def _mobius_batch_nb(g, Z, r):  # pragma: no cover - compiled
-    N = Z.shape[0]
-    q = Z.shape[2]
-    out = np.empty_like(Z)
-    num = np.empty((r, q), dtype=np.complex128)
-    den = np.empty((q, q), dtype=np.complex128)
-    for n in range(N):
-        for i in range(r):
-            for j in range(q):
-                acc = g[i, r + j]
-                for kk in range(r):
-                    acc += g[i, kk] * Z[n, kk, j]
-                num[i, j] = acc
-        for i in range(q):
-            for j in range(q):
-                acc = g[r + i, r + j]
-                for kk in range(r):
-                    acc += g[r + i, kk] * Z[n, kk, j]
-                den[i, j] = acc
-        # out = num @ den^{-1}: solve den^T X^T = num^T
-        X = _solve_small_nb(den.T.copy(), num.T.copy())
-        for i in range(r):
-            for j in range(q):
-                out[n, i, j] = X[j, i]
-    return out
-
-
-@njit(cache=True)
-def _h1_batch_nb(G, r):  # pragma: no cover - compiled
-    N, m, _ = G.shape
-    q = m - r
-    out = np.empty(N, dtype=np.float64)
-    Bblk = np.empty((r, q), dtype=np.complex128)
-    Dblk = np.empty((q, q), dtype=np.complex128)
-    T = np.empty((r, r), dtype=np.complex128)
-    for n in range(N):
-        # gi = J g^H J: block (i,j) of g^H is conj(g[j,i]); off-blocks flip sign
-        for i in range(r):
-            for j in range(q):
-                Bblk[i, j] = -np.conj(G[n, r + j, i])
-        for i in range(q):
-            for j in range(q):
-                Dblk[i, j] = np.conj(G[n, r + j, r + i])
-        Zt = _solve_small_nb(Dblk.T.copy(), Bblk.T.copy())
-        # Z = Zt^T, shape (r, q); need logdet(I-ZZ^H) and log|det(I-Z[:, :r])|
-        ldz = 0.0
-        if r == 1:
-            acc = 0.0
-            for j in range(q):
-                acc += (Zt[j, 0] * np.conj(Zt[j, 0])).real
-            ldz = np.log(1.0 - acc)
-        else:
-            H = np.empty((r, r), dtype=np.complex128)
-            for i in range(r):
-                for j in range(r):
-                    acc_c = 0.0 + 0.0j
-                    for kk in range(q):
-                        acc_c += Zt[kk, i] * np.conj(Zt[kk, j])
-                    H[i, j] = -acc_c
-                H[i, i] += 1.0
-            ldz = _logabsdet_one_nb(H)
-        for i in range(r):
-            for j in range(r):
-                T[i, j] = -Zt[j, i]
-            T[i, i] += 1.0
-        ld0 = _logabsdet_one_nb(T)
-        out[n] = -(ldz - 2.0 * ld0) / (2.0 * r)
-    return out
-
-
-@njit(cache=True)
-def _cross_logabsdet_nb(Z, U):  # pragma: no cover - compiled
-    M, r, q = Z.shape
-    N = U.shape[0]
-    out = np.empty((M, N), dtype=np.float64)
-    T = np.empty((r, r), dtype=np.complex128)
-    for mi in range(M):
-        for ni in range(N):
-            for i in range(r):
-                for j in range(r):
-                    acc = 0.0 + 0.0j
-                    for kk in range(q):
-                        acc += Z[mi, i, kk] * np.conj(U[ni, j, kk])
-                    T[i, j] = -acc
-                T[i, i] += 1.0
-            out[mi, ni] = _logabsdet_one_nb(T)
-    return out
-
-
-@njit(cache=True)
-def _jacobi_batch_nb(k, alpha, beta, x):  # pragma: no cover - compiled
-    N = x.shape[0]
-    out = np.empty(N, dtype=np.float64)
-    for idx in range(N):
-        xv = x[idx]
-        pm1 = 1.0
-        if k == 0:
-            out[idx] = 1.0
-            continue
-        p = 0.5 * (alpha - beta + (alpha + beta + 2.0) * xv)
-        for n in range(2, k + 1):
-            ab = alpha + beta
-            c1 = 2.0 * n * (n + ab) * (2.0 * n + ab - 2.0)
-            c2 = (2.0 * n + ab - 1.0) * (alpha * alpha - beta * beta)
-            c3 = (2.0 * n + ab - 1.0) * (2.0 * n + ab) * (2.0 * n + ab - 2.0)
-            c4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + ab)
-            pnew = ((c2 + c3 * xv) * p - c4 * pm1) / c1
-            pm1 = p
-            p = pnew
-        out[idx] = p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
-
-def _flat(Z):
-    Z = np.ascontiguousarray(Z, dtype=np.complex128)
-    lead = Z.shape[:-2]
-    return Z.reshape((-1,) + Z.shape[-2:]), lead
-
-
-def logdet_ipzz(Z):
-    """log det(I_r - Z Z^H) for a stack of domain points, shape (..., r, q) -> (...)."""
-    if USE_NUMBA:
-        F, lead = _flat(Z)
-        return _logdet_ipzz_nb(F).reshape(lead)
-    return _logdet_ipzz_np(Z)
-
-
-def logabsdet_izuh(Z, U):
-    """log|det(I_r - Z U^H)| elementwise over a broadcast-matched stack."""
-    if USE_NUMBA:
-        Zb, Ub = np.broadcast_arrays(np.asarray(Z, dtype=np.complex128),
-                                     np.asarray(U, dtype=np.complex128))
-        F, lead = _flat(Zb)
-        G, _ = _flat(Ub)
-        return _logabsdet_izuh_nb(F, G).reshape(lead)
-    return _logabsdet_izuh_np(Z, U)
-
-
-def logabsdet_izu0(Z):
-    """log|det(I_r - Z[:, :r])|: pairing against the base Shilov point [I_r | 0]."""
-    if USE_NUMBA:
-        F, lead = _flat(Z)
-        return _logabsdet_izu0_nb(F).reshape(lead)
-    return _logabsdet_izu0_np(Z)
-
-
-def radial_logweight(V1, t):
-    """log|det(cosh(t) I_r + sinh(t) V1)| for V1 of shape (..., r, r)."""
-    if USE_NUMBA:
-        F, lead = _flat(V1)
-        return _radial_logweight_nb(F, float(t)).reshape(lead)
-    return _radial_logweight_np(V1, float(t))
-
-
-def mobius_batch(g, Z, r):
-    """Apply one group element to a stack of points: (m,m) x (..., r, q) -> same."""
-    if USE_NUMBA:
-        F, lead = _flat(Z)
-        g = np.ascontiguousarray(g, dtype=np.complex128)
-        return _mobius_batch_nb(g, F, r).reshape(lead + Z.shape[-2:])
-    return _mobius_batch_np(g, Z, r)
-
-
-def h1_batch(G, r):
-    """Horospherical height h1 for a stack of group elements (..., m, m) -> (...)."""
-    if USE_NUMBA:
-        F, lead = _flat(G)
-        return _h1_batch_nb(F, r).reshape(lead)
-    return _h1_batch_np(G, r)
-
-
-def cross_logabsdet(Z, U):
-    """All-pairs log|det(I - Z_m U_n^H)|: (M,r,q) x (N,r,q) -> (M,N)."""
-    if USE_NUMBA:
-        Zf = np.ascontiguousarray(Z, dtype=np.complex128)
-        Uf = np.ascontiguousarray(U, dtype=np.complex128)
-        return _cross_logabsdet_nb(Zf, Uf)
-    return _cross_logabsdet_np(Z, U)
-
-
-def jacobi_batch(k, alpha, beta, x):
-    """Jacobi polynomial P_k^(alpha,beta) evaluated on a real array."""
-    if USE_NUMBA:
-        xf = np.ascontiguousarray(x, dtype=np.float64).ravel()
-        return _jacobi_batch_nb(int(k), float(alpha), float(beta), xf).reshape(np.shape(x))
-    return _jacobi_batch_np(int(k), float(alpha), float(beta), x)

@@ -213,16 +213,10 @@ def heisenberg_chart(sd: StructureData, grid: int, radius: float | None = None) 
     """
     if sd.r != 1:
         raise DomainError("heisenberg_chart is rank-one only")
-    from .structure import root_decomposition
-
-    basis = []
-    for vals, mats in root_decomposition(sd):
-        if tuple(vals) == (-1,) or tuple(vals) == (-2,):
-            basis.extend(mats)
+    E = group.nbar_basis(sd)  # (dim, m, m)
     dim = 2 * sd.b + 1
-    if len(basis) != dim:
-        raise DomainError("unexpected chart dimension %d" % len(basis))
-    E = np.array(basis)  # (dim, m, m)
+    if len(E) != dim:
+        raise DomainError("unexpected chart dimension %d" % len(E))
 
     def build(R: float):
         panels = max(4, int(round(math.log2(R))) + 3)

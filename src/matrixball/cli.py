@@ -276,24 +276,18 @@ def cmd_poisson_norms(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
     rule = build_rule(cfg, sd, t_max=cfg.t_stop)
-    t_grid = cfg.t_grid()
     f = _seeded_function(cfg, sd)
-    F = poisson.poisson_lift(sp, f, rule)
-    hn = poisson.hardy_norm(F, sp, cfg.p, t_grid, rule)
-    gamma = poisson.gamma_estimate(sp, t_grid, rule)
-    fv = np.abs(poisson._as_evaluator(f)(rule.nodes)) ** cfg.p
-    fnorm = float(np.dot(rule.weights, fv) ** (1.0 / cfg.p))
-    cs_abs = abs(poisson.c_s(sp, method="gk"))
+    rep = fatou.norm_sandwich(sp, cfg.p, [f], cfg.t_grid(), rule)
+    fnorm, hn = rep.f_norms[0], rep.hardy_norms[0]
     payload = {"p": cfg.p, "f_norm": fnorm, "hardy_norm": hn,
-               "cs_abs": cs_abs, "gamma": gamma,
-               "lower_ok": cs_abs * fnorm <= hn * 1.02,
-               "upper_ok": hn <= gamma * fnorm * 1.02}
+               "cs_abs": rep.cs_abs, "gamma": rep.gamma,
+               "lower_ok": rep.lower_ok[0], "upper_ok": rep.upper_ok[0]}
     jp, _ = _out_paths(cfg, "norms")
     if jp:
         emit_json(cfg, payload, jp)
     print("norms s=%s p=%g: |c_s|||f||=%.6g <= %.6g <= gamma||f||=%.6g"
-          % (cfg.s, cfg.p, cs_abs * fnorm, hn, gamma * fnorm))
-    return 0 if payload["lower_ok"] and payload["upper_ok"] else 1
+          % (cfg.s, cfg.p, rep.cs_abs * fnorm, hn, rep.gamma * fnorm))
+    return 0 if rep.all_ok else 1
 
 
 def cmd_hua_check(cfg: RunConfig) -> int:
@@ -343,15 +337,7 @@ def _seeded_function(cfg: RunConfig, sd):
     if sd.r == 1:
         return ktypes.random_band_limited(sd, seed=cfg.seed, max_p=2, max_q=2,
                                           translates=1)
-    rng = np.random.default_rng(cfg.seed)
-    C = rng.normal(size=(sd.q, sd.r)) + 1j * rng.normal(size=(sd.q, sd.r))
-    C /= np.linalg.norm(C)
-
-    def ev(U):
-        tr = np.einsum("...ij,ji->...", np.asarray(U, dtype=complex), C)
-        return 1.0 + tr + 0.25 * np.conj(tr)
-
-    return poisson.BoundaryFunction(ev, "trace affine function")
+    return suite.trace_affine(sd, cfg.seed)
 
 
 def cmd_fatou_profile(cfg: RunConfig) -> int:

@@ -5,21 +5,18 @@ matrices with g^H J g = J and det g = 1; points of the ball and of its Shilov
 boundary are r x (r+b) matrices acted on by g.Z = (AZ + B)(CZ + D)^{-1}.
 The height h1 is the scalar coordinate of the A_1-component in the
 horospherical decomposition g = kappa(g) M_1 exp(h1 X_0) N_1, computed through
-a determinant identity (see :func:`h1`).
+a determinant identity (see :func:`matrixball._kernels.h1_batch`).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, linalg
 from .errors import DegeneracyError, MembershipError
-from .structure import StructureData
+from .structure import StructureData, root_decomposition
 
 __all__ = [
     "GROUP_INPUT_TOL",
     "GROUP_FRESH_TOL",
-    "HorosphericalData",
     "jmatrix",
     "base_point",
     "x_generator",
@@ -31,8 +28,8 @@ __all__ = [
     "require_group",
     "is_domain_point",
     "is_shilov_point",
-    "h1",
     "h1_scalar",
+    "nbar_basis",
     "kappa_factor",
     "kappa_right_factors",
     "random_algebra_element",
@@ -43,14 +40,6 @@ __all__ = [
 # (looser input tolerance allows drift after ~10 products)
 GROUP_FRESH_TOL = 1e-10
 GROUP_INPUT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class HorosphericalData:
-    """Height h1 (so H_1(g) = h1 * X_0) and the boundary image kappa(g).U0."""
-
-    h1: float
-    boundary_image: np.ndarray
 
 
 def jmatrix(sd: StructureData) -> np.ndarray:
@@ -152,19 +141,17 @@ def h1_scalar(g: np.ndarray, sd: StructureData) -> float:
     return float(_kernels.h1_batch(np.asarray(g, dtype=np.complex128)[None], sd.r)[0])
 
 
-def h1(g: np.ndarray, sd: StructureData, check: bool = True) -> HorosphericalData:
-    """Horospherical data of g: the height h1 and the boundary image.
+def nbar_basis(sd: StructureData) -> np.ndarray:
+    """Real basis of the opposite unipotent algebra n1bar: the ad(X_0) grades -1, -2.
 
-    h1 is evaluated through the determinant identity
-    exp(-2 rho1(H_1(g))) = [det(I - Z Z^H) / |det(I - Z U0^H)|^2]^{n/r}
-    with Z = (g^{-1}).0, equivalently h1 = -(1/2r) log of the bracket.
+    Returns a (dim, m, m) stack; the algebra is 2-step nilpotent, so
+    exp(A) = I + A + A^2/2 for A in its span.
     """
-    if check:
-        require_group(g, sd)
-    return HorosphericalData(
-        h1=h1_scalar(g, sd),
-        boundary_image=mobius(g, base_point(sd)),
-    )
+    mats = []
+    for vals, ms in root_decomposition(sd):
+        if round(float(np.sum(vals))) in (-1, -2):
+            mats.extend(ms)
+    return np.array(mats)
 
 
 def _fix_column_phases(C: np.ndarray) -> np.ndarray:

@@ -14,17 +14,14 @@ Derivatives are left-invariant: (v_1..v_k F)(g) = d/dt_1 .. d/dt_k F(g e^(t_1 x_
 evaluated by central differences with precomputed stencil exponentials; each
 complexified direction v splits as v = X + iY over the real form.
 
-The pairing normalization is calibrated once per (r, b): the dual scale is
-adjusted by a single global factor so the measured eigenvalue law matches
-alpha = 1/4, and the adjustment is logged (conventions for the Killing factor
-differ across sources; the calibration makes the choice auditable).
+The duals are taken under the plain trace pairing <X, Y> = tr(XY), the
+normalization in which the eigenvalue law above holds; proj_k1 keeps the
+leading r x r block.
 """
 
-import functools
 import itertools
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +29,12 @@ from . import _kernels, group, linalg
 from .errors import DegeneracyError, DomainError
 from .structure import SpectralParam, StructureData
 
-log = logging.getLogger("matrixball.hua")
-
 __all__ = [
     "LieBasis",
     "FDScheme",
-    "CalibrationReport",
     "ThirdOrderReport",
     "build_basis",
     "hua_basis",
-    "calibrate_pairing",
     "lie_derivative",
     "hua_second",
     "hua_third_U",
@@ -51,23 +44,14 @@ __all__ = [
     "eigen_residual",
 ]
 
-KILLING_FACTOR = 2  # <X, Y> = 2 m tr(XY) on sl(m, C)
-
-
 @dataclass
 class LieBasis:
-    """p+ basis, duals under the (possibly rescaled) trace pairing, projector."""
+    """p+ basis and its duals under the (possibly rescaled) trace pairing."""
 
     sd: StructureData
     pplus: np.ndarray  # (n, m, m)
     pminus: np.ndarray  # (n, m, m)
     dual_scale: float
-    kc_projector: object = field(default=None)
-
-    def __post_init__(self):
-        if self.kc_projector is None:
-            r = self.sd.r
-            self.kc_projector = lambda X: X[..., :r, :r]
 
     def pairing(self, X: np.ndarray, Y: np.ndarray) -> complex:
         return self.dual_scale * complex(np.trace(X @ Y))
@@ -86,10 +70,8 @@ class LieBasis:
                     raise DomainError("bracket [p+, p-] leaves the block diagonal")
 
 
-def build_basis(sd: StructureData, dual_scale: float | None = None) -> LieBasis:
+def build_basis(sd: StructureData, dual_scale: float = 1.0) -> LieBasis:
     """Elementary p+ basis e_(j, r+k) with duals e_(r+k, j) / dual_scale."""
-    if dual_scale is None:
-        dual_scale = KILLING_FACTOR * sd.m
     r, q, m = sd.r, sd.q, sd.m
     pplus = np.zeros((sd.n, m, m), dtype=np.complex128)
     pminus = np.zeros((sd.n, m, m), dtype=np.complex128)
@@ -155,15 +137,17 @@ def _split_real(v: np.ndarray, J: np.ndarray):
 
 
 def _as_batch(F):
-    """Accept F defined on single group elements or on stacks."""
+    """Evaluate F on a stack of group elements.
+
+    F is called on the whole stack first; if the result does not hold one value
+    per element (an F written for single elements), F is called per element.
+    Exceptions raised by F propagate.
+    """
 
     def Fb(stack: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(F(stack))
-            if out.shape == stack.shape[:1]:
-                return out
-        except Exception:
-            pass
+        out = np.asarray(F(stack))
+        if out.shape == stack.shape[:1]:
+            return out
         return np.array([F(g) for g in stack], dtype=np.complex128)
 
     return Fb
@@ -295,7 +279,7 @@ def hua_second(F, g: np.ndarray, basis: LieBasis, scheme: FDScheme | None = None
     for i in range(sd.n):
         for j in range(sd.n):
             B = basis.pplus[j] @ basis.pminus[i] - basis.pminus[i] @ basis.pplus[j]
-            terms.append(((basis.pplus[i], basis.pminus[j]), np.asarray(basis.kc_projector(B))))
+            terms.append(((basis.pplus[i], basis.pminus[j]), B[: sd.r, : sd.r]))
     return _assemble(_as_batch(F), np.asarray(g, dtype=np.complex128), sd, terms, scheme)
 
 
@@ -400,70 +384,9 @@ def measure_fd_order(sp: SpectralParam, basis: LieBasis, order: int = 4,
     return float(np.mean(slopes))
 
 
-@dataclass
-class CalibrationReport:
-    alpha: float
-    beta: float
-    rescale: float
-    dual_scale_final: float
-    beta_consistent: bool
-
-
-def _eig_measure(sp, basis, scheme, seed):
-    sd = sp.sd
-    rng = np.random.default_rng(seed)
-    g = group.random_group_element(seed, 0.3, sd)
-    v = rng.normal(size=(sd.r, sd.q)) + 1j * rng.normal(size=(sd.r, sd.q))
-    Uq, _ = linalg.qr_unitary(v.conj().T)
-    U = Uq[:, : sd.r].conj().T
-    F = lift_kernel(sp, U)
-    H = hua_second(F, g, basis, scheme)
-    Fg = complex(F(np.asarray(g)[None])[0])
-    return complex(np.trace(H) / (sd.r * Fg))
-
-
-@functools.lru_cache(maxsize=None)
-def calibrate_pairing(r: int, b: int):
-    """Fit alpha s^2 + beta to measured eigenvalues; rescale duals to alpha = 1/4.
-
-    Returns (LieBasis, CalibrationReport). The basis is the one all Hua
-    checks should use; the report records the applied pairing rescale.
-    """
-    from .structure import structure_data, spectral_param
-
-    sd = structure_data(r, b)
-    scheme = FDScheme(step=1e-2, order=4, richardson=True)
-    basis0 = build_basis(sd)
-    s1, s2 = 2.0, 3.0
-    e1 = np.real(_eig_measure(spectral_param(s1, sd), basis0, scheme, seed=41))
-    e2 = np.real(_eig_measure(spectral_param(s2, sd), basis0, scheme, seed=42))
-    alpha = (e2 - e1) / (s2**2 - s1**2)
-    beta = e1 - alpha * s1**2
-    if alpha <= 0:
-        raise DegeneracyError("eigenvalue calibration produced non-positive curvature")
-    rescale = math.sqrt(0.25 / alpha)
-    dual_final = basis0.dual_scale / rescale
-    basis = build_basis(sd, dual_scale=dual_final)
-    beta_target = -0.25 * (sd.r + sd.b) ** 2
-    beta_ok = abs(beta * rescale**2 - beta_target) <= 1e-2 * max(1.0, abs(beta_target))
-    if abs(rescale - 1.0) > 1e-6:
-        log.info(
-            "pairing calibration for (r,b)=(%d,%d): measured alpha=%.6g, "
-            "applied dual rescale %.6g (effective pairing factor %.6g * tr)",
-            r, b, alpha, rescale, dual_final,
-        )
-    return basis, CalibrationReport(
-        alpha=float(alpha),
-        beta=float(beta),
-        rescale=float(rescale),
-        dual_scale_final=float(dual_final),
-        beta_consistent=bool(beta_ok),
-    )
-
-
 def hua_basis(sd: StructureData) -> LieBasis:
-    """The calibrated basis for (r, b) (cached)."""
-    return calibrate_pairing(sd.r, sd.b)[0]
+    """The basis all Hua checks use: duals under the plain trace pairing."""
+    return build_basis(sd)
 
 
 @dataclass

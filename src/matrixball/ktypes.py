@@ -87,10 +87,14 @@ def ktype_range(max_p: int, max_q: int):
 def zonal(delta: KTypeIndex, u, b: int):
     """Disk polynomial R_(p,q) at u (vectorized), normalized R(1) = 1."""
     u = np.asarray(u, dtype=np.complex128)
+    return _zonal(delta, u, 2.0 * (u.real**2 + u.imag**2) - 1.0, b)
+
+
+def _zonal(delta: KTypeIndex, u: np.ndarray, x: np.ndarray, b: int):
+    """zonal(delta, u, b) given x = 2|u|^2 - 1, which all K-types of u share."""
     p, q = delta.p, delta.q
     k, d = min(p, q), abs(p - q)
     alpha = b - 1
-    x = 2.0 * (u.real**2 + u.imag**2) - 1.0
     jac = _kernels.jacobi_batch(k, float(alpha), float(d), x)
     jac = jac / math.comb(k + alpha, k)
     ang = u**(p - q) if p >= q else np.conj(u) ** (q - p)
@@ -220,10 +224,11 @@ def band_limited(coeffs: dict, sd: StructureData) -> poisson.BoundaryFunction:
     items = [(d, complex(a) / zonal_norm(d, sd.b)) for d, a in coeffs.items()]
 
     def ev(U: np.ndarray) -> np.ndarray:
-        u = U[..., 0, 0]
+        u = np.asarray(U[..., 0, 0], dtype=np.complex128)
+        x = 2.0 * (u.real**2 + u.imag**2) - 1.0
         out = np.zeros(u.shape, dtype=np.complex128)
         for d, a in items:
-            out = out + a * zonal(d, u, sd.b)
+            out += a * _zonal(d, u, x, sd.b)
         return out
 
     desc = "band-limited " + ",".join("(%d,%d)" % (d.p, d.q) for d, _ in items)

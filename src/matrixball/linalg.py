@@ -17,7 +17,6 @@ __all__ = [
     "is_strictly_positive",
     "expm",
     "qr_unitary",
-    "eigh",
     "cond",
 ]
 
@@ -73,11 +72,6 @@ def qr_unitary(A, mode: str = "reduced"):
     R = R.copy()
     R[..., :k, :] = R[..., :k, :] * ph.conj()[..., :, None]
     return Q, R
-
-
-def eigh(H):
-    """Eigenvalues and eigenvectors of a Hermitian matrix (diagnostics only)."""
-    return np.linalg.eigh(np.asarray(H))
 
 
 def cond(A) -> float:

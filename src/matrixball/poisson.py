@@ -267,7 +267,7 @@ def _cs_gk(sp: SpectralParam) -> complex:
 def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None, rel_tol: float = 1e-3) -> complex:
     sd = sp.sd
     if t_grid is None:
-        t_grid = np.arange(0.0, 8.01, 0.5) if sd.r == 1 else np.arange(0.0, 8.01, 0.5)
+        t_grid = np.arange(0.0, 8.01, 0.5)
     t_grid = np.asarray(t_grid, dtype=float)
     dts = np.diff(t_grid)
     if len(dts) < 3 or not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-12):

@@ -108,17 +108,6 @@ def criterion_structure(seed: int = 7, profile: str = "full") -> CriterionResult
 # 2. cocycle identity and the conjugation contraction inequality
 # ---------------------------------------------------------------------------
 
-def _nbar_basis(sd) -> np.ndarray:
-    """Real basis of the opposite unipotent algebra (ad(X0) grades -1, -2)."""
-    from .structure import root_decomposition
-
-    mats = []
-    for vals, ms in root_decomposition(sd):
-        if round(float(np.sum(vals))) in (-1, -2):
-            mats.extend(ms)
-    return np.array(mats)
-
-
 def cocycle_battery(sd, pairs: int, contraction_samples: int, seed: int) -> dict:
     """Residuals of h1(x kappa(y)) = h1(xy) - h1(y) plus the contraction count."""
     worst = 0.0
@@ -130,7 +119,7 @@ def cocycle_battery(sd, pairs: int, contraction_samples: int, seed: int) -> dict
         rhs = group.h1_scalar(x @ y, sd) - group.h1_scalar(y, sd)
         worst = max(worst, abs(lhs - rhs))
 
-    E = _nbar_basis(sd)
+    E = group.nbar_basis(sd)
     rng = np.random.default_rng(seed + 10 ** 6)
     coords = rng.normal(scale=1.5, size=(contraction_samples, len(E)))
     A = np.tensordot(coords, E, axes=(1, 0))
@@ -310,6 +299,22 @@ def criterion_cs(seed: int = 7, profile: str = "full") -> CriterionResult:
 # 7. Fatou boundary recovery plus the inadmissible negative control
 # ---------------------------------------------------------------------------
 
+def trace_affine(sd, seed: int) -> poisson.BoundaryFunction:
+    """Seeded boundary function 1 + tr(U C) + conj(tr(U C))/4, any rank.
+
+    C is a complex q x r matrix of unit Frobenius norm drawn from the seed.
+    """
+    rng = np.random.default_rng(seed)
+    C = rng.normal(size=(sd.q, sd.r)) + 1j * rng.normal(size=(sd.q, sd.r))
+    C /= np.linalg.norm(C)
+
+    def ev(U):
+        tr = np.einsum("...ij,ji->...", np.asarray(U, dtype=complex), C)
+        return 1.0 + tr + 0.25 * np.conj(tr)
+
+    return poisson.BoundaryFunction(ev, "trace affine function")
+
+
 def criterion_fatou(seed: int = 7, profile: str = "full") -> CriterionResult:
     sd = structure_data(1, 1)
     level = 6 if profile == "full" else 5
@@ -342,18 +347,9 @@ def criterion_fatou(seed: int = 7, profile: str = "full") -> CriterionResult:
         sd2 = structure_data(2, 1)
         sp2 = spectral_param(4.0, sd2)
         rule2 = boundary.stiefel_rule(sd2, samples=10 ** 5, seed=seed + 91)
-        rng = np.random.default_rng(seed + 92)
-        C = rng.normal(size=(sd2.q, sd2.r)) + 1j * rng.normal(size=(sd2.q, sd2.r))
-        C /= np.linalg.norm(C)
-
-        def f2(U):
-            tr = np.einsum("...ij,ji->...", np.asarray(U, dtype=complex), C)
-            return 1.0 + tr + 0.25 * np.conj(tr)
-
+        f2 = trace_affine(sd2, seed + 92)
         t2 = np.arange(0.0, 4.01, 0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            prof2 = fatou.radial_profile(sp2, f2, rule2.nodes[:160], t2, rule2)
+        prof2 = fatou.radial_profile(sp2, f2, rule2.nodes[:160], t2, rule2)
         rep2 = fatou.boundary_limit(sp2, prof2, reference=f2, p=2.0, rule=rule2)
         details["r2_b1"] = {"l2_err": rep2.lp_err, "sup_err": rep2.sup_err,
                             "t_max": 4.0, "nodes": 160}

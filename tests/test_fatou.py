@@ -1,5 +1,6 @@
 """Boundary limits, inversion, domination, and the norm sandwich."""
 
+import math
 import warnings
 
 import numpy as np
@@ -75,6 +76,31 @@ def test_radial_profile_warns_inadmissible(sd11, sphere6):
 def test_radial_profile_warns_concentration(sd11, sp2, sphere6):
     with pytest.warns(RuntimeWarning, match="concentration"):
         fatou.radial_profile(sp2, 1.0, sphere6.nodes[:3], np.array([0.0, 9.0]), sphere6)
+
+
+def test_radial_profile_stiefel_no_concentration_warning(sd21):
+    # Monte Carlo rules have no phase grid to alias; deep t must not warn
+    rule = boundary.stiefel_rule(sd21, samples=2000, seed=3)
+    sp = spectral_param(4.0, sd21)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fatou.radial_profile(sp, 1.0, rule.nodes[:4], np.arange(0.0, 4.01, 0.5), rule)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_tail_fit_falls_back_on_overflowing_seed():
+    # a tiny geometric ratio at large t overflows the seed amplitude A0, so the
+    # least-squares refinement is refused and the seed (L0, kappa0) comes back
+    tg = np.arange(0.0, 41.0, 1.0)
+    y = np.zeros(len(tg), dtype=complex)
+    y[-4:] = [1.0, 1e-10, 1e-20, 1e-30]
+    d = np.diff(y[-4:])
+    rho = np.mean([d[1] / d[0], d[2] / d[1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        L, kappa, ok = fatou._tail_fit(tg, y, atol=1e-33)
+    assert ok
+    assert kappa == -math.log(abs(rho)) / (tg[-1] - tg[-2])
+    assert L == y[-1] + d[2] * rho / (1.0 - rho)
 
 
 def test_invert_l2_roundtrip(sd11):

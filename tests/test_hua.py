@@ -57,16 +57,37 @@ def test_lie_derivative_linearity(sd11):
 
 
 def test_calibration_scales():
+    # the Hua basis pairs under the plain trace pairing; the eigenvalue law it
+    # yields, (s^2 - (r+b)^2)/4, is checked by test_hua_eigen_residual
     for r, b in ((1, 1), (2, 1)):
-        basis, report = hua.calibrate_pairing(r, b)
-        m = 2 * r + b
-        assert abs(report.rescale - 2 * m) < 1e-6
-        assert abs(report.dual_scale_final - 1.0) < 1e-8
-        # the raw fit is scale-dependent but its shape is not:
-        # beta / alpha = -(r + b)^2 gives the eigenvalue (s^2 - (r+b)^2)/4
-        assert abs(report.beta / report.alpha + (r + b) ** 2) < 1e-6
-        assert report.beta_consistent
+        basis = hua.hua_basis(structure_data(r, b))
+        assert basis.dual_scale == 1
         basis.validate()
+
+
+def test_lie_derivative_propagates_stack_errors(sd11):
+    # an F that fails on a stack must fail loudly, not be re-run per element
+    X0 = radial_generator(sd11)
+    calls = []
+
+    def F(G):
+        G = np.asarray(G)
+        calls.append(G.ndim)
+        if G.ndim == 3:
+            raise ValueError("stack rejected")
+        return complex(_kernels.h1_batch(G[None], sd11.r)[0])
+
+    with pytest.raises(ValueError, match="stack rejected"):
+        hua.lie_derivative(F, np.eye(3, dtype=np.complex128), (X0,), sd=sd11)
+    assert calls == [3]
+
+
+def test_lie_derivative_single_element_fallback(sd11):
+    # an F whose stack result has the wrong shape is evaluated per element
+    X0 = radial_generator(sd11)
+    F = lambda G: complex(_kernels.h1_batch(np.asarray(G).reshape(-1, 3, 3), sd11.r)[0])
+    d1 = hua.lie_derivative(F, group.radial(0.7, sd11), (X0,), sd=sd11)
+    assert abs(d1 - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("r,b,s", [(1, 1, 3.0), (1, 1, 4 + 1j), (2, 1, 4.0)])

@@ -1,13 +1,18 @@
-"""Agreement of the compiled kernels with their pure-numpy twins."""
+"""Each batch kernel against its twin: an independent dense or scipy oracle.
 
-import os
-import subprocess
-import sys
+The oracles evaluate the same quantity element by element through
+np.linalg.det, group.mobius or scipy.special, never through _kernels.
+"""
 
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
-from matrixball import _kernels
+from matrixball import _kernels, group
+from matrixball.structure import structure_data
+
+# (r, q) shapes; r = 4 exercises the slogdet fallback past the closed forms
+SHAPES = [(1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def _random_domain_batch(rng, n, r, q):
@@ -25,103 +30,103 @@ def _random_shilov_batch(rng, n, r, q):
 @pytest.fixture(scope="module")
 def batches(rng):
     out = {}
-    for r, q in ((1, 2), (2, 3), (3, 4)):
+    for r, q in SHAPES:
         Z = _random_domain_batch(rng, 40, r, q)
         U = _random_shilov_batch(rng, 40, r, q)
         out[(r, q)] = (Z, U)
     return out
 
 
+def _logabsdet_dense(T):
+    return np.log(np.abs(np.linalg.det(T)))
+
+
 def test_backend_reports_a_known_value():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"
 
 
-@pytest.mark.parametrize("r,q", [(1, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("r,q", SHAPES)
 def test_logdet_ipzz_twins(batches, r, q):
     Z, _ = batches[(r, q)]
     got = _kernels.logdet_ipzz(Z)
-    ref = _kernels._logdet_ipzz_np(Z)
-    assert np.max(np.abs(got - ref)) < 1e-12
-    # against a dense-solver oracle
     direct = np.log(np.linalg.det(np.eye(r) - Z @ np.swapaxes(Z, -1, -2).conj()).real)
     assert np.max(np.abs(got - direct)) < 1e-10
 
 
-@pytest.mark.parametrize("r,q", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("r,q", SHAPES)
+def test_logabsdet_izuh_twins(batches, r, q):
+    Z, U = batches[(r, q)]
+    got = _kernels.logabsdet_izuh(Z, U)
+    direct = _logabsdet_dense(np.eye(r) - Z @ np.swapaxes(U, -1, -2).conj())
+    assert np.max(np.abs(got - direct)) < 1e-10
+
+
+@pytest.mark.parametrize("r,q", SHAPES)
+def test_logabsdet_izu0_twins(batches, r, q):
+    Z, _ = batches[(r, q)]
+    got = _kernels.logabsdet_izu0(Z)
+    direct = _logabsdet_dense(np.eye(r) - Z[:, :, :r])
+    assert np.max(np.abs(got - direct)) < 1e-10
+
+
+@pytest.mark.parametrize("r,q", SHAPES)
 def test_cross_logabsdet_twins(batches, r, q):
     Z, U = batches[(r, q)]
     got = _kernels.cross_logabsdet(Z, U)
-    ref = _kernels._cross_logabsdet_np(Z, U)
     assert got.shape == (len(Z), len(U))
-    assert np.max(np.abs(got - ref)) < 1e-12
     # all-pairs dense oracle on a corner of the batch
     direct = np.array([
-        [np.log(np.abs(np.linalg.det(np.eye(r) - Z[i] @ U[j].conj().T)))
-         for j in range(8)]
+        [_logabsdet_dense(np.eye(r) - Z[i] @ U[j].conj().T) for j in range(8)]
         for i in range(8)])
     assert np.max(np.abs(got[:8, :8] - direct)) < 1e-10
 
 
-@pytest.mark.parametrize("r,q", [(1, 2), (2, 3)])
-def test_h1_batch_twins(rng, r, q):
-    from matrixball import group
-    from matrixball.structure import structure_data
-
+@pytest.mark.parametrize("r,q", SHAPES)
+def test_h1_batch_twins(r, q):
+    # h1(g) = -(1/2r) log[det(I - Z Z^H) / |det(I - Z U0^H)|^2], Z = (g^-1).0
     sd = structure_data(r, q - r)
     G = np.stack([group.random_group_element(s, 0.7, sd) for s in range(30)])
     got = _kernels.h1_batch(G, r)
-    ref = _kernels._h1_batch_np(G, r)
-    assert np.max(np.abs(got - ref)) < 1e-12
+    Z0 = np.zeros((r, q), dtype=np.complex128)
+    U0 = group.base_point(sd)
+    want = []
+    for g in G:
+        Z = group.mobius(group.group_inverse(g, sd), Z0)
+        num = np.linalg.det(np.eye(r) - Z @ Z.conj().T).real
+        den = np.abs(np.linalg.det(np.eye(r) - Z @ U0.conj().T)) ** 2
+        want.append(-np.log(num / den) / (2.0 * r))
+    assert np.max(np.abs(got - np.array(want))) < 1e-10
 
 
-@pytest.mark.parametrize("r,q", [(1, 2), (2, 3)])
-def test_mobius_batch_twins(rng, batches, r, q):
-    from matrixball import group
-    from matrixball.structure import structure_data
-
+@pytest.mark.parametrize("r,q", SHAPES)
+def test_mobius_batch_twins(batches, r, q):
     sd = structure_data(r, q - r)
     g = group.random_group_element(17, 0.7, sd)
     Z, _ = batches[(r, q)]
     got = _kernels.mobius_batch(g, Z, r)
-    ref = _kernels._mobius_batch_np(g, Z, r)
-    assert np.max(np.abs(got - ref)) < 1e-12
-    one = group.mobius(g, Z[0])
-    assert np.max(np.abs(got[0] - one)) < 1e-12
+    for i in (0, 7, 39):
+        assert np.max(np.abs(got[i] - group.mobius(g, Z[i]))) < 1e-12
 
 
 def test_radial_logweight_twins(batches):
     # V1 is the leading square r x r block of a Shilov node
-    _, U = batches[(1, 2)]
-    V1 = U[..., :, :1]
-    for t in (0.5, 2.0):
-        got = _kernels.radial_logweight(V1, t)
-        ref = _kernels._radial_logweight_np(V1, t)
-        assert np.max(np.abs(got - ref)) < 1e-12
-        direct = np.log(np.abs(
-            np.cosh(t) + np.sinh(t) * V1[:, 0, 0]))
-        assert np.max(np.abs(got - direct)) < 1e-10
+    for r, q in SHAPES:
+        _, U = batches[(r, q)]
+        V1 = U[..., :, :r]
+        for t in (0.5, 2.0):
+            got = _kernels.radial_logweight(V1, t)
+            direct = _logabsdet_dense(np.cosh(t) * np.eye(r) + np.sinh(t) * V1)
+            assert np.max(np.abs(got - direct)) < 1e-10
 
 
 def test_jacobi_batch_twins():
     x = np.linspace(-1.0, 1.0, 101)
     for k, al, be in ((0, 0.0, 1.0), (3, 1.0, 2.0), (7, 2.5, 0.5)):
         got = _kernels.jacobi_batch(k, al, be, x)
-        ref = _kernels._jacobi_batch_np(k, al, be, x)
-        assert np.max(np.abs(got - ref)) < 1e-11
+        assert np.max(np.abs(got - eval_jacobi(k, al, be, x))) < 1e-11
 
 
 def test_jacobi_against_scipy():
-    from scipy.special import eval_jacobi
-
     x = np.linspace(-1.0, 1.0, 50)
     got = _kernels.jacobi_batch(4, 1.0, 3.0, x)
     assert np.max(np.abs(got - eval_jacobi(4, 1.0, 3.0, x))) < 1e-11
-
-
-def test_disable_flag_forces_numpy_backend():
-    env = dict(os.environ, MATRIXBALL_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from matrixball import backend; print(backend())"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"

@@ -47,6 +47,18 @@ def test_projection_recovers_coefficients(sd11, sphere8):
     assert abs(ktypes.project_ktype(f, ktypes.KTypeIndex(3, 0), sphere8)) < 1e-7
 
 
+def test_band_limited_matches_zonal_sum(sd11, sphere8):
+    # the evaluator shares |u|^2 across K-types; values equal the plain sum bit for bit
+    rng = np.random.default_rng(4)
+    deltas = ktypes.ktype_range(2, 2)
+    coeffs = {d: complex(rng.normal(), rng.normal()) for d in deltas}
+    u = sphere8.nodes[:, 0, 0]
+    want = np.zeros(u.shape, dtype=np.complex128)
+    for d, a in coeffs.items():
+        want = want + a / ktypes.zonal_norm(d, 1) * ktypes.zonal(d, u, 1)
+    assert np.array_equal(ktypes.band_limited(coeffs, sd11)(sphere8.nodes), want)
+
+
 def test_band_limited_parseval(sd11, sphere8):
     f = ktypes.random_band_limited(sd11, seed=4, max_p=2, max_q=2)
     total = float(np.real(np.dot(sphere8.weights, np.abs(f(sphere8.nodes)) ** 2)))
