@@ -201,6 +201,12 @@ def _chart_axes(grid: int, radius: float, panels: int):
     return np.concatenate([-xp[::-1], xp]), np.concatenate([wp[::-1], wp])
 
 
+# The largest chart the acceptance battery builds has 512,000 nodes (criteria 6
+# and 8: 80^3 at b = 1), with a peak of about 0.4 GB. Memory grows linearly in
+# the node count and with m^2, so a chart past this cap is refused.
+CHART_MAX_NODES = 2_000_000
+
+
 def heisenberg_chart(sd: StructureData, grid: int, radius: float | None = None) -> QuadratureRule:
     """Exponential-coordinate rule on the opposite unipotent group (rank one).
 
@@ -209,7 +215,8 @@ def heisenberg_chart(sd: StructureData, grid: int, radius: float | None = None) 
     eigenvalues -1 (dimension 2b) and -2 (dimension 1). Weights carry the
     Lebesgue measure of the coordinates, scaled so the pushforward
     normalization sum(w * exp(-2 n h1)) equals one. When radius is None it is
-    doubled adaptively until the outermost shell contributes < 1e-4.
+    doubled adaptively until the outermost shell contributes < 1e-4. A grid of
+    more than CHART_MAX_NODES nodes raises DomainError before it is allocated.
     """
     if sd.r != 1:
         raise DomainError("heisenberg_chart is rank-one only")
@@ -221,6 +228,11 @@ def heisenberg_chart(sd: StructureData, grid: int, radius: float | None = None) 
     def build(R: float):
         panels = max(4, int(round(math.log2(R))) + 3)
         ax, aw = _chart_axes(grid, R, panels)
+        n_nodes = len(ax) ** dim
+        if n_nodes > CHART_MAX_NODES:
+            raise DomainError(
+                "heisenberg chart of %d^%d = %.3g nodes exceeds the cap of %d (b = %d, grid = %d, "
+                "radius %g)" % (len(ax), dim, n_nodes, CHART_MAX_NODES, sd.b, grid, R))
         grids = np.meshgrid(*([ax] * dim), indexing="ij")
         wgrids = np.meshgrid(*([aw] * dim), indexing="ij")
         y = np.stack([g.ravel() for g in grids], axis=-1)  # (N, dim)

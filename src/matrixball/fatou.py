@@ -32,28 +32,6 @@ __all__ = [
 ]
 
 
-def _concentration_check(rule: QuadratureRule, t_max: float):
-    """Warn when the kernel at radius t is narrower than the rule resolves.
-
-    The kernel mass at k a_t concentrates on an angular window of width
-    ~ e^(-t); a separable rule with n_ph phase points resolves ~ 1/n_ph.
-    Monte Carlo rules are excluded (their error is tracked via node count).
-    """
-    if rule.kind == "monte-carlo-stiefel":
-        return
-    n_ph = rule.aux.get("phases")
-    if n_ph is None:
-        n_ph = 2 * rule.aux.get("level", 8) + 1
-    t_safe = math.log(max(float(n_ph), 3.0)) + 1.0
-    if t_max > t_safe:
-        warnings.warn(
-            "t = %.2f exceeds the concentration range of the rule (~%.1f); "
-            "deep-tail values may alias" % (t_max, t_safe),
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 @dataclass
 class RadialProfile:
     """Transform values on (node, t) with the growth-renormalized view."""
@@ -97,7 +75,6 @@ def radial_profile(sp: SpectralParam, f, nodes, t_grid, rule: QuadratureRule) ->
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be increasing with at least two points")
-    _concentration_check(rule, float(t_grid[-1]))
     vals = np.empty((nodes.shape[0], len(t_grid)), dtype=np.complex128)
     for j, t in enumerate(t_grid):
         vals[:, j] = poisson.transform_radial(sp, f, nodes, float(t), rule)

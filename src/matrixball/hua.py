@@ -19,7 +19,7 @@ normalization in which the eigenvalue law above holds; proj_k1 keeps the
 leading r x r block.
 """
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,34 +153,49 @@ def _as_batch(F):
     return Fb
 
 
+@functools.lru_cache(maxsize=1024)
+def _step_exp(R_bytes: bytes, m: int, t: float) -> np.ndarray:
+    """expm(t R) for a real-form direction R given by its bytes, read-only.
+
+    A stencil exponential depends only on (R, t = h * offset), never on the
+    point g, the kernel parameters or U, so each one is computed once.
+    """
+    E = linalg.expm(t * np.frombuffer(R_bytes, dtype=np.complex128).reshape(m, m))
+    E.flags.writeable = False
+    return E
+
+
 class _StencilPlan:
-    """Evaluation points and coefficients for one iterated derivative."""
+    """Evaluation points and coefficients for one iterated derivative.
+
+    Each direction v = X + iY contributes the exponentials of its real parts at
+    every offset; the points are the products e^(t_1 R_1) .. e^(t_k R_k) over all
+    X/Y choices (combo) and offsets (sel), ordered combo-major with the first
+    axis slowest. Products and weights are formed left to right, one axis at a
+    time, for the whole batch.
+    """
 
     def __init__(self, sd: StructureData, dirs, scheme: FDScheme, h: float):
         J = group.jmatrix(sd)
-        parts = []
+        m = sd.m
+        ts = [h * o for o in scheme.offsets]
+        units = np.array([1.0, 1j])
+        cfs = np.array(scheme.coeffs)
+        mats = None  # (combos, sels, m, m)
+        ccoef = np.array([1.0 + 0.0j])  # (combos,)
         for v in dirs:
-            X, Y = _split_real(np.asarray(v, dtype=np.complex128), J)
-            parts.append(((X, 1.0), (Y, 1j)))
-        offs, cfs = scheme.offsets, scheme.coeffs
-        mats, coeffs = [], []
-        for combo in itertools.product(*parts):
-            ccoef = 1.0 + 0.0j
-            for _, unit in combo:
-                ccoef *= unit
-            exps = [
-                [linalg.expm(h * o * R) for o in offs] for R, _ in combo
-            ]
-            for sel in itertools.product(range(len(offs)), repeat=len(dirs)):
-                M = None
-                w = ccoef
-                for axis, si in enumerate(sel):
-                    M = exps[axis][si] if M is None else M @ exps[axis][si]
-                    w *= cfs[si]
-                mats.append(M)
-                coeffs.append(w)
-        self.mats = np.array(mats)
-        self.coeffs = np.array(coeffs) / h ** len(dirs)
+            parts = _split_real(np.asarray(v, dtype=np.complex128), J)
+            E = np.array([[_step_exp(R.tobytes(), m, t) for t in ts] for R in parts])
+            if mats is None:
+                mats = E
+            else:
+                mats = (mats[:, None, :, None] @ E[None, :, None, :]).reshape(2 * len(mats), -1, m, m)
+            ccoef = (ccoef[:, None] * units).ravel()
+        w = ccoef[:, None]
+        for _ in dirs:
+            w = (w[:, :, None] * cfs).reshape(len(ccoef), -1)
+        self.mats = mats.reshape(-1, m, m)
+        self.coeffs = w.ravel() / h ** len(dirs)
 
     def points(self, g: np.ndarray) -> np.ndarray:
         return g @ self.mats

@@ -1,6 +1,7 @@
 """Quadrature rules: exactness, calibration, and cross-consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_heisenberg_chart_calibration(sd11):
         assert np.max(np.abs(g.conj().T @ J @ g - J)) < 1e-12 * scale
         assert abs(group.h1_scalar(g, sd11) - h1v[i]) < 1e-10
     assert rule.estimated_accuracy < 1e-4
+
+
+def test_heisenberg_chart_size_guard(sd12):
+    # 28^5 = 1.7e7 nodes at b = 2 and grid 2: refused before any grid exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            boundary.heisenberg_chart(sd12, grid=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_heisenberg_chart_pushforward(sd11):

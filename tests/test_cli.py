@@ -124,6 +124,20 @@ def test_suite_unknown_criterion():
     assert "unknown criteria" in res.stderr.lower()
 
 
+def test_oversized_chart_exits_2():
+    res = run_cli("fatou", "dominate", "--b", "2")
+    assert res.returncode == 2
+    assert "exceeds the cap" in res.stderr
+
+
+def test_degenerate_moebius_exits_3():
+    # at t = 30 the base point sits 1e-26 from the boundary: CZ + D = diag(cosh 30, 1)
+    # has condition number 5e12, past the Moebius action's 1e12 limit
+    res = run_cli("poisson", "kernel", "--t-stop", "30", "--t-step", "30")
+    assert res.returncode == 3
+    assert "CZ + D" in res.stderr
+
+
 def test_poisson_phi_runs(tmp_path):
     out = str(tmp_path / "phi")
     res = run_cli("poisson", "phi", "--s-re", "2.5", "--t-stop", "2.0", "--out", out)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matrixball import group
-from matrixball.errors import MembershipError
+from matrixball.errors import DegeneracyError, MembershipError
 from matrixball.structure import structure_data
 
 
@@ -46,6 +46,15 @@ def test_mobius_identity(sd21):
     Z = group.mobius(group.random_group_element(4, 0.5, sd21), np.zeros((2, 3)))
     assert np.max(np.abs(group.mobius(np.eye(sd21.m), Z) - Z)) < 1e-15
     assert group.is_domain_point(Z)
+
+
+def test_mobius_singular_denominator_raises(sd11):
+    # a_t sends Z = (-coth t, 0), outside the closed ball, to infinity:
+    # CZ + D has the zero row (sinh t * z1 + cosh t, sinh t * z2)
+    t = 0.8
+    Z = np.array([[-np.cosh(t) / np.sinh(t), 0.0]])
+    with pytest.raises(DegeneracyError, match="CZ \\+ D"):
+        group.mobius(group.radial(t, sd11), Z)
 
 
 def test_radial_height_orientation(sd11, sd21):

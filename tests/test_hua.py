@@ -1,11 +1,12 @@
 """Left-invariant derivatives, the Hua system, and third-order operators."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from matrixball import _kernels, group, hua
+from matrixball import _kernels, group, hua, linalg
 from matrixball.structure import spectral_param, structure_data
 
 
@@ -172,3 +173,69 @@ def test_third_order_report(sd11):
     assert abs(rep.p_denominator - 3.0) < 1e-2
     assert rep.genus_candidate == 3
     assert rep.fit_residual < 1e-6
+
+
+def stencil_oracle(sd, dirs, scheme, h):
+    """The per-point stencil loop: one expm per (X/Y choice, axis, offset)."""
+    J = group.jmatrix(sd)
+    parts = []
+    for v in dirs:
+        X, Y = hua._split_real(np.asarray(v, dtype=np.complex128), J)
+        parts.append(((X, 1.0), (Y, 1j)))
+    offs, cfs = scheme.offsets, scheme.coeffs
+    mats, coeffs = [], []
+    for combo in itertools.product(*parts):
+        ccoef = 1.0 + 0.0j
+        for _, unit in combo:
+            ccoef *= unit
+        exps = [[linalg.expm(h * o * R) for o in offs] for R, _ in combo]
+        for sel in itertools.product(range(len(offs)), repeat=len(dirs)):
+            M = None
+            w = ccoef
+            for axis, si in enumerate(sel):
+                M = exps[axis][si] if M is None else M @ exps[axis][si]
+                w *= cfs[si]
+            mats.append(M)
+            coeffs.append(w)
+    return np.array(mats), np.array(coeffs) / h ** len(dirs)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("r,b", [(1, 1), (2, 1)])
+def test_stencil_plan_matches_loop(r, b, mixed, order):
+    sd = structure_data(r, b)
+    basis = hua.build_basis(sd)
+    if mixed:
+        rng = np.random.default_rng(40 + r)
+        A = rng.normal(size=(sd.n, sd.n)) + 1j * rng.normal(size=(sd.n, sd.n))
+        basis = hua.remix_basis(basis, A)
+    vp, vm = basis.pplus, basis.pminus
+    scheme = hua.FDScheme(step=2e-2, order=order)
+    for dirs in ((vp[0],), (vp[0], vm[-1]), (vm[0], vm[-1], vp[0]), (vp[-1], vp[-1], vp[-1])):
+        for h in (scheme.step, scheme.step / 2.0):
+            plan = hua._StencilPlan(sd, dirs, scheme, h)
+            mats, coeffs = stencil_oracle(sd, dirs, scheme, h)
+            assert np.array_equal(plan.mats, mats)
+            assert np.array_equal(plan.coeffs, coeffs)
+
+
+def test_stencil_exponentials_computed_once(sd11, monkeypatch):
+    # a stencil depends on (direction, scheme, h) only: a new g and s reuse it
+    basis = hua.hua_basis(sd11)
+    (g0, U), (g1, _) = hua._sample_pairs(sd11, 2, seed=13)
+    hua.hua_second(hua.lift_kernel(spectral_param(3.0, sd11), U), g0, basis)
+    calls = []
+    real_expm = linalg.expm
+
+    def counting_expm(X):
+        calls.append(1)
+        return real_expm(X)
+
+    monkeypatch.setattr(linalg, "expm", counting_expm)
+    F = hua.lift_kernel(spectral_param(2.5, sd11), U)
+    assert np.all(np.isfinite(hua.hua_second(F, g1, basis)))
+    assert calls == []
+    # a step no other call uses is a new stencil, so the counter does see it
+    hua.hua_second(F, g1, basis, hua.FDScheme(step=3.7e-2))
+    assert calls
