@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, boundary, fatou, group, hua, ktypes, poisson, suite
-from .errors import MatrixBallError
+from .errors import DegeneracyError, MatrixBallError
 from .structure import restricted_roots, spectral_param, structure_data
 
 
@@ -197,6 +197,9 @@ def cmd_poisson_kernel(cfg: RunConfig) -> int:
     for t in cfg.t_grid():
         g = group.radial(float(t), sd)
         Z = group.mobius(g, Z0)
+        if not group.is_domain_point(Z):
+            # a finite t whose image rounds onto the boundary is a numerical degeneracy
+            raise DegeneracyError("a_t . 0 at t = %g rounds onto the boundary of the ball" % t)
         K = poisson.kernel(sp, Z, U0)
         href = np.exp(-(sp.s * sd.r + sd.n) * group.h1_scalar(group.group_inverse(g, sd), sd))
         rel = abs(K - href) / abs(href)

@@ -274,33 +274,15 @@ def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: 
         math.sqrt(max(np.dot(rule.weights, np.abs(resid) ** 2), 0.0))
         / max(math.sqrt(np.dot(rule.weights, np.abs(values) ** 2)), 1e-300)
     )
+    # fold coef into a tensor over one monomial u_j^a conj(u_j)^c per coordinate, a + c <= degree
     q = rule.nodes.shape[-1]
-    dmax = degree + 1
-
-    def ev(U: np.ndarray) -> np.ndarray:
-        Uf = np.asarray(U, dtype=np.complex128).reshape(-1, q)
-        out = np.empty(len(Uf), dtype=np.complex128)
-        block = 1 << 18
-        for lo in range(0, len(Uf), block):
-            Ub = Uf[lo : lo + block]
-            pw = np.empty((q, dmax, len(Ub)), dtype=np.complex128)
-            pw[:, 0] = 1.0
-            for j in range(q):
-                for e in range(1, dmax):
-                    pw[j, e] = pw[j, e - 1] * Ub[:, j]
-            pwc = np.conj(pw)
-            acc = np.zeros(len(Ub), dtype=np.complex128)
-            for c, ex in zip(coef, expo):
-                if c == 0:
-                    continue
-                col = pw[0, ex[0]] * pwc[0, ex[q]]
-                for j in range(1, q):
-                    col = col * (pw[j, ex[j]] * pwc[j, ex[q + j]])
-                acc += c * col
-            out[lo : lo + block] = acc
-        return out.reshape(np.asarray(U).shape[:-2])
-
-    return ev, rel
+    widths = [degree + 1 - c for c in range(degree + 1)]
+    monomials = [(a, c) for c in range(degree + 1) for a in range(widths[c])]
+    index = {ac: i for i, ac in enumerate(monomials)}
+    tensor = np.zeros((len(index),) * q, dtype=np.complex128)
+    for c, ex in zip(coef, expo):
+        tensor[tuple(index[ex[j], ex[q + j]] for j in range(q))] = c
+    return poisson._rank_one_polynomial(widths, tensor), rel
 
 
 def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule,

@@ -87,15 +87,10 @@ def ktype_range(max_p: int, max_q: int):
 def zonal(delta: KTypeIndex, u, b: int):
     """Disk polynomial R_(p,q) at u (vectorized), normalized R(1) = 1."""
     u = np.asarray(u, dtype=np.complex128)
-    return _zonal(delta, u, 2.0 * (u.real**2 + u.imag**2) - 1.0, b)
-
-
-def _zonal(delta: KTypeIndex, u: np.ndarray, x: np.ndarray, b: int):
-    """zonal(delta, u, b) given x = 2|u|^2 - 1, which all K-types of u share."""
     p, q = delta.p, delta.q
     k, d = min(p, q), abs(p - q)
     alpha = b - 1
-    jac = _kernels.jacobi_batch(k, float(alpha), float(d), x)
+    jac = _kernels.jacobi_batch(k, float(alpha), float(d), 2.0 * (u.real**2 + u.imag**2) - 1.0)
     jac = jac / math.comb(k + alpha, k)
     ang = u**(p - q) if p >= q else np.conj(u) ** (q - p)
     return jac * ang
@@ -221,18 +216,35 @@ def band_limited(coeffs: dict, sd: StructureData) -> poisson.BoundaryFunction:
     """f = sum a_delta * (zonal_delta / ||zonal_delta||): ||f||_2^2 = sum |a|^2."""
     if sd.r != 1:
         raise DomainError("band-limited builders are rank-one only")
-    items = [(d, complex(a) / zonal_norm(d, sd.b)) for d, a in coeffs.items()]
-
-    def ev(U: np.ndarray) -> np.ndarray:
-        u = np.asarray(U[..., 0, 0], dtype=np.complex128)
-        x = 2.0 * (u.real**2 + u.imag**2) - 1.0
-        out = np.zeros(u.shape, dtype=np.complex128)
-        for d, a in items:
-            out += a * _zonal(d, u, x, sd.b)
-        return out
-
-    desc = "band-limited " + ",".join("(%d,%d)" % (d.p, d.q) for d, _ in items)
+    max_p = max((d.p for d in coeffs), default=0)
+    max_q = max((d.q for d in coeffs), default=0)
+    # sum a_delta R_delta / ||R_delta|| expanded in monomials u^i conj(u)^j
+    C = np.zeros((max_p + 1, max_q + 1), dtype=np.complex128)
+    for d, a in coeffs.items():
+        C += complex(a) / zonal_norm(d, sd.b) * _zonal_monomials(d, sd.b, max_p, max_q)
+    # C.T lists the monomials by the conj power j, then i, as the helper takes them
+    ev = poisson._rank_one_polynomial([max_p + 1] * (max_q + 1), C.T.reshape(-1))
+    desc = "band-limited " + ",".join("(%d,%d)" % (d.p, d.q) for d in coeffs)
     return poisson.BoundaryFunction(ev, desc, ktype_coefficients=dict(coeffs))
+
+
+def _zonal_monomials(delta: KTypeIndex, b: int, max_p: int, max_q: int) -> np.ndarray:
+    """R_delta as a matrix C of monomial coefficients: R_delta(u) = sum C[i, j] u^i conj(u)^j.
+
+    The Jacobi factor comes from the same recurrence as zonal, run on the
+    polynomial 2y - 1 in y = |u|^2 = u conj(u); y^m times u^(p-q) (or
+    conj(u)^(q-p)) is then the monomial u^(m+p-q) conj(u)^m (or u^m conj(u)^(m+q-p)).
+    """
+    p, q = delta.p, delta.q
+    k, d = min(p, q), abs(p - q)
+    alpha = b - 1
+    y = np.polynomial.Polynomial([-1.0, 2.0])
+    # Polynomial([1]) * turns k = 0's plain 1 into a polynomial too
+    jac = np.polynomial.Polynomial([1.0]) * _kernels.jacobi_batch(k, float(alpha), float(d), y)
+    C = np.zeros((max_p + 1, max_q + 1))
+    for m, c in enumerate(jac.coef.astype(float) / math.comb(k + alpha, k)):
+        C[m + p - k, m + q - k] = c
+    return C
 
 
 def random_band_limited(
@@ -256,9 +268,11 @@ def random_band_limited(
     mix /= np.linalg.norm(mix)
 
     def ev(U: np.ndarray) -> np.ndarray:
+        U = np.asarray(U, dtype=np.complex128)
         out = mix[0] * base.evaluator(U)
         for c, R in zip(mix[1:], rots):
-            out = out + c * base.evaluator(U @ R)
+            # base reads only (U R)[..., 0, 0]: form that column in one matmul over all points
+            out += c * base.evaluator((U.reshape(-1, sd.q) @ R[:, :1]).reshape(U.shape[:-1] + (1,)))
         return out
 
     return poisson.BoundaryFunction(

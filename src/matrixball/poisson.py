@@ -51,6 +51,7 @@ __all__ = [
 
 BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
+POLY_BLOCK = 4096  # points per block of power tables in _rank_one_polynomial
 
 
 @dataclass
@@ -71,6 +72,56 @@ class BoundaryFunction:
             evaluator=lambda U: np.full(U.shape[:-2], c),
             description="constant %s" % value,
         )
+
+
+def _rank_one_polynomial(widths, coef) -> Callable:
+    """Evaluator of a polynomial in the entries u_j = U[..., 0, j] and their conjugates.
+
+    The monomials of one coordinate are u_j^a conj(u_j)^c for a < widths[c],
+    listed by c, then a; coef has one axis over that list per coordinate
+    j = 0, ..., m - 1 it reads, and the value is
+
+        sum over i_0..i_(m-1) of coef[i_0, ..., i_(m-1)] prod_j (monomial i_j of u_j).
+
+    widths must not increase. Each block of POLY_BLOCK points builds the
+    monomial tables of all m coordinates at once (powers of u_j, then each
+    conj(u_j) row from the one before), combines the leading coordinates'
+    tables row by row and contracts with coef in one matmul and one row-wise
+    dot with the last table.
+    """
+    starts = np.cumsum([0, *widths])
+    coef = np.asarray(coef, dtype=np.complex128)
+    m = coef.ndim
+    lead = np.ascontiguousarray(coef.reshape(-1, starts[-1]).T)  # (last monomial, leading ones)
+
+    def block(u: np.ndarray) -> np.ndarray:
+        # u: (m, n) coordinates of n points -> (n,) values
+        tab = np.empty((m, starts[-1], u.shape[1]), dtype=np.complex128)
+        tab[:, 0] = 1.0
+        for a in range(1, widths[0]):
+            np.multiply(tab[:, a - 1], u, out=tab[:, a])
+        ubar = np.conj(u)[:, None, :]
+        for c in range(1, len(widths)):
+            lo, w = starts[c], widths[c]
+            np.multiply(tab[:, starts[c - 1] : starts[c - 1] + w], ubar, out=tab[:, lo : lo + w])
+        if m == 1:
+            return coef @ tab[0]
+        head = tab[0]
+        for t in tab[1:-1]:
+            head = (head[:, None, :] * t[None, :, :]).reshape(-1, u.shape[1])
+        Y = lead @ head
+        Y *= tab[-1]
+        return Y.sum(axis=0)
+
+    def ev(U: np.ndarray) -> np.ndarray:
+        U = np.asarray(U, dtype=np.complex128)
+        uf = U[..., 0, :m].reshape(-1, m)
+        out = np.empty(len(uf), dtype=np.complex128)
+        for lo in range(0, len(uf), POLY_BLOCK):
+            out[lo : lo + POLY_BLOCK] = block(uf[lo : lo + POLY_BLOCK].T)
+        return out.reshape(U.shape[:-2])
+
+    return ev
 
 
 @dataclass

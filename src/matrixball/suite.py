@@ -492,15 +492,25 @@ def criterion_inversion(seed: int = 7, profile: str = "full") -> CriterionResult
 # 12. determinism of the suite artifacts
 # ---------------------------------------------------------------------------
 
-def _run_suite_subprocess(seed: int, criteria: str, out_dir: str) -> dict:
+def _run_suite_subprocess(seed: int, criteria: str, workdir: str) -> dict:
+    """Run the quick suite in workdir with --out run; sha256 of each artifact by name.
+
+    The relative --out keeps workdir's path out of the artifacts' recorded
+    config, so the digests of runs from different directories can be compared.
+    """
     cmd = [sys.executable, "-m", "matrixball", "suite", "--profile", "quick",
-           "--seed", str(seed), "--criteria", criteria, "--out", out_dir]
+           "--seed", str(seed), "--criteria", criteria, "--out", "run"]
     env = dict(os.environ)
     env.setdefault("MATRIXBALL_WORKERS", "1")
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    # the child starts in workdir, where a relative PYTHONPATH entry would not resolve
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_parent] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=workdir)
     if proc.returncode not in (0, 1):
         raise RuntimeError("suite subprocess failed (%d): %s" % (proc.returncode,
                                                                  proc.stderr[-500:]))
+    out_dir = os.path.join(workdir, "run")
     digests = {}
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as fh:
@@ -510,10 +520,9 @@ def _run_suite_subprocess(seed: int, criteria: str, out_dir: str) -> dict:
 
 def criterion_determinism(seed: int = 7, profile: str = "full") -> CriterionResult:
     criteria = "1,2,3,6,8" if profile == "full" else "1,3,8"
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "run")  # identical command, run twice
-        d1 = _run_suite_subprocess(seed, criteria, out)
-        d2 = _run_suite_subprocess(seed, criteria, out)
+    with tempfile.TemporaryDirectory() as tmp:  # identical command, run twice
+        d1 = _run_suite_subprocess(seed, criteria, tmp)
+        d2 = _run_suite_subprocess(seed, criteria, tmp)
     same = d1 == d2 and len(d1) > 0
     details = {"criteria_rerun": criteria, "files": sorted(d1),
                "digests_run1": d1, "digests_run2": d2}

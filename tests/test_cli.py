@@ -78,6 +78,18 @@ def test_artifact_byte_determinism(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_determinism_digests_independent_of_directory(tmp_path):
+    # criterion 12 digests suite artifacts written in a fresh temporary directory;
+    # runs from two different directories must hash the same
+    from matrixball import suite
+
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        d.mkdir()
+    d1, d2 = (suite._run_suite_subprocess(7, "1", str(d)) for d in dirs)
+    assert d1 and d1 == d2
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": 1, "b": 2, "level": 5}))
@@ -136,6 +148,14 @@ def test_degenerate_moebius_exits_3():
     res = run_cli("poisson", "kernel", "--t-stop", "30", "--t-step", "30")
     assert res.returncode == 3
     assert "CZ + D" in res.stderr
+
+
+def test_boundary_rounding_exits_3():
+    # at t = 25 the Moebius action succeeds but tanh(25) rounds to 1: a_t . 0 lands
+    # on the boundary, a numerical degeneracy rather than a usage error
+    res = run_cli("poisson", "kernel", "--t-stop", "25", "--t-step", "25")
+    assert res.returncode == 3
+    assert "rounds onto the boundary" in res.stderr
 
 
 def test_poisson_phi_runs(tmp_path):

@@ -44,10 +44,8 @@ def test_boundary_limit_recovers_band_limited(sd11):
     rule = boundary.sphere_rule(sd11, level=5)
     f = ktypes.random_band_limited(sd11, seed=97, max_p=2, max_q=2, translates=1)
     t_grid = np.linspace(0.0, 5.0, 11)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        prof = fatou.radial_profile(sp, f, rule.nodes, t_grid, rule)
-        rep = fatou.boundary_limit(sp, prof, reference=f, rule=rule)
+    prof = fatou.radial_profile(sp, f, rule.nodes, t_grid, rule)
+    rep = fatou.boundary_limit(sp, prof, reference=f, rule=rule)
     assert rep.sup_err is not None and rep.sup_err < 1e-2
     assert rep.lp_err < rep.sup_err + 1e-12
     assert np.all(rep.converged)
@@ -60,11 +58,10 @@ def test_boundary_limit_negative_control(sd11):
     # below the admissibility gate the renormalized tail diverges
     sp = spectral_param(-0.5, sd11)
     t_grid = np.linspace(0.0, 8.0, 17)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with pytest.warns(RuntimeWarning, match="admissibility"):
         prof = fatou.zonal_profile(sp, t_grid)
-        with pytest.raises(ConvergenceError):
-            fatou.boundary_limit(sp, prof)
+    with pytest.raises(ConvergenceError):
+        fatou.boundary_limit(sp, prof)
 
 
 def test_radial_profile_warns_inadmissible(sd11, sphere6):
@@ -109,13 +106,36 @@ def test_invert_l2_roundtrip(sd11):
     scale = float(np.dot(rule.weights, np.abs(ref) ** 2)) ** 0.5
     errs = []
     for t in (3.0, 4.0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            g = fatou.invert_l2(sp, F, t, rule)
+        g = fatou.invert_l2(sp, F, t, rule)
         diff = np.abs(g(rule.nodes) - ref)
         errs.append(float(np.dot(rule.weights, diff**2)) ** 0.5 / scale)
     assert errs[1] < errs[0]
     assert errs[1] < 2e-2
+
+
+@pytest.mark.parametrize("b, degree, level", [(1, 6, 5), (2, 4, 2)])
+def test_interpolant_matches_design_matrix(b, degree, level):
+    # the evaluator folds the fit into power tables; the reference is the
+    # design-matrix product of the same least-squares coefficients
+    sd = structure_data(1, b)
+    rule = boundary.sphere_rule(sd, level=level)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule))
+    ev, _ = fatou._band_limited_interpolant(rule, values, degree)
+    M, _ = fatou._monomial_design(rule.nodes, degree)
+    sw = np.sqrt(rule.weights)
+    coef, *_ = np.linalg.lstsq(M * sw[:, None], values * sw, rcond=None)
+    U = boundary.sphere_rule(sd, level=level + 1).nodes
+    want = fatou._monomial_design(U, degree)[0] @ coef
+    got = ev(U)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    n = len(U) // 6 * 6
+    batched = ev(U[:n].reshape(n // 6, 6, 1, sd.q))
+    assert batched.shape == (n // 6, 6)
+    assert np.max(np.abs(batched.reshape(-1) - want[:n])) <= 1e-14 * np.max(np.abs(want))
+    assert ev(np.empty((0, 1, sd.q), dtype=complex)).shape == (0,)
+    assert ev(np.empty((3, 0, 1, sd.q), dtype=complex)).shape == (3, 0)
 
 
 def test_invert_l2_guards(sd11, sd21):

@@ -48,7 +48,8 @@ def test_projection_recovers_coefficients(sd11, sphere8):
 
 
 def test_band_limited_matches_zonal_sum(sd11, sphere8):
-    # the evaluator shares |u|^2 across K-types; values equal the plain sum bit for bit
+    # the evaluator contracts one monomial expansion of all K-types; values equal
+    # the plain sum of zonals up to rounding
     rng = np.random.default_rng(4)
     deltas = ktypes.ktype_range(2, 2)
     coeffs = {d: complex(rng.normal(), rng.normal()) for d in deltas}
@@ -56,7 +57,8 @@ def test_band_limited_matches_zonal_sum(sd11, sphere8):
     want = np.zeros(u.shape, dtype=np.complex128)
     for d, a in coeffs.items():
         want = want + a / ktypes.zonal_norm(d, 1) * ktypes.zonal(d, u, 1)
-    assert np.array_equal(ktypes.band_limited(coeffs, sd11)(sphere8.nodes), want)
+    got = ktypes.band_limited(coeffs, sd11)(sphere8.nodes)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_band_limited_parseval(sd11, sphere8):
