@@ -17,6 +17,7 @@ entry U_1 against the pushforward measure (b/pi)(1-|u|^2)^(b-1) dA on the
 unit disk; it is the cheap marginal used by radial profiles.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -201,9 +202,10 @@ def _chart_axes(grid: int, radius: float, panels: int):
     return np.concatenate([-xp[::-1], xp]), np.concatenate([wp[::-1], wp])
 
 
-# The largest chart the acceptance battery builds has 512,000 nodes (criteria 6
-# and 8: 80^3 at b = 1), with a peak of about 0.4 GB. Memory grows linearly in
-# the node count and with m^2, so a chart past this cap is refused.
+# The largest chart the acceptance battery builds has 512,000 nodes (criterion 6:
+# 80^3 at b = 1 and grid 4; criterion 8's grid-2 chart has 40^3 = 64,000), and
+# its build peaks at about 0.18 GB of numpy allocations. Memory grows linearly
+# in the node count and with m^2, so a chart past this cap is refused.
 CHART_MAX_NODES = 2_000_000
 
 
@@ -215,56 +217,75 @@ def heisenberg_chart(sd: StructureData, grid: int, radius: float | None = None) 
     eigenvalues -1 (dimension 2b) and -2 (dimension 1). Weights carry the
     Lebesgue measure of the coordinates, scaled so the pushforward
     normalization sum(w * exp(-2 n h1)) equals one. When radius is None it is
-    doubled adaptively until the outermost shell contributes < 1e-4. A grid of
-    more than CHART_MAX_NODES nodes raises DomainError before it is allocated.
+    doubled adaptively until the outermost shell contributes < 1e-4; the axes
+    at 2R are those at R plus one outer panel per side, so each doubling keeps
+    the previous grid as its centre block and evaluates only the new shell. A
+    grid of more than CHART_MAX_NODES nodes raises DomainError before it is
+    allocated, as do a grid below 1 and a radius that is not finite and positive.
     """
     if sd.r != 1:
         raise DomainError("heisenberg_chart is rank-one only")
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise DomainError("chart grid must be a positive integer, got %r" % (grid,))
+    if radius is not None and not (math.isfinite(radius) and radius > 0.0):
+        raise DomainError("chart radius must be finite and positive, got %r" % (radius,))
     E = group.nbar_basis(sd)  # (dim, m, m)
     dim = 2 * sd.b + 1
     if len(E) != dim:
         raise DomainError("unexpected chart dimension %d" % len(E))
 
-    def build(R: float):
+    def build(R: float, prev=None):
+        """Chart at radius R; prev, the (nodes, h1) grid at R/2, fills the centre block."""
         panels = max(4, int(round(math.log2(R))) + 3)
         ax, aw = _chart_axes(grid, R, panels)
-        n_nodes = len(ax) ** dim
-        if n_nodes > CHART_MAX_NODES:
+        n = len(ax)
+        if n ** dim > CHART_MAX_NODES:
             raise DomainError(
                 "heisenberg chart of %d^%d = %.3g nodes exceeds the cap of %d (b = %d, grid = %d, "
-                "radius %g)" % (len(ax), dim, n_nodes, CHART_MAX_NODES, sd.b, grid, R))
-        grids = np.meshgrid(*([ax] * dim), indexing="ij")
-        wgrids = np.meshgrid(*([aw] * dim), indexing="ij")
-        y = np.stack([g.ravel() for g in grids], axis=-1)  # (N, dim)
-        w = np.ones_like(y[:, 0])
-        for g in wgrids:
-            w = w * g.ravel()
-        A = np.tensordot(y, E, axes=(1, 0))  # (N, m, m), step-2 nilpotent
+                "radius %g)" % (n, dim, n ** dim, CHART_MAX_NODES, sd.b, grid, R))
+        shell = np.ones((n,) * dim, dtype=bool)
+        if prev is not None:
+            shell[(slice(grid, n - grid),) * dim] = False
+        y = np.stack([ax[i] for i in np.nonzero(shell)], axis=-1)  # (N_shell, dim)
+        A = np.tensordot(y, E, axes=(1, 0))  # (N_shell, m, m), step-2 nilpotent
         nodes = np.eye(sd.m) + A + 0.5 * (A @ A)
         h1v = _kernels.h1_batch(nodes, sd.r)
+        if prev is not None:
+            shell = shell.ravel()
+            grown_nodes = np.empty((n ** dim, sd.m, sd.m), dtype=np.complex128)
+            grown_nodes[~shell], grown_nodes[shell] = prev[0], nodes
+            grown_h1 = np.empty(n ** dim)
+            grown_h1[~shell], grown_h1[shell] = prev[1], h1v
+            nodes, h1v = grown_nodes, grown_h1
+        w = np.ones(n ** dim)
+        for g in np.meshgrid(*([aw] * dim), indexing="ij"):
+            w = w * g.ravel()
         dens = np.exp(-2.0 * sd.n * h1v)
         mass = float(np.dot(w, dens))
         # truncation estimate: extrapolate the dyadic shell decay past R
-        yinf = np.abs(y).max(axis=1)
-        s_out = float(np.dot(w[yinf > R / 2.0], dens[yinf > R / 2.0]))
-        s_in = float(np.dot(w[(yinf > R / 4.0) & (yinf <= R / 2.0)], dens[(yinf > R / 4.0) & (yinf <= R / 2.0)]))
+        yinf = functools.reduce(np.maximum, np.ix_(*([np.abs(ax)] * dim))).ravel()
+        out = yinf > R / 2.0
+        mid = (yinf > R / 4.0) & ~out
+        s_out = float(np.dot(w[out], dens[out]))
+        s_in = float(np.dot(w[mid], dens[mid]))
         rho = min(s_out / s_in, 0.75) if s_in > 0 else 0.5
         tail = s_out * rho / (1.0 - rho)
         return nodes, w, h1v, mass, tail
 
     if radius is None:
         R = 16.0
-        for _ in range(6):
-            nodes, w, h1v, mass, tail = build(R)
+        nodes, w, h1v, mass, tail = build(R)
+        for _ in range(5):
             if tail < 1e-4 * mass:
                 break
             R *= 2.0
+            nodes, w, h1v, mass, tail = build(R, (nodes, h1v))
     else:
         R = float(radius)
         nodes, w, h1v, mass, tail = build(R)
 
     w = w / mass  # calibration: sum w exp(-2 n h1) = 1
-    rule = QuadratureRule(
+    return QuadratureRule(
         nodes=nodes,
         weights=w,
         kind="heisenberg-chart",
@@ -272,12 +293,3 @@ def heisenberg_chart(sd: StructureData, grid: int, radius: float | None = None) 
         estimated_accuracy=tail / mass,
         aux={"h1": h1v, "radius": R, "grid": grid},
     )
-    # boundary images kappa(nbar).U0 = nbar.U0, cached for change-of-variables
-    U0 = group.base_point(sd)
-    Bblk = nodes[:, : sd.r, sd.r:]
-    Dblk = nodes[:, sd.r:, sd.r:]
-    CU = np.einsum("npj,jq->npq", nodes[:, sd.r:, : sd.r], U0) + Dblk
-    AU = np.einsum("nij,jq->niq", nodes[:, : sd.r, : sd.r], U0) + Bblk
-    img = np.swapaxes(np.linalg.solve(np.swapaxes(CU, -1, -2), np.swapaxes(AU, -1, -2)), -1, -2)
-    rule.aux["boundary"] = np.ascontiguousarray(img)
-    return rule

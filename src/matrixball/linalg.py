@@ -33,9 +33,12 @@ def is_strictly_positive(H, pivot_tol: float = 1e-13, herm_tol: float = 1e-12) -
     """True iff the Hermitian matrix H is strictly positive definite.
 
     Uses an explicit Cholesky sweep and requires every pivot to exceed
-    ``pivot_tol``. Non-Hermitian input (beyond ``herm_tol``) is rejected.
+    ``pivot_tol``. Non-Hermitian input (beyond ``herm_tol``) is rejected;
+    non-finite input is not positive definite.
     """
     H = np.asarray(H, dtype=np.complex128)
+    if not np.all(np.isfinite(H)):
+        return False
     scale = max(1.0, float(np.max(np.abs(H)))) if H.size else 1.0
     if np.max(np.abs(H - H.conj().T)) > herm_tol * scale:
         raise MembershipError("is_strictly_positive expects a Hermitian matrix")
@@ -43,7 +46,7 @@ def is_strictly_positive(H, pivot_tol: float = 1e-13, herm_tol: float = 1e-12) -
     L = np.zeros_like(H)
     for j in range(n):
         d = H[j, j].real - np.sum(np.abs(L[j, :j]) ** 2)
-        if d <= pivot_tol:
+        if not d > pivot_tol:  # a NaN pivot fails too
             return False
         L[j, j] = np.sqrt(d)
         for i in range(j + 1, n):

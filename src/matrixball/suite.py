@@ -275,14 +275,16 @@ def criterion_cs(seed: int = 7, profile: str = "full") -> CriterionResult:
     details = {}
     worst = 0.0
     ok = True
+    chart = boundary.heisenberg_chart(sd1, grid=4)  # one chart serves every s
     for s in s_values:
-        rep = poisson.c_s(spectral_param(s, sd1), method="all")
+        rep = poisson.c_s(spectral_param(s, sd1), method="all", chart=chart)
         details["r1_b1_s_%s" % s] = {
             "gk": rep.cs_gk, "fatou": rep.cs_fatou, "direct": rep.cs_direct,
             "max_pairwise_rel_err": rep.max_pairwise_rel_err,
         }
         worst = max(worst, rep.max_pairwise_rel_err)
         ok = ok and rep.max_pairwise_rel_err <= 1e-3
+    del chart  # freed before the Stiefel rule, which sets the peak memory
     sd2 = structure_data(2, 1)
     sp2 = spectral_param(4.0, sd2)
     samples = 10 ** 6 if profile == "full" else 2 * 10 ** 5

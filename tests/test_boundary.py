@@ -137,13 +137,47 @@ def test_heisenberg_chart_size_guard(sd12):
 def test_heisenberg_chart_pushforward(sd11):
     # weights * exp(-2n h1) push boundary images to the uniform K-measure
     rule = boundary.heisenberg_chart(sd11, grid=2)
-    img = rule.aux["boundary"]
+    # boundary images kappa(nbar).U0 = nbar.U0 = (A U0 + B)(C U0 + D)^-1
+    g, r = rule.nodes, sd11.r
+    U0 = group.base_point(sd11)
+    AU = np.einsum("nij,jq->niq", g[:, :r, :r], U0) + g[:, :r, r:]
+    CU = np.einsum("npj,jq->npq", g[:, r:, :r], U0) + g[:, r:, r:]
+    img = np.swapaxes(np.linalg.solve(np.swapaxes(CU, -1, -2), np.swapaxes(AU, -1, -2)), -1, -2)
     w = rule.weights * np.exp(-2.0 * sd11.n * rule.aux["h1"])
     m2 = np.dot(w, np.abs(img[:, 0, 0]) ** 2).real
     m4 = np.dot(w, np.abs(img[:, 0, 0]) ** 4).real
     assert abs(m2 - 0.5) < 1e-3
     assert abs(m4 - 1.0 / 3.0) < 1e-3
     assert abs(np.dot(w, img[:, 0, 0] * np.conj(img[:, 0, 1]))) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+def test_heisenberg_chart_shell_growth_matches_direct_build(sd11, grid):
+    # the adaptive chart grows each doubling by its outer shell; a direct
+    # build at the radius it settles on computes every node afresh
+    grown = boundary.heisenberg_chart(sd11, grid=grid)
+    direct = boundary.heisenberg_chart(sd11, grid=grid, radius=grown.aux["radius"])
+    assert grown.aux["radius"] > 16.0  # at least one doubling happened
+    assert np.array_equal(grown.nodes, direct.nodes)
+    assert np.array_equal(grown.weights, direct.weights)
+    assert np.array_equal(grown.aux["h1"], direct.aux["h1"])
+    assert grown.estimated_accuracy == direct.estimated_accuracy
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grid": 0}, {"grid": -2}, {"grid": 2.5},
+    {"grid": 2, "radius": 0.0}, {"grid": 2, "radius": -4.0}, {"grid": 2, "radius": float("nan")},
+    {"grid": 2, "radius": float("inf")},
+], ids=["grid-0", "grid-neg", "grid-float", "radius-0", "radius-neg", "radius-nan", "radius-inf"])
+def test_heisenberg_chart_rejects_bad_inputs(sd11, kwargs):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            boundary.heisenberg_chart(sd11, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
 
 
 def test_integrate_helper(sd11):

@@ -28,6 +28,14 @@ def test_is_strictly_positive_cases(rng):
         linalg.is_strictly_positive(A)
 
 
+def test_is_strictly_positive_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        H = np.eye(3, dtype=complex)
+        H[1, 1] = bad
+        assert not linalg.is_strictly_positive(H)
+    assert not linalg.is_strictly_positive(np.full((2, 2), np.nan))
+
+
 def test_expm_inverse_of_negative(rng):
     X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     X = (X - X.conj().T) / 2

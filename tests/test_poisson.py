@@ -71,6 +71,15 @@ def test_kernel_membership_guards(sd11, sp2):
         poisson.kernel(sp2, math.tanh(8.0) * U0, U0)
 
 
+def test_nan_point_is_outside_the_ball(sd11, sp2, sphere6):
+    Z = np.array([[np.nan, 0.0]])
+    assert not group.is_domain_point(Z)
+    with pytest.raises(MembershipError):
+        poisson.kernel(sp2, Z, group.base_point(sd11))
+    with pytest.raises(MembershipError):
+        poisson.transform(sp2, lambda U: U[..., 0, 0], Z, sphere6)
+
+
 def test_phi_harmonic_is_one(sd11, sp2):
     rule = boundary.sphere_rule(sd11, 6)
     for t in (0.0, 1.0, 3.0):
@@ -106,6 +115,19 @@ def test_cs_all_routes_consistent(sd11):
     assert rep.cs_direct is not None
     assert rep.max_pairwise_rel_err < 1e-3
     assert abs(rep.cs_gk - 1.0) < 1e-12
+
+
+def test_cs_all_reuses_a_given_chart(sd11, monkeypatch):
+    sp = spectral_param(2.5, sd11)
+    chart = boundary.heisenberg_chart(sd11, grid=2)
+    want = poisson.c_s(sp, method="all", grid=2)
+
+    def no_chart(*args, **kwargs):
+        raise AssertionError("c_s built a chart although one was given")
+
+    monkeypatch.setattr(boundary, "heisenberg_chart", no_chart)
+    got = poisson.c_s(sp, method="all", chart=chart)
+    assert got.cs_direct == want.cs_direct
 
 
 def test_cs_requires_admissible(sd21):
