@@ -225,7 +225,7 @@ def heisenberg_chart(sd: StructureData, grid: int, radius: float | None = None) 
     """
     if sd.r != 1:
         raise DomainError("heisenberg_chart is rank-one only")
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+    if not isinstance(grid, (int, np.integer)) or grid < 1:
         raise DomainError("chart grid must be a positive integer, got %r" % (grid,))
     if radius is not None and not (math.isfinite(radius) and radius > 0.0):
         raise DomainError("chart radius must be finite and positive, got %r" % (radius,))
