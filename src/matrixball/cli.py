@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,15 +26,6 @@ from .structure import restricted_roots, spectral_param, structure_data
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-HARD_DEFAULTS = {
-    "r": 1, "b": 1, "s_re": 2.0, "s_im": 0.0, "p": 2.0,
-    "rule": None, "level": 8, "samples": None, "seed": 7,
-    "t_start": 0.0, "t_stop": 4.0, "t_step": 0.5,
-    "out": None, "workers": None, "profile": "full", "criteria": None,
-    "tol_rel": None, "tol_abs": None, "tol_cv": None,
-}
-
 
 @dataclass
 class RunConfig:
@@ -53,13 +44,11 @@ class RunConfig:
     t_stop: float = 4.0
     t_step: float = 0.5
     out: str | None = None
-    workers: int | None = None
     profile: str = "full"
     criteria: str | None = None
     tol_rel: float | None = None
     tol_abs: float | None = None
     tol_cv: float | None = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def s(self) -> complex:
@@ -71,14 +60,12 @@ class RunConfig:
         return np.arange(self.t_start, self.t_stop + 1e-9, self.t_step)
 
     def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in HARD_DEFAULTS}
-        d.update(self.extra)
-        return d
+        return asdict(self)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Hard defaults, overridden by --config file values, overridden by flags."""
-    values = dict(HARD_DEFAULTS)
+    """RunConfig defaults, overridden by --config file values, overridden by flags."""
+    values = RunConfig().as_dict()
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
@@ -91,13 +78,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    cfg = RunConfig(**values)
-    if cfg.workers is not None:
-        os.environ["MATRIXBALL_WORKERS"] = str(cfg.workers)
-    return cfg
+    return RunConfig(**values)
 
 
-def build_rule(cfg: RunConfig, sd, t_max: float | None = None):
+def build_rule(cfg: RunConfig, sd):
     kind = cfg.rule or ("sphere" if sd.r == 1 else "stiefel")
     if kind == "sphere":
         return boundary.sphere_rule(sd, level=cfg.level)
@@ -218,7 +202,7 @@ def cmd_poisson_kernel(cfg: RunConfig) -> int:
 def cmd_poisson_phi(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd, t_max=cfg.t_stop)
+    rule = build_rule(cfg, sd)
     rows = []
     for t in cfg.t_grid():
         v = poisson.phi_s(sp, float(t), rule)
@@ -259,7 +243,7 @@ def cmd_poisson_cs(cfg: RunConfig) -> int:
 def cmd_poisson_transform(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd, t_max=cfg.t_stop)
+    rule = build_rule(cfg, sd)
     f = _seeded_function(cfg, sd)
     U0 = group.base_point(sd)[None]
     rows = []
@@ -278,7 +262,7 @@ def cmd_poisson_transform(cfg: RunConfig) -> int:
 def cmd_poisson_norms(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd, t_max=cfg.t_stop)
+    rule = build_rule(cfg, sd)
     f = _seeded_function(cfg, sd)
     rep = fatou.norm_sandwich(sp, cfg.p, [f], cfg.t_grid(), rule)
     fnorm, hn = rep.f_norms[0], rep.hardy_norms[0]
@@ -346,7 +330,7 @@ def _seeded_function(cfg: RunConfig, sd):
 def cmd_fatou_profile(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd, t_max=cfg.t_stop)
+    rule = build_rule(cfg, sd)
     f = _seeded_function(cfg, sd)
     nodes = rule.nodes[: min(64, len(rule))]
     prof = fatou.radial_profile(sp, f, nodes, cfg.t_grid(), rule)
@@ -369,7 +353,7 @@ def cmd_fatou_profile(cfg: RunConfig) -> int:
 def cmd_fatou_limit(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd, t_max=cfg.t_stop)
+    rule = build_rule(cfg, sd)
     f = _seeded_function(cfg, sd)
     nodes = rule.nodes if len(rule) <= 3000 else rule.nodes[:160]
     prof = fatou.radial_profile(sp, f, nodes, cfg.t_grid(), rule)
@@ -389,7 +373,7 @@ def cmd_fatou_limit(cfg: RunConfig) -> int:
 def cmd_fatou_invert(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd, t_max=None) if cfg.rule else boundary.sphere_rule(sd, level=min(cfg.level, 6))
+    rule = build_rule(cfg, sd) if cfg.rule else boundary.sphere_rule(sd, level=min(cfg.level, 6))
     f = _seeded_function(cfg, sd)
     F = poisson.poisson_lift(sp, f, rule)
     fv = poisson._as_evaluator(f)(rule.nodes)
@@ -533,8 +517,6 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--t-stop", type=float, dest="t_stop")
     p.add_argument("--t-step", type=float, dest="t_step")
     p.add_argument("--out", help="output path prefix (directory for suite)")
-    p.add_argument("--workers", type=int,
-                   help="thread count for batteries (default: MATRIXBALL_WORKERS or 1)")
     p.add_argument("--config", help="JSON file with default flag values")
     p.add_argument("--tol-rel", type=float, dest="tol_rel", help="relative tolerance override")
     p.add_argument("--tol-abs", type=float, dest="tol_abs", help="absolute tolerance override")

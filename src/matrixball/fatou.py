@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, group, poisson
-from .boundary import QuadratureRule, integrate
-from .errors import AdmissibilityError, ConvergenceError, DomainError
+from .boundary import QuadratureRule
+from .errors import ConvergenceError, DomainError
 from .poisson import BoundaryFunction
 from .structure import SpectralParam
 
@@ -55,6 +55,17 @@ class RadialProfile:
         return float(np.max(spread) / scale)
 
 
+def _warn_inadmissible(sp: SpectralParam):
+    """Warn, at the caller of the public profile function, that the tail cannot converge."""
+    if not sp.admissible:
+        warnings.warn(
+            "Re s = %g is at or below the admissibility threshold %g; the "
+            "renormalized profile will not converge" % (sp.s.real, sp.sd.admissibility_threshold),
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def radial_profile(sp: SpectralParam, f, nodes, t_grid, rule: QuadratureRule) -> RadialProfile:
     """P_s f along k a_t for each boundary node representative k.
 
@@ -62,13 +73,7 @@ def radial_profile(sp: SpectralParam, f, nodes, t_grid, rule: QuadratureRule) ->
     running it through boundary_limit is the negative control showing the
     renormalized tail does not converge.
     """
-    if not sp.admissible:
-        warnings.warn(
-            "Re s = %g is at or below the admissibility threshold %g; the "
-            "renormalized profile will not converge" % (sp.s.real, sp.sd.admissibility_threshold),
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_inadmissible(sp)
     nodes = np.asarray(nodes, dtype=np.complex128)
     if nodes.ndim == 2:
         nodes = nodes[None]
@@ -89,16 +94,10 @@ def zonal_profile(sp: SpectralParam, t_grid, rule: QuadratureRule | None = None)
     profile of choice for the inadmissible-s negative control.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if not sp.admissible:
-        warnings.warn(
-            "Re s = %g is at or below the admissibility threshold %g; the "
-            "renormalized profile will not converge" % (sp.s.real, sp.sd.admissibility_threshold),
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_inadmissible(sp)
     if rule is None:
         rule = poisson._default_radial_rule(sp.sd, t_max=float(t_grid[-1]))
-    vals = np.array([poisson.phi_s(sp, float(t), rule) for t in t_grid])
+    vals, _ = poisson._phi_profile(sp, t_grid, rule)
     nodes = group.base_point(sp.sd)[None]
     return RadialProfile(t_grid=t_grid, values=vals[None, :], nodes=nodes, growth=sp.growth)
 

@@ -20,7 +20,6 @@ __all__ = [
     "jmatrix",
     "base_point",
     "x_generator",
-    "x0",
     "radial",
     "mobius",
     "group_inverse",
@@ -60,15 +59,6 @@ def x_generator(sd: StructureData, j: int) -> np.ndarray:
     X = np.zeros((sd.m, sd.m), dtype=np.complex128)
     X[j, sd.r + j] = 1.0
     X[sd.r + j, j] = 1.0
-    return X
-
-
-def x0(sd: StructureData) -> np.ndarray:
-    """X_0 = sum of the strongly orthogonal generators."""
-    X = np.zeros((sd.m, sd.m), dtype=np.complex128)
-    for j in range(sd.r):
-        X[j, sd.r + j] = 1.0
-        X[sd.r + j, j] = 1.0
     return X
 
 

@@ -46,19 +46,15 @@ __all__ = [
 
 @dataclass
 class LieBasis:
-    """p+ basis and its duals under the (possibly rescaled) trace pairing."""
+    """p+ basis and its duals under the trace pairing <X, Y> = tr(XY)."""
 
     sd: StructureData
     pplus: np.ndarray  # (n, m, m)
     pminus: np.ndarray  # (n, m, m)
-    dual_scale: float
-
-    def pairing(self, X: np.ndarray, Y: np.ndarray) -> complex:
-        return self.dual_scale * complex(np.trace(X @ Y))
 
     def validate(self, tol: float = 1e-13):
-        n, m = self.sd.n, self.sd.m
-        P = self.dual_scale * np.einsum("aij,bji->ab", self.pplus, self.pminus)
+        n = self.sd.n
+        P = np.einsum("aij,bji->ab", self.pplus, self.pminus)
         if np.max(np.abs(P - np.eye(n))) > tol:
             raise DomainError("p+/p- pairing is not the identity")
         r = self.sd.r
@@ -70,8 +66,8 @@ class LieBasis:
                     raise DomainError("bracket [p+, p-] leaves the block diagonal")
 
 
-def build_basis(sd: StructureData, dual_scale: float = 1.0) -> LieBasis:
-    """Elementary p+ basis e_(j, r+k) with duals e_(r+k, j) / dual_scale."""
+def build_basis(sd: StructureData) -> LieBasis:
+    """Elementary p+ basis e_(j, r+k) with duals e_(r+k, j)."""
     r, q, m = sd.r, sd.q, sd.m
     pplus = np.zeros((sd.n, m, m), dtype=np.complex128)
     pminus = np.zeros((sd.n, m, m), dtype=np.complex128)
@@ -79,9 +75,9 @@ def build_basis(sd: StructureData, dual_scale: float = 1.0) -> LieBasis:
     for j in range(r):
         for k in range(q):
             pplus[idx, j, r + k] = 1.0
-            pminus[idx, r + k, j] = 1.0 / dual_scale
+            pminus[idx, r + k, j] = 1.0
             idx += 1
-    basis = LieBasis(sd=sd, pplus=pplus, pminus=pminus, dual_scale=dual_scale)
+    basis = LieBasis(sd=sd, pplus=pplus, pminus=pminus)
     basis.validate()
     return basis
 
@@ -94,7 +90,7 @@ def remix_basis(basis: LieBasis, A: np.ndarray) -> LieBasis:
     Ainv = np.linalg.inv(A)
     pplus = np.einsum("ac,cij->aij", A, basis.pplus)
     pminus = np.einsum("ca,cij->aij", Ainv, basis.pminus)
-    out = LieBasis(sd=basis.sd, pplus=pplus, pminus=pminus, dual_scale=basis.dual_scale)
+    out = LieBasis(sd=basis.sd, pplus=pplus, pminus=pminus)
     out.validate()
     return out
 
@@ -201,80 +197,38 @@ class _StencilPlan:
         return g @ self.mats
 
 
-def _derivative(Fb, g, sd, dirs, scheme: FDScheme) -> complex:
-    def at(h):
-        plan = _StencilPlan(sd, dirs, scheme, h)
-        vals = Fb(plan.points(g))
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise DegeneracyError(
-                "non-finite F value in FD stencil (offset index %d of %d)" % (bad, len(vals))
-            )
-        return complex(np.dot(plan.coeffs, vals))
-
-    d = at(scheme.step)
-    if scheme.richardson:
-        d2 = at(scheme.step / 2.0)
-        fac = 2.0 ** scheme.order
-        return (fac * d2 - d) / (fac - 1.0)
-    return d
-
-
-def lie_derivative(F, g: np.ndarray, dirs, scheme: FDScheme | None = None,
-                   sd: StructureData | None = None) -> complex:
+def lie_derivative(F, g: np.ndarray, dirs, scheme: FDScheme | None = None, *,
+                   sd: StructureData) -> complex:
     """Iterated left-invariant derivative (v_1 ... v_k F)(g), k <= 3.
 
     Complex directions are handled through the split v = X + iY over the real
-    form, which needs the signature; pass sd when the block support of the
-    directions does not determine it.
+    form of sd's signature.
     """
     if scheme is None:
         scheme = FDScheme()
     if not 1 <= len(dirs) <= 3:
         raise DomainError("between one and three directions are supported")
-    if sd is None:
-        sd = _sd_from_matrices(np.asarray(g).shape[-1], dirs)
-    return _derivative(_as_batch(F), np.asarray(g, dtype=np.complex128), sd, dirs, scheme)
-
-
-def _sd_from_matrices(m: int, dirs) -> StructureData:
-    """Infer r from the p+/p- block support of the directions (fallback r=1)."""
-    from .structure import structure_data
-
-    arr = np.stack([np.asarray(d) for d in dirs])
-    for r in range(1, (m - 1) // 2 + 1):
-        b = m - 2 * r
-        if b < 1:
-            break
-        off = abs(np.abs(arr[:, :r, :r]).max()) + abs(np.abs(arr[:, r:, r:]).max())
-        if off < 1e-12:
-            return structure_data(r, b)
-    return structure_data(1, m - 2)
-
-
-def _operator_points(sd, terms, scheme, h):
-    """Concatenate stencil plans for many terms; returns plans + slices."""
-    plans = [_StencilPlan(sd, dirs, scheme, h) for dirs, _ in terms]
-    sizes = [len(p.coeffs) for p in plans]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return plans, bounds
+    return _assemble(_as_batch(F), np.asarray(g, dtype=np.complex128), sd, [(dirs, 1.0)], scheme)
 
 
 def _assemble(Fb, g, sd, terms, scheme: FDScheme):
-    """Sum_k (iterated derivative along dirs_k) * weight_matrix_k, batched."""
+    """Sum_k (iterated derivative along dirs_k) * weight_k, all stencils in one F call."""
 
     def at(h):
-        plans, bounds = _operator_points(sd, terms, scheme, h)
-        stack = np.concatenate([p.points(g) for p in plans], axis=0)
-        vals = Fb(stack)
+        plans = [_StencilPlan(sd, dirs, scheme, h) for dirs, _ in terms]
+        vals = Fb(np.concatenate([p.points(g) for p in plans], axis=0))
         if not np.all(np.isfinite(vals)):
-            raise DegeneracyError("non-finite F value in operator stencil")
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise DegeneracyError(
+                "non-finite F value in FD stencil (point %d of %d)" % (bad, len(vals))
+            )
         out = None
-        for k, plan in enumerate(plans):
-            seg = vals[bounds[k] : bounds[k + 1]]
-            d = complex(np.dot(plan.coeffs, seg))
-            term = d * terms[k][1]
+        lo = 0
+        for plan, (_, weight) in zip(plans, terms):
+            hi = lo + len(plan.coeffs)
+            term = complex(np.dot(plan.coeffs, vals[lo:hi])) * weight
             out = term if out is None else out + term
+            lo = hi
         return out
 
     A = at(scheme.step)

@@ -14,7 +14,7 @@ P_s f(k a_t . 0) = Phi_{s,delta}(a_t) f(k) for any f in V_delta.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

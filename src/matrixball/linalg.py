@@ -70,10 +70,8 @@ def qr_unitary(A, mode: str = "reduced"):
     k = R.shape[-2] if mode != "complete" else min(A.shape[-2], A.shape[-1])
     d = np.diagonal(R[..., :k, :], axis1=-2, axis2=-1).copy()
     ph = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    Q = Q.copy()
-    Q[..., :, :k] = Q[..., :, :k] * ph[..., None, :]
-    R = R.copy()
-    R[..., :k, :] = R[..., :k, :] * ph.conj()[..., :, None]
+    Q[..., :, :k] *= ph[..., None, :]
+    R[..., :k, :] *= ph.conj()[..., :, None]
     return Q, R
 
 

@@ -52,6 +52,7 @@ __all__ = [
 BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
 POLY_BLOCK = 4096  # points per block of power tables in _rank_one_polynomial
+RADIAL_CHUNK = 512  # centers per block of pushed points in transform_radial
 
 
 @dataclass
@@ -206,7 +207,7 @@ def _radial_pushforward(sp: SpectralParam, t: float, rule: QuadratureRule):
     return W, cw
 
 
-def transform_radial(sp: SpectralParam, f, centers, t: float, rule: QuadratureRule, chunk: int = 512):
+def transform_radial(sp: SpectralParam, f, centers, t: float, rule: QuadratureRule):
     """P_s f at the points k_U a_t . 0 for a batch of Shilov centers U.
 
     centers: (N, r, q) Shilov points (or None for the single point a_t . 0).
@@ -220,7 +221,7 @@ def transform_radial(sp: SpectralParam, f, centers, t: float, rule: QuadratureRu
     centers = np.asarray(centers, dtype=np.complex128).reshape(-1, sd.r, sd.q)
     M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
     out = np.empty(len(centers), dtype=np.complex128)
-    step = max(1, min(len(centers), int(chunk)))
+    step = max(1, min(len(centers), RADIAL_CHUNK))
     for lo in range(0, len(centers), step):
         hi = min(lo + step, len(centers))
         pushed = np.einsum("mrq,nqp->nmrp", W, M[lo:hi], optimize=True)
@@ -240,15 +241,12 @@ def poisson_lift(sp: SpectralParam, f, rule: QuadratureRule):
 
 def phi_s(sp: SpectralParam, t: float, rule: QuadratureRule):
     """Spherical-type radial value phi_s(a_t) = P_s 1 (a_t . 0)."""
-    sd = sp.sd
-    if rule.kind == "deterministic-disk":
-        lw = np.log(np.abs(math.cosh(t) + math.sinh(t) * rule.nodes))
-    else:
-        lw = _kernels.radial_logweight(rule.nodes[..., :, : sd.r], t)
-    return complex(np.dot(rule.weights, np.exp((sp.s - sd.harmonic_s) * lw)))
+    vals, _ = _phi_profile(sp, (t,), rule)
+    return complex(vals[0])
 
 
-def _phi_profile(sp: SpectralParam, t_grid: np.ndarray, rule: QuadratureRule):
+def _phi_profile(sp: SpectralParam, t_grid, rule: QuadratureRule):
+    """phi_s on t_grid, and for a Monte Carlo rule the standard error per t (else None)."""
     sd = sp.sd
     if rule.kind == "deterministic-disk":
         u = rule.nodes
@@ -257,14 +255,16 @@ def _phi_profile(sp: SpectralParam, t_grid: np.ndarray, rule: QuadratureRule):
         V1 = rule.nodes[..., :, : sd.r]
         lw_fn = lambda t: _kernels.radial_logweight(V1, t)
     vals = np.empty(len(t_grid), dtype=np.complex128)
-    err = np.empty(len(t_grid))
+    err = None
+    if rule.kind == "monte-carlo-stiefel":
+        err = np.empty(len(t_grid))
+        w2 = float(np.sum(rule.weights**2))
     for i, t in enumerate(t_grid):
         y = np.exp((sp.s - sd.harmonic_s) * lw_fn(float(t)))
         vals[i] = np.dot(rule.weights, y)
-        # weighted standard error, meaningful for Monte Carlo rules
-        mean = vals[i]
-        var = float(np.dot(rule.weights, np.abs(y - mean) ** 2))
-        err[i] = math.sqrt(max(var, 0.0) * float(np.sum(rule.weights**2)))
+        if err is not None:
+            var = float(np.dot(rule.weights, np.abs(y - vals[i]) ** 2))
+            err[i] = math.sqrt(max(var, 0.0) * w2)
     return vals, err
 
 
@@ -328,7 +328,7 @@ def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None, rel_tol: float = 1e-3) 
         rule = _default_radial_rule(sd, float(t_grid[-1]))
     vals, errs = _phi_profile(sp, t_grid, rule)
     y = np.exp(-sp.growth * t_grid) * vals
-    if rule.kind == "monte-carlo-stiefel":
+    if errs is not None:
         rel_noise = float(np.max(errs / np.abs(vals)))
         rel_tol = max(rel_tol, 25.0 * rel_noise)
     kappas = [2.0 * sp.s - 2.0 * sd.harmonic_s, 2.0] if sd.r == 1 else [2.0, 4.0]

@@ -12,7 +12,6 @@ outputs across reruns.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -30,17 +29,6 @@ from .errors import ConvergenceError
 from .structure import restricted_roots, spectral_param, structure_data
 
 DOMAINS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
-
-
-def parallel_map(fn, items, workers: int | None = None):
-    """Order-preserving map, threaded when workers > 1 (results deterministic)."""
-    if workers is None:
-        workers = int(os.environ.get("MATRIXBALL_WORKERS", "1"))
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass
@@ -143,8 +131,7 @@ def criterion_cocycle(seed: int = 7, profile: str = "full") -> CriterionResult:
     pairs = 200 if profile == "full" else 20
     nsamp = 1000 if profile == "full" else 100
     domains = DOMAINS if profile == "full" else ((1, 1), (2, 1))
-    outs = parallel_map(
-        lambda rb: cocycle_battery(structure_data(*rb), pairs, nsamp, seed), domains)
+    outs = [cocycle_battery(structure_data(*rb), pairs, nsamp, seed) for rb in domains]
     details = {"r%d_b%d" % rb: out for rb, out in zip(domains, outs)}
     worst = max(out["cocycle_worst"] for out in outs)
     violations = sum(out["violations"] for out in outs)
@@ -184,8 +171,7 @@ def kernel_form_battery(sd, n_pairs: int, seed: int, s_values=(2.0, 3.0 + 0.5j))
 def criterion_kernel_form(seed: int = 7, profile: str = "full") -> CriterionResult:
     n_pairs = 300 if profile == "full" else 30
     domains = DOMAINS if profile == "full" else ((1, 1), (2, 1))
-    outs = parallel_map(
-        lambda rb: kernel_form_battery(structure_data(*rb), n_pairs, seed), domains)
+    outs = [kernel_form_battery(structure_data(*rb), n_pairs, seed) for rb in domains]
     details = {"r%d_b%d" % rb: {"worst_rel_err": w} for rb, w in zip(domains, outs)}
     worst = max(outs)
     return CriterionResult(3, "kernel-form", worst <= 1e-9, worst, 1e-9, 10.0,
@@ -503,7 +489,6 @@ def _run_suite_subprocess(seed: int, criteria: str, workdir: str) -> dict:
     cmd = [sys.executable, "-m", "matrixball", "suite", "--profile", "quick",
            "--seed", str(seed), "--criteria", criteria, "--out", "run"]
     env = dict(os.environ)
-    env.setdefault("MATRIXBALL_WORKERS", "1")
     # the child starts in workdir, where a relative PYTHONPATH entry would not resolve
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.pathsep.join(

@@ -11,11 +11,7 @@ CMD = [sys.executable, "-m", "matrixball"]
 
 
 def run_cli(*args, **kw):
-    env = dict(os.environ)
-    env.setdefault("MATRIXBALL_WORKERS", "1")
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env, **kw
-    )
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, **kw)
 
 
 def test_version():
@@ -110,6 +106,22 @@ def test_config_unknown_key_rejected(tmp_path):
     res = run_cli("structure", "--config", str(cfg))
     assert res.returncode == 1
     assert "unknown config" in res.stderr.lower()
+
+
+def test_workers_config_key_rejected(tmp_path):
+    # the battery runs serially; a thread-count key is no longer a config field
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    res = run_cli("structure", "--config", str(cfg))
+    assert res.returncode == 1
+    assert "unknown config keys: workers" in res.stderr.lower()
+
+
+def test_workers_flag_is_usage_error(tmp_path):
+    res = run_cli("suite", "--workers", "2", "--criteria", "1", "--profile", "quick",
+                  "--out", str(tmp_path / "suite"))
+    assert res.returncode == 2
+    assert not (tmp_path / "suite").exists()
 
 
 def test_missing_config_file():

@@ -62,7 +62,6 @@ def test_calibration_scales():
     # yields, (s^2 - (r+b)^2)/4, is checked by test_hua_eigen_residual
     for r, b in ((1, 1), (2, 1)):
         basis = hua.hua_basis(structure_data(r, b))
-        assert basis.dual_scale == 1
         basis.validate()
 
 
