@@ -273,15 +273,14 @@ def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: 
         math.sqrt(max(np.dot(rule.weights, np.abs(resid) ** 2), 0.0))
         / max(math.sqrt(np.dot(rule.weights, np.abs(values) ** 2)), 1e-300)
     )
-    # fold coef into a tensor over one monomial u_j^a conj(u_j)^c per coordinate, a + c <= degree
+    # coef[ex] multiplies T(u)[a] conj(T(u))[c] for ex = (a, c): one form term with P = I
     q = rule.nodes.shape[-1]
-    widths = [degree + 1 - c for c in range(degree + 1)]
-    monomials = [(a, c) for c in range(degree + 1) for a in range(widths[c])]
-    index = {ac: i for i, ac in enumerate(monomials)}
-    tensor = np.zeros((len(index),) * q, dtype=np.complex128)
+    index = {ex: i for i, ex in enumerate(poisson._monomials(q, degree).exponents)}
+    G = np.zeros((len(index), len(index)), dtype=np.complex128)
     for c, ex in zip(coef, expo):
-        tensor[tuple(index[ex[j], ex[q + j]] for j in range(q))] = c
-    return poisson._rank_one_polynomial(widths, tensor), rel
+        G[index[ex[:q]], index[ex[q:]]] = c
+    form = poisson.PolynomialForm(np.eye(q)[None], G[None], (degree, degree))
+    return form.evaluator(), rel
 
 
 def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule,

@@ -122,8 +122,10 @@ def is_shilov_point(U: np.ndarray, tol: float = GROUP_FRESH_TOL) -> bool:
     Accepts leading batch dimensions; all points must pass.
     """
     U = np.asarray(U, dtype=np.complex128)
+    if not np.all(np.isfinite(U)):
+        return False
     gram = U @ np.swapaxes(U, -1, -2).conj()
-    return float(np.max(np.abs(gram - np.eye(U.shape[-2])))) <= tol
+    return float(np.max(np.abs(gram - np.eye(U.shape[-2])), initial=0.0)) <= tol
 
 
 def h1_scalar(g: np.ndarray, sd: StructureData) -> float:

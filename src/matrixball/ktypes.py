@@ -100,15 +100,19 @@ def zonal_function(delta: KTypeIndex, sd: StructureData) -> poisson.BoundaryFunc
     """phi_delta as a boundary function: the disk polynomial of U_1."""
     if sd.r != 1:
         raise DomainError("K-type machinery is rank-one only")
-
-    def ev(U: np.ndarray) -> np.ndarray:
-        return zonal(delta, U[..., 0, 0], sd.b)
-
+    form = _first_entry_form(_zonal_monomials(delta, sd.b, delta.p, delta.q), sd)
     return poisson.BoundaryFunction(
-        evaluator=ev,
+        evaluator=form.evaluator(),
         description="zonal (%d,%d)" % (delta.p, delta.q),
         ktype_coefficients={delta: 1.0},
     )
+
+
+def _first_entry_form(C: np.ndarray, sd: StructureData) -> poisson.PolynomialForm:
+    """The polynomial sum C[i, j] u^i conj(u)^j of u = U[0, 0] as a PolynomialForm."""
+    P = np.zeros((1, sd.q, 1))
+    P[0, 0, 0] = 1.0
+    return poisson.PolynomialForm(P, C[None], (C.shape[0] - 1, C.shape[1] - 1))
 
 
 _NORM_CACHE: dict = {}
@@ -194,11 +198,9 @@ def schur_diagonality(
     """
     sd = sp.sd
     M0 = _random_unitary(sd.q, seed)
-
-    def ev(U: np.ndarray) -> np.ndarray:
-        W = U @ M0
-        return zonal(delta, W[..., 0, 0], sd.b)
-
+    ev = _first_entry_form(_zonal_monomials(delta, sd.b, delta.p, delta.q), sd).translated(
+        [M0], [1.0]
+    ).evaluator()
     f = poisson.BoundaryFunction(ev, "translated zonal (%d,%d)" % (delta.p, delta.q))
     fv = ev(nodes)
     Fv = poisson.transform_radial(sp, f, nodes, t, rule)
@@ -214,18 +216,22 @@ def schur_diagonality(
 
 def band_limited(coeffs: dict, sd: StructureData) -> poisson.BoundaryFunction:
     """f = sum a_delta * (zonal_delta / ||zonal_delta||): ||f||_2^2 = sum |a|^2."""
+    desc = "band-limited " + ",".join("(%d,%d)" % (d.p, d.q) for d in coeffs)
+    return poisson.BoundaryFunction(
+        _band_limited_form(coeffs, sd).evaluator(), desc, ktype_coefficients=dict(coeffs)
+    )
+
+
+def _band_limited_form(coeffs: dict, sd: StructureData) -> poisson.PolynomialForm:
+    """sum a_delta R_delta / ||R_delta|| expanded in the monomials u^i conj(u)^j of u = U[0, 0]."""
     if sd.r != 1:
         raise DomainError("band-limited builders are rank-one only")
     max_p = max((d.p for d in coeffs), default=0)
     max_q = max((d.q for d in coeffs), default=0)
-    # sum a_delta R_delta / ||R_delta|| expanded in monomials u^i conj(u)^j
     C = np.zeros((max_p + 1, max_q + 1), dtype=np.complex128)
     for d, a in coeffs.items():
         C += complex(a) / zonal_norm(d, sd.b) * _zonal_monomials(d, sd.b, max_p, max_q)
-    # C.T lists the monomials by the conj power j, then i, as the helper takes them
-    ev = poisson._rank_one_polynomial([max_p + 1] * (max_q + 1), C.T.reshape(-1))
-    desc = "band-limited " + ",".join("(%d,%d)" % (d.p, d.q) for d in coeffs)
-    return poisson.BoundaryFunction(ev, desc, ktype_coefficients=dict(coeffs))
+    return _first_entry_form(C, sd)
 
 
 def _zonal_monomials(delta: KTypeIndex, b: int, max_p: int, max_q: int) -> np.ndarray:
@@ -260,21 +266,13 @@ def random_band_limited(
     deltas = ktype_range(max_p, max_q)
     amps = rng.normal(size=len(deltas)) + 1j * rng.normal(size=len(deltas))
     amps /= np.linalg.norm(amps)
-    base = band_limited({d: a for d, a in zip(deltas, amps)}, sd)
+    coeffs = {d: a for d, a in zip(deltas, amps)}
     if translates == 0:
-        return base
+        return band_limited(coeffs, sd)
     rots = [_random_unitary(sd.q, seed + 101 + j) for j in range(translates)]
     mix = rng.normal(size=translates + 1)
     mix /= np.linalg.norm(mix)
-
-    def ev(U: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=np.complex128)
-        out = mix[0] * base.evaluator(U)
-        for c, R in zip(mix[1:], rots):
-            # base reads only (U R)[..., 0, 0]: form that column in one matmul over all points
-            out += c * base.evaluator((U.reshape(-1, sd.q) @ R[:, :1]).reshape(U.shape[:-1] + (1,)))
-        return out
-
+    form = _band_limited_form(coeffs, sd).translated([np.eye(sd.q)] + rots, mix)
     return poisson.BoundaryFunction(
-        ev, "band-limited with %d translates" % translates, ktype_coefficients=None
+        form.evaluator(), "band-limited with %d translates" % translates, ktype_coefficients=None
     )

@@ -16,16 +16,28 @@ linearly on Shilov points. This keeps quadrature nodes spread over the whole
 boundary instead of collapsing toward the image of a_t, so deep t stays
 numerically tame.
 
+Boundary functions that are polynomials in the entries of U and conj(U)
+(band-limited functions and their K-translates, the inversion interpolant,
+trace-affine functions) carry a PolynomialForm, and transform_radial sums
+them in another order. With w the entries of a_t . V and x those of
+(a_t . V) M_k P, every monomial of x is a combination of monomials of w
+whose coefficients depend on the center only: T(x) = T(w) S_k. The node sum
+then splits into moments mu = sum_V cw(V) T(w)^T conj(T(w)), taken once
+per (s, t), and a small contraction with S_k per center, so a call costs
+O(N_nodes + N_centers) instead of O(N_nodes N_centers) evaluations. Any
+other callable is evaluated at every pushed point.
+
 c_s is computed three independent ways: a closed-form Gamma product, the
 renormalized limit of the radial profile of P_s 1 (Richardson-accelerated with
 the known correction exponents), and for rank one a direct integral over the
 opposite unipotent group.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import loggamma
@@ -37,6 +49,7 @@ from .structure import SpectralParam, lambda_coefficients
 
 __all__ = [
     "BoundaryFunction",
+    "PolynomialForm",
     "CsReport",
     "kernel",
     "transform",
@@ -51,13 +64,16 @@ __all__ = [
 
 BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
-POLY_BLOCK = 4096  # points per block of power tables in _rank_one_polynomial
-RADIAL_CHUNK = 512  # centers per block of pushed points in transform_radial
+RADIAL_CHUNK = 512  # centers per block of pushed points or symmetric powers in transform_radial
 
 
 @dataclass
 class BoundaryFunction:
-    """Vectorized function on Shilov points: evaluator maps (N, r, q) -> (N,)."""
+    """Vectorized function on Shilov points: evaluator maps (N, r, q) -> (N,).
+
+    An evaluator made by PolynomialForm.evaluator carries its form, and
+    transform_radial then sums by moments instead of point by point.
+    """
 
     evaluator: Callable
     description: str = ""
@@ -75,54 +91,148 @@ class BoundaryFunction:
         )
 
 
-def _rank_one_polynomial(widths, coef) -> Callable:
-    """Evaluator of a polynomial in the entries u_j = U[..., 0, j] and their conjugates.
+class _Monomials(NamedTuple):
+    """Monomials of n variables of degree <= d, listed by degree.
 
-    The monomials of one coordinate are u_j^a conj(u_j)^c for a < widths[c],
-    listed by c, then a; coef has one axis over that list per coordinate
-    j = 0, ..., m - 1 it reads, and the value is
-
-        sum over i_0..i_(m-1) of coef[i_0, ..., i_(m-1)] prod_j (monomial i_j of u_j).
-
-    widths must not increase. Each block of POLY_BLOCK points builds the
-    monomial tables of all m coordinates at once (powers of u_j, then each
-    conj(u_j) row from the one before), combines the leading coordinates'
-    tables row by row and contracts with coef in one matmul and one row-wise
-    dot with the last table.
+    Monomial i > 0 is monomial parent[i] times variable var[i], its lowest
+    variable; start[e] is the index of the first monomial of degree e, so the
+    list up to any lower degree is a prefix. up[i, j] is the index of
+    monomial i times variable j (-1 for monomials of degree d).
     """
-    starts = np.cumsum([0, *widths])
-    coef = np.asarray(coef, dtype=np.complex128)
-    m = coef.ndim
-    lead = np.ascontiguousarray(coef.reshape(-1, starts[-1]).T)  # (last monomial, leading ones)
 
-    def block(u: np.ndarray) -> np.ndarray:
-        # u: (m, n) coordinates of n points -> (n,) values
-        tab = np.empty((m, starts[-1], u.shape[1]), dtype=np.complex128)
-        tab[:, 0] = 1.0
-        for a in range(1, widths[0]):
-            np.multiply(tab[:, a - 1], u, out=tab[:, a])
-        ubar = np.conj(u)[:, None, :]
-        for c in range(1, len(widths)):
-            lo, w = starts[c], widths[c]
-            np.multiply(tab[:, starts[c - 1] : starts[c - 1] + w], ubar, out=tab[:, lo : lo + w])
-        if m == 1:
-            return coef @ tab[0]
-        head = tab[0]
-        for t in tab[1:-1]:
-            head = (head[:, None, :] * t[None, :, :]).reshape(-1, u.shape[1])
-        Y = lead @ head
-        Y *= tab[-1]
-        return Y.sum(axis=0)
+    exponents: list
+    parent: np.ndarray
+    var: np.ndarray
+    start: list
+    up: np.ndarray
 
-    def ev(U: np.ndarray) -> np.ndarray:
+
+@functools.lru_cache(maxsize=None)
+def _monomials(n: int, d: int) -> _Monomials:
+    expo, parent, var, start = [(0,) * n], [0], [0], [0, 1]
+    for e in range(1, d + 1):
+        for j in range(n):
+            for i in range(start[e - 1], start[e]):
+                if not any(expo[i][:j]):
+                    expo.append(expo[i][:j] + (expo[i][j] + 1,) + expo[i][j + 1 :])
+                    parent.append(i)
+                    var.append(j)
+        start.append(len(expo))
+    index = {ex: i for i, ex in enumerate(expo)}
+    up = np.full((len(expo), n), -1)
+    for i, ex in enumerate(expo[: start[d]]):
+        for j in range(n):
+            up[i, j] = index[ex[:j] + (ex[j] + 1,) + ex[j + 1 :]]
+    return _Monomials(expo, np.array(parent), np.array(var), start, up)
+
+
+def _monomial_table(x: np.ndarray, d: int) -> np.ndarray:
+    """The monomials of degree <= d of each row of x: (N, n) -> (N, n_monomials)."""
+    mono = _monomials(x.shape[-1], d)
+    T = np.empty(x.shape[:-1] + (len(mono.exponents),), dtype=np.complex128)
+    T[..., 0] = 1.0
+    for e in range(1, d + 1):
+        lo, hi = mono.start[e], mono.start[e + 1]
+        np.multiply(T[..., mono.parent[lo:hi]], x[..., mono.var[lo:hi]], out=T[..., lo:hi])
+    return T
+
+
+def _symmetric_power(L: np.ndarray, d: int) -> np.ndarray:
+    """S with T(x) = T(w) S for x = L w, for a batch of maps L of shape (K, m, n).
+
+    T lists the monomials of degree <= d (_monomial_table), so S has shape
+    (K, n_monomials(n), n_monomials(m)) and is block-diagonal by degree.
+    Column x^beta is column x^parent times one linear form of w.
+    """
+    K, m, n = L.shape
+    mx, mw = _monomials(m, d), _monomials(n, d)
+    S = np.zeros((K, len(mw.exponents), len(mx.exponents)), dtype=np.complex128)
+    S[:, 0, 0] = 1.0
+    for e in range(1, d + 1):
+        rows = slice(mw.start[e - 1], mw.start[e])
+        cols = np.arange(mx.start[e], mx.start[e + 1])
+        src = S[:, rows][:, :, mx.parent[cols]]
+        for i in range(n):
+            S[:, mw.up[rows, i][:, None], cols] += src * L[:, None, mx.var[cols], i]
+    return S
+
+
+class PolynomialForm:
+    """A boundary function that is a polynomial in the entries of U and conj(U).
+
+    f(U) = sum over terms (P, G) of T_p(x) G conj(T_q(x))^T, where x lists the
+    r k entries of U P (P is q x k, read row by row), T_p(x) is the row of
+    its monomials of degree <= d_p (_monomial_table) and T_q(x) that of
+    degree <= d_q. All terms share k and (d_p, d_q): P has shape
+    (terms, q, k) and G (terms, n_p, n_q). The K-translate U -> f(U R) is the
+    same form with P -> R P.
+    """
+
+    def __init__(self, P, G, degrees):
+        self.P = np.asarray(P, dtype=np.complex128)
+        self.G = np.asarray(G, dtype=np.complex128)
+        self.degrees = tuple(degrees)
+
+    def translated(self, rotations, weights) -> "PolynomialForm":
+        """The form of U -> sum_j weights[j] f(U rotations[j])."""
+        P = np.concatenate([R @ self.P for R in rotations])
+        G = np.concatenate([w * self.G for w in weights])
+        return PolynomialForm(P, G, self.degrees)
+
+    def _prefixes(self, n: int):
+        """Number of monomials of n variables of degree <= d_p and <= d_q."""
+        start = _monomials(n, max(self.degrees)).start
+        return tuple(start[d + 1] for d in self.degrees)
+
+    def __call__(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=np.complex128)
-        uf = U[..., 0, :m].reshape(-1, m)
-        out = np.empty(len(uf), dtype=np.complex128)
-        for lo in range(0, len(uf), POLY_BLOCK):
-            out[lo : lo + POLY_BLOCK] = block(uf[lo : lo + POLY_BLOCK].T)
+        Uf = U.reshape((-1,) + U.shape[-2:])
+        n = U.shape[-2] * self.P.shape[-1]
+        n_p, n_q = self._prefixes(n)
+        out = np.zeros(len(Uf), dtype=np.complex128)
+        for P, G in zip(self.P, self.G):
+            T = _monomial_table((Uf @ P).reshape(len(Uf), n), max(self.degrees))
+            out += np.einsum("na,na->n", T[:, :n_p] @ G, T[:, :n_q].conj())
         return out.reshape(U.shape[:-2])
 
-    return ev
+    def evaluator(self) -> Callable:
+        """The pointwise evaluator, carrying this form as `polynomial_form`.
+
+        transform_radial reads that attribute to take the moment route; it
+        survives functools.wraps, which copies the evaluator's __dict__.
+        """
+
+        def ev(U: np.ndarray) -> np.ndarray:
+            return self(U)
+
+        ev.polynomial_form = self
+        return ev
+
+    def moments(self, W: np.ndarray, cw: np.ndarray) -> np.ndarray:
+        """mu = T_p(w)^T diag(cw) conj(T_q(w)), w the r q entries of each node of W (N, r, q)."""
+        n = W.shape[-2] * W.shape[-1]
+        T = _monomial_table(W.reshape(-1, n), max(self.degrees))
+        n_p, n_q = self._prefixes(n)
+        return (T[:, :n_p].T * cw) @ T[:, :n_q].conj()
+
+    def contract(self, mu: np.ndarray, M: np.ndarray, r: int) -> np.ndarray:
+        """sum_V cw(V) f(W_V M_k) for each right factor M_k (K, q, q), given mu of W.
+
+        x = L_k w with L_k = I_r (x) (M_k P)^T, so T(x) = T(w) S_k
+        (_symmetric_power) and the value is sum G . (S_p^T mu conj(S_q)).
+        """
+        Q = M[:, None] @ self.P
+        K, terms, q, k = Q.shape
+        L = np.zeros((K, terms, r * k, r * q), dtype=np.complex128)
+        for i in range(r):
+            L[:, :, i * k : (i + 1) * k, i * q : (i + 1) * q] = np.swapaxes(Q, -1, -2)
+        S = _symmetric_power(L.reshape(K * terms, r * k, r * q), max(self.degrees))
+        S = S.reshape(K, terms, *S.shape[1:])
+        n_p, n_q = self._prefixes(r * k)
+        m_p, m_q = mu.shape
+        B = S[..., :m_p, :n_p] @ self.G
+        A = mu @ S[..., :m_q, :n_q].conj()
+        return np.einsum("ktab,ktab->k", B, A)
 
 
 @dataclass
@@ -215,19 +325,26 @@ def transform_radial(sp: SpectralParam, f, centers, t: float, rule: QuadratureRu
     """
     sd = sp.sd
     ev = _as_evaluator(f)
+    form = getattr(ev, "polynomial_form", None)
     W, cw = _radial_pushforward(sp, t, rule)
     if centers is None:
-        return complex(np.dot(cw, ev(W)))
-    centers = np.asarray(centers, dtype=np.complex128).reshape(-1, sd.r, sd.q)
-    M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
-    out = np.empty(len(centers), dtype=np.complex128)
-    step = max(1, min(len(centers), RADIAL_CHUNK))
-    for lo in range(0, len(centers), step):
-        hi = min(lo + step, len(centers))
-        pushed = np.einsum("mrq,nqp->nmrp", W, M[lo:hi], optimize=True)
-        vals = ev(pushed.reshape(-1, sd.r, sd.q)).reshape(hi - lo, len(W))
-        out[lo:hi] = vals @ cw
-    return out
+        M = np.eye(sd.q, dtype=np.complex128)[None]
+    else:
+        centers = np.asarray(centers, dtype=np.complex128).reshape(-1, sd.r, sd.q)
+        if not group.is_shilov_point(centers, tol=1e-8):
+            raise MembershipError("centers must satisfy U U^H = I")
+        M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
+    if form is not None:
+        mu = form.moments(W, cw)
+    out = np.empty(len(M), dtype=np.complex128)
+    for lo in range(0, len(M), RADIAL_CHUNK):
+        Mc = M[lo : lo + RADIAL_CHUNK]
+        if form is not None:
+            out[lo : lo + len(Mc)] = form.contract(mu, Mc, sd.r)
+        else:
+            pushed = np.matmul(W.reshape(-1, sd.q), Mc)  # (n, m r, q), already contiguous
+            out[lo : lo + len(Mc)] = ev(pushed.reshape(-1, sd.r, sd.q)).reshape(len(Mc), len(W)) @ cw
+    return complex(out[0]) if centers is None else out
 
 
 def poisson_lift(sp: SpectralParam, f, rule: QuadratureRule):

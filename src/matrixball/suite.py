@@ -295,12 +295,14 @@ def trace_affine(sd, seed: int) -> poisson.BoundaryFunction:
     rng = np.random.default_rng(seed)
     C = rng.normal(size=(sd.q, sd.r)) + 1j * rng.normal(size=(sd.q, sd.r))
     C /= np.linalg.norm(C)
-
-    def ev(U):
-        tr = np.einsum("...ij,ji->...", np.asarray(U, dtype=complex), C)
-        return 1.0 + tr + 0.25 * np.conj(tr)
-
-    return poisson.BoundaryFunction(ev, "trace affine function")
+    # x = the r^2 entries of U C; the monomials of degree <= 1 are 1, x_0, x_1, ...
+    G = np.zeros((1 + sd.r**2, 1 + sd.r**2), dtype=np.complex128)
+    G[0, 0] = 1.0
+    diagonal = 1 + (sd.r + 1) * np.arange(sd.r)
+    G[diagonal, 0] = 1.0
+    G[0, diagonal] = 0.25
+    form = poisson.PolynomialForm(C[None], G[None], (1, 1))
+    return poisson.BoundaryFunction(form.evaluator(), "trace affine function")
 
 
 def criterion_fatou(seed: int = 7, profile: str = "full") -> CriterionResult:

@@ -135,3 +135,14 @@ def test_random_algebra_element_in_algebra(sd21, rng):
     J = group.jmatrix(sd21)
     assert np.max(np.abs(X.conj().T @ J + J @ X)) < 1e-12
     assert abs(np.trace(X)) < 1e-12
+
+
+def test_is_shilov_point_batches(sd21):
+    # every point of a batch must pass; an empty batch passes, a non-finite point fails
+    U = np.stack([group.base_point(sd21)] * 3)
+    assert group.is_shilov_point(U)
+    assert group.is_shilov_point(U[:0])
+    for bad in (np.nan, np.inf):
+        V = U.copy()
+        V[1, 0, 2] = bad
+        assert not group.is_shilov_point(V)

@@ -1,11 +1,12 @@
 """Poisson kernel, transform, radial profiles, and the constant c_s."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from matrixball import boundary, group, poisson
+from matrixball import boundary, fatou, group, ktypes, poisson, suite
 from matrixball.errors import AdmissibilityError, DegeneracyError, MembershipError
 from matrixball.structure import spectral_param, structure_data
 
@@ -200,3 +201,102 @@ def test_hardy_norm_constant_function(sd11, sp2, sphere6):
     F = poisson.poisson_lift(sp2, poisson.BoundaryFunction.constant(1.0), sphere6)
     val = poisson.hardy_norm(F, sp2, 2.0, np.linspace(0.0, 2.0, 5), sphere6)
     assert abs(val - 1.0) < 1e-10
+
+
+# criteria 7 (0 to 6 by 0.5 at s = 2.5), 9 (0 to 5 at s = 2 and 2.5), 10 (t = 1 and
+# 0 to 5 at s = 2.5) and 11 (t = 3, 4, 5 at s = 2); rank two: criterion 7 (0 to 4, s = 4)
+RANK_ONE_GRIDS = [(2.0, np.arange(0.0, 6.01, 0.5)), (2.5, np.arange(0.0, 6.01, 0.5))]
+RANK_TWO_GRIDS = [(4.0, np.arange(0.0, 4.01, 0.5))]
+GATE_CASES = ("band-limited b=1", "band-limited b=2", "interpolant q=2 degree 6",
+              "interpolant q=3 degree 4", "trace-affine r=2")
+
+
+@pytest.fixture(scope="module")
+def gate_cases():
+    """name -> (structure, polynomial boundary function, centers, rule, (s, t grid) list)."""
+    cases = {}
+    for b, level, degree in ((1, 5, 6), (2, 2, 4)):
+        sd = structure_data(1, b)
+        rule = boundary.sphere_rule(sd, level=level)
+        centers = rule.nodes[:: max(1, len(rule) // 60)]
+        f = ktypes.random_band_limited(sd, seed=90 + b, max_p=2, max_q=2, translates=2)
+        cases["band-limited b=%d" % b] = (sd, f, centers, rule, RANK_ONE_GRIDS)
+        rng = np.random.default_rng(b)
+        values = rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule))
+        ev, _ = fatou._band_limited_interpolant(rule, values, degree)
+        cases["interpolant q=%d degree %d" % (sd.q, degree)] = (
+            sd, poisson.BoundaryFunction(ev), centers, rule, RANK_ONE_GRIDS)
+    sd2 = structure_data(2, 1)
+    rule2 = boundary.stiefel_rule(sd2, samples=4000, seed=91)
+    cases["trace-affine r=2"] = (sd2, suite.trace_affine(sd2, 92), rule2.nodes[:40], rule2,
+                                 RANK_TWO_GRIDS)
+    return cases
+
+
+@pytest.mark.parametrize("name", GATE_CASES)
+def test_moment_route_matches_pointwise(gate_cases, name):
+    # a polynomial form takes the moment route; a plain callable computing the
+    # same values takes the pointwise route, which is the oracle
+    sd, f, centers, rule, grids = gate_cases[name]
+    assert isinstance(f.evaluator.polynomial_form, poisson.PolynomialForm)
+    pointwise = lambda U: f(U)
+    for s, t_grid in grids:
+        sp = spectral_param(s, sd)
+        for t in t_grid:
+            for where in (centers, None):
+                got = poisson.transform_radial(sp, f, where, float(t), rule)
+                want = poisson.transform_radial(sp, pointwise, where, float(t), rule)
+                err = np.max(np.abs(np.subtract(got, want)))
+                assert err <= 1e-13 * np.max(np.abs(want)), (s, t, where is None, err)
+
+
+def test_traced_evaluator_takes_the_moment_route(gate_cases):
+    # a functools.wraps wrapper of the evaluator (as a span tracer hands it
+    # over) copies polynomial_form, so it is never called and the values match
+    sd, f, centers, rule, _ = gate_cases["band-limited b=1"]
+    calls = []
+
+    @functools.wraps(f.evaluator)
+    def traced(U):
+        calls.append(U.shape)
+        return f.evaluator(U)
+
+    sp = spectral_param(2.5, sd)
+    for t in (0.0, 3.0):
+        want = poisson.transform_radial(sp, f, centers, t, rule)
+        assert np.array_equal(poisson.transform_radial(sp, traced, centers, t, rule), want)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "scaled"])
+@pytest.mark.parametrize("route", ["moment", "pointwise"])
+def test_transform_radial_rejects_bad_centers(sd11, sphere6, bad, route):
+    f = ktypes.random_band_limited(sd11, seed=3, max_p=1, max_q=1)
+    if route == "pointwise":
+        f = lambda U, g=f: g(U)
+    centers = sphere6.nodes[:4].copy()
+    centers[2, 0, 0] = {"nan": np.nan, "inf": np.inf, "scaled": 2.0 * centers[2, 0, 0]}[bad]
+    with pytest.raises(MembershipError):
+        poisson.transform_radial(spectral_param(2.5, sd11), f, centers, 1.0, sphere6)
+
+
+def test_transform_radial_matches_direct_rank_two(sd21):
+    # at r = 2 both routes are Monte Carlo sums over the same Haar nodes of
+    # two integrands with the same mean, so their gap is a mean of per-node
+    # differences d and must lie within 4 standard errors of zero (measured:
+    # 0.7 and 1.3; a radial weight exponent off by one gives 7.5 and 5.5). By
+    # t = 1 the direct kernel's dynamic range leaves no usable estimate.
+    sp = spectral_param(4.0, sd21)
+    rule = boundary.stiefel_rule(sd21, samples=20000, seed=5)
+    f = suite.trace_affine(sd21, 6)
+    U = rule.nodes[7]
+    M = group.kappa_right_factors(U[None])
+    for t in (0.25, 0.5):
+        Z = math.tanh(t) * U
+        via_radial = poisson.transform_radial(sp, f, U[None], t, rule)[0]
+        direct = poisson.transform(sp, f, Z, rule)
+        W, cw = poisson._radial_pushforward(sp, t, rule)
+        d = cw / rule.weights * f(W @ M[0]) - poisson.kernel(sp, Z, rule.nodes) * f(rule.nodes)
+        se = math.sqrt(np.sum(rule.weights**2 * np.abs(d - np.mean(d)) ** 2))
+        assert abs(via_radial - direct) <= 4.0 * se
+        assert se <= 0.1 * abs(direct)
