@@ -16,22 +16,28 @@ def backend() -> str:
     return "numpy"
 
 
-def _logabsdet_small(T):
-    """log|det T| for a (..., r, r) complex stack, closed forms for r <= 3."""
-    r = T.shape[-1]
+def _logabsdet_entries(x, r):
+    """log|det| of r x r matrices given by their row-major entries x[i*r + j], each (...).
+
+    Closed forms for r <= 3; larger r stacks the entries for np.linalg.slogdet.
+    """
     if r == 1:
-        return np.log(np.abs(T[..., 0, 0]))
+        return np.log(np.abs(x[0]))
     if r == 2:
-        det = T[..., 0, 0] * T[..., 1, 1] - T[..., 0, 1] * T[..., 1, 0]
+        det = x[0] * x[3] - x[1] * x[2]
         return np.log(np.abs(det))
     if r == 3:
-        a, b, c = T[..., 0, 0], T[..., 0, 1], T[..., 0, 2]
-        d, e, f = T[..., 1, 0], T[..., 1, 1], T[..., 1, 2]
-        g, h, i = T[..., 2, 0], T[..., 2, 1], T[..., 2, 2]
+        a, b, c, d, e, f, g, h, i = x
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         return np.log(np.abs(det))
-    _, ld = np.linalg.slogdet(T)
+    _, ld = np.linalg.slogdet(np.stack(x, axis=-1).reshape(x[0].shape + (r, r)))
     return ld
+
+
+def _logabsdet_small(T):
+    """log|det T| for a (..., r, r) complex stack."""
+    r = T.shape[-1]
+    return _logabsdet_entries([T[..., i, j] for i in range(r) for j in range(r)], r)
 
 
 def _eye_minus(M):
@@ -82,13 +88,23 @@ def logabsdet_izu0(Z):
 
 
 def radial_logweight(V1, t):
-    """log|det(cosh(t) I_r + sinh(t) V1)| for V1 of shape (..., r, r)."""
+    """log|det(cosh(t) I_r + sinh(t) V1)| for V1 of shape (..., r, r).
+
+    The entries are formed one by one from the (possibly strided) V1, so no
+    (..., r, r) matrix stack is materialised.
+    """
     V1 = np.asarray(V1, dtype=np.complex128)
     t = float(t)
-    T = np.sinh(t) * V1
-    idx = np.arange(V1.shape[-1])
-    T[..., idx, idx] += np.cosh(t)
-    return _logabsdet_small(T)
+    sh, ch = np.sinh(t), np.cosh(t)
+    r = V1.shape[-1]
+    entries = []
+    for i in range(r):
+        for j in range(r):
+            x = sh * V1[..., i, j]
+            if i == j:
+                x += ch
+            entries.append(x)
+    return _logabsdet_entries(entries, r)
 
 
 def mobius_batch(g, Z, r):

@@ -6,8 +6,10 @@ Three rule families:
   stick-breaking simplex times uniform phases. Exact for polynomials in
   (U, conj U) up to degree 2*level; an optional composite-panel refinement of
   the |U_1|^2 coordinate resolves the boundary layer of deep radial weights.
-* ``stiefel_rule``  - seeded Haar Monte Carlo via the unitary factor of a
-  complex Gaussian matrix (phase-fixed QR), first r rows.
+* ``stiefel_rule``  - seeded Haar Monte Carlo: the first r columns of the
+  unitary factor of a complex q x q Gaussian matrix (phase-fixed QR). Only
+  those r columns are drawn into the matrix that is factored; the stream is
+  the same q x q draw, so the nodes equal those of a full q x q QR.
 * ``heisenberg_chart`` - rank-one chart of the opposite horospherical group
   N1bar in exponential coordinates, with Lebesgue weights calibrated so the
   pushforward normalization integral equals one.
@@ -170,15 +172,32 @@ def disk_rule(sd: StructureData, level: int, panels: int = 1, phases: int | None
 
 
 def stiefel_rule(sd: StructureData, samples: int, seed: int) -> QuadratureRule:
-    """Seeded Haar sample of Shilov points: first r rows of Haar unitaries."""
+    """Seeded Haar sample of Shilov points: first r rows of Haar unitaries.
+
+    Each node is the conjugate transpose of the first r columns of the
+    phase-fixed QR factor of a q x q complex Gaussian (all real parts drawn
+    first, then all imaginary parts). Those columns depend only on the first r
+    columns of the Gaussian, so only they are kept and factored. A sample count
+    that is not a positive integer raises DomainError before any allocation.
+    """
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise DomainError("stiefel samples must be a positive integer, got %r" % (samples,))
     rng = np.random.default_rng(seed)
-    q = sd.q
-    G = rng.normal(size=(samples, q, q)) + 1j * rng.normal(size=(samples, q, q))
-    Q, _ = linalg.qr_unitary(G)
-    U = np.swapaxes(Q[:, :, : sd.r], -1, -2).conj()
+    q, r = sd.q, sd.r
+    draw = np.empty((samples, q, q))
+    G = np.empty((samples, q, r), dtype=np.complex128)
+    rng.standard_normal(out=draw)
+    G.real = draw[:, :, :r]
+    rng.standard_normal(out=draw)
+    G.imag = draw[:, :, :r]
+    del draw
+    Q = linalg.qr_unitary(G)[0]
+    del G
+    U = np.ascontiguousarray(np.swapaxes(Q, -1, -2))
+    np.conjugate(U, out=U)
     weights = np.full(samples, 1.0 / samples)
     rule = QuadratureRule(
-        nodes=np.ascontiguousarray(U),
+        nodes=U,
         weights=weights,
         kind="monte-carlo-stiefel",
         seed=seed,

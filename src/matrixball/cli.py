@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, boundary, fatou, group, hua, ktypes, poisson, suite
-from .errors import DegeneracyError, MatrixBallError
+from .errors import DegeneracyError, DomainError, MatrixBallError
 from .structure import restricted_roots, spectral_param, structure_data
 
 
@@ -55,8 +56,10 @@ class RunConfig:
         return complex(self.s_re, self.s_im)
 
     def t_grid(self) -> np.ndarray:
+        if not all(math.isfinite(x) for x in (self.t_start, self.t_stop, self.t_step)):
+            raise DomainError("--t-start, --t-stop and --t-step must be finite")
         if self.t_step <= 0:
-            raise MatrixBallError("--t-step must be positive")
+            raise DomainError("--t-step must be positive")
         return np.arange(self.t_start, self.t_stop + 1e-9, self.t_step)
 
     def as_dict(self) -> dict:
@@ -78,6 +81,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    if values["samples"] is not None and values["samples"] < 1:
+        raise DomainError("--samples must be at least 1, got %r" % (values["samples"],))
     return RunConfig(**values)
 
 

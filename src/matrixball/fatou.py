@@ -347,44 +347,55 @@ class DominationReport:
         return all(v == 0 for v in self.violations) and np.isfinite(self.phi_integral)
 
 
-def domination_check(sp: SpectralParam, t_list, chart: QuadratureRule) -> DominationReport:
+def domination_check(sp, t_list, chart: QuadratureRule):
     """Pointwise |Psi_t| <= Phi on the opposite-unipotent chart, and Phi in L1.
 
     Psi_t(nbar) carries exponent -(Re s . r + n) h1(nbar) + (Re s . r - n)
     h1(a_t nbar a_-t); the majorant Phi is e^(-2n h1) for Re s above
     (a/2)(r-1) + b + 1 and e^(-(Re s . r + n) h1) otherwise.
+
+    sp may be one spectral parameter or a sequence of them on one domain; with
+    a sequence the heights h1(a_t nbar a_-t) are computed once per t and shared
+    across all the parameters, and a list of reports (one per parameter) comes
+    back in order.
     """
-    poisson._require_admissible(sp)
-    sd = sp.sd
+    sp_list = [sp] if isinstance(sp, SpectralParam) else list(sp)
+    if not sp_list or any(x.sd != sp_list[0].sd for x in sp_list):
+        raise DomainError("domination_check needs spectral parameters on one domain")
+    for x in sp_list:
+        poisson._require_admissible(x)
+    sd = sp_list[0].sd
     if "h1" not in chart.aux:
         raise DomainError("domination_check needs a heisenberg chart rule")
     h1n = chart.aux["h1"]
-    res = sp.s.real
-    large = res > 0.5 * sd.a * (sd.r - 1) + sd.b + 1
-    branch = "large-s" if large else "small-s"
-    log_phi = (-2.0 * sd.n * h1n) if large else (-(res * sd.r + sd.n) * h1n)
-    phi = np.exp(log_phi)
-    phi_integral = float(np.dot(chart.weights, phi))
-    violations = []
-    max_excess = 0.0
+    h1t_list = []
     for t in t_list:
         at = group.radial(float(t), sd)
         at_inv = group.radial(-float(t), sd)
         conj = np.einsum("ij,njk,kl->nil", at, chart.nodes, at_inv)
-        h1t = _kernels.h1_batch(np.ascontiguousarray(conj), sd.r)
-        log_psi = -(res * sd.r + sd.n) * h1n + (res * sd.r - sd.n) * h1t
-        excess = np.exp(log_psi) - phi
-        bad = int(np.count_nonzero(excess > 1e-10))
-        violations.append(bad)
-        max_excess = max(max_excess, float(np.max(excess)))
-    return DominationReport(
-        t_list=list(t_list),
-        branch=branch,
-        violations=violations,
-        max_excess=max_excess,
-        phi_integral=phi_integral,
-        n_nodes=len(chart),
-    )
+        h1t_list.append(_kernels.h1_batch(np.ascontiguousarray(conj), sd.r))
+    reports = []
+    for x in sp_list:
+        res = x.s.real
+        large = res > 0.5 * sd.a * (sd.r - 1) + sd.b + 1
+        log_phi = (-2.0 * sd.n * h1n) if large else (-(res * sd.r + sd.n) * h1n)
+        phi = np.exp(log_phi)
+        violations = []
+        max_excess = 0.0
+        for h1t in h1t_list:
+            log_psi = -(res * sd.r + sd.n) * h1n + (res * sd.r - sd.n) * h1t
+            excess = np.exp(log_psi) - phi
+            violations.append(int(np.count_nonzero(excess > 1e-10)))
+            max_excess = max(max_excess, float(np.max(excess)))
+        reports.append(DominationReport(
+            t_list=list(t_list),
+            branch="large-s" if large else "small-s",
+            violations=violations,
+            max_excess=max_excess,
+            phi_integral=float(np.dot(chart.weights, phi)),
+            n_nodes=len(chart),
+        ))
+    return reports[0] if isinstance(sp, SpectralParam) else reports
 
 
 @dataclass

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matrixball import boundary, group
+from matrixball import boundary, group, linalg
 from matrixball.errors import DomainError
 from matrixball.structure import structure_data
 
@@ -105,6 +105,49 @@ def test_stiefel_rule_properties(sd21):
     # Haar moment E|U_11|^2 = 1/q with a Monte Carlo error bar
     m = np.dot(rule.weights, np.abs(U[:, 0, 0]) ** 2).real
     assert abs(m - 1.0 / 3.0) < 8 * rule.estimated_accuracy
+
+
+def _full_qr_stiefel(sd, samples, seed):
+    """The q x q construction: whole Gaussian matrices, full QR, first r columns."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(samples, sd.q, sd.q)) + 1j * rng.normal(size=(samples, sd.q, sd.q))
+    Q, _ = linalg.qr_unitary(G)
+    return np.ascontiguousarray(np.swapaxes(Q[:, :, : sd.r], -1, -2).conj())
+
+
+@pytest.mark.parametrize("seed", [5, 47])
+@pytest.mark.parametrize("rb", [(1, 2), (2, 1), (2, 2), (3, 1)])
+def test_stiefel_rule_matches_full_qr(rb, seed):
+    # the thin QR of the first r columns reproduces the full factorisation bit for bit
+    sd = structure_data(*rb)
+    rule = boundary.stiefel_rule(sd, samples=3001, seed=seed)
+    assert rule.nodes.flags.c_contiguous
+    assert np.array_equal(rule.nodes, _full_qr_stiefel(sd, 3001, seed))
+
+
+@pytest.mark.parametrize("rb", [(2, 1), (1, 2), (3, 1)])
+def test_stiefel_rule_memory_guard(rb):
+    # the q x q draw buffer and the thin QR stay within 5x the nodes' own size
+    sd = structure_data(*rb)
+    tracemalloc.start()
+    try:
+        rule = boundary.stiefel_rule(sd, 10 ** 5, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * rule.nodes.nbytes
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.5])
+def test_stiefel_rule_rejects_bad_samples(sd21, samples):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="positive integer"):
+            boundary.stiefel_rule(sd21, samples, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_heisenberg_chart_calibration(sd11):

@@ -178,3 +178,17 @@ def test_poisson_phi_runs(tmp_path):
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     assert rows[0] == "t,phi_re,phi_im,renormalized_abs"
     assert len(rows) >= 5
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_samples_below_one_exits_2(count):
+    res = run_cli("poisson", "norms", "--r", "2", "--samples", count)
+    assert res.returncode == 2
+    assert "--samples must be at least 1" in res.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--t-step", "-1"), ("--t-step", "nan"), ("--t-stop", "inf")])
+def test_bad_t_grid_exits_2(flag, value):
+    res = run_cli("poisson", "kernel", flag, value)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr

@@ -160,6 +160,22 @@ def test_domination_check(sd11, s):
     assert rep.n_nodes == len(chart)
 
 
+def test_domination_check_shares_heights_across_s(sd11, sd21):
+    chart = boundary.heisenberg_chart(sd11, grid=2)
+    t_list = (0.5, 1.0, 2.0, 4.0)
+    sps = [spectral_param(s, sd11) for s in (1.5, 3.0, 3.0 + 0.5j)]
+    reports = fatou.domination_check(sps, t_list, chart)
+    assert len(reports) == len(sps)
+    for sp, rep in zip(sps, reports):
+        single = fatou.domination_check(sp, t_list, chart)
+        for name in ("t_list", "branch", "violations", "max_excess", "phi_integral", "n_nodes"):
+            assert getattr(rep, name) == getattr(single, name)
+    assert [rep.branch for rep in reports] == ["small-s", "large-s", "large-s"]
+    for bad in ([], [sps[0], spectral_param(4.0, sd21)]):
+        with pytest.raises(DomainError, match="one domain"):
+            fatou.domination_check(bad, t_list, chart)
+
+
 def test_norm_sandwich_shared_lifts(sd11):
     sp = spectral_param(2.0, sd11)
     rule = boundary.sphere_rule(sd11, level=5)

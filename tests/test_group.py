@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matrixball import group
+from matrixball import group, suite
 from matrixball.errors import DegeneracyError, MembershipError
 from matrixball.structure import structure_data
 
@@ -123,6 +123,28 @@ def test_contraction_inequality_samples(sd11):
         h0 = group.h1_scalar(nbar, sd11)
         hc = group.h1_scalar(group.radial(t, sd11) @ nbar @ group.radial(-t, sd11), sd11)
         assert hc <= h0 + 1e-10
+
+
+@pytest.mark.parametrize("rb", [(1, 1), (2, 1)])
+def test_cocycle_battery_contraction_matches_per_sample_loop(rb):
+    # the batched contraction count and gap equal the one-sample-at-a-time loop
+    sd = structure_data(*rb)
+    n, seed = 200, 7
+    out = suite.cocycle_battery(sd, 0, n, seed)
+    E = group.nbar_basis(sd)
+    rng = np.random.default_rng(seed + 10 ** 6)
+    coords = rng.normal(scale=1.5, size=(n, len(E)))
+    A = np.tensordot(coords, E, axes=(1, 0))
+    nbar = np.eye(sd.m) + A + 0.5 * (A @ A)
+    ts = rng.uniform(0.1, 4.0, size=n)
+    violations, gap_min = 0, np.inf
+    for j in range(n):
+        h_base = group.h1_scalar(nbar[j], sd)
+        h_conj = group.h1_scalar(group.radial(ts[j], sd) @ nbar[j] @ group.radial(-ts[j], sd), sd)
+        gap_min = min(gap_min, h_base - h_conj)
+        violations += h_conj > h_base + 1e-10
+    assert out["violations"] == violations
+    assert out["contraction_min_gap"] == gap_min
 
 
 def test_is_domain_point_boundary(sd11):

@@ -1,7 +1,9 @@
 """Each batch kernel against its twin: an independent dense or scipy oracle.
 
 The oracles evaluate the same quantity element by element through
-np.linalg.det, group.mobius or scipy.special, never through _kernels.
+np.linalg.det, group.mobius or scipy.special, never through _kernels. One
+check is a bit-identity check instead: the entry-wise radial weight against
+the determinant of the matrix it used to form.
 """
 
 import numpy as np
@@ -117,6 +119,19 @@ def test_radial_logweight_twins(batches):
             got = _kernels.radial_logweight(V1, t)
             direct = _logabsdet_dense(np.cosh(t) * np.eye(r) + np.sinh(t) * V1)
             assert np.max(np.abs(got - direct)) < 1e-10
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_radial_logweight_matches_materialised_matrix(r):
+    # the entry-wise weight equals the determinant of the formed matrix bit for
+    # bit, on the strided leading-block view that the radial pushforward passes
+    U = _random_shilov_batch(np.random.default_rng(31 + r), 1001, r, r + 1)
+    V1 = U[..., :, :r]
+    assert not V1.flags.c_contiguous
+    for t in np.arange(0.0, 8.01, 0.5):
+        T = np.sinh(t) * V1
+        T[..., np.arange(r), np.arange(r)] += np.cosh(t)
+        assert np.array_equal(_kernels.radial_logweight(V1, t), _kernels._logabsdet_small(T))
 
 
 def test_jacobi_batch_twins():
