@@ -83,6 +83,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     if values["samples"] is not None and values["samples"] < 1:
         raise DomainError("--samples must be at least 1, got %r" % (values["samples"],))
+    for key in ("tol_rel", "tol_abs", "tol_cv"):
+        tol = values[key]
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise DomainError("--%s must be positive and finite, got %r" % (key.replace("_", "-"), tol))
     return RunConfig(**values)
 
 
@@ -165,7 +169,7 @@ def cmd_group_selftest(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     pairs = cfg.samples or 200
     out = suite.cocycle_battery(sd, pairs, max(pairs * 5, 1000), cfg.seed)
-    tol = cfg.tol_abs or 1e-9
+    tol = 1e-9 if cfg.tol_abs is None else cfg.tol_abs
     ok = out["cocycle_worst"] <= tol and out["violations"] == 0
     jp, _ = _out_paths(cfg, "group-selftest")
     if jp:
@@ -198,7 +202,7 @@ def cmd_poisson_kernel(cfg: RunConfig) -> int:
     if cp:
         emit_csv(cfg, "t,kernel_re,kernel_im,horospherical_rel_err", rows, cp)
         emit_json(cfg, {"worst_rel_err": worst, "rows": len(rows)}, jp)
-    tol = cfg.tol_rel or 1e-9
+    tol = 1e-9 if cfg.tol_rel is None else cfg.tol_rel
     print("kernel radial check s=%s: %d points, det vs horospherical worst %.3e"
           % (cfg.s, len(rows), worst))
     return 0 if worst <= tol else 1
@@ -239,7 +243,7 @@ def cmd_poisson_cs(cfg: RunConfig) -> int:
     jp, _ = _out_paths(cfg, "cs")
     if jp:
         emit_json(cfg, payload, jp)
-    tol = cfg.tol_rel or (1e-3 if sd.r == 1 else 1e-2)
+    tol = (1e-3 if sd.r == 1 else 1e-2) if cfg.tol_rel is None else cfg.tol_rel
     print("c_s s=%s: %s, worst rel err %.3e (tol %.1e)"
           % (cfg.s, {k: v for k, v in payload.items() if k != "s"}, worst, tol))
     return 0 if worst <= tol else 1
@@ -250,10 +254,11 @@ def cmd_poisson_transform(cfg: RunConfig) -> int:
     sp = spectral_param(cfg.s, sd)
     rule = build_rule(cfg, sd)
     f = _seeded_function(cfg, sd)
-    U0 = group.base_point(sd)[None]
+    t_grid = cfg.t_grid()
+    vals = poisson.transform_radial(sp, f, group.base_point(sd)[None], t_grid, rule)[0]
     rows = []
-    for t in cfg.t_grid():
-        v = complex(poisson.transform_radial(sp, f, U0, float(t), rule)[0])
+    for t, v in zip(t_grid, vals):
+        v = complex(v)
         ren = v * np.exp(-sp.growth * t)
         rows.append((float(t), v.real, v.imag, float(abs(ren))))
     jp, cp = _out_paths(cfg, "transform")
@@ -294,7 +299,7 @@ def cmd_hua_check(cfg: RunConfig) -> int:
     if jp:
         emit_json(cfg, payload, jp)
         emit_csv(cfg, "sample,residual", list(enumerate(res)), cp)
-    tol = cfg.tol_rel or 1e-4
+    tol = 1e-4 if cfg.tol_rel is None else cfg.tol_rel
     print("hua check s=%s: eigenvalue %s, max residual %.3e over %d points (tol %.1e)"
           % (cfg.s, eig, max(res), len(res), tol))
     return 0 if max(res) <= tol else 1
@@ -315,7 +320,7 @@ def cmd_hua_third_ratio(cfg: RunConfig) -> int:
     jp, _ = _out_paths(cfg, "third-ratio")
     if jp:
         emit_json(cfg, payload, jp)
-    tol_cv = cfg.tol_cv or 1e-2
+    tol_cv = 1e-2 if cfg.tol_cv is None else cfg.tol_cv
     ok = float(np.max(rep.cvs)) <= tol_cv and rep.c_rel_err <= 0.02
     print("third-order ratio r=%d b=%d: worst CV %.2e, c_fit %.6g (expected %g, "
           "rel err %.2e), p_fit %.6g vs genus %d"
@@ -342,7 +347,7 @@ def cmd_fatou_profile(cfg: RunConfig) -> int:
     ren = prof.renormalized
     rows = [(k, float(t), float(ren[k, i].real), float(ren[k, i].imag))
             for k in range(len(nodes)) for i, t in enumerate(prof.t_grid)]
-    tol = cfg.tol_rel or 1e-2
+    tol = 1e-2 if cfg.tol_rel is None else cfg.tol_rel
     tail = prof.tail_variation()
     jp, cp = _out_paths(cfg, "fatou-profile")
     if cp:
@@ -363,7 +368,7 @@ def cmd_fatou_limit(cfg: RunConfig) -> int:
     nodes = rule.nodes if len(rule) <= 3000 else rule.nodes[:160]
     prof = fatou.radial_profile(sp, f, nodes, cfg.t_grid(), rule)
     rep = fatou.boundary_limit(sp, prof, reference=f, p=cfg.p, rule=rule)
-    tol = cfg.tol_rel or 1e-2
+    tol = 1e-2 if cfg.tol_rel is None else cfg.tol_rel
     payload = {"sup_err": rep.sup_err, "lp_err": rep.lp_err, "cs": rep.cs,
                "nodes": len(nodes), "sup_ok": bool(rep.sup_err <= tol),
                "lp_ok": bool(rep.lp_err <= tol)}
@@ -390,7 +395,7 @@ def cmd_fatou_invert(cfg: RunConfig) -> int:
         gv = g(rule.nodes)
         err = float(np.sqrt(np.sum(rule.weights * np.abs(gv - fv) ** 2)) / fn)
         rows.append((float(t), err))
-    tol = cfg.tol_rel or 5e-2
+    tol = 5e-2 if cfg.tol_rel is None else cfg.tol_rel
     worst = rows[-1][1]
     errs = [r[1] for r in rows]
     jp, cp = _out_paths(cfg, "invert")
@@ -476,7 +481,7 @@ def cmd_ktypes_schur(cfg: RunConfig) -> int:
     jp, cp = _out_paths(cfg, "schur")
     if cp:
         emit_csv(cfg, "p,q,cv,ratio_re,ratio_im", rows, cp)
-    tol = cfg.tol_cv or 1e-3
+    tol = 1e-3 if cfg.tol_cv is None else cfg.tol_cv
     print("schur diagonality s=%s: worst CV %.3e over %d K-types (tol %.1e)"
           % (cfg.s, worst, len(rows), tol))
     return 0 if worst <= tol else 1

@@ -170,7 +170,7 @@ def phi_s_delta(sp: SpectralParam, delta: KTypeIndex, t: float, rule: Quadrature
 
 def spherical_profile(sp: SpectralParam, delta: KTypeIndex, t_grid, rule: QuadratureRule) -> SphericalProfile:
     t_grid = np.asarray(t_grid, dtype=float)
-    vals = np.array([phi_s_delta(sp, delta, float(t), rule) for t in t_grid])
+    vals = poisson.transform_radial(sp, zonal_function(delta, sp.sd), None, t_grid, rule)
     return SphericalProfile(delta=delta, t_grid=t_grid, values=vals)
 
 

@@ -317,23 +317,10 @@ def _radial_pushforward(sp: SpectralParam, t: float, rule: QuadratureRule):
     return W, cw
 
 
-def transform_radial(sp: SpectralParam, f, centers, t: float, rule: QuadratureRule):
-    """P_s f at the points k_U a_t . 0 for a batch of Shilov centers U.
-
-    centers: (N, r, q) Shilov points (or None for the single point a_t . 0).
-    Returns a length-N complex array (a scalar when centers is None).
-    """
+def _transform_at(sp: SpectralParam, ev, form, M: np.ndarray, t: float, rule: QuadratureRule):
+    """P_s f at k a_t . 0 for each right factor M_k (K, q, q) at one radius t."""
     sd = sp.sd
-    ev = _as_evaluator(f)
-    form = getattr(ev, "polynomial_form", None)
     W, cw = _radial_pushforward(sp, t, rule)
-    if centers is None:
-        M = np.eye(sd.q, dtype=np.complex128)[None]
-    else:
-        centers = np.asarray(centers, dtype=np.complex128).reshape(-1, sd.r, sd.q)
-        if not group.is_shilov_point(centers, tol=1e-8):
-            raise MembershipError("centers must satisfy U U^H = I")
-        M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
     if form is not None:
         mu = form.moments(W, cw)
     out = np.empty(len(M), dtype=np.complex128)
@@ -344,7 +331,36 @@ def transform_radial(sp: SpectralParam, f, centers, t: float, rule: QuadratureRu
         else:
             pushed = np.matmul(W.reshape(-1, sd.q), Mc)  # (n, m r, q), already contiguous
             out[lo : lo + len(Mc)] = ev(pushed.reshape(-1, sd.r, sd.q)).reshape(len(Mc), len(W)) @ cw
-    return complex(out[0]) if centers is None else out
+    return out
+
+
+def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
+    """P_s f at the points k_U a_t . 0 for a batch of Shilov centers U.
+
+    centers: (N, r, q) Shilov points (or None for the single point a_t . 0).
+    t: one radius, or a 1-D grid of radii; the centers are checked and their
+    right factors M_k computed once for the whole grid.
+    Returns a length-N complex array for one radius and an (N, T) array for a
+    grid; with centers None, a scalar and a length-T array.
+    """
+    sd = sp.sd
+    ev = _as_evaluator(f)
+    form = getattr(ev, "polynomial_form", None)
+    if centers is None:
+        M = np.eye(sd.q, dtype=np.complex128)[None]
+    else:
+        centers = np.asarray(centers, dtype=np.complex128).reshape(-1, sd.r, sd.q)
+        if not group.is_shilov_point(centers, tol=1e-8):
+            raise MembershipError("centers must satisfy U U^H = I")
+        M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
+    t_grid = np.asarray(t, dtype=float)
+    out = np.empty((len(M), t_grid.size), dtype=np.complex128)
+    for j, tj in enumerate(t_grid.reshape(-1)):
+        out[:, j] = _transform_at(sp, ev, form, M, float(tj), rule)
+    out = out.reshape(out.shape[:1] + t_grid.shape)
+    if centers is None:
+        return complex(out[0]) if t_grid.ndim == 0 else out[0]
+    return out
 
 
 def poisson_lift(sp: SpectralParam, f, rule: QuadratureRule):

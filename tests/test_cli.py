@@ -192,3 +192,15 @@ def test_bad_t_grid_exits_2(flag, value):
     res = run_cli("poisson", "kernel", flag, value)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (("group", "selftest"), "--tol-abs", "0"),
+    (("poisson", "kernel"), "--tol-rel", "-1e-3"),
+    (("ktypes", "schur"), "--tol-cv", "nan"),
+])
+def test_bad_tolerance_exits_2(command, flag, value):
+    # an explicit tolerance is honoured or rejected, never replaced by the default
+    res = run_cli(*command, "%s=%s" % (flag, value))
+    assert res.returncode == 2
+    assert flag + " must be positive and finite" in res.stderr

@@ -1,6 +1,8 @@
 """Boundary limits, inversion, domination, and the norm sandwich."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -193,3 +195,149 @@ def test_norm_sandwich_shared_lifts(sd11):
     assert np.allclose(single.hardy_norms, reports[1].hardy_norms)
     with pytest.raises(DomainError):
         fatou.norm_sandwich(sp, 1.0, fs, t_grid, rule)
+
+
+@pytest.fixture(scope="module")
+def tail_profiles():
+    # criterion 7's quick rank-one profile (seed 7) and its rank-two recovery
+    # profile on a 10^4-node Stiefel rule, as (spectral parameter, profile)
+    from matrixball import suite
+
+    sd = structure_data(1, 1)
+    rule = boundary.sphere_rule(sd, level=5)
+    sp = spectral_param(2.5, sd)
+    f = ktypes.random_band_limited(sd, seed=97, max_p=2, max_q=2, translates=1)
+    prof = fatou.radial_profile(sp, f, rule.nodes, np.arange(0.0, 5.0 + 1e-9, 0.5), rule)
+    sd2 = structure_data(2, 1)
+    rule2 = boundary.stiefel_rule(sd2, samples=10**4, seed=98)
+    sp2 = spectral_param(4.0, sd2)
+    prof2 = fatou.radial_profile(sp2, suite.trace_affine(sd2, 99), rule2.nodes[:160],
+                                 np.arange(0.0, 4.01, 0.5), rule2)
+    return {"r1 quick": (sp, prof), "r2 1e4": (sp2, prof2)}
+
+
+def _minpack_tail(tg, y, **tols):
+    """MINPACK's fit of L + A e^(-kappa t) to the last four points, from the difference-ratio seed.
+
+    Returns (seed, L, cost), cost being half the squared residual norm.
+    """
+    from scipy.optimize import least_squares
+
+    t4, y4 = tg[-4:], y[-4:]
+    d = np.diff(y4)
+    rho = np.mean([d[1] / d[0], d[2] / d[1]])
+    kappa0 = -math.log(abs(rho)) / (t4[-1] - t4[-2])
+    L0 = y4[-1] + d[2] * rho / (1.0 - rho)
+    A0 = (y4[-1] - L0) * np.exp(kappa0 * t4[-1])
+
+    def resid(x):
+        dev = x[0] + 1j * x[1] + (x[2] + 1j * x[3]) * np.exp(-x[4] * t4) - y4
+        return np.concatenate([dev.real, dev.imag])
+
+    x0 = np.array([L0.real, L0.imag, A0.real, A0.imag, kappa0])
+    fit = least_squares(resid, x0, method="lm", **tols)
+    return x0, fit.x[0] + 1j * fit.x[1], fit.cost
+
+
+@pytest.mark.parametrize("name", ["r1 quick", "r2 1e4"])
+def test_tail_fits_match_minpack(tail_profiles, name):
+    # the batched solve reaches MINPACK's minimum at tight tolerances, and its
+    # cost is never above MINPACK's at the default tolerances the fit once used
+    _, prof = tail_profiles[name]
+    y = prof.renormalized
+    tg = prof.t_grid
+    scale = float(np.max(np.abs(y[:, -1])))
+    limits, kappas, converged = fatou._tail_fits(tg, y, 1e-3 * scale)
+    assert np.all(converged)
+    rows = np.flatnonzero(np.isfinite(kappas))
+    assert len(rows) >= 100
+    tight = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15)
+    seeds, costs = [], []
+    for i in rows:
+        x0, L, _ = _minpack_tail(tg, y[i], **tight)
+        assert abs(limits[i] - L) <= 1e-9 * scale, i
+        seeds.append(x0)
+        costs.append(_minpack_tail(tg, y[i], max_nfev=200)[2])
+    t4, y4 = tg[-4:], y[rows, -4:]
+    res, _ = fatou._tail_residuals(fatou._levenberg_marquardt(np.array(seeds), t4, y4), t4, y4)
+    assert np.all(0.5 * np.sum(res**2, axis=1) <= np.array(costs) * (1.0 + 1e-9))
+
+
+def test_tail_fits_rows_match_single_row_fits():
+    # every branch is decided row by row: a mixed batch gives each row what the
+    # one-row adapter gives it alone
+    tg = np.arange(0.0, 41.0, 1.0)
+    t4 = tg[-4:]
+    tails = {
+        "flat": [2.0, 2.0, 2.0, 2.0],
+        "no ratio": [1.0, 1.0, 1.0, 2.0],
+        "unstable": [1.0, 2.0, 4.0, 8.0],
+        "overflowing seed": [1.0, 1e-10, 1e-20, 1e-30],
+        "alternating": [0.0, 1.0, 0.5, 0.75],
+        "normal": 3.0 + 0.5j + (1.0 - 2.0j) * np.exp(-0.7 * (t4 - 37.0)) + [0, 1e-9, -2e-9, 1e-9],
+    }
+    Y = np.zeros((len(tails), len(tg)), dtype=complex)
+    Y[:, -4:] = list(tails.values())
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = fatou._tail_fits(tg, Y, atol=1e-33)
+        single = [fatou._tail_fit(tg, y, atol=1e-33) for y in Y]
+    for i, name in enumerate(tails):
+        assert (batch[0][i], batch[1][i], batch[2][i]) == single[i], name
+    got = dict(zip(tails, single))
+    assert got["flat"] == (2.0, np.inf, True)
+    assert got["no ratio"] == (2.0, np.inf, True)
+    assert got["unstable"] == (8.0, 0.0, False)
+    assert got["overflowing seed"][2]
+    L, kappa, ok = got["normal"]
+    assert ok and abs(L - (3.0 + 0.5j)) < 1e-8 and abs(kappa - 0.7) < 1e-6
+
+
+def test_boundary_limit_is_stable_under_roundoff(tail_profiles):
+    # a 1e-13 relative change of the profile must not be amplified into the
+    # limits by a loosely converged optimizer
+    sp, prof = tail_profiles["r1 quick"]
+    rng = np.random.default_rng(13)
+    bumped = fatou.RadialProfile(
+        prof.t_grid, prof.values * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, prof.values.shape)),
+        prof.nodes, prof.growth)
+    a = fatou.boundary_limit(sp, prof).limits
+    b = fatou.boundary_limit(sp, bumped).limits
+    scale = float(np.max(np.abs(prof.renormalized[:, -1])))
+    assert np.max(np.abs(a - b)) <= 5e-11 * scale
+
+
+def test_boundary_limit_does_not_import_scipy_optimize():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from matrixball import boundary, fatou, ktypes\n"
+        "from matrixball.structure import spectral_param, structure_data\n"
+        "sd = structure_data(1, 1)\n"
+        "rule = boundary.sphere_rule(sd, level=3)\n"
+        "sp = spectral_param(2.5, sd)\n"
+        "f = ktypes.random_band_limited(sd, seed=97, max_p=2, max_q=2, translates=1)\n"
+        "prof = fatou.radial_profile(sp, f, rule.nodes, np.arange(0.0, 5.01, 0.5), rule)\n"
+        "rep = fatou.boundary_limit(sp, prof)\n"
+        "assert np.isfinite(rep.kappas).any()\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("r, b, n_nodes", [(1, 1, 847), (2, 1, 400)])
+def test_nearest_node_function_is_frobenius_nearest(r, b, n_nodes):
+    sd = structure_data(r, b)
+    if r == 1:
+        nodes = boundary.sphere_rule(sd, level=5).nodes
+    else:
+        nodes = boundary.stiefel_rule(sd, samples=n_nodes, seed=3).nodes
+    assert len(nodes) == n_nodes
+    values = np.arange(n_nodes) * (1.0 + 0.5j)
+    fn = fatou._nearest_node_function(nodes, values, "test")
+    assert np.array_equal(fn(nodes), values)
+    assert fn(nodes[5]) == values[5]
+    queries = boundary.stiefel_rule(sd, samples=300, seed=4).nodes
+    d2 = np.sum(np.abs(queries[:, None] - nodes[None]) ** 2, axis=(2, 3))
+    assert np.array_equal(fn(queries), values[np.argmin(d2, axis=1)])

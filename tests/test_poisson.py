@@ -300,3 +300,23 @@ def test_transform_radial_matches_direct_rank_two(sd21):
         se = math.sqrt(np.sum(rule.weights**2 * np.abs(d - np.mean(d)) ** 2))
         assert abs(via_radial - direct) <= 4.0 * se
         assert se <= 0.1 * abs(direct)
+
+
+@pytest.mark.parametrize("name", ["band-limited b=1", "trace-affine r=2"])
+def test_transform_radial_grid_matches_per_t_calls(gate_cases, name):
+    # one call over a t grid checks the centers and builds their right factors
+    # once; every column must equal the call at that t alone, on both routes
+    sd, f, centers, rule, grids = gate_cases[name]
+    s, t_grid = grids[0]
+    sp = spectral_param(s, sd)
+    for g in (f, lambda U: f(U)):
+        grid = poisson.transform_radial(sp, g, centers, t_grid, rule)
+        assert grid.shape == (len(centers), len(t_grid))
+        for j, t in enumerate(t_grid):
+            single = poisson.transform_radial(sp, g, centers, float(t), rule)
+            assert single.shape == (len(centers),)
+            assert np.array_equal(grid[:, j], single)
+        at_base = poisson.transform_radial(sp, g, None, t_grid, rule)
+        assert at_base.shape == (len(t_grid),)
+        assert all(at_base[j] == poisson.transform_radial(sp, g, None, float(t), rule)
+                   for j, t in enumerate(t_grid))
