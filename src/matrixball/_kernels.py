@@ -8,6 +8,8 @@ All kernels assume validated inputs (sizes r <= a few, complex128); membership
 and degeneracy checks live in the higher-level modules.
 """
 
+import math
+
 import numpy as np
 
 
@@ -74,11 +76,17 @@ def logdet_ipzz(Z):
     return _logdet_ipzz(Z)
 
 
+def _logabsdet_izuh(Z, U):
+    # cross_logabsdet calls this form directly, so one call of it is one kernel call
+    if Z.shape[-2] == 1:
+        W = np.einsum("...iq,...iq->...", Z, U.conj())
+        return np.log(np.abs(1.0 - W))
+    return _logabsdet_small(_eye_minus(np.einsum("...rq,...sq->...rs", Z, U.conj())))
+
+
 def logabsdet_izuh(Z, U):
-    """log|det(I_r - Z U^H)| elementwise over a broadcast-matched stack."""
-    Z = np.asarray(Z, dtype=np.complex128)
-    U = np.asarray(U, dtype=np.complex128)
-    return _logabsdet_small(_eye_minus(Z @ np.swapaxes(U, -1, -2).conj()))
+    """log|det(I_r - Z U^H)| pair by pair over broadcast-matched stacks (..., r, q)."""
+    return _logabsdet_izuh(np.asarray(Z, dtype=np.complex128), np.asarray(U, dtype=np.complex128))
 
 
 def logabsdet_izu0(Z):
@@ -90,20 +98,23 @@ def logabsdet_izu0(Z):
 def radial_logweight(V1, t):
     """log|det(cosh(t) I_r + sinh(t) V1)| for V1 of shape (..., r, r).
 
-    The entries are formed one by one from the (possibly strided) V1, so no
-    (..., r, r) matrix stack is materialised.
+    V1 may also be given as the list of its r^2 row-major entries, each an
+    array (...): a caller that weighs one node set at many t extracts them
+    once. The entries are formed one by one, so no (..., r, r) matrix stack
+    is materialised.
     """
-    V1 = np.asarray(V1, dtype=np.complex128)
+    if not isinstance(V1, list):
+        V1 = np.asarray(V1, dtype=np.complex128)
+        V1 = [V1[..., i, j] for i in range(V1.shape[-1]) for j in range(V1.shape[-1])]
     t = float(t)
     sh, ch = np.sinh(t), np.cosh(t)
-    r = V1.shape[-1]
+    r = math.isqrt(len(V1))
     entries = []
-    for i in range(r):
-        for j in range(r):
-            x = sh * V1[..., i, j]
-            if i == j:
-                x += ch
-            entries.append(x)
+    for k, v in enumerate(V1):
+        x = sh * v
+        if k % (r + 1) == 0:  # a diagonal entry
+            x += ch
+        entries.append(x)
     return _logabsdet_entries(entries, r)
 
 
@@ -142,12 +153,7 @@ def cross_logabsdet(Z, U):
     """All-pairs log|det(I - Z_m U_n^H)|: (M,r,q) x (N,r,q) -> (M,N)."""
     Z = np.asarray(Z, dtype=np.complex128)
     U = np.asarray(U, dtype=np.complex128)
-    r = Z.shape[-2]
-    if r == 1:
-        W = np.einsum("miq,njq->mn", Z, U.conj())
-        return np.log(np.abs(1.0 - W))
-    G = np.einsum("mrq,nsq->mnrs", Z, U.conj())
-    return _logabsdet_small(_eye_minus(G))
+    return _logabsdet_izuh(Z[:, None], U[None])
 
 
 def jacobi_batch(k, alpha, beta, x):

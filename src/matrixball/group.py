@@ -62,36 +62,40 @@ def x_generator(sd: StructureData, j: int) -> np.ndarray:
     return X
 
 
-def radial(t: float, sd: StructureData) -> np.ndarray:
-    """a_t = exp(t X_0), in closed cosh/sinh block form."""
-    g = np.eye(sd.m, dtype=np.complex128)
+def radial(t, sd: StructureData) -> np.ndarray:
+    """a_t = exp(t X_0), in closed cosh/sinh block form; an array of t gives a stack."""
     c, s = np.cosh(t), np.sinh(t)
+    g = np.tile(np.eye(sd.m, dtype=np.complex128), np.shape(t) + (1, 1))
     for j in range(sd.r):
-        g[j, j] = c
-        g[j, sd.r + j] = s
-        g[sd.r + j, j] = s
-        g[sd.r + j, sd.r + j] = c
+        g[..., j, j] = c
+        g[..., j, sd.r + j] = s
+        g[..., sd.r + j, j] = s
+        g[..., sd.r + j, sd.r + j] = c
     return g
 
 
 def mobius(g: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Fractional-linear action (AZ + B)(CZ + D)^{-1} on ball or Shilov points."""
+    """Fractional-linear action (AZ + B)(CZ + D)^{-1} on ball or Shilov points.
+
+    g may be a stack (..., m, m); Z broadcasts against it. Every element of
+    the stack must give a well-conditioned CZ + D.
+    """
     g = np.asarray(g, dtype=np.complex128)
     Z = np.asarray(Z, dtype=np.complex128)
-    r = Z.shape[0]
-    A, B = g[:r, :r], g[:r, r:]
-    C, D = g[r:, :r], g[r:, r:]
+    r = Z.shape[-2]
+    A, B = g[..., :r, :r], g[..., :r, r:]
+    C, D = g[..., r:, :r], g[..., r:, r:]
     den = C @ Z + D
-    if linalg.cond(den) > 1e12:
+    if np.any(linalg.cond(den) > 1e12):
         raise DegeneracyError("CZ + D is numerically singular in the Moebius action")
     return (A @ Z + B) @ np.linalg.inv(den)
 
 
 def group_inverse(g: np.ndarray, sd: StructureData) -> np.ndarray:
-    """Exact inverse J g^H J of a group element."""
-    gi = np.asarray(g).conj().T.copy()
-    gi[: sd.r, sd.r:] *= -1.0
-    gi[sd.r:, : sd.r] *= -1.0
+    """Exact inverse J g^H J of a group element, or of each element of a stack."""
+    gi = np.swapaxes(np.asarray(g), -1, -2).conj().copy()
+    gi[..., : sd.r, sd.r:] *= -1.0
+    gi[..., sd.r:, : sd.r] *= -1.0
     return gi
 
 
@@ -110,9 +114,9 @@ def require_group(g: np.ndarray, sd: StructureData, tol: float = GROUP_INPUT_TOL
 
 
 def is_domain_point(Z: np.ndarray) -> bool:
-    """True iff I - Z Z^H is strictly positive definite."""
+    """True iff I - Z Z^H is strictly positive definite; for a stack, at every point."""
     Z = np.asarray(Z, dtype=np.complex128)
-    H = np.eye(Z.shape[0]) - Z @ Z.conj().T
+    H = np.eye(Z.shape[-2]) - Z @ np.swapaxes(Z, -1, -2).conj()
     return linalg.is_strictly_positive(H)
 
 
@@ -179,12 +183,13 @@ def kappa_factor(g: np.ndarray, sd: StructureData) -> np.ndarray:
     The representative fixes h1 = 0 and has the same boundary action as g at
     the base point: kappa_factor(g).U0 = g.U0. It is unique only modulo the
     centralizer subgroup; any representative satisfies the cocycle identities.
+    A stack of g gives a stack of representatives.
     """
-    W = mobius(np.asarray(g, dtype=np.complex128), base_point(sd))
+    W = mobius(g, base_point(sd))
     M = kappa_right_factors(W)
-    k = np.zeros((sd.m, sd.m), dtype=np.complex128)
-    k[: sd.r, : sd.r] = np.eye(sd.r)
-    k[sd.r:, sd.r:] = M.conj().T
+    k = np.zeros(M.shape[:-2] + (sd.m, sd.m), dtype=np.complex128)
+    k[..., : sd.r, : sd.r] = np.eye(sd.r)
+    k[..., sd.r:, sd.r:] = np.swapaxes(M, -1, -2).conj()
     return k
 
 
@@ -204,8 +209,16 @@ def random_algebra_element(rng: np.random.Generator, scale: float, sd: Structure
 
 
 def random_group_element(seed, scale: float, sd: StructureData) -> np.ndarray:
-    """exp of a seeded random algebra element; deterministic per seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if scale == 0:
-        return np.eye(sd.m, dtype=np.complex128)
-    return linalg.expm(random_algebra_element(rng, scale, sd))
+    """exp of a seeded random algebra element; deterministic per seed.
+
+    seed is an int or a Generator, or a sequence of them, which gives an
+    (N, m, m) stack exponentiated in one call.
+    """
+    seeds = seed if np.ndim(seed) else [seed]
+    X = np.zeros((len(seeds), sd.m, sd.m), dtype=np.complex128)
+    if scale != 0:
+        for i, s in enumerate(seeds):
+            rng = s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
+            X[i] = random_algebra_element(rng, scale, sd)
+    G = linalg.expm(X)  # exp(0) = I exactly: scipy exponentiates a diagonal slice entrywise
+    return G if np.ndim(seed) else G[0]

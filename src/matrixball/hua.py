@@ -388,6 +388,38 @@ def _sample_pairs(sd: StructureData, samples: int, seed: int):
     return out
 
 
+def _ratio_law(sig, x):
+    """ratio(sigma) = sigma (2 sigma - d) / (2 sigma^2 - 2 p sigma - c), and its Jacobian in (d, p, c)."""
+    d, p, c = x
+    den = 2.0 * sig**2 - 2.0 * p * sig - c
+    model = sig * (2.0 * sig - d) / den
+    return model, np.stack([-sig / den, 2.0 * sig * model / den, model / den], axis=-1)
+
+
+def _fit_ratio_law(sig, rat):
+    """Real least-squares (d, p, c) of _ratio_law to the measured ratios.
+
+    Multiplied by its denominator the law is linear in (d, p, c):
+    -sigma d + 2 ratio sigma p + ratio c = 2 sigma^2 (ratio - 1). One real
+    lstsq on that seeds Gauss-Newton steps on the unchanged residual. They
+    stop at a step of at most 4 eps of the parameters, or at one no smaller
+    than the step before, which is roundoff (at most 50 steps).
+    """
+    real = lambda a: np.concatenate([a.real, a.imag])
+    A = np.stack([-sig, 2.0 * rat * sig, rat], axis=-1)
+    x = np.linalg.lstsq(real(A), real(2.0 * sig**2 * (rat - 1.0)), rcond=None)[0]
+    last = np.inf
+    for _ in range(50):
+        model, J = _ratio_law(sig, x)
+        step = np.linalg.lstsq(real(J), -real(model - rat), rcond=None)[0]
+        x = x + step
+        size = np.max(np.abs(step))
+        if size <= 4.0 * np.finfo(float).eps * np.max(np.abs(x)) or size >= last:
+            break
+        last = size
+    return tuple(float(v) for v in x)
+
+
 def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None,
                       seed: int = 77) -> ThirdOrderReport:
     """Entrywise U/W ratios on kernels across s, and the (p, c) fit.
@@ -434,20 +466,8 @@ def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None
     sig = np.asarray(sigmas)
     rat = np.asarray(ratios)
 
-    def model(x):
-        d, p, c = x
-        return sig * (2.0 * sig - d) / (2.0 * sig**2 - 2.0 * p * sig - c)
-
-    def resid(x):
-        dev = model(x) - rat
-        return np.concatenate([dev.real, dev.imag])
-
-    from scipy.optimize import least_squares
-
-    x0 = np.array([2.0 * (sd.r + sd.b), float(sd.r + sd.b), 2.0 * (sd.n + 1)])
-    fit = least_squares(resid, x0, method="lm")
-    d_fit, p_fit, c_fit = (float(v) for v in fit.x)
-    residual = float(np.max(np.abs(model(fit.x) - rat)))
+    d_fit, p_fit, c_fit = _fit_ratio_law(sig, rat)
+    residual = float(np.max(np.abs(_ratio_law(sig, (d_fit, p_fit, c_fit))[0] - rat)))
     return ThirdOrderReport(
         s_values=[sp.s for sp in sp_list],
         sigmas=list(sig),

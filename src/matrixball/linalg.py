@@ -34,23 +34,26 @@ def is_strictly_positive(H, pivot_tol: float = 1e-13, herm_tol: float = 1e-12) -
 
     Uses an explicit Cholesky sweep and requires every pivot to exceed
     ``pivot_tol``. Non-Hermitian input (beyond ``herm_tol``) is rejected;
-    non-finite input is not positive definite.
+    non-finite input is not positive definite. A stack (..., n, n) is
+    positive only when every matrix in it is.
     """
     H = np.asarray(H, dtype=np.complex128)
     if not np.all(np.isfinite(H)):
         return False
-    scale = max(1.0, float(np.max(np.abs(H)))) if H.size else 1.0
-    if np.max(np.abs(H - H.conj().T)) > herm_tol * scale:
+    absmax = lambda X: np.max(np.abs(X), axis=(-2, -1), initial=0.0)
+    scale = np.maximum(1.0, absmax(H))
+    if np.any(absmax(H - np.swapaxes(H, -1, -2).conj()) > herm_tol * scale):
         raise MembershipError("is_strictly_positive expects a Hermitian matrix")
-    n = H.shape[0]
+    n = H.shape[-1]
     L = np.zeros_like(H)
     for j in range(n):
-        d = H[j, j].real - np.sum(np.abs(L[j, :j]) ** 2)
-        if not d > pivot_tol:  # a NaN pivot fails too
+        d = H[..., j, j].real - np.sum(np.abs(L[..., j, :j]) ** 2, axis=-1)
+        if not np.all(d > pivot_tol):  # a NaN pivot fails too
             return False
-        L[j, j] = np.sqrt(d)
+        L[..., j, j] = np.sqrt(d)
         for i in range(j + 1, n):
-            L[i, j] = (H[i, j] - np.dot(L[i, :j], L[j, :j].conj())) / L[j, j]
+            dot = np.sum(L[..., i, :j] * L[..., j, :j].conj(), axis=-1)
+            L[..., i, j] = (H[..., i, j] - dot) / L[..., j, j]
     return True
 
 
@@ -75,6 +78,6 @@ def qr_unitary(A, mode: str = "reduced"):
     return Q, R
 
 
-def cond(A) -> float:
-    """2-norm condition number."""
-    return float(np.linalg.cond(np.asarray(A, dtype=np.complex128)))
+def cond(A):
+    """2-norm condition number; for a stack, one per matrix."""
+    return np.linalg.cond(np.asarray(A, dtype=np.complex128))

@@ -44,7 +44,9 @@ from scipy.special import loggamma
 
 from . import _kernels, boundary, group
 from .boundary import QuadratureRule
-from .errors import AdmissibilityError, ConvergenceError, DegeneracyError, MembershipError
+from .errors import (
+    AdmissibilityError, ConvergenceError, DegeneracyError, DomainError, MembershipError,
+)
 from .structure import SpectralParam, lambda_coefficients
 
 __all__ = [
@@ -64,7 +66,8 @@ __all__ = [
 
 BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
-RADIAL_CHUNK = 512  # centers per block of pushed points or symmetric powers in transform_radial
+RADIAL_CHUNK = 512  # centers per block of symmetric powers on transform_radial's moment route
+POINTWISE_POINTS = 2 ** 18  # pushed points per block on transform_radial's pointwise route
 
 
 @dataclass
@@ -262,21 +265,27 @@ def _require_admissible(sp: SpectralParam):
 
 
 def kernel(sp: SpectralParam, Z: np.ndarray, U: np.ndarray):
-    """Poisson kernel K_s(Z, U); U may carry leading batch dimensions."""
+    """Poisson kernel K_s(Z, U).
+
+    Z is one r x q point, and U may carry leading batch dimensions; or Z is
+    an (N, r, q) stack paired with U of the same shape, giving K_s(Z_i, U_i).
+    """
     sd = sp.sd
     Z = np.asarray(Z, dtype=np.complex128)
     U = np.asarray(U, dtype=np.complex128)
-    if Z.shape != (sd.r, sd.q):
-        raise MembershipError("Z must be an r x q matrix, got %s" % (Z.shape,))
+    if Z.shape[-2:] != (sd.r, sd.q) or Z.ndim not in (2, 3):
+        raise MembershipError("Z must be an r x q matrix or a stack of them, got %s" % (Z.shape,))
+    if Z.ndim == 3 and U.shape != Z.shape:
+        raise MembershipError("a stack of Z %s needs U of the same shape, got %s" % (Z.shape, U.shape))
     if not group.is_domain_point(Z):
         raise MembershipError("Z must lie in the open matrix ball (I - Z Z^H > 0)")
     if not group.is_shilov_point(U, tol=1e-8):
         raise MembershipError("U must satisfy U U^H = I")
-    base = _kernels.logdet_ipzz(Z[None])[0]
-    cross = _kernels.cross_logabsdet(Z[None], U.reshape(-1, sd.r, sd.q))[0]
+    base = _kernels.logdet_ipzz(Z)
+    cross = _kernels.logabsdet_izuh(Z, U)  # one Z broadcasts against every U
     if np.any(np.exp(2.0 * cross) < BOUNDARY_DEGENERACY_TOL):
         raise DegeneracyError("det(I - Z U^H) is numerically degenerate")
-    vals = np.exp(sp.sigma * (base - 2.0 * cross)).reshape(U.shape[:-2])
+    vals = np.exp(sp.sigma * (base - 2.0 * cross))
     return vals if vals.shape else complex(vals)
 
 
@@ -324,8 +333,9 @@ def _transform_at(sp: SpectralParam, ev, form, M: np.ndarray, t: float, rule: Qu
     if form is not None:
         mu = form.moments(W, cw)
     out = np.empty(len(M), dtype=np.complex128)
-    for lo in range(0, len(M), RADIAL_CHUNK):
-        Mc = M[lo : lo + RADIAL_CHUNK]
+    chunk = RADIAL_CHUNK if form is not None else max(1, POINTWISE_POINTS // len(W))
+    for lo in range(0, len(M), chunk):
+        Mc = M[lo : lo + chunk]
         if form is not None:
             out[lo : lo + len(Mc)] = form.contract(mu, Mc, sd.r)
         else:
@@ -386,7 +396,8 @@ def _phi_profile(sp: SpectralParam, t_grid, rule: QuadratureRule):
         lw_fn = lambda t: np.log(np.abs(math.cosh(t) + math.sinh(t) * u))
     else:
         V1 = rule.nodes[..., :, : sd.r]
-        lw_fn = lambda t: _kernels.radial_logweight(V1, t)
+        v1 = [np.ascontiguousarray(V1[..., i, j]) for i in range(sd.r) for j in range(sd.r)]
+        lw_fn = lambda t: _kernels.radial_logweight(v1, t)
     vals = np.empty(len(t_grid), dtype=np.complex128)
     err = None
     if rule.kind == "monte-carlo-stiefel":
@@ -453,9 +464,11 @@ def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None, rel_tol: float = 1e-3) 
     if t_grid is None:
         t_grid = np.arange(0.0, 8.01, 0.5)
     t_grid = np.asarray(t_grid, dtype=float)
-    dts = np.diff(t_grid)
-    if len(dts) < 3 or not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-12):
-        raise ConvergenceError("fatou extrapolation needs a uniform t grid with >= 4 points")
+    dts = np.diff(np.atleast_1d(t_grid))
+    if (t_grid.ndim != 1 or len(t_grid) < 4 or not np.all(np.isfinite(t_grid))
+            or not np.all(dts > 0) or not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-12)):
+        raise DomainError("fatou extrapolation needs a finite, strictly increasing, "
+                          "uniform t grid with >= 4 points")
     dt = float(dts[0])
     if rule is None:
         rule = _default_radial_rule(sd, float(t_grid[-1]))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from matrixball import group, suite
+from matrixball import group, linalg, poisson, suite
 from matrixball.errors import DegeneracyError, MembershipError
-from matrixball.structure import structure_data
+from matrixball.structure import spectral_param, structure_data
 
 
 def test_jmatrix_signature(sd21):
@@ -168,3 +168,115 @@ def test_is_shilov_point_batches(sd21):
         V = U.copy()
         V[1, 0, 2] = bad
         assert not group.is_shilov_point(V)
+
+
+@pytest.mark.parametrize("rb", suite.DOMAINS)
+def test_stacked_helpers_match_per_element_calls(rb):
+    # one call on a stack gives, bit for bit, what one call per element gives
+    sd = structure_data(*rb)
+    seeds = [3, 8, 21, 40]
+    G = group.random_group_element(seeds, 0.7, sd)
+    assert G.shape == (len(seeds), sd.m, sd.m)
+    assert np.array_equal(G, [group.random_group_element(s, 0.7, sd) for s in seeds])
+    assert np.array_equal(group.random_group_element(seeds, 0.0, sd),
+                          [group.random_group_element(s, 0.0, sd) for s in seeds])
+    ts = np.array([0.1, 0.7, 2.5, -1.3])
+    assert np.array_equal(group.radial(ts, sd), [group.radial(float(t), sd) for t in ts])
+    Z0 = np.zeros((sd.r, sd.q), dtype=np.complex128)
+    U0 = group.base_point(sd)
+    for P in (Z0, U0):
+        assert np.array_equal(group.mobius(G, P), [group.mobius(g, P) for g in G])
+    assert np.array_equal(group.kappa_factor(G, sd), [group.kappa_factor(g, sd) for g in G])
+    assert np.array_equal(group.group_inverse(G, sd), [group.group_inverse(g, sd) for g in G])
+
+
+def test_stacked_mobius_checks_every_element(sd11):
+    # one singular CZ + D in a stack raises, as it does alone
+    t = 0.8
+    Z = np.array([[-np.cosh(t) / np.sinh(t), 0.0]])
+    stack = np.stack([np.eye(sd11.m), group.radial(t, sd11), np.eye(sd11.m)])
+    with pytest.raises(DegeneracyError, match="CZ \\+ D"):
+        group.mobius(stack, Z)
+
+
+def test_is_domain_point_stacks(sd21):
+    Z = 0.3 * np.stack([group.base_point(sd21)] * 4)
+    assert group.is_domain_point(Z)
+    Z[2] *= 4.0
+    assert not group.is_domain_point(Z)
+    Z[2, 0, 0] = np.nan
+    assert not group.is_domain_point(Z)
+
+
+def _cocycle_battery_loop(sd, pairs, contraction_samples, seed):
+    """The battery one sample at a time, as the suite ran it before it took stacks."""
+    worst = 0.0
+    for i in range(pairs):
+        x = group.random_group_element(seed + 2 * i, 0.7, sd)
+        y = group.random_group_element(seed + 2 * i + 1, 0.7, sd)
+        ky = group.kappa_factor(y, sd)
+        lhs = group.h1_scalar(x @ ky, sd)
+        rhs = group.h1_scalar(x @ y, sd) - group.h1_scalar(y, sd)
+        worst = max(worst, abs(lhs - rhs))
+    E = group.nbar_basis(sd)
+    rng = np.random.default_rng(seed + 10 ** 6)
+    coords = rng.normal(scale=1.5, size=(contraction_samples, len(E)))
+    A = np.tensordot(coords, E, axes=(1, 0))
+    nbar = np.eye(sd.m) + A + 0.5 * (A @ A)
+    ts = rng.uniform(0.1, 4.0, size=contraction_samples)
+    h_base = np.array([group.h1_scalar(n, sd) for n in nbar])
+    h_conj = np.array([group.h1_scalar(group.radial(float(t), sd) @ n @ group.radial(-float(t), sd), sd)
+                       for t, n in zip(ts, nbar)])
+    return {"cocycle_worst": worst,
+            "violations": int(np.count_nonzero(h_conj > h_base + 1e-10)),
+            "contraction_min_gap": float(np.min(h_base - h_conj))}
+
+
+def _kernel_form_battery_loop(sd, n_pairs, seed, s_values=(2.0, 3.0 + 0.5j)):
+    """Criterion 3's battery one sample at a time, as the suite ran it before."""
+    worst = 0.0
+    sps = [spectral_param(s, sd) for s in s_values]
+    Z0 = np.zeros((sd.r, sd.q), dtype=np.complex128)
+    U0 = group.base_point(sd)
+    rng = np.random.default_rng(seed + 31)
+    for i in range(n_pairs):
+        g = group.random_group_element(seed + 3 * i, 0.6, sd)
+        Ak = np.linalg.qr(rng.normal(size=(sd.r, sd.r)) + 1j * rng.normal(size=(sd.r, sd.r)))[0]
+        Dk = np.linalg.qr(rng.normal(size=(sd.q, sd.q)) + 1j * rng.normal(size=(sd.q, sd.q)))[0]
+        kt = np.zeros((sd.m, sd.m), dtype=np.complex128)
+        kt[: sd.r, : sd.r] = Ak
+        kt[sd.r :, sd.r :] = Dk
+        kt *= np.exp(-1j * np.angle(np.linalg.det(kt)) / sd.m)
+        Z = group.mobius(g, Z0)
+        U = group.mobius(kt, U0)
+        hval = group.h1_scalar(group.group_inverse(g, sd) @ kt, sd)
+        for sp in sps:
+            lhs = poisson.kernel(sp, Z, U)
+            rhs = np.exp(-(sp.s * sd.r + sd.n) * hval)
+            worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    return worst
+
+
+@pytest.mark.parametrize("rb", suite.DOMAINS)
+def test_batteries_match_per_sample_loops(rb):
+    # criteria 2 and 3 at quick sizes, bit for bit against the per-sample loops
+    sd = structure_data(*rb)
+    assert suite.cocycle_battery(sd, 20, 100, 7) == _cocycle_battery_loop(sd, 20, 100, 7)
+    assert suite.kernel_form_battery(sd, 30, 7) == _kernel_form_battery_loop(sd, 30, 7)
+
+
+def test_batteries_exponentiate_once_per_domain(monkeypatch):
+    calls = []
+    real_expm = linalg.expm
+
+    def counting_expm(X):
+        calls.append(1)
+        return real_expm(X)
+
+    monkeypatch.setattr(linalg, "expm", counting_expm)
+    res = suite.criterion_cocycle(seed=7, profile="quick")
+    n_domains = len(res.details) - 1  # one entry per domain plus the violation total
+    assert res.passed and 0 < len(calls) <= 2 * n_domains
+    calls.clear()
+    res = suite.criterion_kernel_form(seed=7, profile="quick")
+    assert res.passed and 0 < len(calls) <= len(res.details)

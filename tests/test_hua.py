@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,44 @@ def test_third_order_report(sd11):
     assert abs(rep.p_denominator - 3.0) < 1e-2
     assert rep.genus_candidate == 3
     assert rep.fit_residual < 1e-6
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-4])
+def test_ratio_law_fit_matches_minpack(sd11, noise):
+    from scipy.optimize import least_squares
+
+    sps = [spectral_param(s, sd11) for s in (2.4, 2.8, 3.2, 3.6, 4.4, 4.8, 5.2, 5.6, 6.0, 6.4)]
+    sig = np.array([sp.sigma for sp in sps], dtype=complex)
+    rng = np.random.default_rng(41)
+    rat = hua._ratio_law(sig, (4.0, 2.0, 6.0))[0]
+    rat = rat * (1.0 + noise * (rng.normal(size=len(sig)) + 1j * rng.normal(size=len(sig))))
+    if noise == 0.0:  # the measured ratios of criterion 5's quick run instead of the exact law
+        rep = hua.third_order_ratio(sps[::3], samples=3, seed=77)
+        sig, rat = np.asarray(rep.sigmas), np.asarray(rep.ratios)
+
+    def resid(x):
+        dev = hua._ratio_law(sig, x)[0] - rat
+        return np.concatenate([dev.real, dev.imag])
+
+    want = least_squares(resid, [4.0, 2.0, 6.0], method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15).x
+    got = np.array(hua._fit_ratio_law(sig, rat))
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
+
+
+def test_third_order_ratio_does_not_import_scipy_optimize():
+    code = (
+        "import sys\n"
+        "from matrixball import hua\n"
+        "from matrixball.structure import spectral_param, structure_data\n"
+        "sd = structure_data(1, 1)\n"
+        "sps = [spectral_param(s, sd) for s in (2.4, 3.2, 4.4)]\n"
+        "rep = hua.third_order_ratio(sps, samples=1, seed=77)\n"
+        "assert abs(rep.c_fit - 6.0) < 1e-2\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def stencil_oracle(sd, dirs, scheme, h):

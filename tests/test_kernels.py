@@ -134,6 +134,16 @@ def test_radial_logweight_matches_materialised_matrix(r):
         assert np.array_equal(_kernels.radial_logweight(V1, t), _kernels._logabsdet_small(T))
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_radial_logweight_entries_match_strided_block(r):
+    # contiguous copies of the r^2 entries give the strided view's weights bit for bit
+    U = _random_shilov_batch(np.random.default_rng(53 + r), 1001, r, r + 1)
+    V1 = U[..., :, :r]
+    entries = [np.ascontiguousarray(V1[..., i, j]) for i in range(r) for j in range(r)]
+    for t in np.arange(0.0, 8.01, 0.5):
+        assert np.array_equal(_kernels.radial_logweight(entries, t), _kernels.radial_logweight(V1, t))
+
+
 def test_jacobi_batch_twins():
     x = np.linspace(-1.0, 1.0, 101)
     for k, al, be in ((0, 0.0, 1.0), (3, 1.0, 2.0), (7, 2.5, 0.5)):

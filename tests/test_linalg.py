@@ -36,6 +36,26 @@ def test_is_strictly_positive_rejects_non_finite():
     assert not linalg.is_strictly_positive(np.full((2, 2), np.nan))
 
 
+def test_is_strictly_positive_stacks(rng):
+    # a stack is positive only when every matrix in it is, and agrees per matrix
+    A = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    H = A @ np.swapaxes(A, -1, -2).conj() + 1e-3 * np.eye(3)
+    assert linalg.is_strictly_positive(H)
+    assert linalg.is_strictly_positive(H[:0])
+    for k in range(5):
+        bad = H.copy()
+        bad[k] -= 2 * np.eye(3) * np.max(np.abs(H[k]))
+        assert not linalg.is_strictly_positive(bad)
+        assert [linalg.is_strictly_positive(M) for M in bad] == [j != k for j in range(5)]
+    bad = H.copy()
+    bad[2, 1, 1] = np.nan
+    assert not linalg.is_strictly_positive(bad)
+    bad = H.copy()
+    bad[4] = A[4]
+    with pytest.raises(MembershipError):
+        linalg.is_strictly_positive(bad)
+
+
 def test_expm_inverse_of_negative(rng):
     X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     X = (X - X.conj().T) / 2

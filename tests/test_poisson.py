@@ -2,12 +2,13 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from matrixball import boundary, fatou, group, ktypes, poisson, suite
-from matrixball.errors import AdmissibilityError, DegeneracyError, MembershipError
+from matrixball.errors import AdmissibilityError, DegeneracyError, DomainError, MembershipError
 from matrixball.structure import spectral_param, structure_data
 
 # phi_s(a_t) at (r, b) = (1, 1), frozen from an independent 30-digit
@@ -70,6 +71,41 @@ def test_kernel_membership_guards(sd11, sp2):
         poisson.kernel(sp2, 0.5 * U0, 0.5 * U0)
     with pytest.raises(DegeneracyError):
         poisson.kernel(sp2, math.tanh(8.0) * U0, U0)
+
+
+@pytest.mark.parametrize("rb", [(1, 1), (1, 2), (2, 1), (3, 1)])
+def test_kernel_paired_stack_matches_per_pair_calls(rb):
+    sd = structure_data(*rb)
+    sp = spectral_param(3.0 + 0.5j, sd)
+    g = group.random_group_element(range(6), 0.6, sd)
+    Z = group.mobius(g, np.zeros((sd.r, sd.q)))
+    U = boundary.stiefel_rule(sd, 6, seed=5).nodes
+    got = poisson.kernel(sp, Z, U)
+    assert got.shape == (6,)
+    assert np.array_equal(got, [poisson.kernel(sp, z, u) for z, u in zip(Z, U)])
+
+
+def test_kernel_paired_stack_checks_every_pair(sd21):
+    sp = spectral_param(4.0, sd21)
+    U0 = group.base_point(sd21)
+    U = np.stack([U0] * 4)
+    Z = 0.5 * U.copy()
+    assert np.all(np.isfinite(poisson.kernel(sp, Z, U)))
+    bad = Z.copy()
+    bad[1] *= 2.5  # outside the ball
+    with pytest.raises(MembershipError):
+        poisson.kernel(sp, bad, U)
+    off = U.copy()
+    off[3] *= 0.5  # not a Shilov point
+    with pytest.raises(MembershipError):
+        poisson.kernel(sp, Z, off)
+    near = Z.copy()
+    near[2] = math.tanh(8.0) * U0  # det(I - Z U^H) underflows against U0
+    with pytest.raises(DegeneracyError):
+        poisson.kernel(sp, near, U)
+    for other in (U[:3], U[None], U0):
+        with pytest.raises(MembershipError):
+            poisson.kernel(sp, Z, other)
 
 
 def test_nan_point_is_outside_the_ball(sd11, sp2, sphere6):
@@ -136,6 +172,23 @@ def test_cs_requires_admissible(sd21):
     assert not sp.admissible
     with pytest.raises(AdmissibilityError):
         poisson.c_s(sp, method="gk")
+
+
+@pytest.mark.parametrize("t_grid", [
+    np.arange(8.0, -0.01, -0.5),  # decreasing and uniform
+    np.array([0.0, 0.5, np.nan, 1.5, 2.0]),
+    np.array([0.0, 0.5, 1.0, 1.5, np.inf]),
+    np.array([0.0, 0.5, 1.0, 2.0, 2.5]),  # not uniform
+    np.array([0.0, 0.5, 1.0]),  # fewer than 4 points
+], ids=["decreasing", "nan", "inf", "non-uniform", "short"])
+def test_cs_fatou_rejects_bad_t_grids(sd11, monkeypatch, t_grid):
+    # a bad grid is a usage error (exit 2), found before any rule is built
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a rule was built for a bad t grid")
+
+    monkeypatch.setattr(poisson, "_default_radial_rule", no_rule)
+    with pytest.raises(DomainError):
+        poisson.c_s(spectral_param(2.0, sd11), method="fatou", t_grid=t_grid)
 
 
 def test_transform_linearity(sd11, sphere6, rng):
@@ -320,3 +373,38 @@ def test_transform_radial_grid_matches_per_t_calls(gate_cases, name):
         assert at_base.shape == (len(t_grid),)
         assert all(at_base[j] == poisson.transform_radial(sp, g, None, float(t), rule)
                    for j, t in enumerate(t_grid))
+
+
+def _pointwise_rank_two_case():
+    # criterion 7's rank-two recovery shape at one radius: 160 centers x 10^4 nodes,
+    # with a plain callable, which takes the pointwise route
+    sd = structure_data(2, 1)
+    rule = boundary.stiefel_rule(sd, samples=10**4, seed=98)
+    rng = np.random.default_rng(99)
+    C = rng.normal(size=(sd.q, sd.r)) + 1j * rng.normal(size=(sd.q, sd.r))
+
+    def f(U):
+        tr = np.einsum("...ij,ji->...", U, C)
+        return 1.0 + tr + 0.25 * np.conj(tr)
+
+    return spectral_param(4.0, sd), f, rule.nodes[:160], rule
+
+
+def test_pointwise_route_blocks_by_pushed_points():
+    sp, f, centers, rule = _pointwise_rank_two_case()
+    tracemalloc.start()
+    try:
+        poisson.transform_radial(sp, f, centers, 2.0, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 49.6 MB (blocks of 26 centers), bound 1.5x that; one block of all 160 peaked at 220.8 MB
+    assert peak < 75 * 2**20
+
+
+def test_pointwise_blocks_match_one_block(monkeypatch):
+    sp, f, centers, rule = _pointwise_rank_two_case()
+    t = np.array([0.5, 2.0])
+    blocked = poisson.transform_radial(sp, f, centers, t, rule)
+    monkeypatch.setattr(poisson, "POINTWISE_POINTS", len(centers) * len(rule))
+    assert np.array_equal(blocked, poisson.transform_radial(sp, f, centers, t, rule))
