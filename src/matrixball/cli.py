@@ -1,5 +1,20 @@
 """Command-line interface: subcommands per module plus the acceptance suite.
 
+Ten subcommands mirror a criterion: each is a thin call of that criterion's
+check function in `suite` on the flags' domain and s, and passes exactly
+when the check would on those inputs. Pass rules and tolerances live in
+`suite`; --tol-rel, --tol-abs and --tol-cv override one for the command line
+only. --seed is the criterion seed. A mirror has no --rule: rank one takes a
+sphere rule of --level, higher rank a Stiefel rule. --samples sets
+
+    group selftest   2  cocycle pairs (200)   fatou dominate   8  -
+    hua check        4  sample points (5)     fatou sandwich   9  functions (20)
+    hua third-ratio  5  sample points (10)    poisson norms    9  functions (1)
+    poisson cs       6  Stiefel nodes (10^6)  ktypes schur    10  -
+    fatou limit      7  Stiefel nodes (10^5)  fatou invert    11  functions (1)
+
+and a mirror writes {"worst", "passed", "details"} as JSON to --out.
+
 Artifacts are CSV (with #-prefixed metadata headers) and JSON (sorted keys),
 written atomically via temp file + rename. Identical configuration and seed
 produce byte-identical files; wall-clock timings go to stdout only.
@@ -19,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, boundary, fatou, group, hua, ktypes, poisson, suite
+from . import __version__, boundary, fatou, group, ktypes, poisson, suite
 from .errors import DegeneracyError, DomainError, MatrixBallError
 from .structure import restricted_roots, spectral_param, structure_data
 
@@ -53,14 +68,19 @@ class RunConfig:
 
     @property
     def s(self) -> complex:
-        return complex(self.s_re, self.s_im)
+        # a real s stays a float, so details keys read as the suite's ("s_2.0")
+        return complex(self.s_re, self.s_im) if self.s_im else float(self.s_re)
 
     def t_grid(self) -> np.ndarray:
         if not all(math.isfinite(x) for x in (self.t_start, self.t_stop, self.t_step)):
             raise DomainError("--t-start, --t-stop and --t-step must be finite")
         if self.t_step <= 0:
             raise DomainError("--t-step must be positive")
-        return np.arange(self.t_start, self.t_stop + 1e-9, self.t_step)
+        grid = np.arange(self.t_start, self.t_stop + 1e-9, self.t_step)
+        if not grid.size:
+            raise DomainError("the t grid from --t-start %g to --t-stop %g is empty"
+                              % (self.t_start, self.t_stop))
+        return grid
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -72,7 +92,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # not JSON, or not text
+                raise DomainError("--config %s is not valid JSON: %s" % (path, exc)) from None
+        if not isinstance(loaded, dict):
+            raise DomainError("--config %s must hold a JSON object, not %s"
+                              % (path, type(loaded).__name__))
         unknown = set(loaded) - set(values)
         if unknown:
             raise MatrixBallError("unknown config keys: %s" % ", ".join(sorted(unknown)))
@@ -165,22 +191,6 @@ def cmd_structure(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_group_selftest(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    pairs = cfg.samples or 200
-    out = suite.cocycle_battery(sd, pairs, max(pairs * 5, 1000), cfg.seed)
-    tol = 1e-9 if cfg.tol_abs is None else cfg.tol_abs
-    ok = out["cocycle_worst"] <= tol and out["violations"] == 0
-    jp, _ = _out_paths(cfg, "group-selftest")
-    if jp:
-        emit_json(cfg, {**out, "passed": ok}, jp)
-    print("group selftest r=%d b=%d: cocycle worst %.3e (tol %.1e), "
-          "contraction violations %d -> %s"
-          % (sd.r, sd.b, out["cocycle_worst"], tol, out["violations"],
-             "ok" if ok else "FAIL"))
-    return 0 if ok else 1
-
-
 def cmd_poisson_kernel(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
@@ -202,7 +212,7 @@ def cmd_poisson_kernel(cfg: RunConfig) -> int:
     if cp:
         emit_csv(cfg, "t,kernel_re,kernel_im,horospherical_rel_err", rows, cp)
         emit_json(cfg, {"worst_rel_err": worst, "rows": len(rows)}, jp)
-    tol = 1e-9 if cfg.tol_rel is None else cfg.tol_rel
+    tol = suite.KERNEL_FORM_TOL if cfg.tol_rel is None else cfg.tol_rel
     print("kernel radial check s=%s: %d points, det vs horospherical worst %.3e"
           % (cfg.s, len(rows), worst))
     return 0 if worst <= tol else 1
@@ -225,30 +235,6 @@ def cmd_poisson_phi(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_poisson_cs(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    if sd.r == 1:
-        rep = poisson.c_s(sp, method="all")
-        payload = {"s": sp.s, "gk": rep.cs_gk, "fatou": rep.cs_fatou,
-                   "direct": rep.cs_direct,
-                   "max_pairwise_rel_err": rep.max_pairwise_rel_err}
-        worst = rep.max_pairwise_rel_err
-    else:
-        rule = boundary.stiefel_rule(sd, samples=cfg.samples or 400000, seed=cfg.seed)
-        gk = poisson.c_s(sp, method="gk")
-        fat = poisson.c_s(sp, method="fatou", rule=rule)
-        worst = abs(gk - fat) / abs(gk)
-        payload = {"s": sp.s, "gk": gk, "fatou": fat, "rel_err": worst}
-    jp, _ = _out_paths(cfg, "cs")
-    if jp:
-        emit_json(cfg, payload, jp)
-    tol = (1e-3 if sd.r == 1 else 1e-2) if cfg.tol_rel is None else cfg.tol_rel
-    print("c_s s=%s: %s, worst rel err %.3e (tol %.1e)"
-          % (cfg.s, {k: v for k, v in payload.items() if k != "s"}, worst, tol))
-    return 0 if worst <= tol else 1
-
-
 def cmd_poisson_transform(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
@@ -269,66 +255,6 @@ def cmd_poisson_transform(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_poisson_norms(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd)
-    f = _seeded_function(cfg, sd)
-    rep = fatou.norm_sandwich(sp, cfg.p, [f], cfg.t_grid(), rule)
-    fnorm, hn = rep.f_norms[0], rep.hardy_norms[0]
-    payload = {"p": cfg.p, "f_norm": fnorm, "hardy_norm": hn,
-               "cs_abs": rep.cs_abs, "gamma": rep.gamma,
-               "lower_ok": rep.lower_ok[0], "upper_ok": rep.upper_ok[0]}
-    jp, _ = _out_paths(cfg, "norms")
-    if jp:
-        emit_json(cfg, payload, jp)
-    print("norms s=%s p=%g: |c_s|||f||=%.6g <= %.6g <= gamma||f||=%.6g"
-          % (cfg.s, cfg.p, rep.cs_abs * fnorm, hn, rep.gamma * fnorm))
-    return 0 if rep.all_ok else 1
-
-
-def cmd_hua_check(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    basis = hua.hua_basis(sd)
-    pairs = hua._sample_pairs(sd, cfg.samples or 5, cfg.seed)
-    res = [hua.eigen_residual(sp, g, U, basis) for g, U in pairs]
-    eig = sp.hua_eigenvalue
-    payload = {"s": sp.s, "eigenvalue": eig, "residuals": res, "max": max(res)}
-    jp, cp = _out_paths(cfg, "hua-check")
-    if jp:
-        emit_json(cfg, payload, jp)
-        emit_csv(cfg, "sample,residual", list(enumerate(res)), cp)
-    tol = 1e-4 if cfg.tol_rel is None else cfg.tol_rel
-    print("hua check s=%s: eigenvalue %s, max residual %.3e over %d points (tol %.1e)"
-          % (cfg.s, eig, max(res), len(res), tol))
-    return 0 if max(res) <= tol else 1
-
-
-def cmd_hua_third_ratio(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    s_list = (2.4, 2.8, 3.2, 3.6, 4.4, 4.8, 5.2, 5.6, 6.0, 6.4)
-    sps = [spectral_param(s + (sd.harmonic_s - 2.0), sd) for s in s_list]
-    rep = hua.third_order_ratio(sps, samples=cfg.samples or 10, seed=cfg.seed + 70)
-    payload = {
-        "s_values": [sp.s for sp in sps],
-        "ratios": rep.ratios, "cvs": rep.cvs,
-        "c_fit": rep.c_fit, "c_expected": rep.c_expected, "c_rel_err": rep.c_rel_err,
-        "p_fit": rep.p_fit, "p_denominator": rep.p_denominator,
-        "genus_candidate": rep.genus_candidate, "fit_residual": rep.fit_residual,
-    }
-    jp, _ = _out_paths(cfg, "third-ratio")
-    if jp:
-        emit_json(cfg, payload, jp)
-    tol_cv = 1e-2 if cfg.tol_cv is None else cfg.tol_cv
-    ok = float(np.max(rep.cvs)) <= tol_cv and rep.c_rel_err <= 0.02
-    print("third-order ratio r=%d b=%d: worst CV %.2e, c_fit %.6g (expected %g, "
-          "rel err %.2e), p_fit %.6g vs genus %d"
-          % (sd.r, sd.b, float(np.max(rep.cvs)), rep.c_fit, rep.c_expected,
-             rep.c_rel_err, rep.p_fit, rep.genus_candidate))
-    return 0 if ok else 1
-
-
 def _seeded_function(cfg: RunConfig, sd):
     """Deterministic test function: band-limited (rank one) or a trace affine."""
     if sd.r == 1:
@@ -347,104 +273,15 @@ def cmd_fatou_profile(cfg: RunConfig) -> int:
     ren = prof.renormalized
     rows = [(k, float(t), float(ren[k, i].real), float(ren[k, i].imag))
             for k in range(len(nodes)) for i, t in enumerate(prof.t_grid)]
-    tol = 1e-2 if cfg.tol_rel is None else cfg.tol_rel
     tail = prof.tail_variation()
     jp, cp = _out_paths(cfg, "fatou-profile")
     if cp:
         emit_csv(cfg, "node_index,t,re,im", rows, cp)
         emit_json(cfg, {"nodes": len(nodes), "t_stop": float(prof.t_grid[-1]),
-                        "tail_variation": tail,
-                        "tail_stable": bool(tail <= tol)}, jp)
+                        "tail_variation": tail}, jp)
     print("fatou profile s=%s over %d nodes: tail variation %.3e"
           % (cfg.s, len(nodes), tail))
     return 0
-
-
-def cmd_fatou_limit(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd)
-    f = _seeded_function(cfg, sd)
-    nodes = rule.nodes if len(rule) <= 3000 else rule.nodes[:160]
-    prof = fatou.radial_profile(sp, f, nodes, cfg.t_grid(), rule)
-    rep = fatou.boundary_limit(sp, prof, reference=f, p=cfg.p, rule=rule)
-    tol = 1e-2 if cfg.tol_rel is None else cfg.tol_rel
-    payload = {"sup_err": rep.sup_err, "lp_err": rep.lp_err, "cs": rep.cs,
-               "nodes": len(nodes), "sup_ok": bool(rep.sup_err <= tol),
-               "lp_ok": bool(rep.lp_err <= tol)}
-    jp, _ = _out_paths(cfg, "fatou-limit")
-    if jp:
-        emit_json(cfg, payload, jp)
-    print("fatou limit s=%s: sup err %.3e, L^%g err %.3e over %d nodes (tol %.1e)"
-          % (cfg.s, rep.sup_err, cfg.p, rep.lp_err, len(nodes), tol))
-    return 0 if rep.sup_err <= tol or rep.lp_err <= tol else 1
-
-
-def cmd_fatou_invert(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd) if cfg.rule else boundary.sphere_rule(sd, level=min(cfg.level, 6))
-    f = _seeded_function(cfg, sd)
-    F = poisson.poisson_lift(sp, f, rule)
-    fv = poisson._as_evaluator(f)(rule.nodes)
-    fn = float(np.sqrt(np.sum(rule.weights * np.abs(fv) ** 2)))
-    ts = [t for t in cfg.t_grid() if t >= 1.0] or [3.0, 4.0, 5.0]
-    rows = []
-    for t in ts:
-        g = fatou.invert_l2(sp, F, float(t), rule)
-        gv = g(rule.nodes)
-        err = float(np.sqrt(np.sum(rule.weights * np.abs(gv - fv) ** 2)) / fn)
-        rows.append((float(t), err))
-    tol = 5e-2 if cfg.tol_rel is None else cfg.tol_rel
-    worst = rows[-1][1]
-    errs = [r[1] for r in rows]
-    jp, cp = _out_paths(cfg, "invert")
-    if cp:
-        emit_csv(cfg, "t,rel_l2_err", rows, cp)
-        emit_json(cfg, {"errors": dict(rows), "final_ok": bool(worst <= tol),
-                        "decreasing": bool(all(a >= b for a, b in
-                                               zip(errs, errs[1:])))}, jp)
-    print("inversion round trip s=%s: %s (tol %.1e at final t)"
-          % (cfg.s, ", ".join("t=%g err %.3e" % r for r in rows), tol))
-    return 0 if worst <= tol else 1
-
-
-def cmd_fatou_dominate(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    chart = boundary.heisenberg_chart(sd, grid=max(2, cfg.level // 4))
-    ts = [t for t in cfg.t_grid() if t > 0] or [0.5, 1.0, 2.0, 4.0]
-    rep = fatou.domination_check(sp, ts, chart)
-    payload = {"branch": rep.branch, "violations": rep.violations,
-               "max_excess": rep.max_excess, "phi_integral": rep.phi_integral,
-               "nodes": rep.n_nodes, "dominated": bool(rep.ok)}
-    jp, _ = _out_paths(cfg, "dominate")
-    if jp:
-        emit_json(cfg, payload, jp)
-    print("domination s=%s (%s branch): violations %s on %d nodes, Phi integral %.6g"
-          % (cfg.s, rep.branch, rep.violations, rep.n_nodes, rep.phi_integral))
-    return 0 if rep.ok else 1
-
-
-def cmd_fatou_sandwich(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd) if cfg.rule else boundary.sphere_rule(sd, level=min(cfg.level, 6))
-    n_f = cfg.samples or 5
-    fs = [ktypes.random_band_limited(sd, seed=cfg.seed + 7 * j, max_p=2, max_q=2,
-                                     translates=1) for j in range(n_f)]
-    t_grid = cfg.t_grid()
-    rep = fatou.norm_sandwich(sp, cfg.p, fs, t_grid, rule)
-    payload = {"p": rep.p, "cs_abs": rep.cs_abs, "gamma": rep.gamma,
-               "f_norms": rep.f_norms, "hardy_norms": rep.hardy_norms,
-               "lower_ok": rep.lower_ok, "upper_ok": rep.upper_ok,
-               "sandwich_ok": bool(rep.all_ok)}
-    jp, _ = _out_paths(cfg, "sandwich")
-    if jp:
-        emit_json(cfg, payload, jp)
-    print("norm sandwich s=%s p=%g over %d functions: %s"
-          % (cfg.s, cfg.p, n_f, "all ok" if rep.all_ok else "FAILED"))
-    return 0 if rep.all_ok else 1
 
 
 def cmd_ktypes_spectrum(cfg: RunConfig) -> int:
@@ -466,31 +303,110 @@ def cmd_ktypes_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_ktypes_schur(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    if sd.r != 1:
-        raise MatrixBallError("schur diagonality battery is rank-one only")
-    rule = build_rule(cfg, sd) if cfg.rule else boundary.sphere_rule(sd, level=min(cfg.level, 6))
-    sp = spectral_param(cfg.s, sd)
-    rows, worst = [], 0.0
-    for i, d in enumerate(ktypes.ktype_range(3, 3)):
-        rep = ktypes.schur_diagonality(sp, d, 1.0, rule.nodes, rule, seed=cfg.seed + i)
-        rows.append((d.p, d.q, rep.cv, float(rep.ratio_mean.real),
-                     float(rep.ratio_mean.imag)))
-        worst = max(worst, rep.cv)
-    jp, cp = _out_paths(cfg, "schur")
-    if cp:
-        emit_csv(cfg, "p,q,cv,ratio_re,ratio_im", rows, cp)
-    tol = 1e-3 if cfg.tol_cv is None else cfg.tol_cv
-    print("schur diagonality s=%s: worst CV %.3e over %d K-types (tol %.1e)"
-          % (cfg.s, worst, len(rows), tol))
-    return 0 if worst <= tol else 1
+def _tols(**tols) -> dict:
+    """The --tol-* overrides that were given; a check keeps its own default for the rest."""
+    return {k: v for k, v in tols.items() if v is not None}
+
+
+def _t_values(cfg: RunConfig, keep, need: str) -> list:
+    ts = [float(t) for t in cfg.t_grid() if keep(t)]
+    if not ts:
+        raise DomainError("the t grid has no t %s" % need)
+    return ts
+
+
+def _mirror(name: str, index: int):
+    """Subcommand running criterion `index`'s check on the flags' domain.
+
+    The decorated function maps the flags to the check's inputs and returns
+    its (worst, passed, details); the subcommand passes exactly when it does.
+    """
+    def wrap(inputs):
+        def cmd(cfg: RunConfig) -> int:
+            worst, ok, details = inputs(cfg, structure_data(cfg.r, cfg.b))
+            jp, _ = _out_paths(cfg, name.replace(" ", "-"))
+            if jp:
+                emit_json(cfg, {"worst": worst, "passed": ok, "details": details}, jp)
+            print("%s r=%d b=%d s=%s (criterion %d): worst %.3e -> %s"
+                  % (name, cfg.r, cfg.b, cfg.s, index, worst, "ok" if ok else "FAIL"))
+            return 0 if ok else 1
+        cmd.criterion = index
+        return cmd
+    return wrap
+
+
+@_mirror("group selftest", 2)
+def cmd_group_selftest(cfg, sd):
+    return suite.check_cocycle(sd, cfg.samples or 200, cfg.seed, **_tols(tol=cfg.tol_abs))
+
+
+@_mirror("hua check", 4)
+def cmd_hua_check(cfg, sd):
+    return suite.check_hua(sd, [cfg.s], cfg.samples or 5, cfg.seed, **_tols(tol=cfg.tol_rel))
+
+
+@_mirror("hua third-ratio", 5)
+def cmd_hua_third_ratio(cfg, sd):
+    # the criterion's s list, moved with the harmonic point r + b
+    s_values = [s + (sd.harmonic_s - 2.0) for s in suite.THIRD_ORDER_S]
+    return suite.check_third_order(sd, s_values, cfg.samples or 10, cfg.seed,
+                                   **_tols(tol_cv=cfg.tol_cv))
+
+
+@_mirror("poisson cs", 6)
+def cmd_poisson_cs(cfg, sd):
+    return suite.check_cs(sd, [cfg.s], cfg.samples or 10 ** 6, cfg.seed,
+                          **_tols(tol=cfg.tol_rel))
+
+
+@_mirror("fatou limit", 7)
+def cmd_fatou_limit(cfg, sd):
+    size = cfg.level if sd.r == 1 else cfg.samples or 10 ** 5
+    return suite.check_fatou(sd, cfg.s, size, cfg.t_grid(), cfg.seed, cfg.p,
+                             **_tols(tol=cfg.tol_rel))
+
+
+@_mirror("fatou dominate", 8)
+def cmd_fatou_dominate(cfg, sd):
+    ts = _t_values(cfg, lambda t: t > 0, "> 0")
+    return suite.check_domination(sd, [cfg.s], ts, max(2, cfg.level // 4))
+
+
+def _sandwich(functions: int):
+    def inputs(cfg, sd):
+        return suite.check_sandwich(sd, [cfg.s], [cfg.p], cfg.samples or functions,
+                                    cfg.level, cfg.t_grid(), cfg.seed)
+    return inputs
+
+
+cmd_fatou_sandwich = _mirror("fatou sandwich", 9)(_sandwich(20))
+cmd_poisson_norms = _mirror("poisson norms", 9)(_sandwich(1))
+
+
+@_mirror("ktypes schur", 10)
+def cmd_ktypes_schur(cfg, sd):
+    return suite.check_schur(sd, cfg.s, 3, cfg.level, cfg.seed, **_tols(tol_cv=cfg.tol_cv))
+
+
+@_mirror("fatou invert", 11)
+def cmd_fatou_invert(cfg, sd):
+    ts = _t_values(cfg, lambda t: t >= 1.0, ">= 1")
+    return suite.check_inversion(sd, cfg.s, cfg.samples or 1, cfg.level, ts, cfg.seed,
+                                 **_tols(tol=cfg.tol_rel))
+
+
+def _criterion_index(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError("--criteria takes comma-separated integers, not %r" % token) from None
 
 
 def cmd_suite(cfg: RunConfig) -> int:
     indices = None
     if cfg.criteria:
-        indices = sorted({int(x) for x in str(cfg.criteria).replace(" ", "").split(",")})
+        indices = sorted({_criterion_index(x)
+                          for x in str(cfg.criteria).replace(" ", "").split(",")})
         bad = [i for i in indices if i not in suite.CRITERIA]
         if bad:
             raise MatrixBallError("unknown criteria: %s" % bad)
@@ -512,14 +428,15 @@ def cmd_suite(cfg: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _common_flags(p: argparse.ArgumentParser):
+def _common_flags(p: argparse.ArgumentParser, rule: bool):
     p.add_argument("--r", type=int, help="rank r of the matrix ball (default 1)")
     p.add_argument("--b", type=int, help="excess b = q - r >= 1 (default 1)")
     p.add_argument("--s-re", type=float, dest="s_re", help="Re(s)")
     p.add_argument("--s-im", type=float, dest="s_im", help="Im(s)")
     p.add_argument("--p", type=float, help="L^p exponent")
-    p.add_argument("--rule", choices=("sphere", "disk", "stiefel", "chart"),
-                   help="quadrature rule kind (default: sphere for r=1, stiefel otherwise)")
+    if rule:  # a mirrored subcommand uses its criterion's rule kind
+        p.add_argument("--rule", choices=("sphere", "disk", "stiefel", "chart"),
+                       help="quadrature rule kind (default: sphere for r=1, stiefel otherwise)")
     p.add_argument("--level", type=int, help="quadrature level (deterministic rules)")
     p.add_argument("--samples", type=int, help="sample count (Monte Carlo rules, batteries)")
     p.add_argument("--seed", type=int, help="RNG seed (default 7)")
@@ -534,80 +451,60 @@ def _common_flags(p: argparse.ArgumentParser):
                    help="coefficient-of-variation tolerance override")
 
 
+GROUPS = {
+    "group": "group-level self tests",
+    "poisson": "kernel, transform, spherical function, c_s, norms",
+    "hua": "Hua operator checks",
+    "fatou": "boundary limits, inversion, domination, sandwich",
+    "ktypes": "K-type spectra and Schur diagonality",
+}
+
+SUBCOMMANDS = (
+    (("structure",), cmd_structure, "restricted roots and derived integers"),
+    (("group", "selftest"), cmd_group_selftest, "cocycle identity and contraction battery"),
+    (("poisson", "kernel"), cmd_poisson_kernel, "radial kernel values + horospherical cross-check"),
+    (("poisson", "transform"), cmd_poisson_transform,
+     "transform of a seeded function along the radial line"),
+    (("poisson", "phi"), cmd_poisson_phi, "spherical function profile"),
+    (("poisson", "cs"), cmd_poisson_cs, "the constant c_s by all applicable routes"),
+    (("poisson", "norms"), cmd_poisson_norms, "Hardy norm vs the sandwich constants"),
+    (("hua", "check"), cmd_hua_check, "second-order eigenvalue residuals"),
+    (("hua", "third-ratio"), cmd_hua_third_ratio, "third-order operator ratio fit"),
+    (("fatou", "profile"), cmd_fatou_profile, "renormalized radial profile of a seeded function"),
+    (("fatou", "limit"), cmd_fatou_limit, "boundary limit vs the reference function"),
+    (("fatou", "invert"), cmd_fatou_invert, "L2 inversion round trip"),
+    (("fatou", "dominate"), cmd_fatou_dominate, "dominated-convergence bound"),
+    (("fatou", "sandwich"), cmd_fatou_sandwich, "two-sided norm estimate"),
+    (("ktypes", "spectrum"), cmd_ktypes_spectrum, "zonal coefficients of a seeded function"),
+    (("ktypes", "schur"), cmd_ktypes_schur, "Schur scalar constancy per K-type"),
+    (("suite",), cmd_suite, "run the numbered acceptance battery"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="matrixball",
         description="Poisson transforms, Hua operators and boundary limits on matrix balls")
     ap.add_argument("--version", action="version", version="matrixball " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _common_flags(p)
+    actions = {}
+    for words, fn, help_text in SUBCOMMANDS:
+        parent = sub
+        if len(words) == 2:
+            if words[0] not in actions:
+                gp = sub.add_parser(words[0], help=GROUPS[words[0]])
+                actions[words[0]] = gp.add_subparsers(dest="action", required=True)
+            parent = actions[words[0]]
+        criterion = getattr(fn, "criterion", None)
+        if criterion is not None:
+            help_text += " (criterion %d's check)" % criterion
+        p = parent.add_parser(words[-1], help=help_text)
+        _common_flags(p, rule=criterion is None)
         p.set_defaults(fn=fn)
-        return p
-
-    add("structure", cmd_structure, "restricted roots and derived integers")
-
-    gp = sub.add_parser("group", help="group-level self tests")
-    gsub = gp.add_subparsers(dest="action", required=True)
-    p = gsub.add_parser("selftest", help="cocycle identity and contraction battery")
-    _common_flags(p)
-    p.set_defaults(fn=cmd_group_selftest)
-
-    pp = sub.add_parser("poisson", help="kernel, transform, spherical function, c_s, norms")
-    psub = pp.add_subparsers(dest="action", required=True)
-    for name, fn, h in (
-        ("kernel", cmd_poisson_kernel, "radial kernel values + horospherical cross-check"),
-        ("transform", cmd_poisson_transform, "transform of a seeded function along the radial line"),
-        ("phi", cmd_poisson_phi, "spherical function profile"),
-        ("cs", cmd_poisson_cs, "the constant c_s by all applicable routes"),
-        ("norms", cmd_poisson_norms, "Hardy norm vs the sandwich constants"),
-    ):
-        p = psub.add_parser(name, help=h)
-        _common_flags(p)
-        p.set_defaults(fn=fn)
-
-    hp = sub.add_parser("hua", help="Hua operator checks")
-    hsub = hp.add_subparsers(dest="action", required=True)
-    for name, fn, h in (
-        ("check", cmd_hua_check, "second-order eigenvalue residuals"),
-        ("third-ratio", cmd_hua_third_ratio, "third-order operator ratio fit"),
-    ):
-        p = hsub.add_parser(name, help=h)
-        _common_flags(p)
-        p.set_defaults(fn=fn)
-
-    fp = sub.add_parser("fatou", help="boundary limits, inversion, domination, sandwich")
-    fsub = fp.add_subparsers(dest="action", required=True)
-    for name, fn, h in (
-        ("profile", cmd_fatou_profile, "renormalized radial profile of a seeded function"),
-        ("limit", cmd_fatou_limit, "boundary limit vs the reference function"),
-        ("invert", cmd_fatou_invert, "L2 inversion round trip"),
-        ("dominate", cmd_fatou_dominate, "dominated-convergence bound"),
-        ("sandwich", cmd_fatou_sandwich, "two-sided norm estimate"),
-    ):
-        p = fsub.add_parser(name, help=h)
-        _common_flags(p)
-        p.set_defaults(fn=fn)
-
-    kp = sub.add_parser("ktypes", help="K-type spectra and Schur diagonality")
-    ksub = kp.add_subparsers(dest="action", required=True)
-    for name, fn, h in (
-        ("spectrum", cmd_ktypes_spectrum, "zonal coefficients of a seeded function"),
-        ("schur", cmd_ktypes_schur, "Schur scalar constancy per K-type"),
-    ):
-        p = ksub.add_parser(name, help=h)
-        _common_flags(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("suite", help="run the numbered acceptance battery")
-    _common_flags(p)
-    p.add_argument("--profile", choices=("quick", "full"),
-                   help="battery size (default full)")
-    p.add_argument("--criteria", help="comma-separated criterion indices (default all)")
-    p.set_defaults(fn=cmd_suite)
-
+        if fn is cmd_suite:
+            p.add_argument("--profile", choices=("quick", "full"),
+                           help="battery size (default full)")
+            p.add_argument("--criteria", help="comma-separated criterion indices (default all)")
     return ap
 
 

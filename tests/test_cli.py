@@ -1,4 +1,5 @@
-"""End-to-end command line checks (subprocess level)."""
+"""End-to-end command line checks: subprocess level, and in process through
+cli.main where only the exit code and the messages matter."""
 
 import json
 import os
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+
+from matrixball import cli
 
 CMD = [sys.executable, "-m", "matrixball"]
 
@@ -204,3 +207,31 @@ def test_bad_tolerance_exits_2(command, flag, value):
     res = run_cli(*command, "%s=%s" % (flag, value))
     assert res.returncode == 2
     assert flag + " must be positive and finite" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("poisson", "phi", "--t-start", "3", "--t-stop", "1"),
+    ("poisson", "kernel", "--t-start", "3", "--t-stop", "1"),
+    ("fatou", "invert", "--t-start", "0", "--t-stop", "0.5"),
+    ("fatou", "dominate", "--t-start", "0", "--t-stop", "0"),
+])
+def test_empty_t_grid_exits_2(argv, capsys):
+    # an empty grid, or one with no t the subcommand can use, is a usage error;
+    # no default grid is put in its place
+    assert cli.main(list(argv)) == 2
+    assert "error: the t grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criteria,token", [("a", "'a'"), ("1,,2", "''")])
+def test_suite_non_integer_criteria_exits_2(criteria, token, capsys):
+    assert cli.main(["suite", "--criteria", criteria, "--profile", "quick"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --criteria") and token in err
+
+
+@pytest.mark.parametrize("text", ["{", "[1]", "\"r\""])
+def test_malformed_config_exits_2(tmp_path, text, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["structure", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: --config")

