@@ -4,8 +4,11 @@ Ten subcommands mirror a criterion: each is a thin call of that criterion's
 check function in `suite` on the flags' domain and s, and passes exactly
 when the check would on those inputs. Pass rules and tolerances live in
 `suite`; --tol-rel, --tol-abs and --tol-cv override one for the command line
-only. --seed is the criterion seed. A mirror has no --rule: rank one takes a
-sphere rule of --level, higher rank a Stiefel rule. --samples sets
+only. --seed is the criterion seed. No subcommand takes --rule: rank one
+uses a sphere rule of --level and higher rank a Stiefel rule, which the
+four other subcommands (poisson phi and transform, fatou profile, ktypes
+spectrum) draw with --samples nodes (200000) at --seed. In a mirror
+--samples sets
 
     group selftest   2  cocycle pairs (200)   fatou dominate   8  -
     hua check        4  sample points (5)     fatou sandwich   9  functions (20)
@@ -52,7 +55,6 @@ class RunConfig:
     s_re: float = 2.0
     s_im: float = 0.0
     p: float = 2.0
-    rule: str | None = None
     level: int = 8
     samples: int | None = None
     seed: int = 7
@@ -117,16 +119,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_rule(cfg: RunConfig, sd):
-    kind = cfg.rule or ("sphere" if sd.r == 1 else "stiefel")
-    if kind == "sphere":
+    """A sphere rule of --level at rank one, else a Stiefel rule of --samples at --seed."""
+    if sd.r == 1:
         return boundary.sphere_rule(sd, level=cfg.level)
-    if kind == "disk":
-        return boundary.disk_rule(sd, level=cfg.level)
-    if kind == "stiefel":
-        return boundary.stiefel_rule(sd, samples=cfg.samples or 200000, seed=cfg.seed)
-    if kind == "chart":
-        return boundary.heisenberg_chart(sd, grid=max(2, cfg.level // 4))
-    raise MatrixBallError("unknown rule kind %r" % kind)
+    return boundary.stiefel_rule(sd, samples=cfg.samples or 200000, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +424,12 @@ def cmd_suite(cfg: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _common_flags(p: argparse.ArgumentParser, rule: bool):
+def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--r", type=int, help="rank r of the matrix ball (default 1)")
     p.add_argument("--b", type=int, help="excess b = q - r >= 1 (default 1)")
     p.add_argument("--s-re", type=float, dest="s_re", help="Re(s)")
     p.add_argument("--s-im", type=float, dest="s_im", help="Im(s)")
     p.add_argument("--p", type=float, help="L^p exponent")
-    if rule:  # a mirrored subcommand uses its criterion's rule kind
-        p.add_argument("--rule", choices=("sphere", "disk", "stiefel", "chart"),
-                       help="quadrature rule kind (default: sphere for r=1, stiefel otherwise)")
     p.add_argument("--level", type=int, help="quadrature level (deterministic rules)")
     p.add_argument("--samples", type=int, help="sample count (Monte Carlo rules, batteries)")
     p.add_argument("--seed", type=int, help="RNG seed (default 7)")
@@ -499,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         if criterion is not None:
             help_text += " (criterion %d's check)" % criterion
         p = parent.add_parser(words[-1], help=help_text)
-        _common_flags(p, rule=criterion is None)
+        _common_flags(p)
         p.set_defaults(fn=fn)
         if fn is cmd_suite:
             p.add_argument("--profile", choices=("quick", "full"),

@@ -11,13 +11,13 @@ and verifies the two-sided Hardy-norm estimate.
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import _kernels, group, poisson
 from .boundary import QuadratureRule
 from .errors import ConvergenceError, DomainError
-from .poisson import BoundaryFunction
 from .structure import SpectralParam
 
 __all__ = [
@@ -106,9 +106,8 @@ class BoundaryLimitReport:
     limits: np.ndarray  # (N,) estimates of f at the profile nodes
     kappas: np.ndarray  # (N,) fitted tail decay rates (inf when already flat)
     converged: np.ndarray  # (N,) bool
-    tail_rel_dev: np.ndarray  # (N,) |extrapolant - last renormalized|/scale
     cs: complex
-    f_estimate: BoundaryFunction = field(repr=False, default=None)
+    f_estimate: Callable = field(repr=False, default=None)
     sup_err: float | None = None
     lp_err: float | None = None
 
@@ -264,7 +263,6 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
     atol = rel_tol * scale
     N = y.shape[0]
     limits, kappas, converged = _tail_fits(profile.t_grid, y, atol)
-    dev = np.abs(limits - y[:, -1]) / scale
     if not np.all(converged):
         bad = int(np.count_nonzero(~converged))
         raise ConvergenceError(
@@ -274,7 +272,7 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
         )
     cs = poisson.c_s(sp, method="gk")
     est = limits / cs
-    fn = _nearest_node_function(profile.nodes, est, "boundary_limit estimate")
+    fn = _nearest_node_function(profile.nodes, est)
     sup_err = lp_err = None
     if reference is not None:
         ref = poisson._as_evaluator(reference)(profile.nodes)
@@ -288,7 +286,6 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
         limits=limits,
         kappas=kappas,
         converged=converged,
-        tail_rel_dev=dev,
         cs=cs,
         f_estimate=fn,
         sup_err=sup_err,
@@ -296,7 +293,7 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
     )
 
 
-def _nearest_node_function(nodes: np.ndarray, values: np.ndarray, desc: str) -> BoundaryFunction:
+def _nearest_node_function(nodes: np.ndarray, values: np.ndarray) -> Callable:
     """The boundary function taking at each point the value of its Frobenius-nearest node.
 
     |U - V|^2 = |U|^2 + |V|^2 - 2 Re <U, V>, so the nearest node maximises
@@ -313,7 +310,7 @@ def _nearest_node_function(nodes: np.ndarray, values: np.ndarray, desc: str) -> 
         out = values[np.argmax(Uf @ flat.T - half_norms, axis=1)]
         return out[0] if single else out
 
-    return BoundaryFunction(evaluator=ev, description=desc)
+    return ev
 
 
 def _monomial_design(U: np.ndarray, degree: int):
@@ -365,7 +362,7 @@ def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: 
 
 
 def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule,
-              centers=None, degree: int = 6) -> BoundaryFunction:
+              centers=None, degree: int = 6) -> Callable:
     """Recover f from one radial slice of its transform.
 
     g_t(k) = |c_s|^-2 e^(2(n - r Re s)t) sum_h w_h conj(K_s(Z_t(k), U_h)) F(U_h, t)
@@ -396,7 +393,7 @@ def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule,
     Fvals = np.asarray(F(rule.nodes, float(t)), dtype=np.complex128).reshape(-1)
     if Fvals.shape != (len(rule),):
         raise DomainError("F must return one value per rule node")
-    slice_ev, fit_rel = _band_limited_interpolant(rule, Fvals, degree)
+    slice_f, fit_rel = _band_limited_interpolant(rule, Fvals, degree)
     if fit_rel > 1e-6:
         warnings.warn(
             "transform slice is not band-limited within degree %d "
@@ -404,14 +401,13 @@ def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule,
             RuntimeWarning,
             stacklevel=2,
         )
-    slice_f = BoundaryFunction(slice_ev, "reconstructed transform slice")
     sp_conj = spectral_param(np.conj(sp.s), sd)
     vals = poisson.transform_radial(sp_conj, slice_f, centers, float(t), rule)
     pref = abs(poisson.c_s(sp, method="gk")) ** -2 * math.exp(
         2.0 * (sd.n - sd.r * sp.s.real) * float(t)
     )
     gv = pref * np.asarray(vals, dtype=np.complex128).reshape(-1)
-    return _nearest_node_function(centers, gv, "invert_l2 at t = %g" % t)
+    return _nearest_node_function(centers, gv)
 
 
 @dataclass

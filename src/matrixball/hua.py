@@ -133,18 +133,16 @@ def _split_real(v: np.ndarray, J: np.ndarray):
 
 
 def _as_batch(F):
-    """Evaluate F on a stack of group elements.
+    """F on a stack of group elements, which must give one value per element.
 
-    F is called on the whole stack first; if the result does not hold one value
-    per element (an F written for single elements), F is called per element.
     Exceptions raised by F propagate.
     """
 
     def Fb(stack: np.ndarray) -> np.ndarray:
         out = np.asarray(F(stack))
-        if out.shape == stack.shape[:1]:
-            return out
-        return np.array([F(g) for g in stack], dtype=np.complex128)
+        if out.shape != stack.shape[:1]:
+            raise DomainError("F must return one value per stacked element")
+        return out
 
     return Fb
 

@@ -15,6 +15,7 @@ P_s f(k a_t . 0) = Phi_{s,delta}(a_t) f(k) for any f in V_delta.
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -96,16 +97,11 @@ def zonal(delta: KTypeIndex, u, b: int):
     return jac * ang
 
 
-def zonal_function(delta: KTypeIndex, sd: StructureData) -> poisson.BoundaryFunction:
+def zonal_function(delta: KTypeIndex, sd: StructureData) -> Callable:
     """phi_delta as a boundary function: the disk polynomial of U_1."""
     if sd.r != 1:
         raise DomainError("K-type machinery is rank-one only")
-    form = _first_entry_form(_zonal_monomials(delta, sd.b, delta.p, delta.q), sd)
-    return poisson.BoundaryFunction(
-        evaluator=form.evaluator(),
-        description="zonal (%d,%d)" % (delta.p, delta.q),
-        ktype_coefficients={delta: 1.0},
-    )
+    return _first_entry_form(_zonal_monomials(delta, sd.b, delta.p, delta.q), sd).evaluator()
 
 
 def _first_entry_form(C: np.ndarray, sd: StructureData) -> poisson.PolynomialForm:
@@ -198,11 +194,10 @@ def schur_diagonality(
     """
     sd = sp.sd
     M0 = _random_unitary(sd.q, seed)
-    ev = _first_entry_form(_zonal_monomials(delta, sd.b, delta.p, delta.q), sd).translated(
+    f = _first_entry_form(_zonal_monomials(delta, sd.b, delta.p, delta.q), sd).translated(
         [M0], [1.0]
     ).evaluator()
-    f = poisson.BoundaryFunction(ev, "translated zonal (%d,%d)" % (delta.p, delta.q))
-    fv = ev(nodes)
+    fv = f(nodes)
     Fv = poisson.transform_radial(sp, f, nodes, t, rule)
     mask = np.abs(fv) > 0.1 * np.max(np.abs(fv))
     ratios = Fv[mask] / fv[mask]
@@ -214,12 +209,9 @@ def schur_diagonality(
     )
 
 
-def band_limited(coeffs: dict, sd: StructureData) -> poisson.BoundaryFunction:
+def band_limited(coeffs: dict, sd: StructureData) -> Callable:
     """f = sum a_delta * (zonal_delta / ||zonal_delta||): ||f||_2^2 = sum |a|^2."""
-    desc = "band-limited " + ",".join("(%d,%d)" % (d.p, d.q) for d in coeffs)
-    return poisson.BoundaryFunction(
-        _band_limited_form(coeffs, sd).evaluator(), desc, ktype_coefficients=dict(coeffs)
-    )
+    return _band_limited_form(coeffs, sd).evaluator()
 
 
 def _band_limited_form(coeffs: dict, sd: StructureData) -> poisson.PolynomialForm:
@@ -253,9 +245,8 @@ def _zonal_monomials(delta: KTypeIndex, b: int, max_p: int, max_q: int) -> np.nd
     return C
 
 
-def random_band_limited(
-    sd: StructureData, seed: int, max_p: int = 3, max_q: int = 3, translates: int = 0
-) -> poisson.BoundaryFunction:
+def random_band_limited(sd: StructureData, seed: int, max_p: int = 3, max_q: int = 3,
+                        translates: int = 0) -> Callable:
     """Seeded random combination of normalized zonals, optionally K-translated.
 
     With translates > 0 the function mixes rotated copies (still band-limited
@@ -272,7 +263,4 @@ def random_band_limited(
     rots = [_random_unitary(sd.q, seed + 101 + j) for j in range(translates)]
     mix = rng.normal(size=translates + 1)
     mix /= np.linalg.norm(mix)
-    form = _band_limited_form(coeffs, sd).translated([np.eye(sd.q)] + rots, mix)
-    return poisson.BoundaryFunction(
-        form.evaluator(), "band-limited with %d translates" % translates, ktype_coefficients=None
-    )
+    return _band_limited_form(coeffs, sd).translated([np.eye(sd.q)] + rots, mix).evaluator()

@@ -5,6 +5,8 @@ The kernel against a Shilov point U at an interior point Z is
     K_s(Z, U) = [ det(I - Z Z^H) / |det(I - Z U^H)|^2 ]^((s r + n) / (2 r))
 
 and the transform of a boundary function f is P_s f(Z) = int_S K_s(Z, U) f(U) dU.
+A boundary function is any callable mapping a stack of Shilov points
+(..., r, q) to values (...), or a number, meaning that constant function.
 
 Radial evaluation uses the pushforward form: with k a boundary rotation and
 a_t the radial flow,
@@ -18,14 +20,15 @@ numerically tame.
 
 Boundary functions that are polynomials in the entries of U and conj(U)
 (band-limited functions and their K-translates, the inversion interpolant,
-trace-affine functions) carry a PolynomialForm, and transform_radial sums
-them in another order. With w the entries of a_t . V and x those of
-(a_t . V) M_k P, every monomial of x is a combination of monomials of w
-whose coefficients depend on the center only: T(x) = T(w) S_k. The node sum
-then splits into moments mu = sum_V cw(V) T(w)^T conj(T(w)), taken once
-per (s, t), and a small contraction with S_k per center, so a call costs
-O(N_nodes + N_centers) instead of O(N_nodes N_centers) evaluations. Any
-other callable is evaluated at every pushed point.
+trace-affine functions) are built as PolynomialForm.evaluator(), a callable
+tagged with its form, and transform_radial sums them in another order. With
+w the entries of a_t . V and x those of (a_t . V) M_k P, every monomial of x
+is a combination of monomials of w whose coefficients depend on the center
+only: T(x) = T(w) S_k. The node sum then splits into moments
+mu = sum_V cw(V) T(w)^T conj(T(w)), taken once per (s, t), and a small
+contraction with S_k per center, so a call costs O(N_nodes + N_centers)
+instead of O(N_nodes N_centers) evaluations. Any other callable is
+evaluated at every pushed point.
 
 c_s is computed three independent ways: a closed-form Gamma product, the
 renormalized limit of the radial profile of P_s 1 (Richardson-accelerated with
@@ -50,7 +53,6 @@ from .errors import (
 from .structure import SpectralParam, lambda_coefficients
 
 __all__ = [
-    "BoundaryFunction",
     "PolynomialForm",
     "CsReport",
     "kernel",
@@ -68,30 +70,6 @@ BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
 RADIAL_CHUNK = 512  # centers per block of symmetric powers on transform_radial's moment route
 POINTWISE_POINTS = 2 ** 18  # pushed points per block on transform_radial's pointwise route
-
-
-@dataclass
-class BoundaryFunction:
-    """Vectorized function on Shilov points: evaluator maps (N, r, q) -> (N,).
-
-    An evaluator made by PolynomialForm.evaluator carries its form, and
-    transform_radial then sums by moments instead of point by point.
-    """
-
-    evaluator: Callable
-    description: str = ""
-    ktype_coefficients: dict | None = None
-
-    def __call__(self, U: np.ndarray) -> np.ndarray:
-        return self.evaluator(U)
-
-    @staticmethod
-    def constant(value=1.0) -> "BoundaryFunction":
-        c = complex(value)
-        return BoundaryFunction(
-            evaluator=lambda U: np.full(U.shape[:-2], c),
-            description="constant %s" % value,
-        )
 
 
 class _Monomials(NamedTuple):
@@ -250,11 +228,11 @@ class CsReport:
 
 
 def _as_evaluator(f):
-    if isinstance(f, BoundaryFunction):
-        return f.evaluator
+    """A boundary function as a callable on (..., r, q) stacks; a number is that constant."""
     if callable(f):
         return f
-    return BoundaryFunction.constant(f).evaluator
+    c = complex(f)
+    return lambda U: np.full(U.shape[:-2], c)
 
 
 def _require_admissible(sp: SpectralParam):

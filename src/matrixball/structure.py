@@ -34,8 +34,6 @@ class StructureData:
     a: int
     n: int
     m: int
-    rho0_X0: int
-    rho1_X0: int
     rho_on_a: tuple
     admissibility_threshold: float
     genus_candidate: int
@@ -82,8 +80,6 @@ def structure_data(r: int, b: int) -> StructureData:
         a=a,
         n=n,
         m=m,
-        rho0_X0=r,
-        rho1_X0=n,
         rho_on_a=rho,
         admissibility_threshold=0.5 * a * (r - 1),
         genus_candidate=2 * r + b,

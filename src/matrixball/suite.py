@@ -28,11 +28,12 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, _kernels, boundary, fatou, group, hua, ktypes, poisson
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .structure import restricted_roots, spectral_param, structure_data
 
 DOMAINS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
@@ -82,6 +83,12 @@ def _sanitize(obj):
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     return obj
+
+
+def _require_rank_one(sd, index: int):
+    """Criteria 9-11 run on rank one only; say so before any rule is built."""
+    if sd.r != 1:
+        raise DomainError("criterion %d's check is rank-one only, got r = %d" % (index, sd.r))
 
 
 def _per_domain(check, domains, *args):
@@ -336,7 +343,7 @@ def criterion_cs(seed: int = 7, profile: str = "full") -> CriterionResult:
 # 7. Fatou boundary recovery plus the inadmissible negative control
 # ---------------------------------------------------------------------------
 
-def trace_affine(sd, seed: int) -> poisson.BoundaryFunction:
+def trace_affine(sd, seed: int) -> Callable:
     """Seeded boundary function 1 + tr(U C) + conj(tr(U C))/4, any rank.
 
     C is a complex q x r matrix of unit Frobenius norm drawn from the seed.
@@ -350,8 +357,7 @@ def trace_affine(sd, seed: int) -> poisson.BoundaryFunction:
     diagonal = 1 + (sd.r + 1) * np.arange(sd.r)
     G[diagonal, 0] = 1.0
     G[0, diagonal] = 0.25
-    form = poisson.PolynomialForm(C[None], G[None], (1, 1))
-    return poisson.BoundaryFunction(form.evaluator(), "trace affine function")
+    return poisson.PolynomialForm(C[None], G[None], (1, 1)).evaluator()
 
 
 def check_fatou(sd, s, size: int, t_grid, seed: int, p: float = 2.0,
@@ -449,6 +455,7 @@ def check_sandwich(sd, s_values, p_list, n_f: int, level: int, t_grid, seed: int
     The lifted values are shared across p. worst is the largest ratio of a
     bound's left side to its right side, minus 1; each bound allows 2% slack.
     """
+    _require_rank_one(sd, 9)
     rule = boundary.sphere_rule(sd, level=level)
     fs = [ktypes.random_band_limited(sd, seed=seed + 500 + 7 * j, max_p=2, max_q=2,
                                      translates=1) for j in range(n_f)]
@@ -490,6 +497,7 @@ def check_schur(sd, s, max_pq: int, level: int, seed: int, tol_cv: float = SCHUR
     norm of a random combination (seed + 1000) computed from its coefficients
     matches the direct quadrature norm within 1e-2.
     """
+    _require_rank_one(sd, 10)
     rule = boundary.sphere_rule(sd, level=level)
     sp = spectral_param(s, sd)
     deltas = ktypes.ktype_range(max_pq, max_pq)
@@ -541,6 +549,7 @@ def check_inversion(sd, s, n_f: int, level: int, t_list, seed: int,
     The relative L^2 error must fall strictly with t and end within tol;
     worst is the largest final error.
     """
+    _require_rank_one(sd, 11)
     rule = boundary.sphere_rule(sd, level=level)
     sp = spectral_param(s, sd)
     details = {}

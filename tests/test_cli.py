@@ -30,8 +30,12 @@ def test_structure_stdout():
     assert "n=6" in res.stdout
 
 
-def test_unknown_flag_exits_2():
-    res = run_cli("structure", "--frobnicate")
+@pytest.mark.parametrize("argv", [
+    ("structure", "--frobnicate"),
+    ("poisson", "phi", "--rule", "disk"),  # every subcommand picks its rule from the rank
+], ids=["frobnicate", "rule"])
+def test_unknown_flag_exits_2(argv):
+    res = run_cli(*argv)
     assert res.returncode == 2
 
 
@@ -120,6 +124,13 @@ def test_workers_config_key_rejected(tmp_path):
     assert "unknown config keys: workers" in res.stderr.lower()
 
 
+def test_rule_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rule": "disk"}))
+    assert cli.main(["poisson", "phi", "--config", str(cfg)]) == 1
+    assert "unknown config keys: rule" in capsys.readouterr().err
+
+
 def test_workers_flag_is_usage_error(tmp_path):
     res = run_cli("suite", "--workers", "2", "--criteria", "1", "--profile", "quick",
                   "--out", str(tmp_path / "suite"))
@@ -181,6 +192,16 @@ def test_poisson_phi_runs(tmp_path):
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     assert rows[0] == "t,phi_re,phi_im,renormalized_abs"
     assert len(rows) >= 5
+
+
+@pytest.mark.parametrize("command", [("ktypes", "schur"), ("fatou", "sandwich"),
+                                     ("poisson", "norms"), ("fatou", "invert")], ids=" ".join)
+def test_rank_one_mirror_at_rank_two_exits_2(command):
+    # the message names the restriction, not a rule the command line cannot pick
+    res = run_cli(*command, "--r", "2")
+    assert res.returncode == 2
+    assert "rank-one" in res.stderr
+    assert "stiefel_rule" not in res.stderr
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

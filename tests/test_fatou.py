@@ -335,7 +335,7 @@ def test_nearest_node_function_is_frobenius_nearest(r, b, n_nodes):
         nodes = boundary.stiefel_rule(sd, samples=n_nodes, seed=3).nodes
     assert len(nodes) == n_nodes
     values = np.arange(n_nodes) * (1.0 + 0.5j)
-    fn = fatou._nearest_node_function(nodes, values, "test")
+    fn = fatou._nearest_node_function(nodes, values)
     assert np.array_equal(fn(nodes), values)
     assert fn(nodes[5]) == values[5]
     queries = boundary.stiefel_rule(sd, samples=300, seed=4).nodes

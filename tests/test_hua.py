@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from matrixball import _kernels, group, hua, linalg
+from matrixball.errors import DomainError
 from matrixball.structure import spectral_param, structure_data
 
 
@@ -85,11 +86,12 @@ def test_lie_derivative_propagates_stack_errors(sd11):
 
 
 def test_lie_derivative_single_element_fallback(sd11):
-    # an F whose stack result has the wrong shape is evaluated per element
+    # an F written for single elements is not re-run per element: a stack result
+    # of the wrong shape is a usage error
     X0 = radial_generator(sd11)
     F = lambda G: complex(_kernels.h1_batch(np.asarray(G).reshape(-1, 3, 3), sd11.r)[0])
-    d1 = hua.lie_derivative(F, group.radial(0.7, sd11), (X0,), sd=sd11)
-    assert abs(d1 - 1.0) < 1e-9
+    with pytest.raises(DomainError, match="one value per stacked element"):
+        hua.lie_derivative(F, group.radial(0.7, sd11), (X0,), sd=sd11)
 
 
 @pytest.mark.parametrize("r,b,s", [(1, 1, 3.0), (1, 1, 4 + 1j), (2, 1, 4.0)])

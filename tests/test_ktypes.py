@@ -62,12 +62,15 @@ def test_band_limited_matches_zonal_sum(sd11, sphere8):
 
 
 def test_band_limited_parseval(sd11, sphere8):
-    f = ktypes.random_band_limited(sd11, seed=4, max_p=2, max_q=2)
+    rng = np.random.default_rng(4)
+    coeffs = {d: complex(rng.normal(), rng.normal()) for d in ktypes.ktype_range(2, 2)}
+    f = ktypes.band_limited(coeffs, sd11)
     total = float(np.real(np.dot(sphere8.weights, np.abs(f(sphere8.nodes)) ** 2)))
-    want = sum(abs(a) ** 2 for a in f.ktype_coefficients.values())
-    assert abs(total - want) < 1e-12
-    coeffs, defect = ktypes.ktype_spectrum(f, 2, 2, sphere8)
+    want = sum(abs(a) ** 2 for a in coeffs.values())
+    assert abs(total - want) < 1e-12 * want
+    got, defect = ktypes.ktype_spectrum(f, 2, 2, sphere8)
     assert defect < 1e-12
+    assert max(abs(got[d] - a) for d, a in coeffs.items()) < 1e-12
 
 
 def test_spectrum_warns_on_missing_mass(sd11, sphere8):

@@ -267,7 +267,7 @@ def test_gamma_estimate_harmonic(sd11, sp2, sphere6):
 
 
 def test_hardy_norm_constant_function(sd11, sp2, sphere6):
-    F = poisson.poisson_lift(sp2, poisson.BoundaryFunction.constant(1.0), sphere6)
+    F = poisson.poisson_lift(sp2, 1.0, sphere6)
     val = poisson.hardy_norm(F, sp2, 2.0, np.linspace(0.0, 2.0, 5), sphere6)
     assert abs(val - 1.0) < 1e-10
 
@@ -294,7 +294,7 @@ def gate_cases():
         values = rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule))
         ev, _ = fatou._band_limited_interpolant(rule, values, degree)
         cases["interpolant q=%d degree %d" % (sd.q, degree)] = (
-            sd, poisson.BoundaryFunction(ev), centers, rule, RANK_ONE_GRIDS)
+            sd, ev, centers, rule, RANK_ONE_GRIDS)
     sd2 = structure_data(2, 1)
     rule2 = boundary.stiefel_rule(sd2, samples=4000, seed=91)
     cases["trace-affine r=2"] = (sd2, suite.trace_affine(sd2, 92), rule2.nodes[:40], rule2,
@@ -307,7 +307,7 @@ def test_moment_route_matches_pointwise(gate_cases, name):
     # a polynomial form takes the moment route; a plain callable computing the
     # same values takes the pointwise route, which is the oracle
     sd, f, centers, rule, grids = gate_cases[name]
-    assert isinstance(f.evaluator.polynomial_form, poisson.PolynomialForm)
+    assert isinstance(f.polynomial_form, poisson.PolynomialForm)
     pointwise = lambda U: f(U)
     for s, t_grid in grids:
         sp = spectral_param(s, sd)
@@ -319,18 +319,19 @@ def test_moment_route_matches_pointwise(gate_cases, name):
                 assert err <= 1e-13 * np.max(np.abs(want)), (s, t, where is None, err)
 
 
-def test_traced_evaluator_takes_the_moment_route(gate_cases):
-    # a functools.wraps wrapper of the evaluator (as a span tracer hands it
-    # over) copies polynomial_form, so it is never called and the values match
-    sd, f, centers, rule, _ = gate_cases["band-limited b=1"]
+@pytest.mark.parametrize("name", GATE_CASES)
+def test_traced_evaluator_takes_the_moment_route(gate_cases, name):
+    # a functools.wraps wrapper of the builder's callable (as a span tracer hands
+    # it over) copies polynomial_form, so it is never called and the values match
+    sd, f, centers, rule, grids = gate_cases[name]
     calls = []
 
-    @functools.wraps(f.evaluator)
+    @functools.wraps(f)
     def traced(U):
         calls.append(U.shape)
-        return f.evaluator(U)
+        return f(U)
 
-    sp = spectral_param(2.5, sd)
+    sp = spectral_param(grids[-1][0], sd)
     for t in (0.0, 3.0):
         want = poisson.transform_radial(sp, f, centers, t, rule)
         assert np.array_equal(poisson.transform_radial(sp, traced, centers, t, rule), want)
