@@ -283,7 +283,7 @@ def cmd_fatou_profile(cfg: RunConfig) -> int:
 def cmd_ktypes_spectrum(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     if sd.r != 1:
-        raise MatrixBallError("ktypes spectrum is rank-one only")
+        raise DomainError("ktypes spectrum is rank-one only")
     rule = build_rule(cfg, sd)
     f = ktypes.random_band_limited(sd, seed=cfg.seed, max_p=2, max_q=2)
     coeffs, defect = ktypes.ktype_spectrum(f, 3, 3, rule)

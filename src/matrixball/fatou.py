@@ -2,10 +2,11 @@
 
 The renormalized transform e^(-(rs-n)t) P_s f(k a_t . 0) converges to
 c_s f(u_k) as t grows; this module extracts that limit from profiles on a
-t-grid (an exponential tail fit per node, all nodes in one batched
-Levenberg-Marquardt solve), inverts the transform from a single deep
-slice, checks the dominating-function bound behind the convergence proof,
-and verifies the two-sided Hardy-norm estimate.
+uniform t-grid (the Richardson extrapolation c_s's Fatou route uses, with
+the correction exponents the theory fixes, applied to every node at once),
+inverts the transform from a single deep slice, checks the
+dominating-function bound behind the convergence proof, and verifies the
+two-sided Hardy-norm estimate.
 """
 
 import math
@@ -104,7 +105,6 @@ def zonal_profile(sp: SpectralParam, t_grid, rule: QuadratureRule | None = None)
 @dataclass
 class BoundaryLimitReport:
     limits: np.ndarray  # (N,) estimates of f at the profile nodes
-    kappas: np.ndarray  # (N,) fitted tail decay rates (inf when already flat)
     converged: np.ndarray  # (N,) bool
     cs: complex
     f_estimate: Callable = field(repr=False, default=None)
@@ -112,157 +112,27 @@ class BoundaryLimitReport:
     lp_err: float | None = None
 
 
-TAIL_FIT_MAX_ITER = 100  # Levenberg-Marquardt iterations; criterion 7's tails all stop within 22
-TAIL_FIT_RTOL = 1e-15  # a row stops once its scaled step or its cost decrease is this small
-
-
-def _tail_residuals(x: np.ndarray, t4: np.ndarray, y4: np.ndarray):
-    """Residuals (N, 8) of L + A e^(-kappa t) - y, real parts then imaginary parts, and e^(-kappa t).
-
-    x holds (Re L, Im L, Re A, Im A, kappa) per row.
-    """
-    e = np.exp(-x[:, 4:5] * t4)
-    dev = (x[:, 0:1] + 1j * x[:, 1:2]) + (x[:, 2:3] + 1j * x[:, 3:4]) * e - y4
-    return np.concatenate([dev.real, dev.imag], axis=1), e
-
-
-def _tail_jacobian(x: np.ndarray, e: np.ndarray, t4: np.ndarray) -> np.ndarray:
-    """Jacobian (N, 8, 5) of _tail_residuals; e^(-kappa t) is real, so A e splits by parts."""
-    J = np.zeros((len(x), 8, 5))
-    J[:, :4, 0] = J[:, 4:, 1] = 1.0
-    J[:, :4, 2] = J[:, 4:, 3] = e
-    J[:, :4, 4] = -t4 * e * x[:, 2:3]
-    J[:, 4:, 4] = -t4 * e * x[:, 3:4]
-    return J
-
-
-def _levenberg_marquardt(x: np.ndarray, t4: np.ndarray, y4: np.ndarray) -> np.ndarray:
-    """Least-squares refinement of every row of x at once; rows keep their own damping.
-
-    The step solves (J^T J + lam D) dx = -J^T res, D the running maximum of
-    diag(J^T J) (Marquardt scaling, so the step does not depend on how the
-    parameters are scaled). A row whose residuals are not finite at its seed
-    keeps the seed. A row stops once its scaled step is below TAIL_FIT_RTOL
-    times its scaled parameters, or an accepted step lowers its cost by no
-    more than TAIL_FIT_RTOL relative, or its cost is zero.
-    """
-    x = x.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        res, e = _tail_residuals(x, t4, y4)
-        cost = 0.5 * np.sum(res * res, axis=1)
-        J = _tail_jacobian(x, e, t4)
-        D = np.einsum("nki,nki->ni", J, J)
-    active = np.isfinite(cost)
-    D[D == 0] = 1.0
-    lam = np.full(len(x), 1e-3)
-    nu = np.full(len(x), 2.0)
-    for _ in range(TAIL_FIT_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        Ji = J[idx]
-        H = np.swapaxes(Ji, 1, 2) @ Ji
-        grad = np.einsum("nki,nk->ni", Ji, res[idx])
-        D[idx] = np.maximum(D[idx], np.diagonal(H, axis1=1, axis2=2))
-        H[:, range(5), range(5)] += lam[idx, None] * D[idx]
-        step = np.linalg.solve(H, -grad[..., None])[..., 0]
-        x_new = x[idx] + step
-        with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is rejected
-            res_new, e_new = _tail_residuals(x_new, t4, y4[idx])
-            cost_new = 0.5 * np.sum(res_new * res_new, axis=1)
-        cost_new[~np.isfinite(cost_new)] = np.inf
-        accept = cost_new < cost[idx]
-        dscale = np.sqrt(D[idx])
-        step_norm = np.linalg.norm(dscale * step, axis=1)
-        done = (
-            (step_norm <= TAIL_FIT_RTOL * np.linalg.norm(dscale * x[idx], axis=1))
-            | (accept & (cost[idx] - cost_new <= TAIL_FIT_RTOL * cost[idx]))
-            | (cost_new == 0)
-        )
-        up = idx[accept]
-        x[up] = x_new[accept]
-        res[up] = res_new[accept]
-        cost[up] = cost_new[accept]
-        J[up] = _tail_jacobian(x_new[accept], e_new[accept], t4)
-        lam[up] /= 3.0
-        nu[up] = 2.0
-        down = idx[~accept]
-        lam[down] *= nu[down]
-        nu[down] *= 2.0
-        active[idx[done]] = False
-    return x
-
-
-def _tail_fits(tg: np.ndarray, Y: np.ndarray, atol: float):
-    """Fit y ~ L + A e^(-kappa t) on the last four points of every row of Y (N, T).
-
-    Returns (limits, kappas, converged), each of length N. Row by row: a flat
-    tail (every difference within atol) or one without a finite difference
-    ratio gives (last value, inf, True); an unstable geometric ratio (|rho|
-    near or above 1) gives (last value, 0, False). Every other row is seeded
-    by the difference-ratio solve (L0, kappa0, A0) and refined by one batched
-    Levenberg-Marquardt solve; a fit with a non-finite or non-positive kappa
-    or a non-finite L gives (last value, 0, False).
-    """
-    Y = np.asarray(Y, dtype=np.complex128)
-    y4 = Y[:, -4:]
-    t4 = np.asarray(tg, dtype=float)[-4:]
-    d = np.diff(y4, axis=1)
-    last = y4[:, -1]
-    limits = last.copy()
-    kappas = np.full(len(Y), np.inf)
-    converged = np.ones(len(Y), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(np.abs(d[:, :2]) > 0, d[:, 1:] / d[:, :2], np.nan)
-        finite = np.isfinite(ratios)
-        rho = np.where(finite, ratios, 0.0).sum(axis=1) / finite.sum(axis=1)
-    fit = ~(np.max(np.abs(d), axis=1) <= atol) & finite.any(axis=1)
-    unstable = fit & (np.abs(rho) >= 1.0 - 1e-9)
-    kappas[unstable] = 0.0
-    converged[unstable] = False
-    rows = np.flatnonzero(fit & ~unstable)
-    rho = rho[rows]
-    # a zero ratio or an overflowing A0 gives a non-finite seed, which the fit keeps
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kappa0 = -np.log(np.abs(rho)) / (t4[-1] - t4[-2])
-        L0 = last[rows] + d[rows, 2] * rho / (1.0 - rho)
-        A0 = (last[rows] - L0) * np.exp(kappa0 * t4[-1])
-    x0 = np.stack([L0.real, L0.imag, A0.real, A0.imag, kappa0], axis=1)
-    x = _levenberg_marquardt(x0, t4, y4[rows])
-    L = x[:, 0] + 1j * x[:, 1]
-    kappa = x[:, 4]
-    bad = ~np.isfinite(kappa) | (kappa <= 0) | ~np.isfinite(L)
-    limits[rows] = np.where(bad, last[rows], L)
-    kappas[rows] = np.where(bad, 0.0, kappa)
-    converged[rows] = ~bad
-    return limits, kappas, converged
-
-
-def _tail_fit(tg: np.ndarray, y: np.ndarray, atol: float):
-    """_tail_fits for one profile row y: returns (L, kappa, ok)."""
-    limits, kappas, converged = _tail_fits(tg, np.asarray(y)[None], atol)
-    return limits[0], float(kappas[0]), bool(converged[0])
-
-
 def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
                    p: float = 2.0, rule: QuadratureRule | None = None,
                    rel_tol: float = 1e-3) -> BoundaryLimitReport:
     """Extrapolate the renormalized tail and divide by c_s to estimate f.
 
-    Each node's tail is fit as L + A e^(-kappa t) on the last four grid
-    points, all nodes in one batched Levenberg-Marquardt solve seeded by the
-    difference-ratio solve (_tail_fits); flat tails fall back to the last
-    value. Non-convergent tails raise, with the admissibility condition
-    echoed. With a reference boundary function the report carries the sup
-    and L^p node errors of the estimate.
+    Each node's tail goes through the Richardson extrapolation of c_s's
+    Fatou route (poisson._richardson_limit), which removes the corrections
+    at the exponents the spherical-function expansion fixes; the grid must be
+    uniform with at least four points. A node's limit is its last
+    extrapolant, and it has converged when its last two extrapolants differ
+    by at most rel_tol times the largest final renormalized value.
+    Non-convergent tails raise, with the admissibility condition echoed. With
+    a reference boundary function the report carries the sup and L^p node
+    errors of the estimate.
     """
-    if len(profile.t_grid) < 4:
-        raise DomainError("boundary_limit needs at least four grid points")
+    dt = poisson._fatou_grid_step(profile.t_grid)
     y = profile.renormalized
     scale = max(float(np.max(np.abs(y[:, -1]))), 1e-300)
-    atol = rel_tol * scale
     N = y.shape[0]
-    limits, kappas, converged = _tail_fits(profile.t_grid, y, atol)
+    previous, limits = poisson._richardson_limit(y, dt, poisson._correction_exponents(sp))
+    converged = np.abs(limits - previous) <= rel_tol * scale
     if not np.all(converged):
         bad = int(np.count_nonzero(~converged))
         raise ConvergenceError(
@@ -284,7 +154,6 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
             lp_err = float(np.mean(diff**p) ** (1.0 / p))
     return BoundaryLimitReport(
         limits=limits,
-        kappas=kappas,
         converged=converged,
         cs=cs,
         f_estimate=fn,

@@ -397,26 +397,36 @@ def _default_radial_rule(sd, t_max: float, seed: int = 20240801, samples: int = 
     return boundary.stiefel_rule(sd, samples=samples, seed=seed)
 
 
-def _richardson_limit(y: np.ndarray, dt: float, kappas, rel_tol: float):
-    """Eliminate known correction exponents from y_k = c + sum A e^(-kappa t_k)."""
+def _fatou_grid_step(t_grid) -> float:
+    """The step of a t grid the extrapolation accepts: finite, strictly increasing, uniform, >= 4 points."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    dts = np.diff(np.atleast_1d(t_grid))
+    if (t_grid.ndim != 1 or len(t_grid) < 4 or not np.all(np.isfinite(t_grid))
+            or not np.all(dts > 0) or not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-12)):
+        raise DomainError("fatou extrapolation needs a finite, strictly increasing, "
+                          "uniform t grid with >= 4 points")
+    return float(dts[0])
+
+
+def _correction_exponents(sp: SpectralParam) -> list:
+    """Decay rates of the corrections to the renormalized radial profile, in elimination order."""
+    return [2.0 * sp.s - 2.0 * sp.sd.harmonic_s, 2.0] if sp.sd.r == 1 else [2.0, 4.0]
+
+
+def _richardson_limit(y: np.ndarray, dt: float, exponents):
+    """Eliminate known correction exponents from each row y_k = c + sum A e^(-kappa t_k) of y (..., T).
+
+    Returns the last two extrapolants of each row, (previous, last): the last
+    is the estimate of c and their difference tests its convergence.
+    """
     z = np.asarray(y, dtype=complex)
-    for kap in kappas:
-        if len(z) < 2:
-            break
+    for kap in exponents:
         rho = np.exp(-kap * dt)
         if abs(1.0 - rho) < 1e-6:
             # the correction branch coincides with the limit (harmonic point)
             continue
-        z = (z[1:] - rho * z[:-1]) / (1.0 - rho)
-    if len(z) < 2:
-        raise ConvergenceError("radial grid too short for extrapolation")
-    a, c = z[-2], z[-1]
-    if abs(c) == 0 or abs(a - c) > rel_tol * abs(c):
-        raise ConvergenceError(
-            "renormalized radial profile has not converged: "
-            "last extrapolants differ by %.2e (tol %.2e)" % (abs(a - c) / max(abs(c), 1e-300), rel_tol)
-        )
-    return complex(c)
+        z = (z[..., 1:] - rho * z[..., :-1]) / (1.0 - rho)
+    return z[..., -2], z[..., -1]
 
 
 def _cs_gk(sp: SpectralParam) -> complex:
@@ -442,12 +452,7 @@ def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None, rel_tol: float = 1e-3) 
     if t_grid is None:
         t_grid = np.arange(0.0, 8.01, 0.5)
     t_grid = np.asarray(t_grid, dtype=float)
-    dts = np.diff(np.atleast_1d(t_grid))
-    if (t_grid.ndim != 1 or len(t_grid) < 4 or not np.all(np.isfinite(t_grid))
-            or not np.all(dts > 0) or not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-12)):
-        raise DomainError("fatou extrapolation needs a finite, strictly increasing, "
-                          "uniform t grid with >= 4 points")
-    dt = float(dts[0])
+    dt = _fatou_grid_step(t_grid)
     if rule is None:
         rule = _default_radial_rule(sd, float(t_grid[-1]))
     vals, errs = _phi_profile(sp, t_grid, rule)
@@ -455,8 +460,13 @@ def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None, rel_tol: float = 1e-3) 
     if errs is not None:
         rel_noise = float(np.max(errs / np.abs(vals)))
         rel_tol = max(rel_tol, 25.0 * rel_noise)
-    kappas = [2.0 * sp.s - 2.0 * sd.harmonic_s, 2.0] if sd.r == 1 else [2.0, 4.0]
-    return _richardson_limit(y, dt, kappas, rel_tol)
+    a, c = _richardson_limit(y, dt, _correction_exponents(sp))
+    if abs(c) == 0 or abs(a - c) > rel_tol * abs(c):
+        raise ConvergenceError(
+            "renormalized radial profile has not converged: "
+            "last extrapolants differ by %.2e (tol %.2e)" % (abs(a - c) / max(abs(c), 1e-300), rel_tol)
+        )
+    return complex(c)
 
 
 def _cs_direct(sp: SpectralParam, chart: QuadratureRule | None = None, grid: int = 4) -> complex:

@@ -195,7 +195,8 @@ def test_poisson_phi_runs(tmp_path):
 
 
 @pytest.mark.parametrize("command", [("ktypes", "schur"), ("fatou", "sandwich"),
-                                     ("poisson", "norms"), ("fatou", "invert")], ids=" ".join)
+                                     ("poisson", "norms"), ("fatou", "invert"),
+                                     ("ktypes", "spectrum")], ids=" ".join)
 def test_rank_one_mirror_at_rank_two_exits_2(command):
     # the message names the restriction, not a rule the command line cannot pick
     res = run_cli(*command, "--r", "2")

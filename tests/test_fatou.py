@@ -1,6 +1,5 @@
 """Boundary limits, inversion, domination, and the norm sandwich."""
 
-import math
 import subprocess
 import sys
 import warnings
@@ -82,21 +81,6 @@ def test_fatou_recovery_emits_no_runtime_warning():
         res = suite.run_criterion(7, seed=7, profile="quick")
     assert res.passed
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-
-
-def test_tail_fit_falls_back_on_overflowing_seed():
-    # a tiny geometric ratio at large t overflows the seed amplitude A0, so the
-    # least-squares refinement is refused and the seed (L0, kappa0) comes back
-    tg = np.arange(0.0, 41.0, 1.0)
-    y = np.zeros(len(tg), dtype=complex)
-    y[-4:] = [1.0, 1e-10, 1e-20, 1e-30]
-    d = np.diff(y[-4:])
-    rho = np.mean([d[1] / d[0], d[2] / d[1]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        L, kappa, ok = fatou._tail_fit(tg, y, atol=1e-33)
-    assert ok
-    assert kappa == -math.log(abs(rho)) / (tg[-1] - tg[-2])
-    assert L == y[-1] + d[2] * rho / (1.0 - rho)
 
 
 def test_invert_l2_roundtrip(sd11):
@@ -216,82 +200,6 @@ def tail_profiles():
     return {"r1 quick": (sp, prof), "r2 1e4": (sp2, prof2)}
 
 
-def _minpack_tail(tg, y, **tols):
-    """MINPACK's fit of L + A e^(-kappa t) to the last four points, from the difference-ratio seed.
-
-    Returns (seed, L, cost), cost being half the squared residual norm.
-    """
-    from scipy.optimize import least_squares
-
-    t4, y4 = tg[-4:], y[-4:]
-    d = np.diff(y4)
-    rho = np.mean([d[1] / d[0], d[2] / d[1]])
-    kappa0 = -math.log(abs(rho)) / (t4[-1] - t4[-2])
-    L0 = y4[-1] + d[2] * rho / (1.0 - rho)
-    A0 = (y4[-1] - L0) * np.exp(kappa0 * t4[-1])
-
-    def resid(x):
-        dev = x[0] + 1j * x[1] + (x[2] + 1j * x[3]) * np.exp(-x[4] * t4) - y4
-        return np.concatenate([dev.real, dev.imag])
-
-    x0 = np.array([L0.real, L0.imag, A0.real, A0.imag, kappa0])
-    fit = least_squares(resid, x0, method="lm", **tols)
-    return x0, fit.x[0] + 1j * fit.x[1], fit.cost
-
-
-@pytest.mark.parametrize("name", ["r1 quick", "r2 1e4"])
-def test_tail_fits_match_minpack(tail_profiles, name):
-    # the batched solve reaches MINPACK's minimum at tight tolerances, and its
-    # cost is never above MINPACK's at the default tolerances the fit once used
-    _, prof = tail_profiles[name]
-    y = prof.renormalized
-    tg = prof.t_grid
-    scale = float(np.max(np.abs(y[:, -1])))
-    limits, kappas, converged = fatou._tail_fits(tg, y, 1e-3 * scale)
-    assert np.all(converged)
-    rows = np.flatnonzero(np.isfinite(kappas))
-    assert len(rows) >= 100
-    tight = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15)
-    seeds, costs = [], []
-    for i in rows:
-        x0, L, _ = _minpack_tail(tg, y[i], **tight)
-        assert abs(limits[i] - L) <= 1e-9 * scale, i
-        seeds.append(x0)
-        costs.append(_minpack_tail(tg, y[i], max_nfev=200)[2])
-    t4, y4 = tg[-4:], y[rows, -4:]
-    res, _ = fatou._tail_residuals(fatou._levenberg_marquardt(np.array(seeds), t4, y4), t4, y4)
-    assert np.all(0.5 * np.sum(res**2, axis=1) <= np.array(costs) * (1.0 + 1e-9))
-
-
-def test_tail_fits_rows_match_single_row_fits():
-    # every branch is decided row by row: a mixed batch gives each row what the
-    # one-row adapter gives it alone
-    tg = np.arange(0.0, 41.0, 1.0)
-    t4 = tg[-4:]
-    tails = {
-        "flat": [2.0, 2.0, 2.0, 2.0],
-        "no ratio": [1.0, 1.0, 1.0, 2.0],
-        "unstable": [1.0, 2.0, 4.0, 8.0],
-        "overflowing seed": [1.0, 1e-10, 1e-20, 1e-30],
-        "alternating": [0.0, 1.0, 0.5, 0.75],
-        "normal": 3.0 + 0.5j + (1.0 - 2.0j) * np.exp(-0.7 * (t4 - 37.0)) + [0, 1e-9, -2e-9, 1e-9],
-    }
-    Y = np.zeros((len(tails), len(tg)), dtype=complex)
-    Y[:, -4:] = list(tails.values())
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = fatou._tail_fits(tg, Y, atol=1e-33)
-        single = [fatou._tail_fit(tg, y, atol=1e-33) for y in Y]
-    for i, name in enumerate(tails):
-        assert (batch[0][i], batch[1][i], batch[2][i]) == single[i], name
-    got = dict(zip(tails, single))
-    assert got["flat"] == (2.0, np.inf, True)
-    assert got["no ratio"] == (2.0, np.inf, True)
-    assert got["unstable"] == (8.0, 0.0, False)
-    assert got["overflowing seed"][2]
-    L, kappa, ok = got["normal"]
-    assert ok and abs(L - (3.0 + 0.5j)) < 1e-8 and abs(kappa - 0.7) < 1e-6
-
-
 def test_boundary_limit_is_stable_under_roundoff(tail_profiles):
     # a 1e-13 relative change of the profile must not be amplified into the
     # limits by a loosely converged optimizer
@@ -306,6 +214,25 @@ def test_boundary_limit_is_stable_under_roundoff(tail_profiles):
     assert np.max(np.abs(a - b)) <= 5e-11 * scale
 
 
+@pytest.mark.parametrize("r, b, s", [(1, 1, 2.5), (1, 1, 3.0 + 0.5j), (1, 2, 3.5)])
+def test_boundary_limit_and_fatou_cs_share_one_extrapolation(r, b, s):
+    # the zonal profile is P_s 1 at the base node, whose boundary limit is c_s itself
+    sp = spectral_param(s, structure_data(r, b))
+    grid = np.arange(0.0, 8.01, 0.5)
+    limit = fatou.boundary_limit(sp, fatou.zonal_profile(sp, grid)).limits[0]
+    cs = poisson.c_s(sp, method="fatou", t_grid=grid)
+    assert abs(limit - cs) <= 1e-13 * abs(cs)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 1.5, 3.0, 4.0], [0.0, 1.0, 2.0]],
+                         ids=["non-uniform", "three points"])
+def test_boundary_limit_rejects_grids_the_extrapolation_cannot_use(sd11, sphere6, grid):
+    sp = spectral_param(2.5, sd11)
+    prof = fatou.radial_profile(sp, 1.0, sphere6.nodes[:3], np.array(grid), sphere6)
+    with pytest.raises(DomainError, match="uniform t grid"):
+        fatou.boundary_limit(sp, prof)
+
+
 def test_boundary_limit_does_not_import_scipy_optimize():
     code = (
         "import sys\n"
@@ -318,7 +245,7 @@ def test_boundary_limit_does_not_import_scipy_optimize():
         "f = ktypes.random_band_limited(sd, seed=97, max_p=2, max_q=2, translates=1)\n"
         "prof = fatou.radial_profile(sp, f, rule.nodes, np.arange(0.0, 5.01, 0.5), rule)\n"
         "rep = fatou.boundary_limit(sp, prof)\n"
-        "assert np.isfinite(rep.kappas).any()\n"
+        "assert np.all(rep.converged)\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
