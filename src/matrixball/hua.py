@@ -12,7 +12,11 @@ function of the spectral parameter.
 
 Derivatives are left-invariant: (v_1..v_k F)(g) = d/dt_1 .. d/dt_k F(g e^(t_1 x_1) .. e^(t_k x_k))
 evaluated by central differences with precomputed stencil exponentials; each
-complexified direction v splits as v = X + iY over the real form.
+complexified direction v splits as v = X + iY over the real form. An
+operator's stencil plans are built once per call and step into one block of
+points. On Poisson kernels (on_kernels) that block serves every (g, U) pair
+and s: each pair pushes its points and takes the log-determinants once, and
+each s costs one exponential and one contraction.
 
 The duals are taken under the plain trace pairing <X, Y> = tr(XY), the
 normalization in which the eigenvalue law above holds; proj_k1 keeps the
@@ -41,7 +45,9 @@ __all__ = [
     "hua_third_W",
     "third_order_ratio",
     "lift_kernel",
+    "on_kernels",
     "eigen_residual",
+    "eigen_residuals",
 ]
 
 @dataclass
@@ -191,9 +197,6 @@ class _StencilPlan:
         self.mats = mats.reshape(-1, m, m)
         self.coeffs = w.ravel() / h ** len(dirs)
 
-    def points(self, g: np.ndarray) -> np.ndarray:
-        return g @ self.mats
-
 
 def lie_derivative(F, g: np.ndarray, dirs, scheme: FDScheme | None = None, *,
                    sd: StructureData) -> complex:
@@ -209,45 +212,71 @@ def lie_derivative(F, g: np.ndarray, dirs, scheme: FDScheme | None = None, *,
     return _assemble(_as_batch(F), np.asarray(g, dtype=np.complex128), sd, [(dirs, 1.0)], scheme)
 
 
-def _assemble(Fb, g, sd, terms, scheme: FDScheme):
-    """Sum_k (iterated derivative along dirs_k) * weight_k, all stencils in one F call."""
+class _Stencil:
+    """Every term's stencil plan of one operator at one step h, in one (P, m, m) block.
 
-    def at(h):
-        plans = [_StencilPlan(sd, dirs, scheme, h) for dirs, _ in terms]
-        vals = Fb(np.concatenate([p.points(g) for p in plans], axis=0))
+    Term k owns the points bounds[k]:bounds[k+1]. The block is written term by
+    term and lives only for the call that builds it.
+    """
+
+    def __init__(self, sd: StructureData, terms, scheme: FDScheme, h: float):
+        sizes = [(2 * len(scheme.offsets)) ** len(dirs) for dirs, _ in terms]
+        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
+        self.weights = [weight for _, weight in terms]
+        self.mats = np.empty((self.bounds[-1], sd.m, sd.m), dtype=np.complex128)
+        self.coeffs = np.empty(self.bounds[-1], dtype=np.complex128)
+        for (dirs, _), lo, hi in zip(terms, self.bounds[:-1], self.bounds[1:]):
+            plan = _StencilPlan(sd, dirs, scheme, h)
+            self.mats[lo:hi] = plan.mats
+            self.coeffs[lo:hi] = plan.coeffs
+
+    def reduce(self, vals: np.ndarray):
+        """Sum_k (coeffs_k . vals_k) * weight_k, summed left to right."""
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise DegeneracyError(
                 "non-finite F value in FD stencil (point %d of %d)" % (bad, len(vals))
             )
         out = None
-        lo = 0
-        for plan, (_, weight) in zip(plans, terms):
-            hi = lo + len(plan.coeffs)
-            term = complex(np.dot(plan.coeffs, vals[lo:hi])) * weight
+        for weight, lo, hi in zip(self.weights, self.bounds[:-1], self.bounds[1:]):
+            term = complex(np.dot(self.coeffs[lo:hi], vals[lo:hi])) * weight
             out = term if out is None else out + term
-            lo = hi
         return out
 
+
+def _extrapolate(at, scheme: FDScheme) -> list:
+    """The list at(h) at the scheme's step, Richardson-combined with the half step."""
     A = at(scheme.step)
-    if scheme.richardson:
-        B = at(scheme.step / 2.0)
-        fac = 2.0 ** scheme.order
-        return (fac * B - A) / (fac - 1.0)
-    return A
+    if not scheme.richardson:
+        return A
+    B = at(scheme.step / 2.0)
+    fac = 2.0 ** scheme.order
+    return [(fac * b - a) / (fac - 1.0) for a, b in zip(A, B)]
 
 
-def hua_second(F, g: np.ndarray, basis: LieBasis, scheme: FDScheme | None = None) -> np.ndarray:
-    """The r x r block of sum_{i,j} (v_i v*_j F)(g) [v_j, v*_i]."""
-    if scheme is None:
-        scheme = FDScheme()
+def _assemble(Fb, g, sd, terms, scheme: FDScheme):
+    """Sum_k (iterated derivative along dirs_k) * weight_k, all stencils in one F call."""
+
+    def at(h):
+        stencil = _Stencil(sd, terms, scheme, h)
+        return [stencil.reduce(Fb(g @ stencil.mats))]
+
+    return _extrapolate(at, scheme)[0]
+
+
+def _second_terms(basis: LieBasis):
     sd = basis.sd
     terms = []
     for i in range(sd.n):
         for j in range(sd.n):
             B = basis.pplus[j] @ basis.pminus[i] - basis.pminus[i] @ basis.pplus[j]
             terms.append(((basis.pplus[i], basis.pminus[j]), B[: sd.r, : sd.r]))
-    return _assemble(_as_batch(F), np.asarray(g, dtype=np.complex128), sd, terms, scheme)
+    return terms
+
+
+def hua_second(F, g: np.ndarray, basis: LieBasis, scheme: FDScheme | None = None) -> np.ndarray:
+    """The r x r block of sum_{i,j} (v_i v*_j F)(g) [v_j, v*_i]."""
+    return _apply("second", F, g, basis, scheme)
 
 
 def _third_terms(basis: LieBasis, which: str):
@@ -273,58 +302,101 @@ def _third_terms(basis: LieBasis, which: str):
     return terms
 
 
-def _third(F, g, basis: LieBasis, scheme: FDScheme | None, which: str) -> np.ndarray:
-    if scheme is None:
-        scheme = FDScheme(step=2e-2)
-    sd = basis.sd
-    if sd.n > 6:
-        raise DomainError("third-order operators are limited to n <= 6 (got n = %d)" % sd.n)
-    terms = _third_terms(basis, which)
-    return _assemble(_as_batch(F), np.asarray(g, dtype=np.complex128), sd, terms, scheme)
+def _operator(basis: LieBasis, which: str, scheme: FDScheme | None):
+    """Terms of the operator `which` ("second", "U" or "W") and its scheme, default if None."""
+    if which == "second":
+        return _second_terms(basis), FDScheme() if scheme is None else scheme
+    if basis.sd.n > 6:
+        raise DomainError("third-order operators are limited to n <= 6 (got n = %d)" % basis.sd.n)
+    return _third_terms(basis, which), FDScheme(step=2e-2) if scheme is None else scheme
+
+
+def _apply(which: str, F, g, basis: LieBasis, scheme: FDScheme | None):
+    terms, scheme = _operator(basis, which, scheme)
+    return _assemble(_as_batch(F), np.asarray(g, dtype=np.complex128), basis.sd, terms, scheme)
 
 
 def hua_third_U(F, g, basis: LieBasis, scheme: FDScheme | None = None) -> np.ndarray:
     """sum_{i,j,k} (v*_i v*_j v_k F)(g) [v_i, [v_j, v*_k]] (full m x m matrix)."""
-    return _third(F, g, basis, scheme, "U")
+    return _apply("U", F, g, basis, scheme)
 
 
 def hua_third_W(F, g, basis: LieBasis, scheme: FDScheme | None = None) -> np.ndarray:
     """sum_{i,j,k} (v_k v*_i v_j F)(g) [[v*_k, v_i], v_j] (full m x m matrix)."""
-    return _third(F, g, basis, scheme, "W")
+    return _apply("W", F, g, basis, scheme)
+
+
+def _kernel_exponent(stack: np.ndarray, U: np.ndarray, sd: StructureData) -> np.ndarray:
+    """log K_s(g . 0, U) / sigma = log det(I - Z Z^H) - 2 log|det(I - Z U^H)| at Z = g . 0."""
+    r = sd.r
+    B = stack[:, :r, r:]
+    D = stack[:, r:, r:]
+    Z = np.linalg.solve(np.swapaxes(D, -1, -2), np.swapaxes(B, -1, -2))
+    Z = np.ascontiguousarray(np.swapaxes(Z, -1, -2))
+    U = np.asarray(U, dtype=np.complex128).reshape(1, r, sd.q)
+    return _kernels.logdet_ipzz(Z) - 2.0 * _kernels.cross_logabsdet(Z, U)[:, 0]
 
 
 def lift_kernel(sp: SpectralParam, U: np.ndarray):
     """F(g) = K_s(g . 0, U) as a batched function on stacks of group elements."""
-    sd = sp.sd
-    r = sd.r
-    U = np.asarray(U, dtype=np.complex128).reshape(1, sd.r, sd.q)
 
     def F(stack: np.ndarray) -> np.ndarray:
         stack = np.asarray(stack, dtype=np.complex128)
         single = stack.ndim == 2
-        gs = stack[None] if single else stack
-        B = gs[:, :r, r:]
-        D = gs[:, r:, r:]
-        Z = np.linalg.solve(np.swapaxes(D, -1, -2), np.swapaxes(B, -1, -2))
-        Z = np.ascontiguousarray(np.swapaxes(Z, -1, -2))
-        base = _kernels.logdet_ipzz(Z)
-        cross = _kernels.cross_logabsdet(Z, U)[:, 0]
-        out = np.exp(sp.sigma * (base - 2.0 * cross))
+        out = np.exp(sp.sigma * _kernel_exponent(stack[None] if single else stack, U, sp.sd))
         return out[0] if single else out
 
     return F
 
 
+def on_kernels(which: str, sp_list, pairs, basis: LieBasis,
+               scheme: FDScheme | None = None) -> np.ndarray:
+    """The operator `which` ("second", "U" or "W") on K_s(., U) at g, for every pair and s.
+
+    Entry [j, i] equals hua_second (or hua_third_U, hua_third_W) of
+    lift_kernel(sp_list[i], U_j) at g_j bit for bit. The stencil of each step is
+    built once; each (g, U) pair pushes its points and takes the exponent of
+    the kernel once, shared by every s.
+    """
+    sd = basis.sd
+    terms, scheme = _operator(basis, which, scheme)
+    pairs = [(np.asarray(g, dtype=np.complex128), U) for g, U in pairs]
+
+    def at(h):
+        stencil = _Stencil(sd, terms, scheme, h)
+        out = []
+        for g, U in pairs:
+            expo = _kernel_exponent(g @ stencil.mats, U, sd)
+            out.extend(stencil.reduce(np.exp(sp.sigma * expo)) for sp in sp_list)
+        return out
+
+    vals = _extrapolate(at, scheme)
+    return np.array(vals).reshape((len(pairs), len(sp_list)) + np.shape(vals[0]))
+
+
+def eigen_residuals(sp_list, pairs, basis: LieBasis, scheme: FDScheme | None = None) -> list:
+    """Relative residuals of H K_s = (1/4)(s^2 - (r+b)^2) K_s I_r, one row per s.
+
+    Entry [i][j] is taken at the pair (g_j, U_j), relative to
+    max(|eigenvalue|, 1) |K_s(g_j . 0, U_j)|; one on_kernels call gives H.
+    """
+    H = on_kernels("second", sp_list, pairs, basis, scheme)
+    out = []
+    for i, sp in enumerate(sp_list):
+        row = []
+        for j, (g, U) in enumerate(pairs):
+            Fg = complex(lift_kernel(sp, U)(np.asarray(g)[None])[0])
+            target = sp.hua_eigenvalue * Fg * np.eye(sp.sd.r)
+            scale = max(abs(sp.hua_eigenvalue) * abs(Fg), abs(Fg))
+            row.append(float(np.max(np.abs(H[j, i] - target)) / scale))
+        out.append(row)
+    return out
+
+
 def eigen_residual(sp: SpectralParam, g: np.ndarray, U: np.ndarray, basis: LieBasis,
                    scheme: FDScheme | None = None) -> float:
     """Relative residual of H K_s = (1/4)(s^2 - (r+b)^2) K_s I_r at g."""
-    sd = sp.sd
-    F = lift_kernel(sp, U)
-    H = hua_second(F, g, basis, scheme)
-    Fg = complex(F(np.asarray(g)[None])[0])
-    target = sp.hua_eigenvalue * Fg * np.eye(sd.r)
-    scale = max(abs(sp.hua_eigenvalue) * abs(Fg), abs(Fg))
-    return float(np.max(np.abs(H - target)) / scale)
+    return eigen_residuals([sp], [(g, U)], basis, scheme)[0][0]
 
 
 def measure_fd_order(sp: SpectralParam, basis: LieBasis, order: int = 4,
@@ -376,6 +448,9 @@ class ThirdOrderReport:
 
 
 def _sample_pairs(sd: StructureData, samples: int, seed: int):
+    """`samples` seeded (g, U) pairs: g a group element, U a point of the Stiefel boundary."""
+    if samples < 1:
+        raise DomainError("need at least one sample point (got %d)" % samples)
     out = []
     for i in range(samples):
         g = group.random_group_element(seed + 7 * i, 0.25, sd)
@@ -437,22 +512,23 @@ def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None
 
     Avoid s = n/r and s = n/r + 2 in sp_list: the ratio has a zero and a
     pole there and contributes no fit information.
+
+    U and W are one on_kernels call each: their plans are built once per
+    step, and the stencil points and log-determinants of each sample are
+    shared by every s.
     """
     if len(sp_list) < 3:
         raise DomainError("need at least three spectral parameters for the fit")
     sd = sp_list[0].sd
     basis = hua_basis(sd)
-    if scheme is None:
-        scheme = FDScheme(step=2e-2)
     pairs = _sample_pairs(sd, samples, seed)
     r = sd.r
+    Us = on_kernels("U", sp_list, pairs, basis, scheme)[..., :r, r:]
+    Ws = on_kernels("W", sp_list, pairs, basis, scheme)[..., :r, r:]
     sigmas, ratios, cvs = [], [], []
-    for sp in sp_list:
+    for i, sp in enumerate(sp_list):
         entry_ratios = []
-        for g, U in pairs:
-            F = lift_kernel(sp, U)
-            Umat = hua_third_U(F, g, basis, scheme)[:r, r:]
-            Wmat = hua_third_W(F, g, basis, scheme)[:r, r:]
+        for Umat, Wmat in zip(Us[:, i], Ws[:, i]):
             floor = 0.1 * np.max(np.abs(Wmat))
             mask = np.abs(Wmat) > floor
             entry_ratios.extend((Umat[mask] / Wmat[mask]).ravel().tolist())

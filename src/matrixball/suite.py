@@ -217,25 +217,14 @@ def check_hua(sd, s_values, n_pts: int, seed: int, tol: float = HUA_TOL):
     worst is the largest. H K_s must also vanish (within 1e-5) at the
     harmonic point s = r + b.
     """
-    basis = hua.hua_basis(sd)
     pairs = hua._sample_pairs(sd, n_pts, seed)
-    details = {}
-    ok = True
-    worst = 0.0
-    for s in s_values:
-        sp = spectral_param(s, sd)
-        res = [hua.eigen_residual(sp, g, U, basis) for g, U in pairs]
-        details["s_%s" % s] = {"residuals": res, "max": max(res)}
-        worst = max(worst, max(res))
-        ok = ok and max(res) <= tol
-    sph = spectral_param(float(sd.r + sd.b), sd)
-    zero_worst = 0.0
-    for g, U in pairs:
-        F = hua.lift_kernel(sph, U)
-        H = hua.hua_second(F, g, basis)
-        zero_worst = max(zero_worst, float(np.max(np.abs(H)) / abs(F(g))))
-    details["harmonic_zero_residual"] = zero_worst
-    return worst, ok and zero_worst <= 1e-5, details
+    sps = [spectral_param(s, sd) for s in s_values] + [spectral_param(float(sd.r + sd.b), sd)]
+    *rows, zero_row = hua.eigen_residuals(sps, pairs, hua.hua_basis(sd))
+    details = {"s_%s" % s: {"residuals": res, "max": max(res)} for s, res in zip(s_values, rows)}
+    worst = max([0.0] + [max(res) for res in rows])
+    details["harmonic_zero_residual"] = max(zero_row)
+    ok = worst <= tol and max(zero_row) <= 1e-5
+    return worst, ok, details
 
 
 def criterion_hua(seed: int = 7, profile: str = "full") -> CriterionResult:

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from matrixball import _kernels, group, hua, linalg
-from matrixball.errors import DomainError
+from matrixball import _kernels, group, hua, linalg, suite
+from matrixball.errors import DegeneracyError, DomainError
 from matrixball.structure import spectral_param, structure_data
 
 
@@ -280,3 +280,100 @@ def test_stencil_exponentials_computed_once(sd11, monkeypatch):
     # a step no other call uses is a new stencil, so the counter does see it
     hua.hua_second(F, g1, basis, hua.FDScheme(step=3.7e-2))
     assert calls
+
+
+OPERATORS = {"second": hua.hua_second, "U": hua.hua_third_U, "W": hua.hua_third_W}
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("r,b", [(1, 1), (2, 1)])
+def test_on_kernels_matches_per_pair_loop(r, b, order, richardson):
+    # the per-s, per-pair loop of the generic route is the oracle, bit for bit
+    sd = structure_data(r, b)
+    rng = np.random.default_rng(50 + r)
+    A = rng.normal(size=(sd.n, sd.n)) + 1j * rng.normal(size=(sd.n, sd.n))
+    plain = hua.hua_basis(sd)
+    pairs = hua._sample_pairs(sd, 2, seed=17)
+    sps = [spectral_param(s, sd) for s in (2.5, 4.0 + 1.0j)]
+    scheme = hua.FDScheme(step=2e-2, order=order, richardson=richardson)
+    # third-order stencils at (2, 1) have 216 terms: run them at the cheapest scheme only
+    third = r == 1 or (order == 2 and not richardson)
+    for basis in (plain, hua.remix_basis(plain, A)):
+        for which in ("second", "U", "W") if third else ("second",):
+            got = hua.on_kernels(which, sps, pairs, basis, scheme)
+            want = np.array([[OPERATORS[which](hua.lift_kernel(sp, U), g, basis, scheme)
+                              for sp in sps] for g, U in pairs])
+            assert np.array_equal(got, want), which
+
+
+def test_eigen_residuals_match_per_pair_loop(sd11):
+    # the per-s, per-pair residual of hua_second on lift_kernel is the oracle, bit for bit
+    basis = hua.hua_basis(sd11)
+    pairs = hua._sample_pairs(sd11, 2, seed=29)
+    sps = [spectral_param(s, sd11) for s in (3.0, 4.0 + 1.0j, float(sd11.r + sd11.b))]
+    want = []
+    for sp in sps:
+        row = []
+        for g, U in pairs:
+            F = hua.lift_kernel(sp, U)
+            H = hua.hua_second(F, g, basis)
+            Fg = complex(F(np.asarray(g)[None])[0])
+            target = sp.hua_eigenvalue * Fg * np.eye(sd11.r)
+            scale = max(abs(sp.hua_eigenvalue) * abs(Fg), abs(Fg))
+            row.append(float(np.max(np.abs(H - target)) / scale))
+        want.append(row)
+    assert hua.eigen_residuals(sps, pairs, basis) == want
+    assert [[hua.eigen_residual(sp, g, U, basis) for g, U in pairs] for sp in sps] == want
+    # at s = r + b the eigenvalue is 0 and the residual is max|H K_s| / |K_s(g . 0)|
+    assert want[-1] == [float(np.max(np.abs(hua.hua_second(hua.lift_kernel(sps[-1], U), g, basis)))
+                              / abs(hua.lift_kernel(sps[-1], U)(g))) for g, U in pairs]
+
+
+def count_plans(monkeypatch):
+    built = []
+
+    class CountingPlan(hua._StencilPlan):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hua, "_StencilPlan", CountingPlan)
+    return built
+
+
+def test_third_order_ratio_builds_each_plan_once(sd11, monkeypatch):
+    # 2 operators x n^3 terms x 2 Richardson steps, whatever the number of s and samples
+    built = count_plans(monkeypatch)
+    hua.third_order_ratio([spectral_param(s, sd11) for s in (2.4, 3.2, 4.4, 5.2)], samples=3)
+    assert len(built) == 2 * sd11.n ** 3 * 2
+
+
+def test_check_hua_builds_each_plan_once(sd11, monkeypatch):
+    # one operator x n^2 terms x 2 Richardson steps covers every s and the harmonic point
+    built = count_plans(monkeypatch)
+    suite.check_hua(sd11, (2.0, 3.0), 3, 7)
+    assert len(built) == sd11.n ** 2 * 2
+
+
+def test_zero_samples_is_a_domain_error(sd11):
+    sps = [spectral_param(s, sd11) for s in (2.4, 3.2, 4.4)]
+    with pytest.raises(DomainError, match="at least one sample"):
+        hua.third_order_ratio(sps, samples=0)
+    with pytest.raises(DomainError, match="at least one sample"):
+        suite.check_hua(sd11, (2.0,), 0, 7)
+
+
+def test_on_kernels_non_finite_value_is_degeneracy(sd11, monkeypatch):
+    real = _kernels.logdet_ipzz
+
+    def poisoned(Z):
+        out = real(Z)
+        out[5] = np.nan
+        return out
+
+    monkeypatch.setattr(_kernels, "logdet_ipzz", poisoned)
+    basis = hua.hua_basis(sd11)
+    pairs = hua._sample_pairs(sd11, 1, seed=3)
+    with pytest.raises(DegeneracyError, match="non-finite F value in FD stencil \\(point 5 of"):
+        hua.on_kernels("second", [spectral_param(3.0, sd11)], pairs, basis)
