@@ -2,13 +2,14 @@
 
 Each kernel is a vectorized numpy closed form over a leading batch axis: the
 r x r determinants are written out for r <= 3 and fall back to
-``np.linalg.slogdet`` above that.
+``np.linalg.slogdet`` above that. The radial weight
+log|det(cosh t I + sinh t V1)| is evaluated from the coefficients e_k(V1) of
+det(I + tau V1), which radial_coefficients builds once per node set, so a
+profile over many t costs one small polynomial per node and t.
 
 All kernels assume validated inputs (sizes r <= a few, complex128); membership
 and degeneracy checks live in the higher-level modules.
 """
-
-import math
 
 import numpy as np
 
@@ -18,28 +19,26 @@ def backend() -> str:
     return "numpy"
 
 
-def _logabsdet_entries(x, r):
-    """log|det| of r x r matrices given by their row-major entries x[i*r + j], each (...).
-
-    Closed forms for r <= 3; larger r stacks the entries for np.linalg.slogdet.
-    """
+def _logabsdet_small(T):
+    """log|det T| for a (..., r, r) complex stack: closed forms for r <= 3, else slogdet."""
+    r = T.shape[-1]
     if r == 1:
-        return np.log(np.abs(x[0]))
+        return np.log(np.abs(T[..., 0, 0]))
     if r == 2:
-        det = x[0] * x[3] - x[1] * x[2]
+        det = T[..., 0, 0] * T[..., 1, 1] - T[..., 0, 1] * T[..., 1, 0]
         return np.log(np.abs(det))
     if r == 3:
-        a, b, c, d, e, f, g, h, i = x
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        return np.log(np.abs(det))
-    _, ld = np.linalg.slogdet(np.stack(x, axis=-1).reshape(x[0].shape + (r, r)))
+        return np.log(np.abs(_det3(T)))
+    _, ld = np.linalg.slogdet(T)
     return ld
 
 
-def _logabsdet_small(T):
-    """log|det T| for a (..., r, r) complex stack."""
-    r = T.shape[-1]
-    return _logabsdet_entries([T[..., i, j] for i in range(r) for j in range(r)], r)
+def _det3(T):
+    """det of a (..., 3, 3) stack by cofactors along the first row."""
+    a, b, c = T[..., 0, 0], T[..., 0, 1], T[..., 0, 2]
+    d, e, f = T[..., 1, 0], T[..., 1, 1], T[..., 1, 2]
+    g, h, i = T[..., 2, 0], T[..., 2, 1], T[..., 2, 2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _eye_minus(M):
@@ -62,11 +61,7 @@ def _logdet_ipzz(Z):
         det = H[..., 0, 0].real * H[..., 1, 1].real - (H[..., 0, 1] * H[..., 1, 0]).real
         return np.log(det)
     if r == 3:
-        a, b, c = H[..., 0, 0], H[..., 0, 1], H[..., 0, 2]
-        d, e, f = H[..., 1, 0], H[..., 1, 1], H[..., 1, 2]
-        g, h, i = H[..., 2, 0], H[..., 2, 1], H[..., 2, 2]
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        return np.log(det.real)
+        return np.log(_det3(H).real)
     _, ld = np.linalg.slogdet(H)
     return ld
 
@@ -95,27 +90,60 @@ def logabsdet_izu0(Z):
     return _logabsdet_small(_eye_minus(Z[..., :, : Z.shape[-2]]))
 
 
+def radial_coefficients(V1):
+    """Coefficients (e_1, ..., e_r) of det(I + tau V1) = sum_k tau^k e_k(V1), V1 (..., r, r).
+
+    e_k is the sum of the principal k x k minors: V1 itself at r = 1, the
+    trace and determinant at r = 2, the trace, the sum of principal 2 x 2
+    minors and the determinant at r = 3, Faddeev-LeVerrier above that. Each
+    is a contiguous (...) array, built once for every t a node set is
+    weighed at.
+    """
+    V1 = np.asarray(V1, dtype=np.complex128)
+    r = V1.shape[-1]
+    if r == 1:
+        return (np.ascontiguousarray(V1[..., 0, 0]),)
+    if r == 2:
+        a, b, c, d = V1[..., 0, 0], V1[..., 0, 1], V1[..., 1, 0], V1[..., 1, 1]
+        return a + d, a * d - b * c
+    if r == 3:
+        a, b, c = V1[..., 0, 0], V1[..., 0, 1], V1[..., 0, 2]
+        d, e, f = V1[..., 1, 0], V1[..., 1, 1], V1[..., 1, 2]
+        g, h, i = V1[..., 2, 0], V1[..., 2, 1], V1[..., 2, 2]
+        minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+        return a + e + i, minors, _det3(V1)
+    # Faddeev-LeVerrier: M_k = V1 M_(k-1) + (-1)^(k-1) e_(k-1) I, e_k = (-1)^(k-1) tr(V1 M_k) / k
+    idx = np.arange(r)
+    coefs = [np.ones(V1.shape[:-2], dtype=np.complex128)]
+    M = np.zeros_like(V1)
+    for k in range(1, r + 1):
+        M = V1 @ M
+        M[..., idx, idx] += (-1) ** (k - 1) * coefs[-1][..., None]
+        coefs.append((-1) ** (k - 1) * np.trace(V1 @ M, axis1=-2, axis2=-1) / k)
+    return tuple(coefs[1:])
+
+
 def radial_logweight(V1, t):
     """log|det(cosh(t) I_r + sinh(t) V1)| for V1 of shape (..., r, r).
 
-    V1 may also be given as the list of its r^2 row-major entries, each an
-    array (...): a caller that weighs one node set at many t extracts them
-    once. The entries are formed one by one, so no (..., r, r) matrix stack
-    is materialised.
+    V1 may also be given as its coefficients from radial_coefficients, which a
+    caller that weighs one node set at many t builds once. The weight is
+    log|sum_k cosh^(r-k)(t) sinh^k(t) e_k(V1)|; at r = 1 that is
+    log|cosh t + sinh t v|.
     """
-    if not isinstance(V1, list):
-        V1 = np.asarray(V1, dtype=np.complex128)
-        V1 = [V1[..., i, j] for i in range(V1.shape[-1]) for j in range(V1.shape[-1])]
+    coefs = V1 if isinstance(V1, tuple) else radial_coefficients(V1)
     t = float(t)
     sh, ch = np.sinh(t), np.cosh(t)
-    r = math.isqrt(len(V1))
-    entries = []
-    for k, v in enumerate(V1):
-        x = sh * v
-        if k % (r + 1) == 0:  # a diagonal entry
-            x += ch
-        entries.append(x)
-    return _logabsdet_entries(entries, r)
+    r = len(coefs)
+    if r == 1:
+        x = sh * coefs[0]
+        x += ch
+        return np.log(np.abs(x))
+    x = (ch ** (r - 1) * sh) * coefs[0]
+    for k in range(2, r + 1):
+        x += (ch ** (r - k) * sh**k) * coefs[k - 1]
+    x += ch**r
+    return np.log(np.abs(x))
 
 
 def mobius_batch(g, Z, r):

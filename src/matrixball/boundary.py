@@ -167,7 +167,7 @@ def disk_rule(sd: StructureData, level: int, panels: int = 1, phases: int | None
         weights=w.ravel(),
         kind="deterministic-disk",
         seed=None,
-        aux={"level": level, "panels": panels, "phases": n_ph},
+        aux={"b": b, "level": level, "panels": panels, "phases": n_ph},
     )
 
 

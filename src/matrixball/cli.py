@@ -218,9 +218,10 @@ def cmd_poisson_phi(cfg: RunConfig) -> int:
     sd = structure_data(cfg.r, cfg.b)
     sp = spectral_param(cfg.s, sd)
     rule = build_rule(cfg, sd)
+    t_grid = cfg.t_grid()
     rows = []
-    for t in cfg.t_grid():
-        v = poisson.phi_s(sp, float(t), rule)
+    for t, v in zip(t_grid, poisson.phi_s(sp, t_grid, rule)):
+        v = complex(v)
         ren = v * np.exp(-sp.growth * t)
         rows.append((float(t), float(v.real), float(v.imag), float(abs(ren))))
     jp, cp = _out_paths(cfg, "phi")

@@ -70,6 +70,7 @@ BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
 RADIAL_CHUNK = 512  # centers per block of symmetric powers on transform_radial's moment route
 POINTWISE_POINTS = 2 ** 18  # pushed points per block on transform_radial's pointwise route
+SHILOV_RULES = ("deterministic-sphere", "monte-carlo-stiefel")  # rule kinds whose nodes are Shilov points
 
 
 class _Monomials(NamedTuple):
@@ -292,22 +293,39 @@ def transform(sp: SpectralParam, f, Z: np.ndarray, rule: QuadratureRule):
     return complex(np.dot(rule.weights, vals))
 
 
-def _radial_pushforward(sp: SpectralParam, t: float, rule: QuadratureRule):
-    """Pushed nodes a_t . V and complex weights w * |det(..)|^(s - n/r)."""
+def _radial_coefficients(sd, rule: QuadratureRule, disk: bool = False):
+    """Coefficients of det(I + tau V_1) over the rule's nodes, built once per call.
+
+    The rule must fit the domain: a Shilov-point rule with (N, r, q) nodes, or,
+    where disk is set, the rank-one disk rule of the same b. Anything else
+    raises DomainError.
+    """
+    if disk and rule.kind == "deterministic-disk":
+        if sd.r != 1 or rule.aux.get("b") != sd.b:
+            raise DomainError("a disk rule for b = %s does not fit (r, b) = (%d, %d)"
+                              % (rule.aux.get("b"), sd.r, sd.b))
+        return _kernels.radial_coefficients(rule.nodes[:, None, None])
+    if rule.kind not in SHILOV_RULES or rule.nodes.shape[1:] != (sd.r, sd.q):
+        raise DomainError("radial evaluation at (r, q) = (%d, %d) needs a Shilov-point rule with "
+                          "nodes (N, %d, %d), got a %s rule with nodes %s"
+                          % (sd.r, sd.q, sd.r, sd.q, rule.kind, rule.nodes.shape))
+    return _kernels.radial_coefficients(rule.nodes[..., :, : sd.r])
+
+
+def _radial_pushforward(sp: SpectralParam, t: float, rule: QuadratureRule, coefs):
+    """Pushed nodes a_t . V and complex weights w * |det(..)|^(s - n/r); coefs from _radial_coefficients."""
     sd = sp.sd
-    V = rule.nodes
-    V1 = V[..., :, : sd.r]
-    lw = _kernels.radial_logweight(V1, t)
+    lw = _kernels.radial_logweight(coefs, t)
     cw = rule.weights * np.exp((sp.s - sd.harmonic_s) * lw)
     at = group.radial(t, sd)
-    W = _kernels.mobius_batch(at, V, sd.r)
+    W = _kernels.mobius_batch(at, rule.nodes, sd.r)
     return W, cw
 
 
-def _transform_at(sp: SpectralParam, ev, form, M: np.ndarray, t: float, rule: QuadratureRule):
+def _transform_at(sp: SpectralParam, ev, form, M: np.ndarray, t: float, rule: QuadratureRule, coefs):
     """P_s f at k a_t . 0 for each right factor M_k (K, q, q) at one radius t."""
     sd = sp.sd
-    W, cw = _radial_pushforward(sp, t, rule)
+    W, cw = _radial_pushforward(sp, t, rule, coefs)
     if form is not None:
         mu = form.moments(W, cw)
     out = np.empty(len(M), dtype=np.complex128)
@@ -341,10 +359,11 @@ def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
         if not group.is_shilov_point(centers, tol=1e-8):
             raise MembershipError("centers must satisfy U U^H = I")
         M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
+    coefs = _radial_coefficients(sd, rule)
     t_grid = np.asarray(t, dtype=float)
     out = np.empty((len(M), t_grid.size), dtype=np.complex128)
     for j, tj in enumerate(t_grid.reshape(-1)):
-        out[:, j] = _transform_at(sp, ev, form, M, float(tj), rule)
+        out[:, j] = _transform_at(sp, ev, form, M, float(tj), rule, coefs)
     out = out.reshape(out.shape[:1] + t_grid.shape)
     if centers is None:
         return complex(out[0]) if t_grid.ndim == 0 else out[0]
@@ -360,34 +379,42 @@ def poisson_lift(sp: SpectralParam, f, rule: QuadratureRule):
     return F
 
 
-def phi_s(sp: SpectralParam, t: float, rule: QuadratureRule):
-    """Spherical-type radial value phi_s(a_t) = P_s 1 (a_t . 0)."""
-    vals, _ = _phi_profile(sp, (t,), rule)
-    return complex(vals[0])
+def phi_s(sp: SpectralParam, t, rule: QuadratureRule):
+    """Spherical-type radial value phi_s(a_t) = P_s 1 (a_t . 0).
+
+    t: one radius, giving a complex, or an array of radii, giving a complex
+    array of the same shape.
+    """
+    t_grid = np.asarray(t, dtype=float)
+    vals, _ = _phi_profile(sp, t_grid.reshape(-1), rule)
+    return complex(vals[0]) if t_grid.ndim == 0 else vals.reshape(t_grid.shape)
 
 
 def _phi_profile(sp: SpectralParam, t_grid, rule: QuadratureRule):
-    """phi_s on t_grid, and for a Monte Carlo rule the standard error per t (else None)."""
+    """phi_s on t_grid, and for a Monte Carlo rule the standard error per t (else None).
+
+    The rule is a Shilov-point rule or the rank-one disk rule; the radial
+    weights come from coefficients built once for the whole grid. For real s
+    the weights, their mean and the Monte Carlo variance are real, so they
+    are computed in float64; the values are returned as complex128 either way.
+    """
     sd = sp.sd
-    if rule.kind == "deterministic-disk":
-        u = rule.nodes
-        lw_fn = lambda t: np.log(np.abs(math.cosh(t) + math.sinh(t) * u))
-    else:
-        V1 = rule.nodes[..., :, : sd.r]
-        v1 = [np.ascontiguousarray(V1[..., i, j]) for i in range(sd.r) for j in range(sd.r)]
-        lw_fn = lambda t: _kernels.radial_logweight(v1, t)
-    vals = np.empty(len(t_grid), dtype=np.complex128)
+    coefs = _radial_coefficients(sd, rule, disk=True)
+    sigma = sp.s - sd.harmonic_s
+    if sigma.imag == 0:
+        sigma = sigma.real
+    vals = np.empty(len(t_grid), dtype=type(sigma))
     err = None
     if rule.kind == "monte-carlo-stiefel":
         err = np.empty(len(t_grid))
         w2 = float(np.sum(rule.weights**2))
     for i, t in enumerate(t_grid):
-        y = np.exp((sp.s - sd.harmonic_s) * lw_fn(float(t)))
+        y = np.exp(sigma * _kernels.radial_logweight(coefs, float(t)))
         vals[i] = np.dot(rule.weights, y)
         if err is not None:
             var = float(np.dot(rule.weights, np.abs(y - vals[i]) ** 2))
             err[i] = math.sqrt(max(var, 0.0) * w2)
-    return vals, err
+    return vals.astype(np.complex128, copy=False), err
 
 
 def _default_radial_rule(sd, t_max: float, seed: int = 20240801, samples: int = 400000):

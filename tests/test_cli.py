@@ -185,10 +185,16 @@ def test_boundary_rounding_exits_3():
 
 
 def test_poisson_phi_runs(tmp_path):
+    # one phi_s call over the whole t grid; a rerun writes the same bytes
     out = str(tmp_path / "phi")
-    res = run_cli("poisson", "phi", "--s-re", "2.5", "--t-stop", "2.0", "--out", out)
-    assert res.returncode == 0
-    lines = open(out + ".csv").read().splitlines()
+    blobs = []
+    for _ in range(2):
+        res = run_cli("poisson", "phi", "--s-re", "2.5", "--t-stop", "2.0", "--out", out)
+        assert res.returncode == 0
+        with open(out + ".csv", "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
+    lines = blobs[0].decode().splitlines()
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     assert rows[0] == "t,phi_re,phi_im,renormalized_abs"
     assert len(rows) >= 5

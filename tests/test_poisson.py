@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matrixball import boundary, fatou, group, ktypes, poisson, suite
+from matrixball import _kernels, boundary, fatou, group, ktypes, poisson, suite
 from matrixball.errors import AdmissibilityError, DegeneracyError, DomainError, MembershipError
 from matrixball.structure import spectral_param, structure_data
 
@@ -154,6 +154,117 @@ def test_phi_disk_sphere_agree(sd11):
         a = poisson.phi_s(spA, t, dsk)
         b = poisson.phi_s(spA, t, sph)
         assert abs(a - b) / abs(a) < 1e-3
+
+
+def test_phi_grid_call_matches_per_t_calls(sd11, sphere6):
+    # an array of radii gives an array of the same shape, each entry equal to
+    # the call at that t alone bit for bit; a scalar t gives a complex
+    t_grid = np.arange(0.0, 4.01, 0.5)
+    for s in (2.5, 3.0 + 0.5j):
+        sp = spectral_param(s, sd11)
+        grid = poisson.phi_s(sp, t_grid, sphere6)
+        assert grid.shape == t_grid.shape and grid.dtype == np.complex128
+        singles = [poisson.phi_s(sp, float(t), sphere6) for t in t_grid]
+        assert all(isinstance(v, complex) for v in singles)
+        assert np.array_equal(grid, np.array(singles))
+        assert np.array_equal(poisson.phi_s(sp, t_grid.reshape(3, 3), sphere6), grid.reshape(3, 3))
+
+
+@pytest.mark.parametrize("r,b", [(1, 1), (2, 1)])
+def test_real_s_profile_matches_complex_reference(r, b):
+    # for real s the profile runs in float64; the complex128 sum of the same
+    # weights is the reference, and so is its Monte Carlo standard error
+    sd = structure_data(r, b)
+    if r == 1:
+        rule = boundary.disk_rule(sd, level=18, panels=8, phases=256)
+        V1 = rule.nodes[:, None, None]
+    else:
+        rule = boundary.stiefel_rule(sd, samples=20000, seed=17)
+        V1 = rule.nodes[..., :, :r]
+    t_grid = np.arange(0.0, 8.01, 0.5)
+    for s in ((1.5, 2.5, 5.0) if r == 1 else (2.5, 4.0)):
+        sp = spectral_param(s, sd)
+        vals, errs = poisson._phi_profile(sp, t_grid, rule)
+        assert vals.dtype == np.complex128 and np.all(vals.imag == 0)
+        sigma = complex(s - sd.harmonic_s)
+        w = rule.weights
+        w2 = float(np.sum(w**2))
+        for i, t in enumerate(t_grid):
+            y = np.exp(sigma * _kernels.radial_logweight(V1, t))
+            ref = np.dot(w, y)
+            assert abs(vals[i] - ref) <= 1e-13 * abs(ref), (s, t)
+            if r == 1:
+                assert errs is None
+                continue
+            ref_err = math.sqrt(float(np.dot(w, np.abs(y - ref) ** 2)) * w2)
+            if t == 0:  # every weight is 1, so both errors are rounding noise
+                assert max(errs[i], ref_err) <= 1e-15 * abs(ref)
+            else:
+                assert abs(errs[i] - ref_err) <= 1e-12 * ref_err, (s, t)
+
+
+@pytest.fixture(scope="module")
+def misfit_rules(sd11):
+    """Rules that do not fit (r, b) = (1, 1), each with its name."""
+    return {
+        "chart": boundary.heisenberg_chart(sd11, 1),
+        "sphere (1,2)": boundary.sphere_rule(structure_data(1, 2), level=3),
+        "stiefel (2,1)": boundary.stiefel_rule(structure_data(2, 1), samples=500, seed=3),
+        "disk (1,2)": boundary.disk_rule(structure_data(1, 2), level=4),
+    }
+
+
+@pytest.mark.parametrize("name", ["chart", "sphere (1,2)", "stiefel (2,1)", "disk (1,2)"])
+def test_radial_routes_reject_a_rule_that_does_not_fit(sd11, misfit_rules, name):
+    # each of these used to return a wrong number (the chart gave phi_s = 7.1e7
+    # against 1.27) or fail on a bare broadcast error
+    rule = misfit_rules[name]
+    sp = spectral_param(2.5, sd11)
+    with pytest.raises(DomainError):
+        poisson.phi_s(sp, 1.0, rule)
+    with pytest.raises(DomainError):
+        poisson.c_s(sp, method="fatou", rule=rule)
+    with pytest.raises(DomainError):
+        poisson.gamma_estimate(sp, np.arange(0.0, 4.01, 0.5), rule)
+    with pytest.raises(DomainError):
+        poisson.transform_radial(sp, 1.0, group.base_point(sd11)[None], 1.0, rule)
+
+
+def test_disk_rule_fits_rank_one_profiles_only(sd11, sd21):
+    # the disk rule carries U_1 alone: enough for phi_s, not for a transform
+    rule = boundary.disk_rule(sd11, level=6)
+    sp = spectral_param(2.5, sd11)
+    assert abs(poisson.phi_s(sp, 1.0, rule) - PHI_ORACLE[(2.5, 1.0)]) < 1e-3
+    with pytest.raises(DomainError):
+        poisson.transform_radial(sp, 1.0, None, 1.0, rule)
+    with pytest.raises(DomainError):
+        poisson.phi_s(spectral_param(4.0, sd21), 1.0, rule)
+
+
+def test_radial_coefficients_built_once_per_call(monkeypatch, sd11, sd21, sphere6):
+    # _phi_profile and transform_radial build the coefficients once for a whole
+    # t grid, and both weigh every t through the one radial_logweight kernel
+    calls = {"radial_coefficients": 0, "radial_logweight": 0}
+    for name in calls:
+        fn = getattr(_kernels, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    t_grid = np.arange(0.0, 8.01, 0.5)
+    rule2 = boundary.stiefel_rule(sd21, samples=2000, seed=4)
+    sp2 = spectral_param(4.0, sd21)
+    f = suite.trace_affine(sd21, 6)
+    sp1 = spectral_param(3.0 + 0.5j, sd11)
+    for run in (lambda: poisson._phi_profile(sp2, t_grid, rule2),
+                lambda: poisson._phi_profile(sp1, t_grid, sphere6),
+                lambda: poisson.transform_radial(sp2, f, rule2.nodes[:5], t_grid, rule2),
+                lambda: poisson.transform_radial(sp2, lambda U: f(U), None, t_grid, rule2)):
+        calls.update(radial_coefficients=0, radial_logweight=0)
+        run()
+        assert calls == {"radial_coefficients": 1, "radial_logweight": len(t_grid)}
 
 
 def test_cs_gk_frozen_oracle():
@@ -365,7 +476,7 @@ def test_transform_radial_matches_direct_rank_two(sd21):
         Z = math.tanh(t) * U
         via_radial = poisson.transform_radial(sp, f, U[None], t, rule)[0]
         direct = poisson.transform(sp, f, Z, rule)
-        W, cw = poisson._radial_pushforward(sp, t, rule)
+        W, cw = poisson._radial_pushforward(sp, t, rule, poisson._radial_coefficients(sd21, rule))
         d = cw / rule.weights * f(W @ M[0]) - poisson.kernel(sp, Z, rule.nodes) * f(rule.nodes)
         se = math.sqrt(np.sum(rule.weights**2 * np.abs(d - np.mean(d)) ** 2))
         assert abs(via_radial - direct) <= 4.0 * se
