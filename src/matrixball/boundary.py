@@ -10,8 +10,9 @@ Three rule families:
   unitary factor of a complex q x q Gaussian matrix (phase-fixed QR). Only
   those r columns are drawn into the matrix that is factored; the stream is
   the same q x q draw, so the nodes equal those of a full q x q QR.
-* ``heisenberg_chart`` - rank-one chart of the opposite horospherical group
-  N1bar in exponential coordinates, with Lebesgue weights calibrated so the
+* ``heisenberg_chart`` - rank-one rule on the opposite horospherical group
+  N1bar: a fixed tan-mapped Gauss-Legendre grid in the two M-invariant
+  coordinates (|x|, |y|) of nbar = exp(x, y), with weights calibrated so the
   pushforward normalization integral equals one.
 
 A rank-one helper ``disk_rule`` integrates functions of the single matrix
@@ -19,7 +20,6 @@ entry U_1 against the pushforward measure (b/pi)(1-|u|^2)^(b-1) dA on the
 unit disk; it is the cheap marginal used by radial profiles.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -208,107 +208,37 @@ def stiefel_rule(sd: StructureData, samples: int, seed: int) -> QuadratureRule:
     return rule
 
 
-def _chart_axes(grid: int, radius: float, panels: int):
-    """Symmetric composite GL nodes on [-radius, radius], refined toward 0."""
-    x, w = _gauss_legendre01(grid)
-    edges = [0.0] + [radius * 2.0 ** (-k) for k in range(panels - 1, 0, -1)] + [radius]
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append(a + (b - a) * x)
-        ws.append((b - a) * w)
-    xp = np.concatenate(xs)
-    wp = np.concatenate(ws)
-    return np.concatenate([-xp[::-1], xp]), np.concatenate([wp[::-1], wp])
+CHART_NODES_PER_AXIS = 128
 
 
-# The largest chart the acceptance battery builds has 512,000 nodes (criterion 6:
-# 80^3 at b = 1 and grid 4; criterion 8's grid-2 chart has 40^3 = 64,000), and
-# its build peaks at about 0.18 GB of numpy allocations. Memory grows linearly
-# in the node count and with m^2, so a chart past this cap is refused.
-CHART_MAX_NODES = 2_000_000
+def heisenberg_chart(sd: StructureData) -> QuadratureRule:
+    """Rule on the opposite unipotent group N1bar (rank one) in two coordinates.
 
-
-def heisenberg_chart(sd: StructureData, grid: int, radius: float | None = None) -> QuadratureRule:
-    """Exponential-coordinate rule on the opposite unipotent group (rank one).
-
-    Nodes are group elements nbar = exp(sum y_i E_i) over a composite grid in
-    the 2b+1 real coordinates; E_i span the ad(X_0)-eigenspaces with
-    eigenvalues -1 (dimension 2b) and -2 (dimension 1). Weights carry the
-    Lebesgue measure of the coordinates, scaled so the pushforward
-    normalization sum(w * exp(-2 n h1)) equals one. When radius is None it is
-    doubled adaptively until the outermost shell contributes < 1e-4; the axes
-    at 2R are those at R plus one outer panel per side, so each doubling keeps
-    the previous grid as its centre block and evaluates only the new shell. A
-    grid of more than CHART_MAX_NODES nodes raises DomainError before it is
-    allocated, as do a grid below 1 and a radius that is not finite and positive.
+    N1bar = {exp(x, y)}: x in R^(2b) spans the ad(X_0)-eigenspace of eigenvalue
+    -1, y in R that of eigenvalue -2. The chart's integrands (c_s and the L^1
+    majorant) are invariant under M, the centraliser of a_t in K, so they depend
+    on nbar only through |x| and |y|; the rule integrates functions of (|x|, |y|)
+    only. It is a fixed tensor Gauss-Legendre rule of CHART_NODES_PER_AXIS^2 =
+    128^2 = 16,384 nodes in (rho = |x|, y >= 0) at every b, each axis mapped
+    from [0, 1] by tan(pi u / 2), with weight rho^(2b-1) from the polar
+    coordinates of x. The size is fixed: at 256 per axis the map puts the
+    outermost nodes so far out that h1_batch returns NaN there, while 96 to
+    192 stay finite; at 128, c_s agrees with the Gamma product to 3e-7 at
+    b = 1, 2, 3 and s = 1.5, 2, 2.5, 3 + 0.5i. Nodes are the group
+    elements exp(rho E_x + y E_y) = I + A + A^2/2 with E_y the grade -2 and E_x
+    the first grade -1 element of nbar_basis. Weights are scaled so the
+    pushforward normalization sum(w * exp(-2 n h1)) equals one.
     """
     if sd.r != 1:
         raise DomainError("heisenberg_chart is rank-one only")
-    if not isinstance(grid, (int, np.integer)) or grid < 1:
-        raise DomainError("chart grid must be a positive integer, got %r" % (grid,))
-    if radius is not None and not (math.isfinite(radius) and radius > 0.0):
-        raise DomainError("chart radius must be finite and positive, got %r" % (radius,))
-    E = group.nbar_basis(sd)  # (dim, m, m)
-    dim = 2 * sd.b + 1
-    if len(E) != dim:
-        raise DomainError("unexpected chart dimension %d" % len(E))
-
-    def build(R: float, prev=None):
-        """Chart at radius R; prev, the (nodes, h1) grid at R/2, fills the centre block."""
-        panels = max(4, int(round(math.log2(R))) + 3)
-        ax, aw = _chart_axes(grid, R, panels)
-        n = len(ax)
-        if n ** dim > CHART_MAX_NODES:
-            raise DomainError(
-                "heisenberg chart of %d^%d = %.3g nodes exceeds the cap of %d (b = %d, grid = %d, "
-                "radius %g)" % (n, dim, n ** dim, CHART_MAX_NODES, sd.b, grid, R))
-        shell = np.ones((n,) * dim, dtype=bool)
-        if prev is not None:
-            shell[(slice(grid, n - grid),) * dim] = False
-        y = np.stack([ax[i] for i in np.nonzero(shell)], axis=-1)  # (N_shell, dim)
-        A = np.tensordot(y, E, axes=(1, 0))  # (N_shell, m, m), step-2 nilpotent
-        nodes = np.eye(sd.m) + A + 0.5 * (A @ A)
-        h1v = _kernels.h1_batch(nodes, sd.r)
-        if prev is not None:
-            shell = shell.ravel()
-            grown_nodes = np.empty((n ** dim, sd.m, sd.m), dtype=np.complex128)
-            grown_nodes[~shell], grown_nodes[shell] = prev[0], nodes
-            grown_h1 = np.empty(n ** dim)
-            grown_h1[~shell], grown_h1[shell] = prev[1], h1v
-            nodes, h1v = grown_nodes, grown_h1
-        w = np.ones(n ** dim)
-        for g in np.meshgrid(*([aw] * dim), indexing="ij"):
-            w = w * g.ravel()
-        dens = np.exp(-2.0 * sd.n * h1v)
-        mass = float(np.dot(w, dens))
-        # truncation estimate: extrapolate the dyadic shell decay past R
-        yinf = functools.reduce(np.maximum, np.ix_(*([np.abs(ax)] * dim))).ravel()
-        out = yinf > R / 2.0
-        mid = (yinf > R / 4.0) & ~out
-        s_out = float(np.dot(w[out], dens[out]))
-        s_in = float(np.dot(w[mid], dens[mid]))
-        rho = min(s_out / s_in, 0.75) if s_in > 0 else 0.5
-        tail = s_out * rho / (1.0 - rho)
-        return nodes, w, h1v, mass, tail
-
-    if radius is None:
-        R = 16.0
-        nodes, w, h1v, mass, tail = build(R)
-        for _ in range(5):
-            if tail < 1e-4 * mass:
-                break
-            R *= 2.0
-            nodes, w, h1v, mass, tail = build(R, (nodes, h1v))
-    else:
-        R = float(radius)
-        nodes, w, h1v, mass, tail = build(R)
-
-    w = w / mass  # calibration: sum w exp(-2 n h1) = 1
-    return QuadratureRule(
-        nodes=nodes,
-        weights=w,
-        kind="heisenberg-chart",
-        seed=None,
-        estimated_accuracy=tail / mass,
-        aux={"h1": h1v, "radius": R, "grid": grid},
-    )
+    E = group.nbar_basis(sd)  # E[0]: grade -2, E[1:]: grade -1
+    u, wu = _gauss_legendre01(CHART_NODES_PER_AXIS)
+    v = np.tan(0.5 * np.pi * u)
+    dv = wu * 0.5 * np.pi / np.cos(0.5 * np.pi * u) ** 2
+    rho, y = (g.ravel() for g in np.meshgrid(v, v, indexing="ij"))
+    w = np.outer(dv * v ** (2 * sd.b - 1), dv).ravel()
+    A = rho[:, None, None] * E[1] + y[:, None, None] * E[0]  # step-2 nilpotent
+    nodes = np.eye(sd.m) + A + 0.5 * (A @ A)
+    h1v = _kernels.h1_batch(nodes, sd.r)
+    w /= np.dot(w, np.exp(-2.0 * sd.n * h1v))
+    return QuadratureRule(nodes=nodes, weights=w, kind="heisenberg-chart", aux={"h1": h1v})

@@ -366,7 +366,7 @@ def cmd_fatou_limit(cfg, sd):
 @_mirror("fatou dominate", 8)
 def cmd_fatou_dominate(cfg, sd):
     ts = _t_values(cfg, lambda t: t > 0, "> 0")
-    return suite.check_domination(sd, [cfg.s], ts, max(2, cfg.level // 4))
+    return suite.check_domination(sd, [cfg.s], ts)
 
 
 def _sandwich(functions: int):

@@ -496,12 +496,12 @@ def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None, rel_tol: float = 1e-3) 
     return complex(c)
 
 
-def _cs_direct(sp: SpectralParam, chart: QuadratureRule | None = None, grid: int = 4) -> complex:
+def _cs_direct(sp: SpectralParam, chart: QuadratureRule | None = None) -> complex:
     sd = sp.sd
     if sd.r != 1:
         raise DegeneracyError("direct c_s route uses the rank-one unipotent chart")
     if chart is None:
-        chart = boundary.heisenberg_chart(sd, grid=grid)
+        chart = boundary.heisenberg_chart(sd)
     h1v = chart.aux["h1"]
     w = chart.weights
     num = np.dot(w, np.exp(-(sp.s + sd.n) * h1v))
@@ -531,9 +531,7 @@ def c_s(sp: SpectralParam, method: str = "gk", **params):
         direct = None
         vals = [gk, fat]
         if sp.sd.r == 1:
-            direct = _cs_direct(
-                sp, **{k: v for k, v in params.items() if k in ("chart", "grid")}
-            )
+            direct = _cs_direct(sp, params.get("chart"))
             vals.append(direct)
         scale = max(abs(v) for v in vals)
         worst = max(abs(u - v) for u in vals for v in vals) / scale

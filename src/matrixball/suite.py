@@ -286,10 +286,11 @@ def criterion_third_order(seed: int = 7, profile: str = "full") -> CriterionResu
 def check_cs(sd, s_values, samples: int, seed: int, tol: float | None = None):
     """Criterion 6 on one domain: c_s by every route that applies, per s.
 
-    Rank one compares the closed form, the Fatou limit and the chart integral
-    (one grid-4 chart for every s) within 1e-3; worst is the largest pairwise
-    relative error. Higher rank compares the closed form with the Fatou limit
-    on a Stiefel rule of `samples` nodes (seed + 40) within 1e-2.
+    Rank one compares the closed form, the Fatou limit and the integral over
+    the fixed Heisenberg chart (built once for every s) within 1e-3; worst is
+    the largest pairwise relative error. Higher rank compares the closed form
+    with the Fatou limit on a Stiefel rule of `samples` nodes (seed + 40)
+    within 1e-2.
     """
     sps = [spectral_param(s, sd) for s in s_values]
     for sp in sps:  # an inadmissible s fails before the chart or rule is built
@@ -297,7 +298,7 @@ def check_cs(sd, s_values, samples: int, seed: int, tol: float | None = None):
     details = {}
     errs = []
     if sd.r == 1:
-        chart = boundary.heisenberg_chart(sd, grid=4)
+        chart = boundary.heisenberg_chart(sd)
         for s, sp in zip(s_values, sps):
             rep = poisson.c_s(sp, method="all", chart=chart)
             details["s_%s" % s] = {
@@ -408,11 +409,11 @@ def criterion_fatou(seed: int = 7, profile: str = "full") -> CriterionResult:
 # 8. L1 domination of the renormalized kernel family
 # ---------------------------------------------------------------------------
 
-def check_domination(sd, s_values, t_list, grid: int):
-    """Criterion 8 on one domain: |Psi_t| <= Phi at every t on a Heisenberg
-    chart of the given grid (at least 1000 nodes), and Phi in L^1; the heights
+def check_domination(sd, s_values, t_list):
+    """Criterion 8 on one domain: |Psi_t| <= Phi at every t on the Heisenberg
+    chart (which must have at least 1000 nodes), and Phi in L^1; the heights
     are shared across s. worst is the largest excess of Psi_t over Phi."""
-    chart = boundary.heisenberg_chart(sd, grid=grid)
+    chart = boundary.heisenberg_chart(sd)
     details = {"chart_nodes": len(chart)}
     ok = len(chart) >= 1000
     worst = 0.0
@@ -429,7 +430,7 @@ def check_domination(sd, s_values, t_list, grid: int):
 
 def criterion_domination(seed: int = 7, profile: str = "full") -> CriterionResult:
     worst, ok, details = check_domination(structure_data(1, 1), (1.5, 3.0),
-                                          (0.5, 1.0, 2.0, 4.0), 2)
+                                          (0.5, 1.0, 2.0, 4.0))
     return CriterionResult(8, "domination", ok, worst, 1e-10, 60.0, details=details)
 
 

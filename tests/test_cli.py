@@ -162,10 +162,14 @@ def test_suite_unknown_criterion():
     assert "unknown criteria" in res.stderr.lower()
 
 
-def test_oversized_chart_exits_2():
-    res = run_cli("fatou", "dominate", "--b", "2")
-    assert res.returncode == 2
-    assert "exceeds the cap" in res.stderr
+@pytest.mark.parametrize("command", [("fatou", "dominate"), ("poisson", "cs")])
+def test_chart_mirrors_pass_at_b2(tmp_path, command):
+    # the Heisenberg chart's size does not grow with b, so b = 2 is in reach
+    out = str(tmp_path / "chart")
+    res = run_cli(*command, "--b", "2", "--s-re", "2.5", "--out", out)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(open(out + ".json").read())
+    assert doc["payload"]["passed"] is True
 
 
 def test_degenerate_moebius_exits_3():

@@ -138,7 +138,7 @@ def test_invert_l2_guards(sd11, sd21):
 
 @pytest.mark.parametrize("s", [1.5, 3.0])
 def test_domination_check(sd11, s):
-    chart = boundary.heisenberg_chart(sd11, grid=2)
+    chart = boundary.heisenberg_chart(sd11)
     rep = fatou.domination_check(spectral_param(s, sd11), (0.5, 1.0, 2.0), chart)
     assert rep.ok
     assert rep.max_excess <= 1e-10
@@ -147,7 +147,7 @@ def test_domination_check(sd11, s):
 
 
 def test_domination_check_shares_heights_across_s(sd11, sd21):
-    chart = boundary.heisenberg_chart(sd11, grid=2)
+    chart = boundary.heisenberg_chart(sd11)
     t_list = (0.5, 1.0, 2.0, 4.0)
     sps = [spectral_param(s, sd11) for s in (1.5, 3.0, 3.0 + 0.5j)]
     reports = fatou.domination_check(sps, t_list, chart)

@@ -207,7 +207,7 @@ def test_real_s_profile_matches_complex_reference(r, b):
 def misfit_rules(sd11):
     """Rules that do not fit (r, b) = (1, 1), each with its name."""
     return {
-        "chart": boundary.heisenberg_chart(sd11, 1),
+        "chart": boundary.heisenberg_chart(sd11),
         "sphere (1,2)": boundary.sphere_rule(structure_data(1, 2), level=3),
         "stiefel (2,1)": boundary.stiefel_rule(structure_data(2, 1), samples=500, seed=3),
         "disk (1,2)": boundary.disk_rule(structure_data(1, 2), level=4),
@@ -283,8 +283,8 @@ def test_cs_all_routes_consistent(sd11):
 
 def test_cs_all_reuses_a_given_chart(sd11, monkeypatch):
     sp = spectral_param(2.5, sd11)
-    chart = boundary.heisenberg_chart(sd11, grid=2)
-    want = poisson.c_s(sp, method="all", grid=2)
+    chart = boundary.heisenberg_chart(sd11)
+    want = poisson.c_s(sp, method="all")
 
     def no_chart(*args, **kwargs):
         raise AssertionError("c_s built a chart although one was given")
