@@ -35,34 +35,26 @@ __all__ = [
     "disk_rule",
     "stiefel_rule",
     "heisenberg_chart",
-    "integrate",
 ]
 
 
 @dataclass
 class QuadratureRule:
-    """Weighted node set with provenance.
+    """Weighted node set with its kind.
 
     nodes: (N, r, q) Shilov points for boundary rules, (N, m, m) group
     elements for the Heisenberg chart, or (N,) complex disk points for the
-    rank-one marginal rule. Weights of boundary rules sum to one.
+    rank-one marginal rule. Weights of boundary rules sum to one. aux holds
+    what a rule's consumers read: the disk rule's b and the chart's heights h1.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
-    seed: int | None = None
-    estimated_accuracy: float = 0.0
     aux: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.weights)
-
-
-def integrate(rule: QuadratureRule, f) -> complex:
-    """Apply the rule to a vectorized function or a precomputed value array."""
-    vals = f if isinstance(f, np.ndarray) else f(rule.nodes)
-    return complex(np.dot(rule.weights, vals))
 
 
 def _gauss_legendre01(n: int):
@@ -83,16 +75,23 @@ def _panel_points(n_gl: int, panels: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _require_level(level: int):
+    if level < 0:
+        raise DomainError("a quadrature level must be non-negative, got %r" % (level,))
+
+
 def sphere_rule(sd: StructureData, level: int, panels: int = 1) -> QuadratureRule:
     """Deterministic product rule on the unit sphere of C^(1+b) (rank one).
 
     Exact for polynomials in (U, conj U) of total degree <= 2*level. With
     panels > 1 the radial coordinate |U_1|^2 is integrated on geometric
     subintervals accumulating at 1, which resolves integrands that develop a
-    boundary layer at U_1 = -1 (deep radial Poisson weights).
+    boundary layer at U_1 = -1 (deep radial Poisson weights). A negative
+    level raises DomainError.
     """
     if sd.r != 1:
         raise DomainError("sphere_rule is rank-one only; use stiefel_rule for r >= 2")
+    _require_level(level)
     b = sd.b
     n_gl = level + b + 1
     n_ph = 2 * level + 1
@@ -130,17 +129,8 @@ def sphere_rule(sd: StructureData, level: int, panels: int = 1) -> QuadratureRul
     nodes = np.ascontiguousarray(nodes.T)[:, None, :]  # (N, 1, 1+b)
     weights = np.repeat(wx, Nph) / float(Nph)
 
-    rule = QuadratureRule(
-        nodes=nodes.astype(np.complex128),
-        weights=weights,
-        kind="deterministic-sphere",
-        seed=None,
-        aux={"level": level, "panels": panels},
-    )
-    # first aliased phase mode: the rule sees Re(U_1^(2*level+2)) as nonzero
-    probe = np.real(nodes[:, 0, 0] ** (2 * level + 2))
-    rule.estimated_accuracy = abs(float(np.dot(weights, probe)))
-    return rule
+    return QuadratureRule(nodes=nodes.astype(np.complex128), weights=weights,
+                          kind="deterministic-sphere")
 
 
 def disk_rule(sd: StructureData, level: int, panels: int = 1, phases: int | None = None) -> QuadratureRule:
@@ -150,13 +140,17 @@ def disk_rule(sd: StructureData, level: int, panels: int = 1, phases: int | None
     h in (u, conj u) up to degree 2*level; composite radial panels as in
     sphere_rule. Nodes are complex scalars. Weights with a near-boundary
     cusp alias the uniform phase grid with error ~ phases^(-s), so deep
-    radial profiles want phases well above the default 2*level + 1.
+    radial profiles want phases well above the default 2*level + 1. A
+    negative level or fewer than one phase raises DomainError.
     """
     if sd.r != 1:
         raise DomainError("disk_rule is rank-one only")
+    _require_level(level)
     b = sd.b
     n_gl = level + b + 1
     n_ph = int(phases) if phases is not None else 2 * level + 1
+    if n_ph < 1:
+        raise DomainError("disk_rule needs at least one phase, got %r" % (phases,))
     x, wx = _panel_points(n_gl, panels)  # x = |u|^2
     dens = b * (1.0 - x) ** (b - 1)
     th = 2.0 * np.pi * np.arange(n_ph) / n_ph
@@ -166,8 +160,7 @@ def disk_rule(sd: StructureData, level: int, panels: int = 1, phases: int | None
         nodes=u.ravel().astype(np.complex128),
         weights=w.ravel(),
         kind="deterministic-disk",
-        seed=None,
-        aux={"b": b, "level": level, "panels": panels, "phases": n_ph},
+        aux={"b": b},
     )
 
 
@@ -195,17 +188,8 @@ def stiefel_rule(sd: StructureData, samples: int, seed: int) -> QuadratureRule:
     del G
     U = np.ascontiguousarray(np.swapaxes(Q, -1, -2))
     np.conjugate(U, out=U)
-    weights = np.full(samples, 1.0 / samples)
-    rule = QuadratureRule(
-        nodes=U,
-        weights=weights,
-        kind="monte-carlo-stiefel",
-        seed=seed,
-        aux={"samples": samples},
-    )
-    probe = np.abs(U[:, 0, 0]) ** 2
-    rule.estimated_accuracy = float(np.std(probe) / np.sqrt(samples))
-    return rule
+    return QuadratureRule(nodes=U, weights=np.full(samples, 1.0 / samples),
+                          kind="monte-carlo-stiefel")
 
 
 CHART_NODES_PER_AXIS = 128

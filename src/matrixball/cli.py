@@ -111,6 +111,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     if values["samples"] is not None and values["samples"] < 1:
         raise DomainError("--samples must be at least 1, got %r" % (values["samples"],))
+    if values["seed"] < 0:
+        raise DomainError("--seed must be non-negative, got %r" % (values["seed"],))
+    for key in ("s_re", "s_im"):
+        if not math.isfinite(values[key]):
+            raise DomainError("--%s must be finite, got %r" % (key.replace("_", "-"), values[key]))
     for key in ("tol_rel", "tol_abs", "tol_cv"):
         tol = values[key]
         if tol is not None and not (math.isfinite(tol) and tol > 0):

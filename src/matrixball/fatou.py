@@ -33,6 +33,9 @@ __all__ = [
     "norm_sandwich",
 ]
 
+INVERSION_DEGREE = 6  # degree of the band-limited polynomial invert_l2 fits to a slice
+SANDWICH_SLACK = 0.02  # relative slack of each norm_sandwich bound
+
 
 @dataclass
 class RadialProfile:
@@ -68,6 +71,15 @@ def _warn_inadmissible(sp: SpectralParam):
         )
 
 
+def _profile_grid(t_grid) -> np.ndarray:
+    """A profile's t grid as an array: finite, strictly increasing, at least two points."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if (t_grid.ndim != 1 or len(t_grid) < 2 or not np.all(np.isfinite(t_grid))
+            or np.any(np.diff(t_grid) <= 0)):
+        raise DomainError("t_grid must be a finite, increasing 1-D grid with at least two points")
+    return t_grid
+
+
 def radial_profile(sp: SpectralParam, f, nodes, t_grid, rule: QuadratureRule) -> RadialProfile:
     """P_s f along k a_t for each boundary node representative k.
 
@@ -75,13 +87,11 @@ def radial_profile(sp: SpectralParam, f, nodes, t_grid, rule: QuadratureRule) ->
     running it through boundary_limit is the negative control showing the
     renormalized tail does not converge.
     """
+    t_grid = _profile_grid(t_grid)
     _warn_inadmissible(sp)
     nodes = np.asarray(nodes, dtype=np.complex128)
     if nodes.ndim == 2:
         nodes = nodes[None]
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be increasing with at least two points")
     vals = poisson.transform_radial(sp, f, nodes, t_grid, rule)
     return RadialProfile(t_grid=t_grid, values=vals, nodes=nodes, growth=sp.growth)
 
@@ -93,7 +103,7 @@ def zonal_profile(sp: SpectralParam, t_grid, rule: QuadratureRule | None = None)
     concentration far past where generic node rules alias; this is the
     profile of choice for the inadmissible-s negative control.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _profile_grid(t_grid)
     _warn_inadmissible(sp)
     if rule is None:
         rule = poisson._default_radial_rule(sp.sd, t_max=float(t_grid[-1]))
@@ -113,8 +123,7 @@ class BoundaryLimitReport:
 
 
 def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
-                   p: float = 2.0, rule: QuadratureRule | None = None,
-                   rel_tol: float = 1e-3) -> BoundaryLimitReport:
+                   p: float = 2.0, rule: QuadratureRule | None = None) -> BoundaryLimitReport:
     """Extrapolate the renormalized tail and divide by c_s to estimate f.
 
     Each node's tail goes through the Richardson extrapolation of c_s's
@@ -122,17 +131,19 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
     at the exponents the spherical-function expansion fixes; the grid must be
     uniform with at least four points. A node's limit is its last
     extrapolant, and it has converged when its last two extrapolants differ
-    by at most rel_tol times the largest final renormalized value.
-    Non-convergent tails raise, with the admissibility condition echoed. With
-    a reference boundary function the report carries the sup and L^p node
-    errors of the estimate.
+    by at most poisson.FATOU_REL_TOL times the largest final renormalized
+    value. Non-convergent tails raise, with the admissibility condition
+    echoed. With a reference boundary function the report carries the sup and
+    L^p node errors of the estimate; p must be finite and at least 1.
     """
+    if not (math.isfinite(p) and p >= 1):
+        raise DomainError("the L^p error needs a finite p >= 1, got %r" % (p,))
     dt = poisson._fatou_grid_step(profile.t_grid)
     y = profile.renormalized
     scale = max(float(np.max(np.abs(y[:, -1]))), 1e-300)
     N = y.shape[0]
     previous, limits = poisson._richardson_limit(y, dt, poisson._correction_exponents(sp))
-    converged = np.abs(limits - previous) <= rel_tol * scale
+    converged = np.abs(limits - previous) <= poisson.FATOU_REL_TOL * scale
     if not np.all(converged):
         bad = int(np.count_nonzero(~converged))
         raise ConvergenceError(
@@ -182,37 +193,20 @@ def _nearest_node_function(nodes: np.ndarray, values: np.ndarray) -> Callable:
     return ev
 
 
-def _monomial_design(U: np.ndarray, degree: int):
-    """Monomials u^a conj(u)^c of total degree <= degree, u = the q entries.
-
-    Rank one only; returns (matrix of shape (N, n_mono), list of exponents).
-    """
-    import itertools
-
-    q = U.shape[-1]
-    Uf = U.reshape(U.shape[0], q)
-    cols, expo = [], []
-    for total in range(degree + 1):
-        for ex in itertools.product(range(total + 1), repeat=2 * q):
-            if sum(ex) != total:
-                continue
-            col = np.ones(len(Uf), dtype=np.complex128)
-            for j in range(q):
-                if ex[j]:
-                    col = col * Uf[:, j] ** ex[j]
-                if ex[q + j]:
-                    col = col * np.conj(Uf[:, j]) ** ex[q + j]
-            cols.append(col)
-            expo.append(ex)
-    return np.stack(cols, axis=1), expo
-
-
 def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: int):
     """Weighted least-squares polynomial fit of boundary samples (rank one).
 
+    The design columns are T(u)[i] conj(T(u))[j] for the monomial table T of
+    the q entries u (poisson._monomial_table) and deg i + deg j <= degree; the
+    coefficient of column (i, j) is entry G[i, j] of a one-term form with P = I.
     Returns (evaluator, relative L2 residual of the fit on the nodes).
     """
-    M, expo = _monomial_design(rule.nodes, degree)
+    q = rule.nodes.shape[-1]
+    T = poisson._monomial_table(rule.nodes.reshape(-1, q), degree)
+    start = poisson._monomials(q, degree).start
+    deg = np.repeat(np.arange(degree + 1), np.diff(start))
+    I, J = np.nonzero(deg[:, None] + deg[None, :] <= degree)
+    M = T[:, I] * T[:, J].conj()
     sw = np.sqrt(rule.weights)
     coef, *_ = np.linalg.lstsq(M * sw[:, None], values * sw, rcond=None)
     resid = M @ coef - values
@@ -220,18 +214,13 @@ def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: 
         math.sqrt(max(np.dot(rule.weights, np.abs(resid) ** 2), 0.0))
         / max(math.sqrt(np.dot(rule.weights, np.abs(values) ** 2)), 1e-300)
     )
-    # coef[ex] multiplies T(u)[a] conj(T(u))[c] for ex = (a, c): one form term with P = I
-    q = rule.nodes.shape[-1]
-    index = {ex: i for i, ex in enumerate(poisson._monomials(q, degree).exponents)}
-    G = np.zeros((len(index), len(index)), dtype=np.complex128)
-    for c, ex in zip(coef, expo):
-        G[index[ex[:q]], index[ex[q:]]] = c
+    G = np.zeros((len(deg), len(deg)), dtype=np.complex128)
+    G[I, J] = coef
     form = poisson.PolynomialForm(np.eye(q)[None], G[None], (degree, degree))
     return form.evaluator(), rel
 
 
-def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule,
-              centers=None, degree: int = 6) -> Callable:
+def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule) -> Callable:
     """Recover f from one radial slice of its transform.
 
     g_t(k) = |c_s|^-2 e^(2(n - r Re s)t) sum_h w_h conj(K_s(Z_t(k), U_h)) F(U_h, t)
@@ -240,14 +229,14 @@ def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule,
     Realization: F is sampled once on the rule nodes (the data the literal
     node sum uses). A raw node sum aliases once the kernel peak, of width
     ~ e^(-t), drops below the node spacing; instead the slice is rebuilt as
-    a band-limited polynomial (exact when f is band-limited, least-squares
-    otherwise, residual warned about) and the h-integral is evaluated with
-    the recentered radial pushforward, whose accuracy is uniform in t.
+    a polynomial of degree INVERSION_DEGREE (exact when f is band-limited
+    within it, least-squares otherwise, residual warned about) and the
+    h-integral is evaluated with the recentered radial pushforward, whose
+    accuracy is uniform in t.
     conj(K_s) = K_conj(s) since the kernel's log-arguments are real, so the
     h-integral is the Poisson transform of the slice at conj(s). Real part
-    of s is used in the renormalization (moduli are what converge).
-
-    centers: boundary points at which to report g_t (default: rule nodes).
+    of s is used in the renormalization (moduli are what converge). g_t is
+    reported at the rule nodes.
     """
     poisson._require_admissible(sp)
     from .structure import spectral_param
@@ -257,26 +246,24 @@ def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule,
         raise DomainError("invert_l2 slice reconstruction is rank-one only")
     if t < 1.0:
         warnings.warn("small t biases the inversion (t = %.2f)" % t, RuntimeWarning, stacklevel=2)
-    if centers is None:
-        centers = rule.nodes
     Fvals = np.asarray(F(rule.nodes, float(t)), dtype=np.complex128).reshape(-1)
     if Fvals.shape != (len(rule),):
         raise DomainError("F must return one value per rule node")
-    slice_f, fit_rel = _band_limited_interpolant(rule, Fvals, degree)
+    slice_f, fit_rel = _band_limited_interpolant(rule, Fvals, INVERSION_DEGREE)
     if fit_rel > 1e-6:
         warnings.warn(
             "transform slice is not band-limited within degree %d "
-            "(fit residual %.2e); inversion is biased" % (degree, fit_rel),
+            "(fit residual %.2e); inversion is biased" % (INVERSION_DEGREE, fit_rel),
             RuntimeWarning,
             stacklevel=2,
         )
     sp_conj = spectral_param(np.conj(sp.s), sd)
-    vals = poisson.transform_radial(sp_conj, slice_f, centers, float(t), rule)
+    vals = poisson.transform_radial(sp_conj, slice_f, rule.nodes, float(t), rule)
     pref = abs(poisson.c_s(sp, method="gk")) ** -2 * math.exp(
         2.0 * (sd.n - sd.r * sp.s.real) * float(t)
     )
     gv = pref * np.asarray(vals, dtype=np.complex128).reshape(-1)
-    return _nearest_node_function(centers, gv)
+    return _nearest_node_function(rule.nodes, gv)
 
 
 @dataclass
@@ -360,9 +347,9 @@ class SandwichReport:
         return all(self.lower_ok) and all(self.upper_ok)
 
 
-def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule,
-                  slack: float = 0.02):
-    """Check |c_s| ||f||_p <= hardy_norm(P_s f) <= gamma_s ||f||_p per f.
+def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule):
+    """Check |c_s| ||f||_p <= hardy_norm(P_s f) <= gamma_s ||f||_p per f, each
+    bound within a relative SANDWICH_SLACK.
 
     p may be a single exponent or a sequence; with a sequence the lifted
     boundary values are computed once per (f, t) and shared across all the
@@ -373,6 +360,7 @@ def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule,
     if any(x <= 1 for x in p_list):
         raise DomainError("the sandwich needs p > 1")
     t_grid = np.asarray(t_grid, dtype=float)
+    slack = SANDWICH_SLACK
     cs_abs = abs(poisson.c_s(sp, method="gk"))
     gamma = poisson.gamma_estimate(sp, t_grid, rule)
     growth = float(np.real(sp.growth))

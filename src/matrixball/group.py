@@ -11,11 +11,10 @@ a determinant identity (see :func:`matrixball._kernels.h1_batch`).
 import numpy as np
 
 from . import _kernels, linalg
-from .errors import DegeneracyError, MembershipError
+from .errors import DegeneracyError
 from .structure import StructureData, root_decomposition
 
 __all__ = [
-    "GROUP_INPUT_TOL",
     "GROUP_FRESH_TOL",
     "jmatrix",
     "base_point",
@@ -24,7 +23,6 @@ __all__ = [
     "mobius",
     "group_inverse",
     "membership_residual",
-    "require_group",
     "is_domain_point",
     "is_shilov_point",
     "h1_scalar",
@@ -35,10 +33,7 @@ __all__ = [
     "random_group_element",
 ]
 
-# membership tolerances: fresh constructions vs user-supplied inputs
-# (looser input tolerance allows drift after ~10 products)
-GROUP_FRESH_TOL = 1e-10
-GROUP_INPUT_TOL = 1e-8
+GROUP_FRESH_TOL = 1e-10  # default tolerance of is_shilov_point
 
 
 def jmatrix(sd: StructureData) -> np.ndarray:
@@ -105,12 +100,6 @@ def membership_residual(g: np.ndarray, sd: StructureData) -> float:
     J = jmatrix(sd)
     res = float(np.max(np.abs(g.conj().T @ J @ g - J)))
     return max(res, abs(linalg.det(g) - 1.0))
-
-
-def require_group(g: np.ndarray, sd: StructureData, tol: float = GROUP_INPUT_TOL):
-    res = membership_residual(g, sd)
-    if res > tol:
-        raise MembershipError("matrix is not in SU(r, r+b): residual %.3e > %.0e" % (res, tol))
 
 
 def is_domain_point(Z: np.ndarray) -> bool:

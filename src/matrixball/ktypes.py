@@ -6,7 +6,8 @@ disk polynomial
 
     R_(p,q)(u) = u^(p-q) * P_k^(b-1, |p-q|)(2|u|^2 - 1) / binom(k + b - 1, k)
 
-with k = min(p, q) (conj(u) powers when q > p), normalized so R(1) = 1. The
+with k = min(p, q) (conj(u) powers when q > p), normalized so R(1) = 1. Its
+L^2(S) norm is 1/sqrt(dim V_(p,q)) in closed form (zonal_norm). The
 generalized spherical profile Phi_{s,delta}(a_t) is the Poisson transform of
 the zonal function evaluated on the radial flow, and Schur diagonality says
 P_s f(k a_t . 0) = Phi_{s,delta}(a_t) f(k) for any f in V_delta.
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels, boundary, poisson
+from . import _kernels, poisson
 from .boundary import QuadratureRule
 from .errors import DomainError
 from .structure import SpectralParam, StructureData
@@ -32,7 +33,6 @@ __all__ = [
     "zonal",
     "zonal_function",
     "zonal_norm",
-    "project_ktype",
     "ktype_spectrum",
     "phi_s_delta",
     "spherical_profile",
@@ -111,34 +111,20 @@ def _first_entry_form(C: np.ndarray, sd: StructureData) -> poisson.PolynomialFor
     return poisson.PolynomialForm(P, C[None], (C.shape[0] - 1, C.shape[1] - 1))
 
 
-_NORM_CACHE: dict = {}
-
-
 def zonal_norm(delta: KTypeIndex, b: int) -> float:
-    """L^2(S) norm of the zonal function phi_delta (cached quadrature)."""
-    key = (delta.p, delta.q, b)
-    if key not in _NORM_CACHE:
-        from .structure import structure_data
+    """L^2(S) norm of the zonal function phi_delta: 1/sqrt(dim V_(p,q)).
 
-        sd = structure_data(1, b)
-        level = max(24, delta.p + delta.q + 2)
-        rule = boundary.disk_rule(sd, level=level)
-        vals = zonal(delta, rule.nodes, b)
-        _NORM_CACHE[key] = float(np.sqrt(np.real(np.dot(rule.weights, np.abs(vals) ** 2))))
-    return _NORM_CACHE[key]
+    With R(1) = 1 the reproducing property gives ||R||^2 = 1/dim, and on the
+    sphere of C^(1+b) dim V_(p,q) = (p+q+b) C(p+b-1, p) C(q+b-1, q) / b
+    (Rudin, Function Theory in the Unit Ball of C^n, Ch. 12).
+    """
+    p, q = delta.p, delta.q
+    dim = (p + q + b) * math.comb(p + b - 1, p) * math.comb(q + b - 1, q) // b
+    return 1.0 / math.sqrt(dim)
 
 
-def project_ktype(f, delta: KTypeIndex, rule: QuadratureRule) -> complex:
-    """Coefficient of f against the L^2-normalized zonal of V_delta."""
-    b = rule.nodes.shape[-1] - 1
-    ev = poisson._as_evaluator(f)
-    fv = ev(rule.nodes)
-    zv = zonal(delta, rule.nodes[..., 0, 0], b)
-    return complex(np.dot(rule.weights, fv * np.conj(zv))) / zonal_norm(delta, b)
-
-
-def ktype_spectrum(f, max_p: int, max_q: int, rule: QuadratureRule, warn_defect: float = 0.05):
-    """All zonal coefficients up to (max_p, max_q) plus the Parseval defect."""
+def ktype_spectrum(f, max_p: int, max_q: int, rule: QuadratureRule):
+    """All zonal coefficients up to (max_p, max_q) plus the Parseval defect (warned above 5%)."""
     b = rule.nodes.shape[-1] - 1
     ev = poisson._as_evaluator(f)
     fv = ev(rule.nodes)
@@ -149,7 +135,7 @@ def ktype_spectrum(f, max_p: int, max_q: int, rule: QuadratureRule, warn_defect:
         coeffs[delta] = complex(np.dot(rule.weights, fv * np.conj(zv))) / zonal_norm(delta, b)
     captured = sum(abs(c) ** 2 for c in coeffs.values())
     defect = abs(total - captured) / total if total > 0 else 0.0
-    if defect > warn_defect:
+    if defect > 0.05:
         warnings.warn(
             "K-type expansion up to (%d,%d) misses %.1f%% of ||f||^2 "
             "(f has non-zonal or higher components)" % (max_p, max_q, 100 * defect),

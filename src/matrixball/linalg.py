@@ -29,26 +29,26 @@ def det(A) -> complex:
     return complex(np.linalg.det(A))
 
 
-def is_strictly_positive(H, pivot_tol: float = 1e-13, herm_tol: float = 1e-12) -> bool:
+def is_strictly_positive(H) -> bool:
     """True iff the Hermitian matrix H is strictly positive definite.
 
     Uses an explicit Cholesky sweep and requires every pivot to exceed
-    ``pivot_tol``. Non-Hermitian input (beyond ``herm_tol``) is rejected;
-    non-finite input is not positive definite. A stack (..., n, n) is
-    positive only when every matrix in it is.
+    1e-13. Non-Hermitian input (beyond 1e-12 relative to the largest entry)
+    is rejected; non-finite input is not positive definite. A stack
+    (..., n, n) is positive only when every matrix in it is.
     """
     H = np.asarray(H, dtype=np.complex128)
     if not np.all(np.isfinite(H)):
         return False
     absmax = lambda X: np.max(np.abs(X), axis=(-2, -1), initial=0.0)
     scale = np.maximum(1.0, absmax(H))
-    if np.any(absmax(H - np.swapaxes(H, -1, -2).conj()) > herm_tol * scale):
+    if np.any(absmax(H - np.swapaxes(H, -1, -2).conj()) > 1e-12 * scale):
         raise MembershipError("is_strictly_positive expects a Hermitian matrix")
     n = H.shape[-1]
     L = np.zeros_like(H)
     for j in range(n):
         d = H[..., j, j].real - np.sum(np.abs(L[..., j, :j]) ** 2, axis=-1)
-        if not np.all(d > pivot_tol):  # a NaN pivot fails too
+        if not np.all(d > 1e-13):  # a NaN pivot fails too
             return False
         L[..., j, j] = np.sqrt(d)
         for i in range(j + 1, n):
@@ -62,19 +62,18 @@ def expm(X):
     return scipy.linalg.expm(np.asarray(X, dtype=np.complex128))
 
 
-def qr_unitary(A, mode: str = "reduced"):
-    """QR factorization with the diagonal of R made real and positive.
+def qr_unitary(A):
+    """Reduced QR factorization with the diagonal of R made real and positive.
 
     The phase fix makes the unitary factor a deterministic function of A,
     which is what both Haar sampling and the boundary-coset construction need.
     """
     A = np.asarray(A, dtype=np.complex128)
-    Q, R = np.linalg.qr(A, mode=mode)
-    k = R.shape[-2] if mode != "complete" else min(A.shape[-2], A.shape[-1])
-    d = np.diagonal(R[..., :k, :], axis1=-2, axis2=-1).copy()
+    Q, R = np.linalg.qr(A)
+    d = np.diagonal(R, axis1=-2, axis2=-1).copy()
     ph = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    Q[..., :, :k] *= ph[..., None, :]
-    R[..., :k, :] *= ph.conj()[..., :, None]
+    Q *= ph[..., None, :]
+    R *= ph.conj()[..., :, None]
     return Q, R
 
 

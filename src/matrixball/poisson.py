@@ -71,6 +71,7 @@ DYNAMIC_RANGE_WARN = 1e12
 RADIAL_CHUNK = 512  # centers per block of symmetric powers on transform_radial's moment route
 POINTWISE_POINTS = 2 ** 18  # pushed points per block on transform_radial's pointwise route
 SHILOV_RULES = ("deterministic-sphere", "monte-carlo-stiefel")  # rule kinds whose nodes are Shilov points
+FATOU_REL_TOL = 1e-3  # largest difference of the last two Richardson extrapolants, relative to the limit
 
 
 class _Monomials(NamedTuple):
@@ -417,11 +418,11 @@ def _phi_profile(sp: SpectralParam, t_grid, rule: QuadratureRule):
     return vals.astype(np.complex128, copy=False), err
 
 
-def _default_radial_rule(sd, t_max: float, seed: int = 20240801, samples: int = 400000):
+def _default_radial_rule(sd, t_max: float):
     if sd.r == 1:
         panels = max(6, int(math.ceil(2.0 * t_max / math.log(2.0))) + 3)
         return boundary.disk_rule(sd, level=18, panels=panels, phases=640)
-    return boundary.stiefel_rule(sd, samples=samples, seed=seed)
+    return boundary.stiefel_rule(sd, samples=400000, seed=20240801)
 
 
 def _fatou_grid_step(t_grid) -> float:
@@ -474,7 +475,7 @@ def _cs_gk(sp: SpectralParam) -> complex:
     return complex(np.exp(log_prod(sp.s) - log_prod(sd.harmonic_s)))
 
 
-def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None, rel_tol: float = 1e-3) -> complex:
+def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None) -> complex:
     sd = sp.sd
     if t_grid is None:
         t_grid = np.arange(0.0, 8.01, 0.5)
@@ -484,6 +485,7 @@ def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None, rel_tol: float = 1e-3) 
         rule = _default_radial_rule(sd, float(t_grid[-1]))
     vals, errs = _phi_profile(sp, t_grid, rule)
     y = np.exp(-sp.growth * t_grid) * vals
+    rel_tol = FATOU_REL_TOL
     if errs is not None:
         rel_noise = float(np.max(errs / np.abs(vals)))
         rel_tol = max(rel_tol, 25.0 * rel_noise)
@@ -526,7 +528,7 @@ def c_s(sp: SpectralParam, method: str = "gk", **params):
     if method == "all":
         gk = _cs_gk(sp)
         fat = _cs_fatou(
-            sp, **{k: v for k, v in params.items() if k in ("t_grid", "rule", "rel_tol")}
+            sp, **{k: v for k, v in params.items() if k in ("t_grid", "rule")}
         )
         direct = None
         vals = [gk, fat]

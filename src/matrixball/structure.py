@@ -1,7 +1,7 @@
 """Root-theoretic constants of the matrix ball of size r x (r+b), b >= 1.
 
-The derived invariants (dimension n, rho values, admissibility threshold) are
-computed from closed formulas and then validated against a brute-force joint
+The derived invariants (dimension n, admissibility threshold) are computed
+from closed formulas and then validated against a brute-force joint
 diagonalization of the adjoint action on the realized Lie algebra su(r, r+b),
 see :func:`restricted_roots`.
 """
@@ -21,7 +21,6 @@ __all__ = [
     "root_decomposition",
     "su_basis",
     "lambda_coefficients",
-    "weyl_twisted",
 ]
 
 
@@ -34,7 +33,6 @@ class StructureData:
     a: int
     n: int
     m: int
-    rho_on_a: tuple
     admissibility_threshold: float
     genus_candidate: int
 
@@ -59,7 +57,6 @@ class SpectralParam:
     growth: complex
     hua_eigenvalue: complex
     admissible: bool
-    kz1_ok: bool
 
 
 def structure_data(r: int, b: int) -> StructureData:
@@ -71,34 +68,21 @@ def structure_data(r: int, b: int) -> StructureData:
     a = 2
     n = r * b + r + a * r * (r - 1) // 2  # = r (r + b)
     m = 2 * r + b
-    # half the multiplicity-weighted sum of positive roots, evaluated on X_j
-    # (positivity ordered lexicographically in the eps basis)
-    rho = tuple(float(1 + b + 2 * (r - j)) for j in range(1, r + 1))
-    sd = StructureData(
+    return StructureData(
         r=r,
         b=b,
         a=a,
         n=n,
         m=m,
-        rho_on_a=rho,
         admissibility_threshold=0.5 * a * (r - 1),
         genus_candidate=2 * r + b,
     )
-    assert sum(rho) == n, "rho values must sum to n"
-    return sd
 
 
 def spectral_param(s: complex, sd: StructureData) -> SpectralParam:
     """Populate the derived spectral quantities for a complex parameter s."""
     s = complex(s)
     nr = sd.n / sd.r
-    kz1 = True
-    for j in (0, 1):
-        w = -4.0 * (sd.b + 1 + j + 0.5 * (s - sd.r - sd.b))
-        if abs(w.imag) < 1e-9:
-            near = round(w.real)
-            if near >= 1 and abs(w.real - near) < 1e-9:
-                kz1 = False
     return SpectralParam(
         s=s,
         sd=sd,
@@ -106,7 +90,6 @@ def spectral_param(s: complex, sd: StructureData) -> SpectralParam:
         growth=sd.r * s - sd.n,
         hua_eigenvalue=0.25 * (s * s - (sd.r + sd.b) ** 2),
         admissible=s.real > sd.admissibility_threshold,
-        kz1_ok=kz1,
     )
 
 
@@ -114,11 +97,6 @@ def lambda_coefficients(s: complex, sd: StructureData) -> np.ndarray:
     """Coefficients of lambda_s on the eps basis: entry j-1 is s + r + 1 - 2j."""
     j = np.arange(1, sd.r + 1)
     return np.asarray(s + sd.r + 1 - 2 * j, dtype=complex)
-
-
-def weyl_twisted(coeffs: np.ndarray) -> np.ndarray:
-    """Apply the order-reversing Weyl element (eps_j -> eps_{r+1-j})."""
-    return np.asarray(coeffs)[::-1].copy()
 
 
 def su_basis(sd: StructureData) -> list:

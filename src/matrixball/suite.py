@@ -443,7 +443,8 @@ def check_sandwich(sd, s_values, p_list, n_f: int, level: int, t_grid, seed: int
     for n_f band-limited f (seed + 500 + 7j) on a level-`level` sphere rule.
 
     The lifted values are shared across p. worst is the largest ratio of a
-    bound's left side to its right side, minus 1; each bound allows 2% slack.
+    bound's left side to its right side, minus 1; each bound allows the relative
+    slack fatou.SANDWICH_SLACK (2%).
     """
     _require_rank_one(sd, 9)
     rule = boundary.sphere_rule(sd, level=level)
@@ -472,7 +473,8 @@ def criterion_sandwich(seed: int = 7, profile: str = "full") -> CriterionResult:
         structure_data(1, 1), (2.0, 2.5) if full else (2.0,),
         (1.5, 2.0, 4.0) if full else (2.0,), 20 if full else 2, 6,
         np.linspace(0.0, 5.0, 6), seed)
-    return CriterionResult(9, "norm-sandwich", ok, worst, 0.02, 300.0, details=details)
+    return CriterionResult(9, "norm-sandwich", ok, worst, fatou.SANDWICH_SLACK, 300.0,
+                           details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,26 @@ def test_empty_t_grid_exits_2(argv, capsys):
     assert "error: the t grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fatou", "sandwich", "--level", "-1", "--samples", "1"),
+    ("poisson", "phi", "--level", "-1"),
+    ("ktypes", "schur", "--level", "-1"),
+    ("fatou", "limit", "--level", "-2"),
+    ("group", "selftest", "--seed", "-1"),
+    ("poisson", "phi", "--s-re", "inf"),
+    ("hua", "check", "--s-re", "nan"),
+    ("poisson", "cs", "--s-im=-inf"),
+    ("fatou", "limit", "--p", "0"),
+    ("fatou", "limit", "--p", "-1"),
+    ("fatou", "limit", "--p", "nan"),
+], ids=" ".join)
+def test_outside_inputs_exit_2(argv, capsys):
+    # a negative level, a negative seed, a non-finite s and a p that is not a
+    # finite exponent >= 1 are usage errors, never an empty rule or a raw crash
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("criteria,token", [("a", "'a'"), ("1,,2", "''")])
 def test_suite_non_integer_criteria_exits_2(criteria, token, capsys):
     assert cli.main(["suite", "--criteria", criteria, "--profile", "quick"]) == 2

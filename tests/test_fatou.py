@@ -1,5 +1,6 @@
 """Boundary limits, inversion, domination, and the norm sandwich."""
 
+import itertools
 import subprocess
 import sys
 import warnings
@@ -65,6 +66,25 @@ def test_boundary_limit_negative_control(sd11):
         fatou.boundary_limit(sp, prof)
 
 
+@pytest.mark.parametrize("t_grid", [[], 3.0, [1.0], [0.0, np.nan, 1.0], [1.0, 0.5]],
+                         ids=["empty", "scalar", "one-point", "nan", "decreasing"])
+def test_profiles_reject_bad_t_grids(sd11, sphere6, t_grid):
+    # both profiles share one check; no rule is built or evaluated for a bad grid
+    sp = spectral_param(2.5, sd11)
+    with pytest.raises(DomainError, match="t_grid"):
+        fatou.zonal_profile(sp, t_grid)
+    with pytest.raises(DomainError, match="t_grid"):
+        fatou.radial_profile(sp, 1.0, sphere6.nodes[:3], t_grid, sphere6)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, -1.0, np.inf, np.nan])
+def test_boundary_limit_rejects_p_below_one_or_not_finite(sd11, sphere6, p):
+    sp = spectral_param(2.5, sd11)
+    prof = fatou.radial_profile(sp, 1.0, sphere6.nodes[:3], np.linspace(0.0, 5.0, 11), sphere6)
+    with pytest.raises(DomainError, match="p >= 1"):
+        fatou.boundary_limit(sp, prof, reference=1.0, p=p, rule=sphere6)
+
+
 def test_radial_profile_warns_inadmissible(sd11, sphere6):
     sp = spectral_param(0.0, sd11)
     with pytest.warns(RuntimeWarning, match="admissibility"):
@@ -99,23 +119,55 @@ def test_invert_l2_roundtrip(sd11):
     assert errs[1] < 2e-2
 
 
+def _monomial_design(U: np.ndarray, degree: int):
+    """Oracle design matrix: every u^a conj(u)^c of total degree <= degree, u = the q
+    entries of each rank-one node, built from powers independently of the library.
+
+    Returns (matrix of shape (N, n_mono), list of exponents (a, c)).
+    """
+    q = U.shape[-1]
+    Uf = U.reshape(U.shape[0], q)
+    cols, expo = [], []
+    for total in range(degree + 1):
+        for ex in itertools.product(range(total + 1), repeat=2 * q):
+            if sum(ex) != total:
+                continue
+            col = np.ones(len(Uf), dtype=np.complex128)
+            for j in range(q):
+                col = col * Uf[:, j] ** ex[j] * np.conj(Uf[:, j]) ** ex[q + j]
+            cols.append(col)
+            expo.append(ex)
+    return np.stack(cols, axis=1), expo
+
+
 @pytest.mark.parametrize("b, degree, level", [(1, 6, 5), (2, 4, 2)])
 def test_interpolant_matches_design_matrix(b, degree, level):
-    # the evaluator folds the fit into power tables; the reference is the
-    # design-matrix product of the same least-squares coefficients
+    # the evaluator folds the fit into power tables; the reference is the oracle
+    # design-matrix product of the same coefficients, read from the form's G
+    # (entry G[i, j] multiplies monomial i of u times conj of monomial j)
     sd = structure_data(1, b)
     rule = boundary.sphere_rule(sd, level=level)
     rng = np.random.default_rng(5)
     values = rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule))
     ev, _ = fatou._band_limited_interpolant(rule, values, degree)
-    M, _ = fatou._monomial_design(rule.nodes, degree)
-    sw = np.sqrt(rule.weights)
-    coef, *_ = np.linalg.lstsq(M * sw[:, None], values * sw, rcond=None)
+    G = ev.polynomial_form.G[0]
+    index = {ex: i for i, ex in enumerate(poisson._monomials(sd.q, degree).exponents)}
     U = boundary.sphere_rule(sd, level=level + 1).nodes
-    want = fatou._monomial_design(U, degree)[0] @ coef
+    D, expo = _monomial_design(U, degree)
+    coef = np.array([G[index[ex[: sd.q]], index[ex[sd.q :]]] for ex in expo])
+    want = D @ coef
     got = ev(U)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the fit is the oracle's own weighted least-squares fit, on and off the
+    # nodes; the design is rank-deficient on the sphere (|u|^2 = 1), so the two
+    # minimum-norm solves agree to rounding only (measured <= 4e-14)
+    M, _ = _monomial_design(rule.nodes, degree)
+    sw = np.sqrt(rule.weights)
+    ocoef, *_ = np.linalg.lstsq(M * sw[:, None], values * sw, rcond=None)
+    for V, Dv in ((rule.nodes, M), (U, D)):
+        fit = Dv @ ocoef
+        assert np.max(np.abs(ev(V) - fit)) <= 1e-13 * np.max(np.abs(fit))
     n = len(U) // 6 * 6
     batched = ev(U[:n].reshape(n // 6, 6, 1, sd.q))
     assert batched.shape == (n // 6, 6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matrixball import group, linalg, poisson, suite
-from matrixball.errors import DegeneracyError, MembershipError
+from matrixball.errors import DegeneracyError
 from matrixball.structure import spectral_param, structure_data
 
 
@@ -107,11 +107,6 @@ def test_kappa_right_factors_unitary(rng):
     k[0, 0] = 1.0
     k[1:, 1:] = M.conj().T
     assert np.max(np.abs(group.mobius(k, group.base_point(sd)) - U)) < 1e-12
-
-
-def test_membership_rejects_non_group(sd11):
-    with pytest.raises(MembershipError):
-        group.require_group(2.0 * np.eye(sd11.m), sd11)
 
 
 def test_contraction_inequality_samples(sd11):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used or re-exported, and the
-names the benchmark's tracer wraps still exist."""
+"""Source hygiene: every name a module imports is used or re-exported, the
+names the benchmark's tracer wraps still exist, and every benchmark workload
+still runs and passes at its smoke sizes."""
 
 import ast
 import importlib.util
@@ -43,13 +44,19 @@ def test_unused_import_detected():
     assert _unused_imports(ast.parse(src)) == [(1, "os"), (2, "c")]
 
 
+def _bench_module(name: str):
+    """A perfbench module imported by file path (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("_bench_" + name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_names_resolve():
     # perfbench/tracer.py wraps matrixball functions by name and is frozen with
     # the benchmark; a rename in the library would break it without failing any
     # other test. The file is only imported here, never edited.
-    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_module("tracer")
     for layer, (module, names) in tracer.LAYERS.items():
         mod = importlib.import_module("matrixball." + module)
         missing = [name for name in names if not callable(getattr(mod, name, None))]
@@ -62,3 +69,14 @@ def test_benchmark_tracer_names_resolve():
         params = inspect.signature(fn).parameters
         assert {"seed", "profile"} <= set(params), index
     assert callable(poisson._as_evaluator)
+
+
+def test_benchmark_workloads_pass_at_smoke_sizes():
+    # every operation of every perfbench workload passes within its tol at the
+    # SMOKE sizes; a field or keyword the frozen benchmark still reads (such as
+    # SandwichReport.slack) and the library dropped fails here first
+    workloads = _bench_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        for op_name, op in workload.build(7, workloads.SMOKE[name]):
+            out = op()
+            assert out.passed and out.worst <= out.tol, (name, op_name, out)

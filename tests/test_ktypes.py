@@ -24,12 +24,16 @@ def test_zonal_gram_orthogonality(sd11):
     assert np.max(np.abs(off)) < 1e-12
 
 
-def test_zonal_norm_closed_form_b1():
-    # derived for b = 1: the L^2 mass of R_(p,q) is 1/(p+q+1)
-    for p in range(4):
-        for q in range(4):
-            n2 = ktypes.zonal_norm(ktypes.KTypeIndex(p, q), 1) ** 2
-            assert abs(n2 - 1.0 / (p + q + 1)) < 1e-12
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_zonal_norm_matches_disk_quadrature(b):
+    # the closed form 1/sqrt(dim V_(p,q)) against the L^2 norm of R_(p,q) on the
+    # level-24 disk rule, exact for these degrees
+    rule = boundary.disk_rule(structure_data(1, b), level=24)
+    for p in range(5):
+        for q in range(5):
+            d = ktypes.KTypeIndex(p, q)
+            quad = np.sqrt(np.dot(rule.weights, np.abs(ktypes.zonal(d, rule.nodes, b)) ** 2))
+            assert abs(ktypes.zonal_norm(d, b) - quad) <= 1e-13 * quad
 
 
 def test_projection_recovers_coefficients(sd11, sphere8):
@@ -40,11 +44,11 @@ def test_projection_recovers_coefficients(sd11, sphere8):
         ktypes.KTypeIndex(2, 2): 1.0,
     }
     f = ktypes.band_limited(coeffs, sd11)
+    got, _ = ktypes.ktype_spectrum(f, 3, 2, sphere8)
     for d, a in coeffs.items():
-        got = ktypes.project_ktype(f, d, sphere8)
-        assert abs(got - a) < 1e-7
+        assert abs(got[d] - a) < 1e-7
     # and an absent K-type projects to zero
-    assert abs(ktypes.project_ktype(f, ktypes.KTypeIndex(3, 0), sphere8)) < 1e-7
+    assert abs(got[ktypes.KTypeIndex(3, 0)]) < 1e-7
 
 
 def test_band_limited_matches_zonal_sum(sd11, sphere8):
