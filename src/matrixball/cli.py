@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -78,7 +78,11 @@ class RunConfig:
             raise DomainError("--t-start, --t-stop and --t-step must be finite")
         if self.t_step <= 0:
             raise DomainError("--t-step must be positive")
-        grid = np.arange(self.t_start, self.t_stop + 1e-9, self.t_step)
+        try:
+            grid = np.arange(self.t_start, self.t_stop + 1e-9, self.t_step)
+        except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+            raise DomainError("the t grid from --t-start %g to --t-stop %g by --t-step %g is "
+                              "too large: %s" % (self.t_start, self.t_stop, self.t_step, exc)) from None
         if not grid.size:
             raise DomainError("the t grid from --t-start %g to --t-stop %g is empty"
                               % (self.t_start, self.t_stop))
@@ -86,6 +90,18 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _config_type_ok(annotation: str, value) -> bool:
+    """Whether a --config value fits a RunConfig field annotated "int", "float | None", ...
+
+    A bool is no number, and a float field also takes an int.
+    """
+    base, _, optional = annotation.partition(" | ")
+    if value is None:
+        return bool(optional)
+    accepted = {"int": int, "float": (int, float), "str": str}[base]
+    return isinstance(value, accepted) and not isinstance(value, bool)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -104,6 +120,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(loaded) - set(values)
         if unknown:
             raise MatrixBallError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+        for fld in fields(RunConfig):
+            if fld.name in loaded and not _config_type_ok(fld.type, loaded[fld.name]):
+                raise DomainError("--config %s: %s must be %s, got %r"
+                                  % (path, fld.name, fld.type, loaded[fld.name]))
         values.update(loaded)
     for key in values:
         flag = getattr(args, key, None)
@@ -111,6 +131,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     if values["samples"] is not None and values["samples"] < 1:
         raise DomainError("--samples must be at least 1, got %r" % (values["samples"],))
+    if values["profile"] not in ("quick", "full"):
+        raise DomainError("profile must be quick or full, got %r" % (values["profile"],))
     if values["seed"] < 0:
         raise DomainError("--seed must be non-negative, got %r" % (values["seed"],))
     for key in ("s_re", "s_im"):

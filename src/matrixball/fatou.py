@@ -7,12 +7,16 @@ the correction exponents the theory fixes, applied to every node at once),
 inverts the transform from a single deep slice, checks the
 dominating-function bound behind the convergence proof, and verifies the
 two-sided Hardy-norm estimate.
+
+Results on the boundary are node values, not callables: boundary_limit
+reports f's estimate at the profile nodes (limits / cs), invert_l2 takes the
+slice F(., t) on the rule nodes and returns g_t there, and norm_sandwich reads
+the Hardy norms from poisson.hardy_profile.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,24 +111,23 @@ def zonal_profile(sp: SpectralParam, t_grid, rule: QuadratureRule | None = None)
     _warn_inadmissible(sp)
     if rule is None:
         rule = poisson._default_radial_rule(sp.sd, t_max=float(t_grid[-1]))
-    vals, _ = poisson._phi_profile(sp, t_grid, rule)
+    vals = poisson._phi_profile(sp, t_grid, rule)
     nodes = group.base_point(sp.sd)[None]
     return RadialProfile(t_grid=t_grid, values=vals[None, :], nodes=nodes, growth=sp.growth)
 
 
 @dataclass
 class BoundaryLimitReport:
-    limits: np.ndarray  # (N,) estimates of f at the profile nodes
+    limits: np.ndarray  # (N,) limits of the renormalized tails; limits / cs estimates f at the nodes
     converged: np.ndarray  # (N,) bool
     cs: complex
-    f_estimate: Callable = field(repr=False, default=None)
     sup_err: float | None = None
     lp_err: float | None = None
 
 
 def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
                    p: float = 2.0, rule: QuadratureRule | None = None) -> BoundaryLimitReport:
-    """Extrapolate the renormalized tail and divide by c_s to estimate f.
+    """Extrapolate the renormalized tail at each profile node; limits / cs estimates f there.
 
     Each node's tail goes through the Richardson extrapolation of c_s's
     Fatou route (poisson._richardson_limit), which removes the corrections
@@ -152,12 +155,10 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
             % (bad, N, sp.sd.admissibility_threshold, sp.s.real)
         )
     cs = poisson.c_s(sp, method="gk")
-    est = limits / cs
-    fn = _nearest_node_function(profile.nodes, est)
     sup_err = lp_err = None
     if reference is not None:
         ref = poisson._as_evaluator(reference)(profile.nodes)
-        diff = np.abs(est - ref)
+        diff = np.abs(limits / cs - ref)
         sup_err = float(np.max(diff))
         if rule is not None and len(rule) == N:
             lp_err = float(np.dot(rule.weights, diff**p) ** (1.0 / p))
@@ -167,30 +168,9 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
         limits=limits,
         converged=converged,
         cs=cs,
-        f_estimate=fn,
         sup_err=sup_err,
         lp_err=lp_err,
     )
-
-
-def _nearest_node_function(nodes: np.ndarray, values: np.ndarray) -> Callable:
-    """The boundary function taking at each point the value of its Frobenius-nearest node.
-
-    |U - V|^2 = |U|^2 + |V|^2 - 2 Re <U, V>, so the nearest node maximises
-    Re <U, V> - |V|^2 / 2: one real Gram product, with each complex entry
-    read as its (re, im) pair.
-    """
-    flat = np.ascontiguousarray(nodes, dtype=np.complex128).reshape(len(nodes), -1).view(np.float64)
-    half_norms = 0.5 * np.einsum("ij,ij->i", flat, flat)
-
-    def ev(U: np.ndarray) -> np.ndarray:
-        U = np.ascontiguousarray(U, dtype=np.complex128)
-        single = U.ndim == 2
-        Uf = U.reshape(-1, flat.shape[1] // 2).view(np.float64)
-        out = values[np.argmax(Uf @ flat.T - half_norms, axis=1)]
-        return out[0] if single else out
-
-    return ev
 
 
 def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: int):
@@ -220,23 +200,23 @@ def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: 
     return form.evaluator(), rel
 
 
-def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule) -> Callable:
-    """Recover f from one radial slice of its transform.
+def invert_l2(sp: SpectralParam, values, t: float, rule: QuadratureRule) -> np.ndarray:
+    """Recover f on the rule nodes from one radial slice of its transform.
 
     g_t(k) = |c_s|^-2 e^(2(n - r Re s)t) sum_h w_h conj(K_s(Z_t(k), U_h)) F(U_h, t)
     with Z_t(k) = tanh(t) U_k = mobius(k a_t, 0).
 
-    Realization: F is sampled once on the rule nodes (the data the literal
-    node sum uses). A raw node sum aliases once the kernel peak, of width
-    ~ e^(-t), drops below the node spacing; instead the slice is rebuilt as
-    a polynomial of degree INVERSION_DEGREE (exact when f is band-limited
-    within it, least-squares otherwise, residual warned about) and the
-    h-integral is evaluated with the recentered radial pushforward, whose
-    accuracy is uniform in t.
+    values: the slice F(U_h, t) = P_s f(k_h a_t . 0), one value per rule node
+    U_h (the data the literal node sum uses). A raw node sum aliases once the
+    kernel peak, of width ~ e^(-t), drops below the node spacing; instead the
+    slice is rebuilt as a polynomial of degree INVERSION_DEGREE (exact when f
+    is band-limited within it, least-squares otherwise, residual warned
+    about) and the h-integral is evaluated with the recentered radial
+    pushforward, whose accuracy is uniform in t.
     conj(K_s) = K_conj(s) since the kernel's log-arguments are real, so the
     h-integral is the Poisson transform of the slice at conj(s). Real part
-    of s is used in the renormalization (moduli are what converge). g_t is
-    reported at the rule nodes.
+    of s is used in the renormalization (moduli are what converge). Returns
+    g_t at the rule nodes, an (N,) array.
     """
     poisson._require_admissible(sp)
     from .structure import spectral_param
@@ -246,9 +226,9 @@ def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule) -> Callable:
         raise DomainError("invert_l2 slice reconstruction is rank-one only")
     if t < 1.0:
         warnings.warn("small t biases the inversion (t = %.2f)" % t, RuntimeWarning, stacklevel=2)
-    Fvals = np.asarray(F(rule.nodes, float(t)), dtype=np.complex128).reshape(-1)
+    Fvals = np.asarray(values, dtype=np.complex128)
     if Fvals.shape != (len(rule),):
-        raise DomainError("F must return one value per rule node")
+        raise DomainError("the slice needs one value per rule node, got shape %s" % (Fvals.shape,))
     slice_f, fit_rel = _band_limited_interpolant(rule, Fvals, INVERSION_DEGREE)
     if fit_rel > 1e-6:
         warnings.warn(
@@ -262,8 +242,7 @@ def invert_l2(sp: SpectralParam, F, t: float, rule: QuadratureRule) -> Callable:
     pref = abs(poisson.c_s(sp, method="gk")) ** -2 * math.exp(
         2.0 * (sd.n - sd.r * sp.s.real) * float(t)
     )
-    gv = pref * np.asarray(vals, dtype=np.complex128).reshape(-1)
-    return _nearest_node_function(rule.nodes, gv)
+    return pref * vals
 
 
 @dataclass
@@ -351,44 +330,24 @@ def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule):
     """Check |c_s| ||f||_p <= hardy_norm(P_s f) <= gamma_s ||f||_p per f, each
     bound within a relative SANDWICH_SLACK.
 
-    p may be a single exponent or a sequence; with a sequence the lifted
-    boundary values are computed once per (f, t) and shared across all the
+    p may be a single exponent or a sequence, each finite and > 1; with a
+    sequence poisson.hardy_norm shares each f's transform across the
     exponents, and a list of reports (one per p) comes back in order.
     """
     poisson._require_admissible(sp)
-    p_list = [float(p)] if np.isscalar(p) else [float(x) for x in p]
-    if any(x <= 1 for x in p_list):
-        raise DomainError("the sandwich needs p > 1")
+    p_list = poisson._lp_exponents(p)
     t_grid = np.asarray(t_grid, dtype=float)
-    slack = SANDWICH_SLACK
     cs_abs = abs(poisson.c_s(sp, method="gk"))
     gamma = poisson.gamma_estimate(sp, t_grid, rule)
-    growth = float(np.real(sp.growth))
-    renorm = np.exp(-growth * t_grid)
-    f_norms = [[] for _ in p_list]
-    hardy_norms = [[] for _ in p_list]
-    for f in f_list:
-        ev = poisson._as_evaluator(f)
-        fabs = np.abs(ev(rule.nodes))
-        lift = poisson.transform_radial(sp, f, rule.nodes, t_grid, rule)
-        lift_abs = np.ascontiguousarray(np.abs(lift).T)  # (T, N), laid out as the per-t rows were
-        for i, px in enumerate(p_list):
-            fnorm = float(np.dot(rule.weights, fabs**px) ** (1.0 / px))
-            prof = renorm * np.dot(lift_abs**px, rule.weights) ** (1.0 / px)
-            f_norms[i].append(fnorm)
-            hardy_norms[i].append(float(np.max(prof)))
+    f_abs = [np.abs(poisson._as_evaluator(f)(rule.nodes)) for f in f_list]
+    h_norms = [poisson.hardy_norm(sp, f, p_list, t_grid, rule) for f in f_list]
     reports = []
     for i, px in enumerate(p_list):
-        reports.append(
-            SandwichReport(
-                p=px,
-                cs_abs=cs_abs,
-                gamma=gamma,
-                f_norms=f_norms[i],
-                hardy_norms=hardy_norms[i],
-                lower_ok=[cs_abs * fn <= hn * (1.0 + slack) for fn, hn in zip(f_norms[i], hardy_norms[i])],
-                upper_ok=[hn <= gamma * fn * (1.0 + slack) for fn, hn in zip(f_norms[i], hardy_norms[i])],
-                slack=slack,
-            )
-        )
-    return reports[0] if np.isscalar(p) else reports
+        fn = [float(np.dot(rule.weights, fa**px) ** (1.0 / px)) for fa in f_abs]
+        hn = [float(h[i]) for h in h_norms]
+        reports.append(SandwichReport(
+            p=px, cs_abs=cs_abs, gamma=gamma, f_norms=fn, hardy_norms=hn,
+            lower_ok=[cs_abs * x <= y * (1.0 + SANDWICH_SLACK) for x, y in zip(fn, hn)],
+            upper_ok=[y <= gamma * x * (1.0 + SANDWICH_SLACK) for x, y in zip(fn, hn)],
+            slack=SANDWICH_SLACK))
+    return reports[0] if np.ndim(p) == 0 else reports

@@ -34,7 +34,6 @@ __all__ = [
     "zonal_function",
     "zonal_norm",
     "ktype_spectrum",
-    "phi_s_delta",
     "spherical_profile",
     "schur_diagonality",
     "band_limited",
@@ -144,12 +143,6 @@ def ktype_spectrum(f, max_p: int, max_q: int, rule: QuadratureRule):
     return coeffs, defect
 
 
-def phi_s_delta(sp: SpectralParam, delta: KTypeIndex, t: float, rule: QuadratureRule) -> complex:
-    """Phi_{s,delta}(a_t): the transform of the zonal function at a_t . 0."""
-    f = zonal_function(delta, sp.sd)
-    return complex(poisson.transform_radial(sp, f, None, t, rule))
-
-
 def spherical_profile(sp: SpectralParam, delta: KTypeIndex, t_grid, rule: QuadratureRule) -> SphericalProfile:
     t_grid = np.asarray(t_grid, dtype=float)
     vals = poisson.transform_radial(sp, zonal_function(delta, sp.sd), None, t_grid, rule)
@@ -189,7 +182,7 @@ def schur_diagonality(
     ratios = Fv[mask] / fv[mask]
     mean = complex(np.mean(ratios))
     cv = float(np.std(ratios) / max(abs(mean), 1e-300))
-    ref = phi_s_delta(sp, delta, t, rule)
+    ref = complex(spherical_profile(sp, delta, [t], rule).values[0])
     return SchurReport(
         delta=delta, t=t, ratio_mean=mean, cv=cv, phi_reference=ref, n_used=int(mask.sum())
     )

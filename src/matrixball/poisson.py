@@ -34,6 +34,10 @@ c_s is computed three independent ways: a closed-form Gamma product, the
 renormalized limit of the radial profile of P_s 1 (Richardson-accelerated with
 the known correction exponents), and for rank one a direct integral over the
 opposite unipotent group.
+
+The Hua-Hardy norm sup_t e^(-(r Re s - n)t) ||P_s f(. a_t)||_p is read from
+one transform_radial call over the whole t grid on the rule's nodes, shared
+across exponents (hardy_profile, hardy_norm).
 """
 
 import functools
@@ -58,7 +62,6 @@ __all__ = [
     "kernel",
     "transform",
     "transform_radial",
-    "poisson_lift",
     "phi_s",
     "c_s",
     "hardy_profile",
@@ -371,15 +374,6 @@ def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
     return out
 
 
-def poisson_lift(sp: SpectralParam, f, rule: QuadratureRule):
-    """The transform as a function on K x A: F(U, t) = P_s f(k_U a_t . 0)."""
-
-    def F(U: np.ndarray, t: float) -> np.ndarray:
-        return transform_radial(sp, f, U, t, rule)
-
-    return F
-
-
 def phi_s(sp: SpectralParam, t, rule: QuadratureRule):
     """Spherical-type radial value phi_s(a_t) = P_s 1 (a_t . 0).
 
@@ -387,17 +381,16 @@ def phi_s(sp: SpectralParam, t, rule: QuadratureRule):
     array of the same shape.
     """
     t_grid = np.asarray(t, dtype=float)
-    vals, _ = _phi_profile(sp, t_grid.reshape(-1), rule)
+    vals = _phi_profile(sp, t_grid.reshape(-1), rule)
     return complex(vals[0]) if t_grid.ndim == 0 else vals.reshape(t_grid.shape)
 
 
-def _phi_profile(sp: SpectralParam, t_grid, rule: QuadratureRule):
-    """phi_s on t_grid, and for a Monte Carlo rule the standard error per t (else None).
+def _phi_profile(sp: SpectralParam, t_grid, rule: QuadratureRule) -> np.ndarray:
+    """phi_s on t_grid, as a complex128 array.
 
     The rule is a Shilov-point rule or the rank-one disk rule; the radial
     weights come from coefficients built once for the whole grid. For real s
-    the weights, their mean and the Monte Carlo variance are real, so they
-    are computed in float64; the values are returned as complex128 either way.
+    the weights and their mean are real, so they are computed in float64.
     """
     sd = sp.sd
     coefs = _radial_coefficients(sd, rule, disk=True)
@@ -405,17 +398,9 @@ def _phi_profile(sp: SpectralParam, t_grid, rule: QuadratureRule):
     if sigma.imag == 0:
         sigma = sigma.real
     vals = np.empty(len(t_grid), dtype=type(sigma))
-    err = None
-    if rule.kind == "monte-carlo-stiefel":
-        err = np.empty(len(t_grid))
-        w2 = float(np.sum(rule.weights**2))
     for i, t in enumerate(t_grid):
-        y = np.exp(sigma * _kernels.radial_logweight(coefs, float(t)))
-        vals[i] = np.dot(rule.weights, y)
-        if err is not None:
-            var = float(np.dot(rule.weights, np.abs(y - vals[i]) ** 2))
-            err[i] = math.sqrt(max(var, 0.0) * w2)
-    return vals.astype(np.complex128, copy=False), err
+        vals[i] = np.dot(rule.weights, np.exp(sigma * _kernels.radial_logweight(coefs, float(t))))
+    return vals.astype(np.complex128, copy=False)
 
 
 def _default_radial_rule(sd, t_max: float):
@@ -483,17 +468,12 @@ def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None) -> complex:
     dt = _fatou_grid_step(t_grid)
     if rule is None:
         rule = _default_radial_rule(sd, float(t_grid[-1]))
-    vals, errs = _phi_profile(sp, t_grid, rule)
-    y = np.exp(-sp.growth * t_grid) * vals
-    rel_tol = FATOU_REL_TOL
-    if errs is not None:
-        rel_noise = float(np.max(errs / np.abs(vals)))
-        rel_tol = max(rel_tol, 25.0 * rel_noise)
+    y = np.exp(-sp.growth * t_grid) * _phi_profile(sp, t_grid, rule)
     a, c = _richardson_limit(y, dt, _correction_exponents(sp))
-    if abs(c) == 0 or abs(a - c) > rel_tol * abs(c):
+    if abs(c) == 0 or abs(a - c) > FATOU_REL_TOL * abs(c):
         raise ConvergenceError(
-            "renormalized radial profile has not converged: "
-            "last extrapolants differ by %.2e (tol %.2e)" % (abs(a - c) / max(abs(c), 1e-300), rel_tol)
+            "renormalized radial profile has not converged: last extrapolants differ "
+            "by %.2e (tol %.2e)" % (abs(a - c) / max(abs(c), 1e-300), FATOU_REL_TOL)
         )
     return complex(c)
 
@@ -543,21 +523,34 @@ def c_s(sp: SpectralParam, method: str = "gk", **params):
     raise ValueError("unknown c_s method %r" % method)
 
 
-def hardy_profile(F, sp: SpectralParam, p: float, t_grid, rule: QuadratureRule) -> np.ndarray:
-    """Renormalized L^p boundary norms e^(-t(r Re s - n)) ||F(. a_t)||_p."""
+def _lp_exponents(p) -> list:
+    """One exponent or a sequence of them as a list; each must be finite and > 1."""
+    p_list = [float(p)] if np.ndim(p) == 0 else [float(x) for x in p]
+    if not all(math.isfinite(x) and x > 1 for x in p_list):
+        raise DomainError("the L^p norm needs finite p > 1, got %r" % (p,))
+    return p_list
+
+
+def hardy_profile(sp: SpectralParam, f, p, t_grid, rule: QuadratureRule) -> np.ndarray:
+    """Renormalized L^p slice norms e^(-t(r Re s - n)) ||P_s f(. a_t)||_p on t_grid.
+
+    The slices P_s f(k_U a_t . 0) on the rule's nodes come from one
+    transform_radial call over the grid. p is one exponent, giving a
+    length-T array, or a sequence, giving one row per p that shares the slices.
+    """
+    p_list = _lp_exponents(p)
     t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty(len(t_grid))
-    g = float(np.real(sp.growth))
-    for i, t in enumerate(t_grid):
-        vals = F(rule.nodes, float(t))
-        lp = float(np.dot(rule.weights, np.abs(vals) ** p)) ** (1.0 / p)
-        out[i] = math.exp(-g * t) * lp
-    return out
+    renorm = np.exp(-float(np.real(sp.growth)) * t_grid)
+    lift = transform_radial(sp, f, rule.nodes, t_grid, rule)
+    lift_abs = np.ascontiguousarray(np.abs(lift).T)  # (T, N): one slice per row
+    prof = np.array([renorm * np.dot(lift_abs**px, rule.weights) ** (1.0 / px) for px in p_list])
+    return prof[0] if np.ndim(p) == 0 else prof
 
 
-def hardy_norm(F, sp: SpectralParam, p: float, t_grid, rule: QuadratureRule) -> float:
-    """Hardy-type norm: the sup of the renormalized L^p profile on the grid."""
-    return float(np.max(hardy_profile(F, sp, p, t_grid, rule)))
+def hardy_norm(sp: SpectralParam, f, p, t_grid, rule: QuadratureRule):
+    """Hardy-type norm: the sup of hardy_profile on the grid, a float or one per p."""
+    norms = np.max(hardy_profile(sp, f, p, t_grid, rule), axis=-1)
+    return float(norms) if np.ndim(p) == 0 else norms
 
 
 def gamma_estimate(sp: SpectralParam, t_grid, rule: QuadratureRule) -> float:
@@ -573,5 +566,5 @@ def gamma_estimate(sp: SpectralParam, t_grid, rule: QuadratureRule) -> float:
         t_grid = np.concatenate([[0.0], t_grid])
     sp_re = spectral_param(float(np.real(sp.s)), sp.sd)
     _require_admissible(sp_re)
-    vals, _ = _phi_profile(sp_re, t_grid, rule)
+    vals = _phi_profile(sp_re, t_grid, rule)
     return float(np.max(np.exp(-np.real(sp_re.growth) * t_grid) * np.real(vals)))

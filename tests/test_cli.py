@@ -222,9 +222,12 @@ def test_samples_below_one_exits_2(count):
     assert "--samples must be at least 1" in res.stderr
 
 
-@pytest.mark.parametrize("flag,value", [("--t-step", "-1"), ("--t-step", "nan"), ("--t-stop", "inf")])
-def test_bad_t_grid_exits_2(flag, value):
-    res = run_cli("poisson", "kernel", flag, value)
+@pytest.mark.parametrize("flags", [("--t-step", "-1"), ("--t-step", "nan"), ("--t-stop", "inf"),
+                                   ("--t-stop", "1e12", "--t-step", "1e-9")],
+                         ids=["--t-step--1", "--t-step-nan", "--t-stop-inf", "too-large"])
+def test_bad_t_grid_exits_2(flags):
+    # a grid numpy cannot allocate is named as a usage error, not a ValueError
+    res = run_cli("poisson", "kernel", *flags)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
 
@@ -266,6 +269,8 @@ def test_empty_t_grid_exits_2(argv, capsys):
     ("fatou", "limit", "--p", "0"),
     ("fatou", "limit", "--p", "-1"),
     ("fatou", "limit", "--p", "nan"),
+    ("fatou", "sandwich", "--p", "inf", "--samples", "1", "--level", "3"),
+    ("fatou", "sandwich", "--p", "nan", "--samples", "1", "--level", "3"),
 ], ids=" ".join)
 def test_outside_inputs_exit_2(argv, capsys):
     # a negative level, a negative seed, a non-finite s and a p that is not a
@@ -279,6 +284,35 @@ def test_suite_non_integer_criteria_exits_2(criteria, token, capsys):
     assert cli.main(["suite", "--criteria", criteria, "--profile", "quick"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --criteria") and token in err
+
+
+@pytest.mark.parametrize("values", [{"seed": "x"}, {"s_re": "2"}, {"level": 2.0}, {"r": True},
+                                    {"t_step": False}, {"samples": "5"}, {"out": 3}],
+                         ids=["seed-str", "s_re-str", "level-float", "r-bool", "t_step-bool",
+                              "samples-str", "out-int"])
+def test_config_value_of_wrong_type_exits_2(tmp_path, values, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert cli.main(["structure", "--config", str(cfg)]) == 2
+    name = next(iter(values))
+    assert capsys.readouterr().err.startswith("error: --config %s: %s must be" % (cfg, name))
+
+
+def test_config_float_field_takes_an_int(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s_re": 3, "t_step": 1, "samples": None}))
+    args = cli.build_parser().parse_args(["poisson", "phi", "--config", str(cfg)])
+    resolved = cli.resolve_config(args)
+    assert (resolved.s_re, resolved.t_step, resolved.samples) == (3, 1, None)
+
+
+def test_config_profile_outside_quick_and_full_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "huge"}))
+    out = tmp_path / "suite"
+    assert cli.main(["suite", "--criteria", "1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "profile must be quick or full" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["{", "[1]", "\"r\""])

@@ -51,9 +51,8 @@ def test_boundary_limit_recovers_band_limited(sd11):
     assert rep.sup_err is not None and rep.sup_err < 1e-2
     assert rep.lp_err < rep.sup_err + 1e-12
     assert np.all(rep.converged)
-    # the estimate callable reproduces the node values
-    est = rep.f_estimate(rule.nodes[:5])
-    assert np.max(np.abs(est - rep.limits[:5] / rep.cs)) < 1e-12
+    # the estimate of f at the nodes is limits / cs, and sup_err is its error there
+    assert np.max(np.abs(rep.limits / rep.cs - f(rule.nodes))) == rep.sup_err
 
 
 def test_boundary_limit_negative_control(sd11):
@@ -107,13 +106,14 @@ def test_invert_l2_roundtrip(sd11):
     sp = spectral_param(2.5, sd11)
     rule = boundary.sphere_rule(sd11, level=5)
     f = ktypes.random_band_limited(sd11, seed=31, max_p=2, max_q=2, translates=1)
-    F = poisson.poisson_lift(sp, f, rule)
+    lift = poisson.transform_radial(sp, f, rule.nodes, (3.0, 4.0), rule)
     ref = f(rule.nodes)
     scale = float(np.dot(rule.weights, np.abs(ref) ** 2)) ** 0.5
     errs = []
-    for t in (3.0, 4.0):
-        g = fatou.invert_l2(sp, F, t, rule)
-        diff = np.abs(g(rule.nodes) - ref)
+    for j, t in enumerate((3.0, 4.0)):
+        g = fatou.invert_l2(sp, lift[:, j], t, rule)
+        assert g.shape == (len(rule),)
+        diff = np.abs(g - ref)
         errs.append(float(np.dot(rule.weights, diff**2)) ** 0.5 / scale)
     assert errs[1] < errs[0]
     assert errs[1] < 2e-2
@@ -178,14 +178,17 @@ def test_interpolant_matches_design_matrix(b, degree, level):
 
 def test_invert_l2_guards(sd11, sd21):
     rule = boundary.sphere_rule(sd11, level=3)
-    F = lambda U, t: np.ones(U.shape[0])
+    ones = np.ones(len(rule))
     with pytest.raises(AdmissibilityError):
-        fatou.invert_l2(spectral_param(-1.0, sd11), F, 3.0, rule)
+        fatou.invert_l2(spectral_param(-1.0, sd11), ones, 3.0, rule)
     with pytest.warns(RuntimeWarning, match="small t"):
-        fatou.invert_l2(spectral_param(2.5, sd11), F, 0.5, rule)
+        fatou.invert_l2(spectral_param(2.5, sd11), ones, 0.5, rule)
+    for bad in (ones[:-1], ones[:, None], np.ones((2, len(rule))), 1.0):
+        with pytest.raises(DomainError, match="one value per rule node"):
+            fatou.invert_l2(spectral_param(2.5, sd11), bad, 3.0, rule)
     srule = boundary.stiefel_rule(sd21, 64, seed=1)
     with pytest.raises(DomainError):
-        fatou.invert_l2(spectral_param(4.0, sd21), F, 3.0, srule)
+        fatou.invert_l2(spectral_param(4.0, sd21), np.ones(len(srule)), 3.0, srule)
 
 
 @pytest.mark.parametrize("s", [1.5, 3.0])
@@ -229,8 +232,9 @@ def test_norm_sandwich_shared_lifts(sd11):
         assert rep.cs_abs <= rep.gamma + 1e-12
     single = fatou.norm_sandwich(sp, 2.0, fs, t_grid, rule)
     assert np.allclose(single.hardy_norms, reports[1].hardy_norms)
-    with pytest.raises(DomainError):
-        fatou.norm_sandwich(sp, 1.0, fs, t_grid, rule)
+    for p in (1.0, np.inf, np.nan, (2.0, np.inf)):
+        with pytest.raises(DomainError, match="finite p > 1"):
+            fatou.norm_sandwich(sp, p, fs, t_grid, rule)
 
 
 @pytest.fixture(scope="module")
@@ -303,20 +307,3 @@ def test_boundary_limit_does_not_import_scipy_optimize():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
-
-
-@pytest.mark.parametrize("r, b, n_nodes", [(1, 1, 847), (2, 1, 400)])
-def test_nearest_node_function_is_frobenius_nearest(r, b, n_nodes):
-    sd = structure_data(r, b)
-    if r == 1:
-        nodes = boundary.sphere_rule(sd, level=5).nodes
-    else:
-        nodes = boundary.stiefel_rule(sd, samples=n_nodes, seed=3).nodes
-    assert len(nodes) == n_nodes
-    values = np.arange(n_nodes) * (1.0 + 0.5j)
-    fn = fatou._nearest_node_function(nodes, values)
-    assert np.array_equal(fn(nodes), values)
-    assert fn(nodes[5]) == values[5]
-    queries = boundary.stiefel_rule(sd, samples=300, seed=4).nodes
-    d2 = np.sum(np.abs(queries[:, None] - nodes[None]) ** 2, axis=(2, 3))
-    assert np.array_equal(fn(queries), values[np.argmin(d2, axis=1)])
