@@ -9,7 +9,8 @@ Three rule families:
 * ``stiefel_rule``  - seeded Haar Monte Carlo: the first r columns of the
   unitary factor of a complex q x q Gaussian matrix (phase-fixed QR). Only
   those r columns are drawn into the matrix that is factored; the stream is
-  the same q x q draw, so the nodes equal those of a full q x q QR.
+  the same q x q draw, and Gram-Schmidt QR is column-sequential, so the nodes
+  equal those of a full q x q QR bit for bit.
 * ``heisenberg_chart`` - rank-one rule on the opposite horospherical group
   N1bar: a fixed tan-mapped Gauss-Legendre grid in the two M-invariant
   coordinates (|x|, |y|) of nbar = exp(x, y), with weights calibrated so the
@@ -170,21 +171,23 @@ def stiefel_rule(sd: StructureData, samples: int, seed: int) -> QuadratureRule:
     Each node is the conjugate transpose of the first r columns of the
     phase-fixed QR factor of a q x q complex Gaussian (all real parts drawn
     first, then all imaginary parts). Those columns depend only on the first r
-    columns of the Gaussian, so only they are kept and factored. A sample count
-    that is not a positive integer raises DomainError before any allocation.
+    columns of the Gaussian, so only they are kept, stored column-major across
+    the samples, and factored by one vectorised linalg.qr_unitary call over the
+    whole stack. A sample count that is not a positive integer raises
+    DomainError before any allocation.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise DomainError("stiefel samples must be a positive integer, got %r" % (samples,))
     rng = np.random.default_rng(seed)
     q, r = sd.q, sd.r
     draw = np.empty((samples, q, q))
-    G = np.empty((samples, q, r), dtype=np.complex128)
+    G = np.empty((r, q, samples), dtype=np.complex128)  # column-major, as qr_unitary works
     rng.standard_normal(out=draw)
-    G.real = draw[:, :, :r]
+    G.real = draw[:, :, :r].T
     rng.standard_normal(out=draw)
-    G.imag = draw[:, :, :r]
+    G.imag = draw[:, :, :r].T
     del draw
-    Q = linalg.qr_unitary(G)[0]
+    Q = linalg.qr_unitary(G.T)[0]
     del G
     U = np.ascontiguousarray(np.swapaxes(Q, -1, -2))
     np.conjugate(U, out=U)

@@ -3,14 +3,17 @@
 Matrices are plain numpy ``complex128`` arrays throughout the package; this
 module wraps the handful of primitives the rest of the code relies on
 (determinant, definiteness test, exponential, phase-fixed QR) behind stable
-contracts and package-specific error types. The heavy lifting is delegated to
-numpy/scipy LAPACK routines, which at these sizes are effectively exact.
+contracts and package-specific error types. The determinant, condition number
+and exponential are numpy/scipy LAPACK calls, which at these sizes are
+effectively exact. The QR is a two-pass Gram-Schmidt vectorised across a stack
+of matrices, since the stacks it factors (10^6 Haar samples) hold matrices too
+small for one LAPACK call each to pay off.
 """
 
 import numpy as np
 import scipy.linalg
 
-from .errors import MembershipError
+from .errors import DegeneracyError, MembershipError
 
 __all__ = [
     "det",
@@ -62,19 +65,55 @@ def expm(X):
     return scipy.linalg.expm(np.asarray(X, dtype=np.complex128))
 
 
-def qr_unitary(A):
-    """Reduced QR factorization with the diagonal of R made real and positive.
+def _sum_rows(x):
+    """Sum of x (n, M) over its rows, added in row order whatever the layout."""
+    out = x[0].copy()
+    for row in x[1:]:
+        out += row
+    return out
 
-    The phase fix makes the unitary factor a deterministic function of A,
-    which is what both Haar sampling and the boundary-coset construction need.
+
+def qr_unitary(A):
+    """Reduced QR of A (..., n, k), k <= n, with the diagonal of R real and positive.
+
+    Returns Q (..., n, k) with orthonormal columns and R (..., k, k) upper
+    triangular with Q R = A. The phase fix makes both factors a deterministic
+    function of A, which is what both Haar sampling and the boundary-coset
+    construction need.
+
+    The factorisation is two-pass classical Gram-Schmidt: each column is
+    projected off the columns before it twice, which keeps Q orthonormal to
+    roundoff for any numerically full-rank A (Giraud, Langou & Rozloznik 2005,
+    "twice is enough"). It loops over the k columns only, and every step is one
+    vector operation across the whole stack. Column j of Q and R depends only on
+    the first j + 1 columns of A, bit for bit. A non-finite entry, or a column
+    whose residual after the projections is zero, raises DegeneracyError.
+    Squared column norms are not rescaled, so entries must stay well inside
+    1e-150 < |a| < 1e150.
     """
     A = np.asarray(A, dtype=np.complex128)
-    Q, R = np.linalg.qr(A)
-    d = np.diagonal(R, axis1=-2, axis2=-1).copy()
-    ph = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    Q *= ph[..., None, :]
-    R *= ph.conj()[..., :, None]
-    return Q, R
+    *stack, n, k = A.shape
+    if k > n:
+        raise ValueError("qr_unitary needs k <= n columns, got shape %s" % (A.shape,))
+    if not np.all(np.isfinite(A)):
+        raise DegeneracyError("qr_unitary needs finite entries")
+    # column j of every matrix in the stack is the contiguous (n, M) block Q[j]
+    Q = A.reshape(-1, n, k).transpose(2, 1, 0).copy()
+    R = np.zeros((k, k, Q.shape[-1]), dtype=np.complex128)
+    for j in range(k):
+        v = Q[j]
+        for _ in range(2):
+            c = [_sum_rows(Q[i].conj() * v) for i in range(j)]
+            for i in range(j):
+                v -= Q[i] * c[i]
+                R[i, j] += c[i]
+        norm = np.sqrt(_sum_rows(v.real ** 2 + v.imag ** 2))
+        if not np.all((norm > 0) & np.isfinite(norm)):
+            raise DegeneracyError("qr_unitary: column %d is zero after projection "
+                                  "(rank-deficient matrix)" % j)
+        v /= norm
+        R[j, j] = norm
+    return Q.transpose(2, 1, 0).reshape(A.shape), R.transpose(2, 0, 1).reshape(*stack, k, k)
 
 
 def cond(A):

@@ -385,22 +385,36 @@ def phi_s(sp: SpectralParam, t, rule: QuadratureRule):
     return complex(vals[0]) if t_grid.ndim == 0 else vals.reshape(t_grid.shape)
 
 
-def _phi_profile(sp: SpectralParam, t_grid, rule: QuadratureRule) -> np.ndarray:
+def _spectral_axis(sp):
+    """One SpectralParam or a sequence of them as (list, single); a sequence must share one domain."""
+    single = isinstance(sp, SpectralParam)
+    sps = [sp] if single else list(sp)
+    if not sps or any(x.sd != sps[0].sd for x in sps):
+        raise DomainError("an s axis needs at least one s, all on one domain")
+    return sps, single
+
+
+def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
     """phi_s on t_grid, as a complex128 array.
 
-    The rule is a Shilov-point rule or the rank-one disk rule; the radial
-    weights come from coefficients built once for the whole grid. For real s
-    the weights and their mean are real, so they are computed in float64.
+    sp is one SpectralParam, giving a length-T array, or a sequence of them on
+    one domain, giving one row per s. The rule is a Shilov-point rule or the
+    rank-one disk rule; the radial weights come from coefficients built once
+    for the whole grid, and each t's log-weights are computed once and shared
+    by every s, which then costs one exponential and one mean. For real s the
+    weights and their mean are real, so they are computed in float64.
     """
-    sd = sp.sd
+    sps, single = _spectral_axis(sp)
+    sd = sps[0].sd
     coefs = _radial_coefficients(sd, rule, disk=True)
-    sigma = sp.s - sd.harmonic_s
-    if sigma.imag == 0:
-        sigma = sigma.real
-    vals = np.empty(len(t_grid), dtype=type(sigma))
+    sigmas = [x.s - sd.harmonic_s for x in sps]
+    sigmas = [sigma.real if sigma.imag == 0 else sigma for sigma in sigmas]
+    vals = np.empty((len(sps), len(t_grid)), dtype=np.complex128)
     for i, t in enumerate(t_grid):
-        vals[i] = np.dot(rule.weights, np.exp(sigma * _kernels.radial_logweight(coefs, float(t))))
-    return vals.astype(np.complex128, copy=False)
+        lw = _kernels.radial_logweight(coefs, float(t))
+        for k, sigma in enumerate(sigmas):
+            vals[k, i] = np.dot(rule.weights, np.exp(sigma * lw))
+    return vals[0] if single else vals
 
 
 def _default_radial_rule(sd, t_max: float):
@@ -460,22 +474,33 @@ def _cs_gk(sp: SpectralParam) -> complex:
     return complex(np.exp(log_prod(sp.s) - log_prod(sd.harmonic_s)))
 
 
-def _cs_fatou(sp: SpectralParam, t_grid=None, rule=None) -> complex:
-    sd = sp.sd
+def _cs_fatou(sp, t_grid=None, rule=None):
+    """c_s as the Richardson limit of the renormalized radial profile of P_s 1.
+
+    sp is one SpectralParam, giving a complex, or a sequence of them on one
+    domain, giving a list with one value per s from one rule and one radial
+    pass (_phi_profile). A profile that has not converged raises
+    ConvergenceError naming its s.
+    """
+    sps, single = _spectral_axis(sp)
+    sd = sps[0].sd
     if t_grid is None:
         t_grid = np.arange(0.0, 8.01, 0.5)
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _fatou_grid_step(t_grid)
     if rule is None:
         rule = _default_radial_rule(sd, float(t_grid[-1]))
-    y = np.exp(-sp.growth * t_grid) * _phi_profile(sp, t_grid, rule)
-    a, c = _richardson_limit(y, dt, _correction_exponents(sp))
-    if abs(c) == 0 or abs(a - c) > FATOU_REL_TOL * abs(c):
-        raise ConvergenceError(
-            "renormalized radial profile has not converged: last extrapolants differ "
-            "by %.2e (tol %.2e)" % (abs(a - c) / max(abs(c), 1e-300), FATOU_REL_TOL)
-        )
-    return complex(c)
+    out = []
+    for x, phi in zip(sps, _phi_profile(sps, t_grid, rule)):
+        y = np.exp(-x.growth * t_grid) * phi
+        a, c = _richardson_limit(y, dt, _correction_exponents(x))
+        if abs(c) == 0 or abs(a - c) > FATOU_REL_TOL * abs(c):
+            raise ConvergenceError(
+                "renormalized radial profile at s = %s has not converged: last extrapolants "
+                "differ by %.2e (tol %.2e)" % (x.s, abs(a - c) / max(abs(c), 1e-300), FATOU_REL_TOL)
+            )
+        out.append(complex(c))
+    return out[0] if single else out
 
 
 def _cs_direct(sp: SpectralParam, chart: QuadratureRule | None = None) -> complex:
@@ -506,21 +531,24 @@ def c_s(sp: SpectralParam, method: str = "gk", **params):
     if method == "direct":
         return _cs_direct(sp, **params)
     if method == "all":
-        gk = _cs_gk(sp)
-        fat = _cs_fatou(
-            sp, **{k: v for k, v in params.items() if k in ("t_grid", "rule")}
-        )
-        direct = None
-        vals = [gk, fat]
-        if sp.sd.r == 1:
-            direct = _cs_direct(sp, params.get("chart"))
-            vals.append(direct)
-        scale = max(abs(v) for v in vals)
-        worst = max(abs(u - v) for u in vals for v in vals) / scale
-        return CsReport(
-            s=sp.s, cs_gk=gk, cs_fatou=fat, cs_direct=direct, max_pairwise_rel_err=float(worst)
-        )
+        fat = _cs_fatou(sp, **{k: v for k, v in params.items() if k in ("t_grid", "rule")})
+        return _cs_report(sp, fat, params.get("chart"))
     raise ValueError("unknown c_s method %r" % method)
+
+
+def _cs_report(sp: SpectralParam, fat: complex, chart: QuadratureRule | None = None) -> CsReport:
+    """c_s by every route that applies, given the Fatou value fat, with their spread."""
+    gk = _cs_gk(sp)
+    direct = None
+    vals = [gk, fat]
+    if sp.sd.r == 1:
+        direct = _cs_direct(sp, chart)
+        vals.append(direct)
+    scale = max(abs(v) for v in vals)
+    worst = max(abs(u - v) for u in vals for v in vals) / scale
+    return CsReport(
+        s=sp.s, cs_gk=gk, cs_fatou=fat, cs_direct=direct, max_pairwise_rel_err=float(worst)
+    )
 
 
 def _lp_exponents(p) -> list:

@@ -290,27 +290,28 @@ def check_cs(sd, s_values, samples: int, seed: int, tol: float | None = None):
     the fixed Heisenberg chart (built once for every s) within 1e-3; worst is
     the largest pairwise relative error. Higher rank compares the closed form
     with the Fatou limit on a Stiefel rule of `samples` nodes (seed + 40)
-    within 1e-2.
+    within 1e-2. The Fatou limits of every s come from one radial pass.
     """
     sps = [spectral_param(s, sd) for s in s_values]
     for sp in sps:  # an inadmissible s fails before the chart or rule is built
         poisson._require_admissible(sp)
     details = {}
     errs = []
+    # one rule (the default disk rule at rank one) and one radial pass for every s
+    rule = None if sd.r == 1 else boundary.stiefel_rule(sd, samples=samples, seed=seed + 40)
+    fats = poisson._cs_fatou(sps, rule=rule)
     if sd.r == 1:
         chart = boundary.heisenberg_chart(sd)
-        for s, sp in zip(s_values, sps):
-            rep = poisson.c_s(sp, method="all", chart=chart)
+        for s, sp, fat in zip(s_values, sps, fats):
+            rep = poisson._cs_report(sp, fat, chart)
             details["s_%s" % s] = {
                 "gk": rep.cs_gk, "fatou": rep.cs_fatou, "direct": rep.cs_direct,
                 "max_pairwise_rel_err": rep.max_pairwise_rel_err,
             }
             errs.append(rep.max_pairwise_rel_err)
     else:
-        rule = boundary.stiefel_rule(sd, samples=samples, seed=seed + 40)
-        for s, sp in zip(s_values, sps):
+        for s, sp, fat in zip(s_values, sps, fats):
             gk = poisson.c_s(sp, method="gk")
-            fat = poisson.c_s(sp, method="fatou", rule=rule)
             errs.append(abs(gk - fat) / abs(gk))
             details["s_%s" % s] = {"gk": gk, "fatou": fat, "rel_err": errs[-1],
                                    "samples": samples}

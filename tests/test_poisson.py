@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from matrixball import _kernels, boundary, fatou, group, ktypes, poisson, suite
-from matrixball.errors import AdmissibilityError, DegeneracyError, DomainError, MembershipError
+from matrixball.errors import (
+    AdmissibilityError, ConvergenceError, DegeneracyError, DomainError, MembershipError,
+)
 from matrixball.structure import spectral_param, structure_data
 
 # phi_s(a_t) at (r, b) = (1, 1), frozen from an independent 30-digit
@@ -324,6 +326,69 @@ def test_cs_fatou_rejects_bad_t_grids(sd11, monkeypatch, t_grid):
     monkeypatch.setattr(poisson, "_default_radial_rule", no_rule)
     with pytest.raises(DomainError):
         poisson.c_s(spectral_param(2.0, sd11), method="fatou", t_grid=t_grid)
+
+
+def _cs_fatou_per_s(sp, t_grid, rule):
+    """The one-s Fatou route the s axis replaced: its own coefficients and log-weights."""
+    coefs = poisson._radial_coefficients(sp.sd, rule, disk=True)
+    sigma = sp.s - sp.sd.harmonic_s
+    if sigma.imag == 0:
+        sigma = sigma.real
+    phi = np.empty(len(t_grid), dtype=type(sigma))
+    for i, t in enumerate(t_grid):
+        phi[i] = np.dot(rule.weights, np.exp(sigma * _kernels.radial_logweight(coefs, float(t))))
+    y = np.exp(-sp.growth * t_grid) * phi.astype(np.complex128, copy=False)
+    return complex(poisson._richardson_limit(y, 0.5, poisson._correction_exponents(sp))[1])
+
+
+CS_AXIS = {(1, 1): (1.5, 2.0, 2.5, 3 + 0.5j), (2, 1): (2.5, 4.0, 4 + 1j)}
+
+
+@pytest.mark.parametrize("rb", [(1, 1), (2, 1)])
+def test_cs_fatou_s_axis_matches_per_s_loop(rb):
+    # one radial pass for every s gives the per-s route's values bit for bit,
+    # on the default disk rule at rank one and on a Stiefel rule at rank two
+    sd = structure_data(*rb)
+    t_grid = np.arange(0.0, 8.01, 0.5)
+    rule = (poisson._default_radial_rule(sd, 8.0) if sd.r == 1
+            else boundary.stiefel_rule(sd, samples=2000, seed=9))
+    sps = [spectral_param(s, sd) for s in CS_AXIS[rb]]
+    want = [_cs_fatou_per_s(sp, t_grid, rule) for sp in sps]
+    assert poisson._cs_fatou(sps, rule=rule) == want
+    assert [poisson.c_s(sp, method="fatou", rule=rule) for sp in sps] == want
+    assert poisson._phi_profile(sps, t_grid, rule).shape == (len(sps), len(t_grid))
+
+
+def test_check_cs_weighs_each_t_once_for_all_s(sd11, monkeypatch):
+    # criterion 6 at rank one: one Fatou pass over its four s values computes
+    # 17 log-weights (one per t), not 68, and its details equal the per-s route
+    calls = []
+    logweight = _kernels.radial_logweight
+
+    def counted(*args):
+        calls.append(args[1])
+        return logweight(*args)
+
+    monkeypatch.setattr(_kernels, "radial_logweight", counted)
+    s_values = CS_AXIS[(1, 1)]
+    worst, ok, details = suite.check_cs(sd11, s_values, 1000, 7)
+    t_grid = np.arange(0.0, 8.01, 0.5)
+    assert ok and calls == list(t_grid)
+    rule = poisson._default_radial_rule(sd11, 8.0)
+    for s in s_values:
+        assert details["s_%s" % s]["fatou"] == _cs_fatou_per_s(spectral_param(s, sd11), t_grid, rule)
+
+
+def test_cs_fatou_s_axis_names_the_s_that_fails(sd11):
+    # on t = 0..2 the profiles at s = 2 and 2.5 converge and the one at s = 5
+    # does not (its last extrapolants differ by 4.3e-3 against FATOU_REL_TOL = 1e-3)
+    t_grid = np.arange(5) * 0.5
+    sps = [spectral_param(s, sd11) for s in (2.0, 2.5, 5.0)]
+    assert len(poisson._cs_fatou(sps[:2], t_grid=t_grid)) == 2
+    with pytest.raises(ConvergenceError, match=r"s = \(5\+0j\)"):
+        poisson._cs_fatou(sps, t_grid=t_grid)
+    with pytest.raises(DomainError):
+        poisson._cs_fatou([sps[0], spectral_param(4.0, structure_data(2, 1))], t_grid=t_grid)
 
 
 def test_transform_linearity(sd11, sphere6, rng):
