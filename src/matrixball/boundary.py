@@ -8,9 +8,9 @@ Three rule families:
   the |U_1|^2 coordinate resolves the boundary layer of deep radial weights.
 * ``stiefel_rule``  - seeded Haar Monte Carlo: the first r columns of the
   unitary factor of a complex q x q Gaussian matrix (phase-fixed QR). Only
-  those r columns are drawn into the matrix that is factored; the stream is
-  the same q x q draw, and Gram-Schmidt QR is column-sequential, so the nodes
-  equal those of a full q x q QR bit for bit.
+  those r columns are kept from the q x q draw and factored, in cache-sized
+  blocks; Gram-Schmidt QR is column-sequential, so the nodes equal those of a
+  full q x q QR bit for bit.
 * ``heisenberg_chart`` - rank-one rule on the opposite horospherical group
   N1bar: a fixed tan-mapped Gauss-Legendre grid in the two M-invariant
   coordinates (|x|, |y|) of nbar = exp(x, y), with weights calibrated so the
@@ -171,26 +171,29 @@ def stiefel_rule(sd: StructureData, samples: int, seed: int) -> QuadratureRule:
     Each node is the conjugate transpose of the first r columns of the
     phase-fixed QR factor of a q x q complex Gaussian (all real parts drawn
     first, then all imaginary parts). Those columns depend only on the first r
-    columns of the Gaussian, so only they are kept, stored column-major across
-    the samples, and factored by one vectorised linalg.qr_unitary call over the
-    whole stack. A sample count that is not a positive integer raises
-    DomainError before any allocation.
+    columns of the Gaussian, so only they are kept. They are drawn
+    _kernels.BLOCK samples at a time and stored in the node array's own bytes,
+    then factored one block at a time by linalg.qr_unitary, which works on
+    each sample alone, so the nodes do not depend on the block size. A sample
+    count that is not a positive integer raises DomainError before any
+    allocation.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise DomainError("stiefel samples must be a positive integer, got %r" % (samples,))
     rng = np.random.default_rng(seed)
-    q, r = sd.q, sd.r
-    draw = np.empty((samples, q, q))
-    G = np.empty((r, q, samples), dtype=np.complex128)  # column-major, as qr_unitary works
-    rng.standard_normal(out=draw)
-    G.real = draw[:, :, :r].T
-    rng.standard_normal(out=draw)
-    G.imag = draw[:, :, :r].T
+    q, r, block = sd.q, sd.r, _kernels.BLOCK
+    U = np.empty((samples, r, q), dtype=np.complex128)
+    G = U.reshape(samples, q, r)  # the Gaussian columns, until their block is factored
+    draw = np.empty((min(samples, block), q, q))
+    for part in (G.real, G.imag):
+        for lo in range(0, samples, block):
+            d = draw[: samples - lo]
+            rng.standard_normal(out=d)
+            part[lo : lo + len(d)] = d[:, :, :r]
     del draw
-    Q = linalg.qr_unitary(G.T)[0]
-    del G
-    U = np.ascontiguousarray(np.swapaxes(Q, -1, -2))
-    np.conjugate(U, out=U)
+    for lo in range(0, samples, block):
+        Q = linalg.qr_unitary(G[lo : lo + block])[0]  # on its own copy, so Q may overwrite the block
+        np.conjugate(np.swapaxes(Q, -1, -2), out=U[lo : lo + len(Q)])
     return QuadratureRule(nodes=U, weights=np.full(samples, 1.0 / samples),
                           kind="monte-carlo-stiefel")
 

@@ -197,17 +197,46 @@ def random_algebra_element(rng: np.random.Generator, scale: float, sd: Structure
     return scale * X
 
 
+def _complex_gaussians(Z: np.ndarray, *shapes):
+    """Split each row of a real standard normal table Z (N, .) into complex stacks.
+
+    Each shape takes the next two runs of its size from every row, its real
+    then its imaginary part, and gives an (N, *shape) stack re + 1j im: what
+    per-sample rng.normal(size=shape) + 1j * rng.normal(size=shape) calls give
+    on the row's stream.
+    """
+    out, lo = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        re, im = (Z[:, a : a + size].reshape(-1, *shape) for a in (lo, lo + size))
+        out.append(re + 1j * im)
+        lo += 2 * size
+    return out
+
+
 def random_group_element(seed, scale: float, sd: StructureData) -> np.ndarray:
     """exp of a seeded random algebra element; deterministic per seed.
 
     seed is an int or a Generator, or a sequence of them, which gives an
-    (N, m, m) stack exponentiated in one call.
+    (N, m, m) stack exponentiated in one call. Each element equals the exp of
+    random_algebra_element(rng, scale, sd) for its seed's generator, bit for
+    bit: each seed makes one draw of all that call's normals, in its order,
+    and the elements are assembled as one stack.
     """
     seeds = seed if np.ndim(seed) else [seed]
-    X = np.zeros((len(seeds), sd.m, sd.m), dtype=np.complex128)
+    r, q, m = sd.r, sd.q, sd.m
+    X = np.zeros((len(seeds), m, m), dtype=np.complex128)
     if scale != 0:
+        Z = np.empty((len(seeds), 2 * (r * r + q * q + r * q)))
         for i, s in enumerate(seeds):
             rng = s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
-            X[i] = random_algebra_element(rng, scale, sd)
+            rng.standard_normal(out=Z[i])
+        A, D, B = _complex_gaussians(Z, (r, r), (q, q), (r, q))
+        X[:, :r, :r] = 0.5 * (A - np.swapaxes(A, -1, -2).conj())
+        X[:, r:, r:] = 0.5 * (D - np.swapaxes(D, -1, -2).conj())
+        X[:, :r, r:] = B
+        X[:, r:, :r] = np.swapaxes(B, -1, -2).conj()
+        X -= (np.trace(X, axis1=-2, axis2=-1) / m)[:, None, None] * np.eye(m)
+        X = scale * X
     G = linalg.expm(X)  # exp(0) = I exactly: scipy exponentiates a diagonal slice entrywise
     return G if np.ndim(seed) else G[0]

@@ -445,9 +445,9 @@ def _sample_pairs(sd: StructureData, samples: int, seed: int):
     """`samples` seeded (g, U) pairs: g a group element, U a point of the Stiefel boundary."""
     if samples < 1:
         raise DomainError("need at least one sample point (got %d)" % samples)
+    gs = group.random_group_element(seed + 7 * np.arange(samples), 0.25, sd)
     out = []
-    for i in range(samples):
-        g = group.random_group_element(seed + 7 * i, 0.25, sd)
+    for i, g in enumerate(gs):
         rng = np.random.default_rng(seed + 7 * i + 3)
         v = rng.normal(size=(sd.q, sd.r)) + 1j * rng.normal(size=(sd.q, sd.r))
         Q, _ = linalg.qr_unitary(v)

@@ -72,7 +72,7 @@ __all__ = [
 BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
 RADIAL_CHUNK = 512  # centers per block of symmetric powers on transform_radial's moment route
-POINTWISE_POINTS = 2 ** 18  # pushed points per block on transform_radial's pointwise route
+POINTWISE_POINTS = 2 ** 16  # pushed points per block on transform_radial's pointwise route
 SHILOV_RULES = ("deterministic-sphere", "monte-carlo-stiefel")  # rule kinds whose nodes are Shilov points
 FATOU_REL_TOL = 1e-3  # largest difference of the last two Richardson extrapolants, relative to the limit
 
@@ -400,9 +400,10 @@ def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
     sp is one SpectralParam, giving a length-T array, or a sequence of them on
     one domain, giving one row per s. The rule is a Shilov-point rule or the
     rank-one disk rule; the radial weights come from coefficients built once
-    for the whole grid, and each t's log-weights are computed once and shared
-    by every s, which then costs one exponential and one mean. For real s the
-    weights and their mean are real, so they are computed in float64.
+    for the whole grid, and each t's log-weights are computed once, in
+    cache-sized blocks into one reused buffer, and shared by every s, which
+    then costs one exponential and one mean over the whole buffer. For real s
+    the weights and their mean are real, so they are computed in float64.
     """
     sps, single = _spectral_axis(sp)
     sd = sps[0].sd
@@ -410,8 +411,9 @@ def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
     sigmas = [x.s - sd.harmonic_s for x in sps]
     sigmas = [sigma.real if sigma.imag == 0 else sigma for sigma in sigmas]
     vals = np.empty((len(sps), len(t_grid)), dtype=np.complex128)
+    lw = np.empty(len(rule.weights))
     for i, t in enumerate(t_grid):
-        lw = _kernels.radial_logweight(coefs, float(t))
+        _kernels.radial_logweight(coefs, float(t), lw)
         for k, sigma in enumerate(sigmas):
             vals[k, i] = np.dot(rule.weights, np.exp(sigma * lw))
     return vals[0] if single else vals

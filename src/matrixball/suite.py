@@ -174,11 +174,9 @@ def kernel_form_battery(sd, n_pairs: int, seed: int, s_values=(2.0, 3.0 + 0.5j))
     U0 = group.base_point(sd)
     rng = np.random.default_rng(seed + 31)
     g = group.random_group_element(seed + 3 * np.arange(n_pairs), 0.6, sd)
-    Ar = np.empty((n_pairs, sd.r, sd.r), dtype=np.complex128)
-    Dr = np.empty((n_pairs, sd.q, sd.q), dtype=np.complex128)
-    for i in range(n_pairs):  # one shared stream, drawn in the per-sample order
-        Ar[i] = rng.normal(size=(sd.r, sd.r)) + 1j * rng.normal(size=(sd.r, sd.r))
-        Dr[i] = rng.normal(size=(sd.q, sd.q)) + 1j * rng.normal(size=(sd.q, sd.q))
+    # one shared stream in the per-sample order: Ar re, Ar im, Dr re, Dr im
+    table = rng.standard_normal((n_pairs, 2 * (sd.r ** 2 + sd.q ** 2)))
+    Ar, Dr = group._complex_gaussians(table, (sd.r, sd.r), (sd.q, sd.q))
     kt = np.zeros((n_pairs, sd.m, sd.m), dtype=np.complex128)
     kt[:, : sd.r, : sd.r] = np.linalg.qr(Ar)[0]
     kt[:, sd.r :, sd.r :] = np.linalg.qr(Dr)[0]

@@ -119,16 +119,18 @@ def _full_qr_stiefel(sd, samples, seed):
 @pytest.mark.parametrize("seed", [5, 47])
 @pytest.mark.parametrize("rb", [(1, 2), (2, 1), (2, 2), (3, 1)])
 def test_stiefel_rule_matches_full_qr(rb, seed):
-    # the thin QR of the first r columns reproduces the full factorisation bit for bit
+    # the blocked thin QR of the first r columns reproduces the full factorisation
+    # bit for bit: one sample, within one block, at a block's end and across blocks
     sd = structure_data(*rb)
-    rule = boundary.stiefel_rule(sd, samples=3001, seed=seed)
-    assert rule.nodes.flags.c_contiguous
-    assert np.array_equal(rule.nodes, _full_qr_stiefel(sd, 3001, seed))
+    for samples in (1, 3001, _kernels.BLOCK, _kernels.BLOCK + 3, 40000):
+        rule = boundary.stiefel_rule(sd, samples=samples, seed=seed)
+        assert rule.nodes.flags.c_contiguous
+        assert np.array_equal(rule.nodes, _full_qr_stiefel(sd, samples, seed))
 
 
 @pytest.mark.parametrize("rb", [(2, 1), (1, 2), (3, 1)])
 def test_stiefel_rule_memory_guard(rb):
-    # the q x q draw buffer and the thin QR stay within 5x the nodes' own size
+    # the Gaussian columns live in the nodes' bytes; one block's draw and QR come on top
     sd = structure_data(*rb)
     tracemalloc.start()
     try:
@@ -136,7 +138,7 @@ def test_stiefel_rule_memory_guard(rb):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * rule.nodes.nbytes
+    assert peak <= 2.5 * rule.nodes.nbytes
 
 
 @pytest.mark.parametrize("samples", [0, -5, 2.5])

@@ -157,6 +157,17 @@ def test_random_algebra_element_in_algebra(sd21, rng):
     assert abs(np.trace(X)) < 1e-12
 
 
+@pytest.mark.parametrize("rb", suite.DOMAINS)
+def test_random_group_element_is_expm_of_random_algebra_element(rb):
+    # the stacked draw equals the per-sample oracle, seed by seed, bit for bit
+    sd = structure_data(*rb)
+    seeds = [0, 9, 123456, np.random.default_rng(4)]
+    oracle = [np.random.default_rng(4) if isinstance(s, np.random.Generator)
+              else np.random.default_rng(s) for s in seeds]
+    X = np.stack([group.random_algebra_element(rng, 0.45, sd) for rng in oracle])
+    assert np.array_equal(group.random_group_element(seeds, 0.45, sd), linalg.expm(X))
+
+
 def test_is_shilov_point_batches(sd21):
     # every point of a batch must pass; an empty batch passes, a non-finite point fails
     U = np.stack([group.base_point(sd21)] * 3)
