@@ -127,26 +127,16 @@ def radial_coefficients(V1):
     return tuple(coefs[1:])
 
 
-def radial_logweight(V1, t, out=None):
+def radial_logweight(V1, t):
     """log|det(cosh(t) I_r + sinh(t) V1)| for V1 of shape (..., r, r).
 
     V1 may also be given as its coefficients from radial_coefficients, which a
     caller that weighs one node set at many t builds once. The weight is
     log|sum_k cosh^(r-k)(t) sinh^k(t) e_k(V1)|; at r = 1 that is
-    log|cosh t + sinh t v|. With out, a float64 array of the batch's shape,
-    the weights are computed BLOCK nodes at a time and written into it, with
-    the same values.
+    log|cosh t + sinh t v|.
     """
     coefs = V1 if isinstance(V1, tuple) else radial_coefficients(V1)
     t = float(t)
-    if out is None:
-        return _logweight(coefs, t)
-    for lo in range(0, len(out), BLOCK):
-        out[lo : lo + BLOCK] = _logweight(tuple(c[lo : lo + BLOCK] for c in coefs), t)
-    return out
-
-
-def _logweight(coefs, t):
     sh, ch = np.sinh(t), np.cosh(t)
     r = len(coefs)
     if r == 1:

@@ -445,7 +445,7 @@ def _sample_pairs(sd: StructureData, samples: int, seed: int):
     """`samples` seeded (g, U) pairs: g a group element, U a point of the Stiefel boundary."""
     if samples < 1:
         raise DomainError("need at least one sample point (got %d)" % samples)
-    gs = group.random_group_element(seed + 7 * np.arange(samples), 0.25, sd)
+    gs = group.random_group_element([seed + 7 * i for i in range(samples)], 0.25, sd)
     out = []
     for i, g in enumerate(gs):
         rng = np.random.default_rng(seed + 7 * i + 3)

@@ -413,7 +413,9 @@ def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
     vals = np.empty((len(sps), len(t_grid)), dtype=np.complex128)
     lw = np.empty(len(rule.weights))
     for i, t in enumerate(t_grid):
-        _kernels.radial_logweight(coefs, float(t), lw)
+        for lo in range(0, len(lw), _kernels.BLOCK):
+            block = tuple(c[lo : lo + _kernels.BLOCK] for c in coefs)
+            lw[lo : lo + _kernels.BLOCK] = _kernels.radial_logweight(block, float(t))
         for k, sigma in enumerate(sigmas):
             vals[k, i] = np.dot(rule.weights, np.exp(sigma * lw))
     return vals[0] if single else vals

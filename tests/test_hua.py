@@ -115,6 +115,13 @@ def test_harmonic_kernel_annihilated(sd11):
         assert np.max(np.abs(H)) / abs(Fg) < 1e-5
 
 
+def test_sample_pairs_take_seeds_past_int64(sd11):
+    # seeds stay Python ints, so any non-negative seed works, as per seed
+    for seed in (2**63 - 1, 2**64 + 5):
+        for i, (g, _) in enumerate(hua._sample_pairs(sd11, 3, seed=seed)):
+            assert np.array_equal(g, group.random_group_element(seed + 7 * i, 0.25, sd11))
+
+
 def test_fd_order_slopes(sd11):
     basis = hua.hua_basis(sd11)
     sp = spectral_param(3.0, sd11)

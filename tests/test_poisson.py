@@ -360,21 +360,23 @@ def test_cs_fatou_s_axis_matches_per_s_loop(rb):
 
 
 def test_check_cs_weighs_each_t_once_for_all_s(sd11, monkeypatch):
-    # criterion 6 at rank one: one Fatou pass over its four s values computes
-    # 17 log-weights (one per t), not 68, and its details equal the per-s route
-    calls = []
+    # criterion 6 at rank one: one Fatou pass over its four s values weighs
+    # each node once per t (17 passes over the rule, not 68), in blocks, and
+    # its details equal the per-s route
+    weighed = {}
     logweight = _kernels.radial_logweight
 
-    def counted(*args):
-        calls.append(args[1])
-        return logweight(*args)
+    def counted(coefs, t):
+        weighed[t] = weighed.get(t, 0) + len(coefs[0])
+        return logweight(coefs, t)
 
     monkeypatch.setattr(_kernels, "radial_logweight", counted)
     s_values = CS_AXIS[(1, 1)]
     worst, ok, details = suite.check_cs(sd11, s_values, 1000, 7)
     t_grid = np.arange(0.0, 8.01, 0.5)
-    assert ok and calls == list(t_grid)
     rule = poisson._default_radial_rule(sd11, 8.0)
+    assert ok and list(weighed) == list(t_grid)
+    assert set(weighed.values()) == {len(rule.weights)}
     for s in s_values:
         assert details["s_%s" % s]["fatou"] == _cs_fatou_per_s(spectral_param(s, sd11), t_grid, rule)
 
