@@ -6,11 +6,10 @@ Three rule families:
   stick-breaking simplex times uniform phases. Exact for polynomials in
   (U, conj U) up to degree 2*level; an optional composite-panel refinement of
   the |U_1|^2 coordinate resolves the boundary layer of deep radial weights.
-* ``stiefel_rule``  - seeded Haar Monte Carlo: the first r columns of the
-  unitary factor of a complex q x q Gaussian matrix (phase-fixed QR). Only
-  those r columns are kept from the q x q draw and factored, in cache-sized
-  blocks; Gram-Schmidt QR is column-sequential, so the nodes equal those of a
-  full q x q QR bit for bit.
+* ``stiefel_rule``  - seeded randomized quasi-Monte Carlo Haar sample: a
+  scrambled Sobol point in 2qr coordinates per node, mapped through the
+  inverse normal CDF to a complex q x r Gaussian whose phase-fixed QR factor
+  gives the first r columns of a Haar unitary; made in cache-sized blocks.
 * ``heisenberg_chart`` - rank-one rule on the opposite horospherical group
   N1bar: a fixed tan-mapped Gauss-Legendre grid in the two M-invariant
   coordinates (|x|, |y|) of nbar = exp(x, y), with weights calibrated so the
@@ -165,37 +164,107 @@ def disk_rule(sd: StructureData, level: int, panels: int = 1, phases: int | None
     )
 
 
-def stiefel_rule(sd: StructureData, samples: int, seed: int) -> QuadratureRule:
-    """Seeded Haar sample of Shilov points: first r rows of Haar unitaries.
+# Joe & Kuo (2008) Sobol direction numbers for the first 24 dimensions, enough
+# for 2qr <= 24 (the battery's largest domain, (3, 1), needs 24): each primitive
+# polynomial as an integer whose bit k is the coefficient of x^k, then the
+# initial m_1, ..., m_s. Dimension 1 is van der Corput's (every m_k = 1).
+SOBOL_DIRECTIONS = (
+    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)),
+)
+SOBOL_BITS = 32
 
-    Each node is the conjugate transpose of the first r columns of the
-    phase-fixed QR factor of a q x q complex Gaussian (all real parts drawn
-    first, then all imaginary parts). Those columns depend only on the first r
-    columns of the Gaussian, so only they are kept. They are drawn
-    _kernels.BLOCK samples at a time and stored in the node array's own bytes,
-    then factored one block at a time by linalg.qr_unitary, which works on
-    each sample alone, so the nodes do not depend on the block size. A sample
-    count that is not a positive integer raises DomainError before any
-    allocation.
+
+def _sobol_generator(dim: int, seed) -> tuple:
+    """Direction numbers V (SOBOL_BITS, dim) and the digital shift of a Sobol sequence.
+
+    V[k] holds m_k 2^(SOBOL_BITS - 1 - k), with m_k from the Joe-Kuo recurrence.
+    With seed None the sequence is the plain one; otherwise the seed draws a
+    linear matrix scramble (a unit lower-triangular binary matrix per coordinate,
+    acting on the digits most significant first) and a digital shift. Both keep
+    the first 2^m points one to each interval [k 2^-m, (k + 1) 2^-m) of every
+    coordinate.
+    """
+    V = np.empty((dim, SOBOL_BITS), dtype=np.int64)
+    for d, (poly, m) in enumerate(SOBOL_DIRECTIONS[:dim]):
+        s = poly.bit_length() - 1
+        m = list(m) if s else [1] * SOBOL_BITS
+        for k in range(len(m), SOBOL_BITS):  # m_k = m_(k-s) ^ sum_j a_j 2^j m_(k-j)
+            m.append(m[k - s])
+            for j in range(1, s + 1):
+                if poly >> (s - j) & 1:
+                    m[k] ^= m[k - j] << j
+        V[d] = np.array(m) << np.arange(SOBOL_BITS - 1, -1, -1)
+    shift = np.zeros(dim, dtype=np.int64)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        L = np.tril(rng.integers(0, 2, size=(dim, SOBOL_BITS, SOBOL_BITS)), -1)
+        L += np.eye(SOBOL_BITS, dtype=np.int64)
+        place = np.arange(SOBOL_BITS - 1, -1, -1)
+        digits = V[:, :, None] >> place & 1  # (dim, k, digit), most significant first
+        V = (np.einsum("dij,dkj->dki", L, digits) & 1) @ (1 << place)
+        shift = rng.integers(0, 1 << SOBOL_BITS, size=dim)
+    return np.ascontiguousarray(V.T, dtype=np.uint32), shift.astype(np.uint32)
+
+
+def _sobol_block(V, shift, lo: int, hi: int, out=None) -> np.ndarray:
+    """Points lo, ..., hi - 1 of the Gray-code Sobol sequence, strictly inside (0, 1).
+
+    Point i is the shift xor'ed with V[k] for every bit k of i's Gray code
+    i ^ (i >> 1), so point i follows point i - 1 by one xor with V[k], k the
+    number of trailing zeros of i. Each SOBOL_BITS-bit integer x maps to the
+    centre (x + 1/2) 2^-SOBOL_BITS of its cell.
+    """
+    gray = lo ^ (lo >> 1)
+    x = np.empty((hi - lo, V.shape[1]), dtype=V.dtype)
+    x[0] = shift ^ np.bitwise_xor.reduce(V[[k for k in range(SOBOL_BITS) if gray >> k & 1]], axis=0)
+    i = np.arange(lo + 1, hi)
+    x[1:] = V[np.bitwise_count((i & -i) - 1)]
+    np.bitwise_xor.accumulate(x, axis=0, out=x)
+    out = np.add(x, 0.5, out=out)
+    out *= 2.0 ** -SOBOL_BITS
+    return out
+
+
+def stiefel_rule(sd: StructureData, samples: int, seed: int) -> QuadratureRule:
+    """Scrambled Sobol sample of Haar Shilov points: first r rows of Haar unitaries.
+
+    Node i takes point i of a Sobol sequence in 2qr coordinates, scrambled by
+    `seed` (_sobol_generator), and maps them through the inverse normal CDF to
+    the real and imaginary parts of a complex q x r Gaussian, row by row. The
+    node is the conjugate transpose of the phase-fixed QR factor of that
+    Gaussian: the first r columns of a Haar unitary (Zyczkowski & Sommers
+    2000). Points and Gaussians are made _kernels.BLOCK nodes at a time in
+    the node array's own bytes, then factored one block at a time by
+    linalg.qr_unitary, which works on each node alone, so the nodes do not
+    depend on the block size. At 2^m nodes each coordinate puts one point in
+    every interval of length 2^-m. A sample count that is not a positive
+    integer, or a domain whose 2qr exceeds the embedded table of
+    SOBOL_DIRECTIONS, raises DomainError before any allocation.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise DomainError("stiefel samples must be a positive integer, got %r" % (samples,))
-    rng = np.random.default_rng(seed)
     q, r, block = sd.q, sd.r, _kernels.BLOCK
+    if 2 * q * r > len(SOBOL_DIRECTIONS):
+        raise DomainError("stiefel_rule needs 2qr = %d Sobol coordinates; the embedded Joe-Kuo "
+                          "table has %d" % (2 * q * r, len(SOBOL_DIRECTIONS)))
+    from scipy.special import ndtri  # local: loaded at import, ahead of poisson, it raised peak RSS
+    V, shift = _sobol_generator(2 * q * r, seed)
     U = np.empty((samples, r, q), dtype=np.complex128)
     G = U.reshape(samples, q, r)  # the Gaussian columns, until their block is factored
-    draw = np.empty((min(samples, block), q, q))
-    for part in (G.real, G.imag):
-        for lo in range(0, samples, block):
-            d = draw[: samples - lo]
-            rng.standard_normal(out=d)
-            part[lo : lo + len(d)] = d[:, :, :r]
-    del draw
+    X = U.reshape(samples, -1).view(np.float64)  # their real and imaginary parts, interleaved
     for lo in range(0, samples, block):
+        x = _sobol_block(V, shift, lo, min(lo + block, samples), out=X[lo : lo + block])
+        ndtri(x, out=x)
         Q = linalg.qr_unitary(G[lo : lo + block])[0]  # on its own copy, so Q may overwrite the block
         np.conjugate(np.swapaxes(Q, -1, -2), out=U[lo : lo + len(Q)])
-    return QuadratureRule(nodes=U, weights=np.full(samples, 1.0 / samples),
-                          kind="monte-carlo-stiefel")
+    return QuadratureRule(nodes=U, weights=np.full(samples, 1.0 / samples), kind="sobol-stiefel")
 
 
 CHART_NODES_PER_AXIS = 128

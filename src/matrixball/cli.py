@@ -13,7 +13,7 @@ spectrum) draw with --samples nodes (200000) at --seed. In a mirror
     group selftest   2  cocycle pairs (200)   fatou dominate   8  -
     hua check        4  sample points (5)     fatou sandwich   9  functions (20)
     hua third-ratio  5  sample points (10)    poisson norms    9  functions (1)
-    poisson cs       6  Stiefel nodes (10^6)  ktypes schur    10  -
+    poisson cs       6  Stiefel nodes (2^16)  ktypes schur    10  -
     fatou limit      7  Stiefel nodes (10^5)  fatou invert    11  functions (1)
 
 and a mirror writes {"worst", "passed", "details"} as JSON to --out.
@@ -379,7 +379,7 @@ def cmd_hua_third_ratio(cfg, sd):
 
 @_mirror("poisson cs", 6)
 def cmd_poisson_cs(cfg, sd):
-    return suite.check_cs(sd, [cfg.s], cfg.samples or 10 ** 6, cfg.seed,
+    return suite.check_cs(sd, [cfg.s], cfg.samples or suite.CS_SAMPLES, cfg.seed,
                           **_tols(tol=cfg.tol_rel))
 
 
@@ -459,7 +459,7 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--s-im", type=float, dest="s_im", help="Im(s)")
     p.add_argument("--p", type=float, help="L^p exponent")
     p.add_argument("--level", type=int, help="quadrature level (deterministic rules)")
-    p.add_argument("--samples", type=int, help="sample count (Monte Carlo rules, batteries)")
+    p.add_argument("--samples", type=int, help="sample count (Stiefel rules, batteries)")
     p.add_argument("--seed", type=int, help="RNG seed (default 7)")
     p.add_argument("--t-start", type=float, dest="t_start")
     p.add_argument("--t-stop", type=float, dest="t_stop")

@@ -6,7 +6,7 @@ module wraps the handful of primitives the rest of the code relies on
 contracts and package-specific error types. The determinant, condition number
 and exponential are numpy/scipy LAPACK calls, which at these sizes are
 effectively exact. The QR is a two-pass Gram-Schmidt vectorised across a stack
-of matrices, since the stacks it factors (a 10^6-sample Haar rule, passed in
+of matrices, since the stacks it factors (a Stiefel rule's Gaussians, passed in
 blocks of _kernels.BLOCK samples) hold matrices too small for one LAPACK call
 each to pay off. Each matrix's factors do not depend on the rest of the stack.
 """

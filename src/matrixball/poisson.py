@@ -73,7 +73,7 @@ BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
 RADIAL_CHUNK = 512  # centers per block of symmetric powers on transform_radial's moment route
 POINTWISE_POINTS = 2 ** 16  # pushed points per block on transform_radial's pointwise route
-SHILOV_RULES = ("deterministic-sphere", "monte-carlo-stiefel")  # rule kinds whose nodes are Shilov points
+SHILOV_RULES = ("deterministic-sphere", "sobol-stiefel")  # rule kinds whose nodes are Shilov points
 FATOU_REL_TOL = 1e-3  # largest difference of the last two Richardson extrapolants, relative to the limit
 
 

@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from matrixball import _kernels, boundary, fatou, group, linalg, poisson
+from matrixball import _kernels, boundary, fatou, group, linalg, poisson, suite
 from matrixball.errors import DomainError
 from matrixball.structure import spectral_param, structure_data
 
@@ -102,30 +103,84 @@ def test_stiefel_rule_properties(sd21):
     assert np.array_equal(rule.nodes, again.nodes)
     other = boundary.stiefel_rule(sd21, samples=4000, seed=6)
     assert not np.array_equal(rule.nodes, other.nodes)
-    # Haar moment E|U_11|^2 = 1/q within 8 Monte Carlo standard errors
+    # Haar moment E|U_11|^2 = 1/q within 8 standard errors of an independent sample
     probe = np.abs(U[:, 0, 0]) ** 2
     m = np.dot(rule.weights, probe)
     assert abs(m - 1.0 / 3.0) < 8 * np.std(probe) / np.sqrt(len(probe))
 
 
-def _full_qr_stiefel(sd, samples, seed):
-    """The q x q construction: whole Gaussian matrices, full QR, first r columns."""
-    rng = np.random.default_rng(seed)
-    G = rng.normal(size=(samples, sd.q, sd.q)) + 1j * rng.normal(size=(samples, sd.q, sd.q))
+def test_sobol_unscrambled_matches_joe_kuo():
+    # the first eight points of dimensions 1-3 of the Joe-Kuo sequence in Gray-code
+    # order, each moved to the centre of its 2^-32 cell
+    V, shift = boundary._sobol_generator(3, None)
+    got = boundary._sobol_block(V, shift, 0, 8) - 0.5 ** (boundary.SOBOL_BITS + 1)
+    want = np.array([[0, 0, 0], [4, 4, 4], [6, 2, 2], [2, 6, 6],
+                     [3, 3, 5], [7, 7, 1], [5, 1, 7], [1, 5, 3]]) / 8.0
+    assert np.array_equal(got, want)
+    # a block that starts inside the sequence continues it
+    assert np.array_equal(boundary._sobol_block(V, shift, 5, 8),
+                          boundary._sobol_block(V, shift, 0, 8)[5:])
+
+
+@pytest.mark.parametrize("seed", [5, 47, 48, 49])
+def test_sobol_scramble_keeps_one_point_per_interval(seed):
+    dim = len(boundary.SOBOL_DIRECTIONS)
+    V, shift = boundary._sobol_generator(dim, seed)
+    for m in (0, 1, 4, 11, 14):
+        x = boundary._sobol_block(V, shift, 0, 2 ** m)
+        assert np.all((x > 0) & (x < 1))
+        cells = np.sort(np.floor(x * 2 ** m), axis=0)
+        assert np.array_equal(cells, np.broadcast_to(np.arange(2.0 ** m)[:, None], x.shape))
+
+
+def test_sobol_points_stay_strictly_inside():
+    # the extreme integers 0 and 2^32 - 1 map to 2^-33 and 1 - 2^-33, so ndtri is finite
+    V, _ = boundary._sobol_generator(3, None)
+    for shift in (np.zeros(3, dtype=np.int64), np.full(3, 2 ** boundary.SOBOL_BITS - 1)):
+        x = boundary._sobol_block(V, shift, 0, 64)
+        assert np.all((x > 0) & (x < 1))
+        assert np.all(np.isfinite(ndtri(x)))
+    rule = boundary.stiefel_rule(structure_data(3, 1), 2 ** 16, seed=47)
+    assert np.all(np.isfinite(rule.nodes))
+
+
+def _unblocked_sobol_stiefel(sd, samples, seed):
+    """The whole-stack construction: each point from its Gray code, one QR."""
+    V, shift = boundary._sobol_generator(2 * sd.q * sd.r, seed)
+    i = np.arange(samples)
+    gray = i ^ (i >> 1)
+    x = np.repeat(shift[None], samples, axis=0)
+    for k in range(boundary.SOBOL_BITS):
+        x ^= np.where((gray >> k & 1)[:, None] == 1, V[k], 0)
+    z = ndtri((x + 0.5) * 2.0 ** -boundary.SOBOL_BITS)
+    G = (z[:, 0::2] + 1j * z[:, 1::2]).reshape(samples, sd.q, sd.r)
     Q, _ = linalg.qr_unitary(G)
-    return np.ascontiguousarray(np.swapaxes(Q[:, :, : sd.r], -1, -2).conj())
+    return np.ascontiguousarray(np.swapaxes(Q, -1, -2).conj())
 
 
 @pytest.mark.parametrize("seed", [5, 47])
 @pytest.mark.parametrize("rb", [(1, 2), (2, 1), (2, 2), (3, 1)])
 def test_stiefel_rule_matches_full_qr(rb, seed):
-    # the blocked thin QR of the first r columns reproduces the full factorisation
-    # bit for bit: one sample, within one block, at a block's end and across blocks
+    # the blocked rule reproduces the whole-stack construction bit for bit:
+    # one sample, within one block, at a block's end and across blocks
     sd = structure_data(*rb)
     for samples in (1, 3001, _kernels.BLOCK, _kernels.BLOCK + 3, 40000):
         rule = boundary.stiefel_rule(sd, samples=samples, seed=seed)
         assert rule.nodes.flags.c_contiguous
-        assert np.array_equal(rule.nodes, _full_qr_stiefel(sd, samples, seed))
+        assert np.array_equal(rule.nodes, _unblocked_sobol_stiefel(sd, samples, seed))
+
+
+def test_stiefel_rule_rejects_domains_beyond_the_sobol_table():
+    # the table covers every battery domain; (3, 2) needs 2qr = 30 coordinates
+    assert max(2 * r * (r + b) for r, b in suite.DOMAINS) == len(boundary.SOBOL_DIRECTIONS)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="has 24"):
+            boundary.stiefel_rule(structure_data(3, 2), 10 ** 6, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("rb", [(2, 1), (1, 2), (3, 1)])

@@ -222,6 +222,15 @@ def test_samples_below_one_exits_2(count):
     assert "--samples must be at least 1" in res.stderr
 
 
+@pytest.mark.parametrize("command", [("poisson", "phi"), ("poisson", "cs", "--s-re", "3")], ids=" ".join)
+def test_domain_beyond_the_sobol_table_exits_2(command):
+    # (3, 2) needs 2qr = 30 Sobol coordinates per Stiefel node; the table has 24
+    res = run_cli(*command, "--r", "3", "--b", "2")
+    assert res.returncode == 2
+    assert "2qr = 30" in res.stderr and "has 24" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("flags", [("--t-step", "-1"), ("--t-step", "nan"), ("--t-stop", "inf"),
                                    ("--t-stop", "1e12", "--t-step", "1e-9")],
                          ids=["--t-step--1", "--t-step-nan", "--t-stop-inf", "too-large"])

@@ -1,11 +1,14 @@
 """Source hygiene: every name a module imports is used or re-exported, the
-names the benchmark's tracer wraps still exist, and every benchmark workload
-still runs and passes at its smoke sizes."""
+names the benchmark's tracer wraps still exist, every benchmark workload
+still runs and passes at its smoke sizes, and building a Stiefel rule does
+not import scipy.stats."""
 
 import ast
 import importlib.util
 import inspect
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -80,3 +83,15 @@ def test_benchmark_workloads_pass_at_smoke_sizes():
         for op_name, op in workload.build(7, workloads.SMOKE[name]):
             out = op()
             assert out.passed and out.worst <= out.tol, (name, op_name, out)
+
+
+def test_stiefel_rule_does_not_import_scipy_stats():
+    # scipy.stats costs a fresh process a third of a second on import; the Sobol
+    # sampler is written in numpy, so neither the suite nor the rule loads it
+    code = ("import sys\n"
+            "from matrixball import boundary, suite\n"
+            "from matrixball.structure import structure_data\n"
+            "boundary.stiefel_rule(structure_data(2, 1), 100, seed=7)\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

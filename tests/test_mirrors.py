@@ -67,7 +67,7 @@ def test_poisson_cs_is_criterion_6(tmp_path):
     worst, details = _criterion(6)
     got = _run(tmp_path, "poisson", "cs", "--s-re", "2")
     assert (got["worst"], got["details"]["s_2.0"]) == (worst, details["r1_b1_s_2.0"])
-    got = _run(tmp_path, "poisson", "cs", "--r", "2", "--s-re", "4", "--samples", "200000")
+    got = _run(tmp_path, "poisson", "cs", "--r", "2", "--s-re", "4", "--samples", "16384")
     assert got["details"]["s_4.0"] == details["r2_b1_s_4"]
 
 

@@ -196,9 +196,9 @@ def test_real_s_profile_matches_complex_reference(r, b):
 
 @pytest.mark.parametrize("s", [2.5, 4.0, 3.0 + 0.5j])
 def test_rank_two_fatou_cs_converges_on_small_stiefel_rule(sd21, s):
-    # the Monte Carlo noise of a 2,000-sample rule does not reach the
+    # the sampling noise of a 2,000-node rule does not reach the
     # extrapolation: the last two extrapolants agree far inside FATOU_REL_TOL
-    # (measured <= 2.8e-15 relative at seeds 1, 5 and 21), so the fixed
+    # (measured <= 1.1e-13 relative at seeds 1, 5 and 21), so the fixed
     # tolerance decides convergence without any noise allowance
     sp = spectral_param(s, sd21)
     rule = boundary.stiefel_rule(sd21, samples=2000, seed=5)
@@ -208,7 +208,7 @@ def test_rank_two_fatou_cs_converges_on_small_stiefel_rule(sd21, s):
     previous, last = poisson._richardson_limit(y, 0.5, poisson._correction_exponents(sp))
     assert cs == last
     assert abs(previous - last) <= 1e-12 * abs(last)
-    # the estimate itself carries the rule's sampling error (measured <= 2.8%)
+    # the estimate itself carries the rule's sampling error (measured <= 0.94%)
     gk = poisson.c_s(sp, method="gk")
     assert abs(cs - gk) <= 0.1 * abs(gk)
 
@@ -580,10 +580,10 @@ def test_transform_radial_rejects_bad_centers(sd11, sphere6, bad, route):
 
 
 def test_transform_radial_matches_direct_rank_two(sd21):
-    # at r = 2 both routes are Monte Carlo sums over the same Haar nodes of
+    # at r = 2 both routes are equal-weight sums over the same Haar nodes of
     # two integrands with the same mean, so their gap is a mean of per-node
     # differences d and must lie within 4 standard errors of zero (measured:
-    # 0.7 and 1.3; a radial weight exponent off by one gives 7.5 and 5.5). By
+    # 0.19 and 0.62; a radial weight exponent off by one gives 8.8 and 6.6). By
     # t = 1 the direct kernel's dynamic range leaves no usable estimate.
     sp = spectral_param(4.0, sd21)
     rule = boundary.stiefel_rule(sd21, samples=20000, seed=5)
