@@ -332,15 +332,17 @@ def _transform_at(sp: SpectralParam, ev, form, M: np.ndarray, t: float, rule: Qu
     W, cw = _radial_pushforward(sp, t, rule, coefs)
     if form is not None:
         mu = form.moments(W, cw)
+    else:
+        W = np.ascontiguousarray(W).reshape(-1, sd.q)  # mobius_batch gives a transposed view
     out = np.empty(len(M), dtype=np.complex128)
-    chunk = RADIAL_CHUNK if form is not None else max(1, POINTWISE_POINTS // len(W))
+    chunk = RADIAL_CHUNK if form is not None else max(1, POINTWISE_POINTS // len(cw))
     for lo in range(0, len(M), chunk):
         Mc = M[lo : lo + chunk]
         if form is not None:
             out[lo : lo + len(Mc)] = form.contract(mu, Mc, sd.r)
         else:
-            pushed = np.matmul(W.reshape(-1, sd.q), Mc)  # (n, m r, q), already contiguous
-            out[lo : lo + len(Mc)] = ev(pushed.reshape(-1, sd.r, sd.q)).reshape(len(Mc), len(W)) @ cw
+            pushed = np.matmul(W, Mc)  # (n, m r, q), already contiguous
+            out[lo : lo + len(Mc)] = ev(pushed.reshape(-1, sd.r, sd.q)).reshape(len(Mc), len(cw)) @ cw
     return out
 
 
@@ -424,7 +426,7 @@ def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
 def _default_radial_rule(sd, t_max: float):
     if sd.r == 1:
         panels = max(6, int(math.ceil(2.0 * t_max / math.log(2.0))) + 3)
-        return boundary.disk_rule(sd, level=18, panels=panels, phases=640)
+        return boundary.disk_rule(sd, level=18, panels=panels)
     return boundary.stiefel_rule(sd, samples=400000, seed=20240801)
 
 

@@ -91,6 +91,34 @@ def test_disk_density_moments():
         assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("b", [1, 2])
+def test_graded_disk_rule_phases(b):
+    # with panels > 1 the phases are graded toward theta = pi and mirrored
+    # about it: a probability rule that integrates low Fourier modes to ~1e-11
+    # but no longer exactly
+    rule = boundary.disk_rule(structure_data(1, b), level=18, panels=27)
+    assert abs(rule.weights.sum() - 1.0) <= 1e-15
+    th = np.angle(rule.nodes.reshape(-1, 2 * boundary.PHASE_POINTS * (boundary.PHASE_HALVINGS + 1))[0])
+    th = np.sort(np.mod(th, 2.0 * np.pi))
+    assert np.allclose(th + th[::-1], 2.0 * np.pi, rtol=0, atol=1e-14)
+    assert np.min(np.abs(th - np.pi)) < np.pi * 2.0 ** -boundary.PHASE_HALVINGS
+    for k in range(-4, 5):
+        if k:
+            assert abs(np.dot(rule.weights, np.exp(1j * k * np.angle(rule.nodes)))) <= 1e-10, k
+
+
+@pytest.mark.parametrize("level", [0, 3, 24])
+def test_uniform_disk_rule_phases_are_exact(sd11, level):
+    # panels = 1 keeps 2 level + 1 uniform phases, exact for e^(i k theta) up
+    # to |k| = 2 level: the degree claim that zonal Gram tests rely on
+    rule = boundary.disk_rule(sd11, level=level)
+    assert len(rule) == (level + 2) * (2 * level + 1)
+    theta = np.angle(rule.nodes)
+    for k in range(1, 2 * level + 1):
+        for sign in (1, -1):
+            assert abs(np.dot(rule.weights, np.exp(1j * sign * k * theta))) <= 1e-14, k
+
+
 def test_stiefel_rule_properties(sd21):
     rule = boundary.stiefel_rule(sd21, samples=4000, seed=5)
     U = rule.nodes
@@ -293,9 +321,8 @@ def test_heisenberg_chart_domination_at_b2(sd12, s):
 @pytest.mark.parametrize("build", [
     lambda sd: boundary.sphere_rule(sd, level=-1),
     lambda sd: boundary.disk_rule(sd, level=-1),
-    lambda sd: boundary.disk_rule(sd, level=3, phases=0),
-], ids=["sphere-level", "disk-level", "disk-phases"])
-def test_rules_reject_negative_level_and_no_phases(sd11, build):
+], ids=["sphere-level", "disk-level"])
+def test_rules_reject_negative_level(sd11, build):
     # a negative level once built an empty rule that integrated everything to 0
     with pytest.raises(DomainError):
         build(sd11)

@@ -142,7 +142,7 @@ def test_phi_harmonic_is_one(sd11, sp2):
 
 
 def test_phi_frozen_oracle(sd11):
-    rule = boundary.disk_rule(sd11, level=24, panels=4, phases=512)
+    rule = boundary.disk_rule(sd11, level=24, panels=4)
     for (s, t), want in PHI_ORACLE.items():
         got = poisson.phi_s(spectral_param(s, sd11), t, rule)
         assert abs(got - want) / abs(want) < 1e-12
@@ -150,7 +150,7 @@ def test_phi_frozen_oracle(sd11):
 
 def test_phi_disk_sphere_agree(sd11):
     spA = spectral_param(2.5, sd11)
-    dsk = boundary.disk_rule(sd11, level=24, panels=4, phases=512)
+    dsk = boundary.disk_rule(sd11, level=24, panels=4)
     sph = boundary.sphere_rule(sd11, level=12, panels=4)
     for t in (0.5, 1.5):
         a = poisson.phi_s(spA, t, dsk)
@@ -178,7 +178,7 @@ def test_real_s_profile_matches_complex_reference(r, b):
     # weights is the reference
     sd = structure_data(r, b)
     if r == 1:
-        rule = boundary.disk_rule(sd, level=18, panels=8, phases=256)
+        rule = boundary.disk_rule(sd, level=18, panels=8)
         V1 = rule.nodes[:, None, None]
     else:
         rule = boundary.stiefel_rule(sd, samples=20000, seed=17)
@@ -282,6 +282,17 @@ def test_cs_gk_frozen_oracle():
         sp = spectral_param(s, structure_data(r, b))
         got = poisson.c_s(sp, method="gk")
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_cs_fatou_resolves_the_cusp(b):
+    # the radial weight peaks in a cusp of width ~ 2 e^(-2t) at U_1 = -1; the
+    # default disk rule grades its phases toward it, so criterion 6's Fatou
+    # limits meet the Gamma product to <= 3.7e-9 (640 uniform phases: 7.2e-4)
+    sps = [spectral_param(s, structure_data(1, b)) for s in (1.5, 2.0, 2.5, 3.0 + 0.5j)]
+    for sp, fat in zip(sps, poisson._cs_fatou(sps)):
+        gk = poisson.c_s(sp, method="gk")
+        assert abs(fat - gk) <= 1e-7 * abs(gk), sp.s
 
 
 def test_cs_all_routes_consistent(sd11):
