@@ -7,8 +7,13 @@ The second-order operator is assembled from a basis {v_i} of p+ and its dual
 
 acting on lifts F(g) = F(g . 0). On Poisson kernels it acts diagonally:
 H K_s = (1/4)(s^2 - (r+b)^2) K_s I_r. Third-order companions U and W are the
-triple sums below; on kernels their entrywise ratio is a fixed rational
-function of the spectral parameter.
+triple sums below; on kernels their p+ entries stand in one ratio, which
+with nu = n/r is the rational function
+
+    U K_s / W K_s = (s^2 - nu^2) / (s^2 - nu^2 - 4(n + 1))
+
+of the spectral parameter (ratio_law), with a zero at s = nu and a pole at
+s^2 = nu^2 + 4(n + 1).
 
 Derivatives are left-invariant: (v_1..v_k F)(g) = d/dt_1 .. d/dt_k F(g e^(t_1 x_1) .. e^(t_k x_k))
 evaluated by central differences with precomputed stencil exponentials; each
@@ -44,6 +49,7 @@ __all__ = [
     "hua_third_U",
     "hua_third_W",
     "third_order_ratio",
+    "ratio_law",
     "lift_kernel",
     "on_kernels",
     "eigen_residual",
@@ -270,7 +276,8 @@ def _second_terms(basis: LieBasis):
     for i in range(sd.n):
         for j in range(sd.n):
             B = basis.pplus[j] @ basis.pminus[i] - basis.pminus[i] @ basis.pplus[j]
-            terms.append(((basis.pplus[i], basis.pminus[j]), B[: sd.r, : sd.r]))
+            if np.any(B[: sd.r, : sd.r]):
+                terms.append(((basis.pplus[i], basis.pminus[j]), B[: sd.r, : sd.r]))
     return terms
 
 
@@ -298,7 +305,8 @@ def _third_terms(basis: LieBasis, which: str):
                     dirs = (vp[k], vm[i], vm[j])
                     inner = vm[k] @ vp[i] - vp[i] @ vm[k]
                     W = inner @ vp[j] - vp[j] @ inner
-                terms.append((dirs, W))
+                if np.any(W):
+                    terms.append((dirs, W))
     return terms
 
 
@@ -306,8 +314,6 @@ def _operator(basis: LieBasis, which: str, scheme: FDScheme | None):
     """Terms of the operator `which` ("second", "U" or "W") and its scheme, default if None."""
     if which == "second":
         return _second_terms(basis), FDScheme() if scheme is None else scheme
-    if basis.sd.n > 6:
-        raise DomainError("third-order operators are limited to n <= 6 (got n = %d)" % basis.sd.n)
     return _third_terms(basis, which), FDScheme(step=2e-2) if scheme is None else scheme
 
 
@@ -425,20 +431,9 @@ def hua_basis(sd: StructureData) -> LieBasis:
 @dataclass
 class ThirdOrderReport:
     s_values: list
-    sigmas: list
     ratios: list
     cvs: list
-    p_fit: float
-    c_fit: float
-    d_fit: float
-    p_denominator: float
-    c_expected: float
-    genus_candidate: int
-    fit_residual: float
-
-    @property
-    def c_rel_err(self) -> float:
-        return abs(self.c_fit - self.c_expected) / abs(self.c_expected)
+    law_errs: list
 
 
 def _sample_pairs(sd: StructureData, samples: int, seed: int):
@@ -455,71 +450,36 @@ def _sample_pairs(sd: StructureData, samples: int, seed: int):
     return out
 
 
-def _ratio_law(sig, x):
-    """ratio(sigma) = sigma (2 sigma - d) / (2 sigma^2 - 2 p sigma - c), and its Jacobian in (d, p, c)."""
-    d, p, c = x
-    den = 2.0 * sig**2 - 2.0 * p * sig - c
-    model = sig * (2.0 * sig - d) / den
-    return model, np.stack([-sig / den, 2.0 * sig * model / den, model / den], axis=-1)
-
-
-def _fit_ratio_law(sig, rat):
-    """Real least-squares (d, p, c) of _ratio_law to the measured ratios.
-
-    Multiplied by its denominator the law is linear in (d, p, c):
-    -sigma d + 2 ratio sigma p + ratio c = 2 sigma^2 (ratio - 1). One real
-    lstsq on that seeds Gauss-Newton steps on the unchanged residual. They
-    stop at a step of at most 4 eps of the parameters, or at one no smaller
-    than the step before, which is roundoff (at most 50 steps).
-    """
-    real = lambda a: np.concatenate([a.real, a.imag])
-    A = np.stack([-sig, 2.0 * rat * sig, rat], axis=-1)
-    x = np.linalg.lstsq(real(A), real(2.0 * sig**2 * (rat - 1.0)), rcond=None)[0]
-    last = np.inf
-    for _ in range(50):
-        model, J = _ratio_law(sig, x)
-        step = np.linalg.lstsq(real(J), -real(model - rat), rcond=None)[0]
-        x = x + step
-        size = np.max(np.abs(step))
-        if size <= 4.0 * np.finfo(float).eps * np.max(np.abs(x)) or size >= last:
-            break
-        last = size
-    return tuple(float(v) for v in x)
+def ratio_law(s, sd: StructureData) -> complex:
+    """(s^2 - nu^2) / (s^2 - nu^2 - 4(n + 1)) with nu = n/r: U/W on kernels at s."""
+    x = complex(s) ** 2 - sd.harmonic_s ** 2
+    return x / (x - 4.0 * (sd.n + 1))
 
 
 def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None,
                       seed: int = 77) -> ThirdOrderReport:
-    """Entrywise U/W ratios on kernels across s, and the (p, c) fit.
+    """Entrywise U/W ratios on kernels per s, their spread, and their error against ratio_law.
 
     For each spectral parameter the ratio of the two third-order operators on
-    Poisson kernels is checked for constancy across sample points and p+
-    entries (coefficient of variation per s). The s-dependence is then fit to
-
-        ratio(sigma) = sigma (2 sigma - d) / (2 sigma^2 - 2 p sigma - c)
-
-    with sigma = (s + n/r)/2, a reciprocal-and-sign normalization of the
-    rational law kappa (-2 sigma^2 + 2 p sigma + c) / (sigma (2 sigma - d))
-    with kappa = -1 and the pole parameter d decoupled from p (a single
-    shared p cannot represent the measured curve; see the report fields).
-    c is compared against 2(n+1); p_fit and p_denominator = d - b are both
-    reported alongside the genus candidate 2r + b, not asserted.
-
-    Avoid s = n/r and s = n/r + 2 in sp_list: the ratio has a zero and a
-    pole there and contributes no fit information.
+    Poisson kernels is taken at every sample point and p+ entry: cvs holds
+    its coefficient of variation, and law_errs the relative error of its mean
+    against ratio_law. Avoid the law's zero s = n/r and its pole
+    s^2 = (n/r)^2 + 4(n + 1) in sp_list, where the relative error is
+    undefined or ill-conditioned.
 
     U and W are one on_kernels call each: their plans are built once per
     step, and the stencil points and log-determinants of each sample are
     shared by every s.
     """
-    if len(sp_list) < 3:
-        raise DomainError("need at least three spectral parameters for the fit")
+    if not sp_list:
+        raise DomainError("need at least one spectral parameter")
     sd = sp_list[0].sd
     basis = hua_basis(sd)
     pairs = _sample_pairs(sd, samples, seed)
     r = sd.r
     Us = on_kernels("U", sp_list, pairs, basis, scheme)[..., :r, r:]
     Ws = on_kernels("W", sp_list, pairs, basis, scheme)[..., :r, r:]
-    sigmas, ratios, cvs = [], [], []
+    ratios, cvs, law_errs = [], [], []
     for i, sp in enumerate(sp_list):
         entry_ratios = []
         for Umat, Wmat in zip(Us[:, i], Ws[:, i]):
@@ -530,22 +490,7 @@ def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None
         mean = complex(np.mean(entry_ratios))
         cvs.append(float(np.std(entry_ratios) / max(abs(mean), 1e-300)))
         ratios.append(mean)
-        sigmas.append(complex(sp.sigma))
-    sig = np.asarray(sigmas)
-    rat = np.asarray(ratios)
-
-    d_fit, p_fit, c_fit = _fit_ratio_law(sig, rat)
-    residual = float(np.max(np.abs(_ratio_law(sig, (d_fit, p_fit, c_fit))[0] - rat)))
-    return ThirdOrderReport(
-        s_values=[sp.s for sp in sp_list],
-        sigmas=list(sig),
-        ratios=list(rat),
-        cvs=cvs,
-        p_fit=p_fit,
-        c_fit=c_fit,
-        d_fit=d_fit,
-        p_denominator=d_fit - sd.b,
-        c_expected=2.0 * (sd.n + 1),
-        genus_candidate=sd.genus_candidate,
-        fit_residual=residual,
-    )
+        law = ratio_law(sp.s, sd)
+        law_errs.append(abs(mean - law) / abs(law))
+    return ThirdOrderReport(s_values=[sp.s for sp in sp_list], ratios=ratios, cvs=cvs,
+                            law_errs=law_errs)

@@ -34,7 +34,6 @@ class StructureData:
     n: int
     m: int
     admissibility_threshold: float
-    genus_candidate: int
 
     @property
     def q(self) -> int:
@@ -75,7 +74,6 @@ def structure_data(r: int, b: int) -> StructureData:
         n=n,
         m=m,
         admissibility_threshold=0.5 * a * (r - 1),
-        genus_candidate=2 * r + b,
     )
 
 

@@ -260,6 +260,12 @@ def test_bad_tolerance_exits_2(command, flag, value):
     assert flag + " must be positive and finite" in res.stderr
 
 
+def test_third_ratio_runs_past_n_6(capsys):
+    # (2, 2) has n = 8: the third-order operators run on every domain
+    assert cli.main(["hua", "third-ratio", "--r", "2", "--b", "2", "--samples", "1"]) == 0
+    assert "-> ok" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ("poisson", "phi", "--t-start", "3", "--t-stop", "1"),
     ("poisson", "kernel", "--t-start", "3", "--t-stop", "1"),

@@ -146,13 +146,19 @@ def third_ratio_at(sp, g, U, basis):
     return blkU[k] / blkW[k]
 
 
-def test_third_order_frozen_ratios(sd11):
-    # exact rational law at (1, 1): ratio(s) = (s^2 - 4) / (s^2 - 16)
-    basis = hua.hua_basis(sd11)
-    g, U = hua._sample_pairs(sd11, 1, seed=19)[0]
-    for s, want in ((3.5, -11.0 / 5.0), (9.0, 77.0 / 65.0)):
-        got = third_ratio_at(spectral_param(s, sd11), g, U, basis)
-        assert abs(got - want) / abs(want) < 1e-6
+def test_third_order_frozen_ratios():
+    # exact rational law (s^2 - nu^2) / (s^2 - nu^2 - 4(n + 1)), nu = n/r: (s^2 - 4) / (s^2 - 16)
+    # at (1, 1), (s^2 - 9) / (s^2 - 25) at (1, 2) and (s^2 - 9) / (s^2 - 37) at (2, 1)
+    cases = {(1, 1): ((3.5, -11.0 / 5.0), (9.0, 77.0 / 65.0)),
+             (1, 2): ((3.5, -13.0 / 51.0),),
+             (2, 1): ((3.5, -13.0 / 99.0),)}
+    for rb, pairs in cases.items():
+        sd = structure_data(*rb)
+        basis = hua.hua_basis(sd)
+        g, U = hua._sample_pairs(sd, 1, seed=19)[0]
+        for s, want in pairs:
+            got = third_ratio_at(spectral_param(s, sd), g, U, basis)
+            assert abs(got - want) / abs(want) < 1e-6, (rb, s)
 
 
 def test_third_order_basis_independence(sd11):
@@ -176,35 +182,9 @@ def test_third_order_report(sd11):
     sps = [spectral_param(s, sd11) for s in (2.4, 3.2, 4.4, 5.2)]
     rep = hua.third_order_ratio(sps, samples=3, seed=77)
     assert max(rep.cvs) < 1e-6
-    assert rep.c_rel_err < 1e-3
-    assert abs(rep.c_fit - 6.0) < 1e-2
-    assert abs(rep.p_fit - 2.0) < 1e-2
-    assert abs(rep.d_fit - 4.0) < 1e-2
-    assert abs(rep.p_denominator - 3.0) < 1e-2
-    assert rep.genus_candidate == 3
-    assert rep.fit_residual < 1e-6
-
-
-@pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-4])
-def test_ratio_law_fit_matches_minpack(sd11, noise):
-    from scipy.optimize import least_squares
-
-    sps = [spectral_param(s, sd11) for s in (2.4, 2.8, 3.2, 3.6, 4.4, 4.8, 5.2, 5.6, 6.0, 6.4)]
-    sig = np.array([sp.sigma for sp in sps], dtype=complex)
-    rng = np.random.default_rng(41)
-    rat = hua._ratio_law(sig, (4.0, 2.0, 6.0))[0]
-    rat = rat * (1.0 + noise * (rng.normal(size=len(sig)) + 1j * rng.normal(size=len(sig))))
-    if noise == 0.0:  # the measured ratios of criterion 5's quick run instead of the exact law
-        rep = hua.third_order_ratio(sps[::3], samples=3, seed=77)
-        sig, rat = np.asarray(rep.sigmas), np.asarray(rep.ratios)
-
-    def resid(x):
-        dev = hua._ratio_law(sig, x)[0] - rat
-        return np.concatenate([dev.real, dev.imag])
-
-    want = least_squares(resid, [4.0, 2.0, 6.0], method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15).x
-    got = np.array(hua._fit_ratio_law(sig, rat))
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
+    assert max(rep.law_errs) < 1e-8
+    assert rep.law_errs == [abs(got - hua.ratio_law(s, sd11)) / abs(hua.ratio_law(s, sd11))
+                            for s, got in zip(rep.s_values, rep.ratios)]
 
 
 def test_third_order_ratio_does_not_import_scipy_optimize():
@@ -215,7 +195,7 @@ def test_third_order_ratio_does_not_import_scipy_optimize():
         "sd = structure_data(1, 1)\n"
         "sps = [spectral_param(s, sd) for s in (2.4, 3.2, 4.4)]\n"
         "rep = hua.third_order_ratio(sps, samples=1, seed=77)\n"
-        "assert abs(rep.c_fit - 6.0) < 1e-2\n"
+        "assert max(rep.law_errs) < 1e-2\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -304,7 +284,7 @@ def test_on_kernels_matches_per_pair_loop(r, b, order, richardson):
     pairs = hua._sample_pairs(sd, 2, seed=17)
     sps = [spectral_param(s, sd) for s in (2.5, 4.0 + 1.0j)]
     scheme = hua.FDScheme(step=2e-2, order=order, richardson=richardson)
-    # third-order stencils at (2, 1) have 216 terms: run them at the cheapest scheme only
+    # third-order stencils at (2, 1) have 66 terms: run them at the cheapest scheme only
     third = r == 1 or (order == 2 and not richardson)
     for basis in (plain, hua.remix_basis(plain, A)):
         for which in ("second", "U", "W") if third else ("second",):
@@ -350,23 +330,42 @@ def count_plans(monkeypatch):
 
 
 def test_third_order_ratio_builds_each_plan_once(sd11, monkeypatch):
-    # 2 operators x n^3 terms x 2 Richardson steps, whatever the number of s and samples
+    # 2 operators x 6 non-zero terms x 2 Richardson steps, whatever the number of s and samples
     built = count_plans(monkeypatch)
     hua.third_order_ratio([spectral_param(s, sd11) for s in (2.4, 3.2, 4.4, 5.2)], samples=3)
-    assert len(built) == 2 * sd11.n ** 3 * 2
+    assert len(built) == 2 * 6 * 2
 
 
 def test_check_hua_builds_each_plan_once(sd11, monkeypatch):
-    # one operator x n^2 terms x 2 Richardson steps covers every s and the harmonic point
+    # one operator x 2 non-zero terms x 2 Richardson steps covers every s and the harmonic point
     built = count_plans(monkeypatch)
     suite.check_hua(sd11, (2.0, 3.0), 3, 7)
-    assert len(built) == sd11.n ** 2 * 2
+    assert len(built) == 2 * 2
+
+
+# non-zero terms per domain: (second order, each third-order operator)
+TERM_COUNTS = {(1, 1): (2, 6), (1, 2): (3, 15), (1, 3): (4, 28), (2, 1): (12, 66),
+               (2, 2): (16, 120), (3, 1): (36, 276)}
+
+
+@pytest.mark.parametrize("rb", suite.DOMAINS)
+def test_operators_keep_only_non_zero_terms(rb):
+    sd = structure_data(*rb)
+    basis = hua.hua_basis(sd)
+    second = hua._second_terms(basis)
+    third = {which: hua._third_terms(basis, which) for which in ("U", "W")}
+    assert len(second) == sd.r * sd.n == TERM_COUNTS[rb][0]
+    assert len(third["U"]) == len(third["W"]) == TERM_COUNTS[rb][1]
+    for _, weight in second + third["U"] + third["W"]:
+        assert np.any(weight)
 
 
 def test_zero_samples_is_a_domain_error(sd11):
     sps = [spectral_param(s, sd11) for s in (2.4, 3.2, 4.4)]
     with pytest.raises(DomainError, match="at least one sample"):
         hua.third_order_ratio(sps, samples=0)
+    with pytest.raises(DomainError, match="at least one spectral parameter"):
+        hua.third_order_ratio([], samples=3)
     with pytest.raises(DomainError, match="at least one sample"):
         suite.check_hua(sd11, (2.0,), 0, 7)
 
