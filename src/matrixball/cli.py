@@ -435,7 +435,7 @@ def cmd_suite(cfg: RunConfig) -> int:
                           for x in str(cfg.criteria).replace(" ", "").split(",")})
         bad = [i for i in indices if i not in suite.CRITERIA]
         if bad:
-            raise MatrixBallError("unknown criteria: %s" % bad)
+            raise DomainError("unknown criteria: %s" % bad)
     results = suite.run_all(seed=cfg.seed, profile=cfg.profile, criteria=indices,
                             log=print)
     out_dir = cfg.out or "matrixball-suite"

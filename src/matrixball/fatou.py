@@ -2,11 +2,10 @@
 
 The renormalized transform e^(-(rs-n)t) P_s f(k a_t . 0) converges to
 c_s f(u_k) as t grows; this module extracts that limit from profiles on a
-uniform t-grid (the Richardson extrapolation c_s's Fatou route uses, with
-the correction exponents the theory fixes, applied to every node at once),
-inverts the transform from a single deep slice, checks the
-dominating-function bound behind the convergence proof, and verifies the
-two-sided Hardy-norm estimate.
+uniform t-grid (poisson._fatou_limit, the one Fatou limit c_s's Fatou route
+also takes, applied to every node at once), inverts the transform from a
+single deep slice, checks the dominating-function bound behind the
+convergence proof, and verifies the two-sided Hardy-norm estimate.
 
 Results on the boundary are node values, not callables: boundary_limit
 reports f's estimate at the profile nodes (limits / cs), invert_l2 takes the
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import _kernels, group, poisson
 from .boundary import QuadratureRule
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .structure import SpectralParam
 
 __all__ = [
@@ -119,7 +118,7 @@ def zonal_profile(sp: SpectralParam, t_grid, rule: QuadratureRule | None = None)
 @dataclass
 class BoundaryLimitReport:
     limits: np.ndarray  # (N,) limits of the renormalized tails; limits / cs estimates f at the nodes
-    converged: np.ndarray  # (N,) bool
+    converged: np.ndarray  # (N,) bool, all true: an unconverged tail raises
     cs: complex
     sup_err: float | None = None
     lp_err: float | None = None
@@ -129,44 +128,31 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
                    p: float = 2.0, rule: QuadratureRule | None = None) -> BoundaryLimitReport:
     """Extrapolate the renormalized tail at each profile node; limits / cs estimates f there.
 
-    Each node's tail goes through the Richardson extrapolation of c_s's
-    Fatou route (poisson._richardson_limit), which removes the corrections
-    at the exponents the spherical-function expansion fixes; the grid must be
-    uniform with at least four points. A node's limit is its last
-    extrapolant, and it has converged when its last two extrapolants differ
-    by at most poisson.FATOU_REL_TOL times the largest final renormalized
-    value. Non-convergent tails raise, with the admissibility condition
-    echoed. With a reference boundary function the report carries the sup and
-    L^p node errors of the estimate; p must be finite and at least 1.
+    The tails go through the Fatou limit of c_s's Fatou route
+    (poisson._fatou_limit), which removes the corrections at the exponents
+    the spherical-function expansion fixes; the grid must be uniform with at
+    least four points. A tail that has not converged raises ConvergenceError,
+    so every node of a returned report has converged. With a reference
+    boundary function the report carries the sup and L^p node errors of the
+    estimate; p must be finite and at least 1.
     """
     if not (math.isfinite(p) and p >= 1):
         raise DomainError("the L^p error needs a finite p >= 1, got %r" % (p,))
     dt = poisson._fatou_grid_step(profile.t_grid)
-    y = profile.renormalized
-    scale = max(float(np.max(np.abs(y[:, -1]))), 1e-300)
-    N = y.shape[0]
-    previous, limits = poisson._richardson_limit(y, dt, poisson._correction_exponents(sp))
-    converged = np.abs(limits - previous) <= poisson.FATOU_REL_TOL * scale
-    if not np.all(converged):
-        bad = int(np.count_nonzero(~converged))
-        raise ConvergenceError(
-            "renormalized tail fails to converge at %d of %d nodes; the limit "
-            "requires admissible s (Re s > %g, here Re s = %g)"
-            % (bad, N, sp.sd.admissibility_threshold, sp.s.real)
-        )
-    cs = poisson.c_s(sp, method="gk")
+    limits = poisson._fatou_limit(sp, profile.renormalized, dt)
+    cs = poisson.c_s(sp)
     sup_err = lp_err = None
     if reference is not None:
         ref = poisson._as_evaluator(reference)(profile.nodes)
         diff = np.abs(limits / cs - ref)
         sup_err = float(np.max(diff))
-        if rule is not None and len(rule) == N:
+        if rule is not None and len(rule) == len(limits):
             lp_err = float(np.dot(rule.weights, diff**p) ** (1.0 / p))
         else:
             lp_err = float(np.mean(diff**p) ** (1.0 / p))
     return BoundaryLimitReport(
         limits=limits,
-        converged=converged,
+        converged=np.ones(len(limits), dtype=bool),
         cs=cs,
         sup_err=sup_err,
         lp_err=lp_err,
@@ -239,7 +225,7 @@ def invert_l2(sp: SpectralParam, values, t: float, rule: QuadratureRule) -> np.n
         )
     sp_conj = spectral_param(np.conj(sp.s), sd)
     vals = poisson.transform_radial(sp_conj, slice_f, rule.nodes, float(t), rule)
-    pref = abs(poisson.c_s(sp, method="gk")) ** -2 * math.exp(
+    pref = abs(poisson.c_s(sp)) ** -2 * math.exp(
         2.0 * (sd.n - sd.r * sp.s.real) * float(t)
     )
     return pref * vals
@@ -271,9 +257,7 @@ def domination_check(sp, t_list, chart: QuadratureRule):
     across all the parameters, and a list of reports (one per parameter) comes
     back in order.
     """
-    sp_list = [sp] if isinstance(sp, SpectralParam) else list(sp)
-    if not sp_list or any(x.sd != sp_list[0].sd for x in sp_list):
-        raise DomainError("domination_check needs spectral parameters on one domain")
+    sp_list, single = poisson._spectral_axis(sp)
     for x in sp_list:
         poisson._require_admissible(x)
     sd = sp_list[0].sd
@@ -307,7 +291,7 @@ def domination_check(sp, t_list, chart: QuadratureRule):
             phi_integral=float(np.dot(chart.weights, phi)),
             n_nodes=len(chart),
         ))
-    return reports[0] if isinstance(sp, SpectralParam) else reports
+    return reports[0] if single else reports
 
 
 @dataclass
@@ -337,10 +321,10 @@ def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule):
     poisson._require_admissible(sp)
     p_list = poisson._lp_exponents(p)
     t_grid = np.asarray(t_grid, dtype=float)
-    cs_abs = abs(poisson.c_s(sp, method="gk"))
-    gamma = poisson.gamma_estimate(sp, t_grid, rule)
+    cs_abs = abs(poisson.c_s(sp))
     f_abs = [np.abs(poisson._as_evaluator(f)(rule.nodes)) for f in f_list]
     h_norms = [poisson.hardy_norm(sp, f, p_list, t_grid, rule) for f in f_list]
+    gamma = poisson.gamma_estimate(sp, t_grid, rule)  # after hardy_norm has checked the grid
     reports = []
     for i, px in enumerate(p_list):
         fn = [float(np.dot(rule.weights, fa**px) ** (1.0 / px)) for fa in f_abs]

@@ -30,10 +30,11 @@ contraction with S_k per center, so a call costs O(N_nodes + N_centers)
 instead of O(N_nodes N_centers) evaluations. Any other callable is
 evaluated at every pushed point.
 
-c_s is computed three independent ways: a closed-form Gamma product, the
-renormalized limit of the radial profile of P_s 1 (Richardson-accelerated with
-the known correction exponents), and for rank one a direct integral over the
-opposite unipotent group.
+c_s is the closed-form Gamma product (c_s). Two independent routes check it:
+the renormalized limit of the radial profile of P_s 1 (_cs_fatou, through
+_fatou_limit, the one Fatou limit boundary limits also take) and, at rank
+one, a direct integral over the opposite unipotent group (_cs_direct);
+`poisson cs` and criterion 6 compare the routes (suite.check_cs).
 
 The Hua-Hardy norm sup_t e^(-(r Re s - n)t) ||P_s f(. a_t)||_p is read from
 one transform_radial call over the whole t grid on the rule's nodes, shared
@@ -43,7 +44,6 @@ across exponents (hardy_profile, hardy_norm).
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,7 +58,6 @@ from .structure import SpectralParam, lambda_coefficients
 
 __all__ = [
     "PolynomialForm",
-    "CsReport",
     "kernel",
     "transform",
     "transform_radial",
@@ -74,7 +73,7 @@ DYNAMIC_RANGE_WARN = 1e12
 RADIAL_CHUNK = 512  # centers per block of symmetric powers on transform_radial's moment route
 POINTWISE_POINTS = 2 ** 16  # pushed points per block on transform_radial's pointwise route
 SHILOV_RULES = ("deterministic-sphere", "sobol-stiefel")  # rule kinds whose nodes are Shilov points
-FATOU_REL_TOL = 1e-3  # largest difference of the last two Richardson extrapolants, relative to the limit
+FATOU_REL_TOL = 1e-3  # last two Richardson extrapolants' difference over the largest final profile value
 
 
 class _Monomials(NamedTuple):
@@ -221,17 +220,6 @@ class PolynomialForm:
         return np.einsum("ktab,ktab->k", B, A)
 
 
-@dataclass
-class CsReport:
-    """The constant c_s by independent routes, with their spread."""
-
-    s: complex
-    cs_gk: complex
-    cs_fatou: complex
-    cs_direct: complex | None
-    max_pairwise_rel_err: float
-
-
 def _as_evaluator(f):
     """A boundary function as a callable on (..., r, q) stacks; a number is that constant."""
     if callable(f):
@@ -280,8 +268,11 @@ def transform(sp: SpectralParam, f, Z: np.ndarray, rule: QuadratureRule):
     """
     sd = sp.sd
     Z = np.asarray(Z, dtype=np.complex128)
+    if Z.shape != (sd.r, sd.q):
+        raise MembershipError("Z must be an r x q matrix, got %s" % (Z.shape,))
     if not group.is_domain_point(Z):
         raise MembershipError("Z must lie in the open matrix ball")
+    _require_shilov_rule(sd, rule)
     ev = _as_evaluator(f)
     base = _kernels.logdet_ipzz(Z[None])[0]
     cross = _kernels.cross_logabsdet(Z[None], rule.nodes)[0]
@@ -297,11 +288,19 @@ def transform(sp: SpectralParam, f, Z: np.ndarray, rule: QuadratureRule):
     return complex(np.dot(rule.weights, vals))
 
 
+def _require_shilov_rule(sd, rule: QuadratureRule):
+    """DomainError unless the rule's nodes are Shilov points of the domain, (N, r, q)."""
+    if rule.kind not in SHILOV_RULES or rule.nodes.shape[1:] != (sd.r, sd.q):
+        raise DomainError("integration over the Shilov boundary at (r, q) = (%d, %d) needs a "
+                          "Shilov-point rule with nodes (N, %d, %d), got a %s rule with nodes %s"
+                          % (sd.r, sd.q, sd.r, sd.q, rule.kind, rule.nodes.shape))
+
+
 def _radial_coefficients(sd, rule: QuadratureRule, disk: bool = False):
     """Coefficients of det(I + tau V_1) over the rule's nodes, built once per call.
 
-    The rule must fit the domain: a Shilov-point rule with (N, r, q) nodes, or,
-    where disk is set, the rank-one disk rule of the same b. Anything else
+    The rule must fit the domain: a Shilov-point rule (_require_shilov_rule)
+    or, where disk is set, the rank-one disk rule of the same b. Anything else
     raises DomainError.
     """
     if disk and rule.kind == "deterministic-disk":
@@ -309,10 +308,7 @@ def _radial_coefficients(sd, rule: QuadratureRule, disk: bool = False):
             raise DomainError("a disk rule for b = %s does not fit (r, b) = (%d, %d)"
                               % (rule.aux.get("b"), sd.r, sd.b))
         return _kernels.radial_coefficients(rule.nodes[:, None, None])
-    if rule.kind not in SHILOV_RULES or rule.nodes.shape[1:] != (sd.r, sd.q):
-        raise DomainError("radial evaluation at (r, q) = (%d, %d) needs a Shilov-point rule with "
-                          "nodes (N, %d, %d), got a %s rule with nodes %s"
-                          % (sd.r, sd.q, sd.r, sd.q, rule.kind, rule.nodes.shape))
+    _require_shilov_rule(sd, rule)
     return _kernels.radial_coefficients(rule.nodes[..., :, : sd.r])
 
 
@@ -462,7 +458,68 @@ def _richardson_limit(y: np.ndarray, dt: float, exponents):
     return z[..., -2], z[..., -1]
 
 
-def _cs_gk(sp: SpectralParam) -> complex:
+def _fatou_limit(sp: SpectralParam, y: np.ndarray, dt: float) -> np.ndarray:
+    """The limit of each row of a renormalized radial profile y (..., T) on a grid of step dt.
+
+    A row's limit is its last Richardson extrapolant with the correction
+    exponents the theory fixes; it has converged when its last two
+    extrapolants differ by at most FATOU_REL_TOL times the largest final
+    value of y. A row that has not raises ConvergenceError, with the
+    admissibility condition echoed.
+    """
+    previous, limits = _richardson_limit(y, dt, _correction_exponents(sp))
+    scale = max(float(np.max(np.abs(y[..., -1]))), 1e-300)
+    converged = np.abs(limits - previous) <= FATOU_REL_TOL * scale
+    if not np.all(converged):
+        raise ConvergenceError(
+            "renormalized tail fails to converge at %d of %d nodes; the limit "
+            "requires admissible s (Re s > %g, here Re s = %g)"
+            % (np.count_nonzero(~converged), converged.size, sp.sd.admissibility_threshold,
+               sp.s.real)
+        )
+    return limits
+
+
+def _cs_fatou(sp, t_grid=None, rule=None):
+    """c_s as the Fatou limit (_fatou_limit) of the renormalized radial profile of P_s 1.
+
+    sp is one SpectralParam, giving a complex, or a sequence of them on one
+    domain, giving a list with one value per s from one rule and one radial
+    pass (_phi_profile). A profile that has not converged raises
+    ConvergenceError naming its Re s.
+    """
+    sps, single = _spectral_axis(sp)
+    sd = sps[0].sd
+    if t_grid is None:
+        t_grid = np.arange(0.0, 8.01, 0.5)
+    t_grid = np.asarray(t_grid, dtype=float)
+    dt = _fatou_grid_step(t_grid)
+    if rule is None:
+        rule = _default_radial_rule(sd, float(t_grid[-1]))
+    out = [complex(_fatou_limit(x, np.exp(-x.growth * t_grid) * phi, dt))
+           for x, phi in zip(sps, _phi_profile(sps, t_grid, rule))]
+    return out[0] if single else out
+
+
+def _cs_direct(sp: SpectralParam, chart: QuadratureRule) -> complex:
+    """c_s as an integral over the rank-one opposite unipotent group, on a Heisenberg chart."""
+    sd = sp.sd
+    if sd.r != 1:
+        raise DegeneracyError("direct c_s route uses the rank-one unipotent chart")
+    h1v = chart.aux["h1"]
+    w = chart.weights
+    num = np.dot(w, np.exp(-(sp.s + sd.n) * h1v))
+    den = np.dot(w, np.exp(-2.0 * sd.n * h1v))
+    return complex(num / den)
+
+
+def c_s(sp: SpectralParam) -> complex:
+    """The boundary-limit constant c_s, as the closed-form Gamma product.
+
+    _cs_fatou and, at rank one, _cs_direct reach it independently;
+    suite.check_cs compares the routes.
+    """
+    _require_admissible(sp)
     sd = sp.sd
 
     def log_prod(s):
@@ -478,83 +535,6 @@ def _cs_gk(sp: SpectralParam) -> complex:
         return total
 
     return complex(np.exp(log_prod(sp.s) - log_prod(sd.harmonic_s)))
-
-
-def _cs_fatou(sp, t_grid=None, rule=None):
-    """c_s as the Richardson limit of the renormalized radial profile of P_s 1.
-
-    sp is one SpectralParam, giving a complex, or a sequence of them on one
-    domain, giving a list with one value per s from one rule and one radial
-    pass (_phi_profile). A profile that has not converged raises
-    ConvergenceError naming its s.
-    """
-    sps, single = _spectral_axis(sp)
-    sd = sps[0].sd
-    if t_grid is None:
-        t_grid = np.arange(0.0, 8.01, 0.5)
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = _fatou_grid_step(t_grid)
-    if rule is None:
-        rule = _default_radial_rule(sd, float(t_grid[-1]))
-    out = []
-    for x, phi in zip(sps, _phi_profile(sps, t_grid, rule)):
-        y = np.exp(-x.growth * t_grid) * phi
-        a, c = _richardson_limit(y, dt, _correction_exponents(x))
-        if abs(c) == 0 or abs(a - c) > FATOU_REL_TOL * abs(c):
-            raise ConvergenceError(
-                "renormalized radial profile at s = %s has not converged: last extrapolants "
-                "differ by %.2e (tol %.2e)" % (x.s, abs(a - c) / max(abs(c), 1e-300), FATOU_REL_TOL)
-            )
-        out.append(complex(c))
-    return out[0] if single else out
-
-
-def _cs_direct(sp: SpectralParam, chart: QuadratureRule | None = None) -> complex:
-    sd = sp.sd
-    if sd.r != 1:
-        raise DegeneracyError("direct c_s route uses the rank-one unipotent chart")
-    if chart is None:
-        chart = boundary.heisenberg_chart(sd)
-    h1v = chart.aux["h1"]
-    w = chart.weights
-    num = np.dot(w, np.exp(-(sp.s + sd.n) * h1v))
-    den = np.dot(w, np.exp(-2.0 * sd.n * h1v))
-    return complex(num / den)
-
-
-def c_s(sp: SpectralParam, method: str = "gk", **params):
-    """The boundary-limit constant c_s.
-
-    method: "gk" (closed-form Gamma product), "fatou" (renormalized radial
-    limit of P_s 1), "direct" (rank-one unipotent chart integral), or "all"
-    (every applicable route, returned as a CsReport).
-    """
-    _require_admissible(sp)
-    if method == "gk":
-        return _cs_gk(sp)
-    if method == "fatou":
-        return _cs_fatou(sp, **params)
-    if method == "direct":
-        return _cs_direct(sp, **params)
-    if method == "all":
-        fat = _cs_fatou(sp, **{k: v for k, v in params.items() if k in ("t_grid", "rule")})
-        return _cs_report(sp, fat, params.get("chart"))
-    raise ValueError("unknown c_s method %r" % method)
-
-
-def _cs_report(sp: SpectralParam, fat: complex, chart: QuadratureRule | None = None) -> CsReport:
-    """c_s by every route that applies, given the Fatou value fat, with their spread."""
-    gk = _cs_gk(sp)
-    direct = None
-    vals = [gk, fat]
-    if sp.sd.r == 1:
-        direct = _cs_direct(sp, chart)
-        vals.append(direct)
-    scale = max(abs(v) for v in vals)
-    worst = max(abs(u - v) for u in vals for v in vals) / scale
-    return CsReport(
-        s=sp.s, cs_gk=gk, cs_fatou=fat, cs_direct=direct, max_pairwise_rel_err=float(worst)
-    )
 
 
 def _lp_exponents(p) -> list:
@@ -574,6 +554,8 @@ def hardy_profile(sp: SpectralParam, f, p, t_grid, rule: QuadratureRule) -> np.n
     """
     p_list = _lp_exponents(p)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not len(t_grid) or not np.all(np.isfinite(t_grid)):
+        raise DomainError("the Hardy profile needs a non-empty, finite 1-D t grid")
     renorm = np.exp(-float(np.real(sp.growth)) * t_grid)
     lift = transform_radial(sp, f, rule.nodes, t_grid, rule)
     lift_abs = np.ascontiguousarray(np.abs(lift).T)  # (T, N): one slice per row

@@ -157,8 +157,9 @@ def test_suite_single_criterion(tmp_path):
 
 
 def test_suite_unknown_criterion():
+    # a criterion that does not exist is a usage error, like a non-integer one
     res = run_cli("suite", "--criteria", "99", "--profile", "quick")
-    assert res.returncode == 1
+    assert res.returncode == 2
     assert "unknown criteria" in res.stderr.lower()
 
 

@@ -203,13 +203,13 @@ def test_rank_two_fatou_cs_converges_on_small_stiefel_rule(sd21, s):
     sp = spectral_param(s, sd21)
     rule = boundary.stiefel_rule(sd21, samples=2000, seed=5)
     grid = np.arange(0.0, 8.01, 0.5)
-    cs = poisson.c_s(sp, method="fatou", rule=rule, t_grid=grid)
+    cs = poisson._cs_fatou(sp, rule=rule, t_grid=grid)
     y = np.exp(-sp.growth * grid) * poisson.phi_s(sp, grid, rule)
     previous, last = poisson._richardson_limit(y, 0.5, poisson._correction_exponents(sp))
     assert cs == last
     assert abs(previous - last) <= 1e-12 * abs(last)
     # the estimate itself carries the rule's sampling error (measured <= 0.94%)
-    gk = poisson.c_s(sp, method="gk")
+    gk = poisson.c_s(sp)
     assert abs(cs - gk) <= 0.1 * abs(gk)
 
 
@@ -233,11 +233,22 @@ def test_radial_routes_reject_a_rule_that_does_not_fit(sd11, misfit_rules, name)
     with pytest.raises(DomainError):
         poisson.phi_s(sp, 1.0, rule)
     with pytest.raises(DomainError):
-        poisson.c_s(sp, method="fatou", rule=rule)
+        poisson._cs_fatou(sp, rule=rule)
     with pytest.raises(DomainError):
         poisson.gamma_estimate(sp, np.arange(0.0, 4.01, 0.5), rule)
     with pytest.raises(DomainError):
         poisson.transform_radial(sp, 1.0, group.base_point(sd11)[None], 1.0, rule)
+    with pytest.raises(DomainError):
+        poisson.transform(sp, 1.0, 0.3 * group.base_point(sd11), rule)
+
+
+def test_transform_rejects_a_misshaped_point(sd11, sphere6):
+    # a 2 x 2 Z at (r, q) = (1, 2) used to return 1 silently
+    sp = spectral_param(2.5, sd11)
+    with pytest.raises(MembershipError, match="r x q"):
+        poisson.transform(sp, 1.0, np.zeros((2, 2)), sphere6)
+    with pytest.raises(MembershipError, match="r x q"):
+        poisson.transform(sp, 1.0, np.zeros((3, 1, 2)), sphere6)
 
 
 def test_disk_rule_fits_rank_one_profiles_only(sd11, sd21):
@@ -280,7 +291,7 @@ def test_radial_coefficients_built_once_per_call(monkeypatch, sd11, sd21, sphere
 def test_cs_gk_frozen_oracle():
     for (r, b, s), want in CS_ORACLE.items():
         sp = spectral_param(s, structure_data(r, b))
-        got = poisson.c_s(sp, method="gk")
+        got = poisson.c_s(sp)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -291,35 +302,41 @@ def test_cs_fatou_resolves_the_cusp(b):
     # limits meet the Gamma product to <= 3.7e-9 (640 uniform phases: 7.2e-4)
     sps = [spectral_param(s, structure_data(1, b)) for s in (1.5, 2.0, 2.5, 3.0 + 0.5j)]
     for sp, fat in zip(sps, poisson._cs_fatou(sps)):
-        gk = poisson.c_s(sp, method="gk")
+        gk = poisson.c_s(sp)
         assert abs(fat - gk) <= 1e-7 * abs(gk), sp.s
 
 
-def test_cs_all_routes_consistent(sd11):
-    rep = poisson.c_s(spectral_param(2.0, sd11), method="all")
-    assert rep.cs_direct is not None
-    assert rep.max_pairwise_rel_err < 1e-3
-    assert abs(rep.cs_gk - 1.0) < 1e-12
+def test_check_cs_compares_every_route_on_one_chart(sd11, monkeypatch):
+    # rank one: the Gamma product, the Fatou limit and the chart integral per
+    # s, with one chart built for every s
+    charts = []
+    chart_fn = boundary.heisenberg_chart
 
+    def counted(*args, **kwargs):
+        charts.append(chart_fn(*args, **kwargs))
+        return charts[-1]
 
-def test_cs_all_reuses_a_given_chart(sd11, monkeypatch):
-    sp = spectral_param(2.5, sd11)
-    chart = boundary.heisenberg_chart(sd11)
-    want = poisson.c_s(sp, method="all")
-
-    def no_chart(*args, **kwargs):
-        raise AssertionError("c_s built a chart although one was given")
-
-    monkeypatch.setattr(boundary, "heisenberg_chart", no_chart)
-    got = poisson.c_s(sp, method="all", chart=chart)
-    assert got.cs_direct == want.cs_direct
+    monkeypatch.setattr(boundary, "heisenberg_chart", counted)
+    s_values = (2.0, 2.5)
+    worst, ok, details = suite.check_cs(sd11, s_values, 1000, 7)
+    assert ok and worst < 1e-3 and len(charts) == 1
+    for s in s_values:
+        d = details["s_%s" % s]
+        assert set(d) == {"gk", "fatou", "direct", "max_pairwise_rel_err"}
+        sp = spectral_param(s, sd11)
+        assert d["gk"] == poisson.c_s(sp)
+        assert d["direct"] == poisson._cs_direct(sp, charts[0])
+        vals = [d["gk"], d["fatou"], d["direct"]]
+        spread = max(abs(u - v) for u in vals for v in vals) / max(abs(v) for v in vals)
+        assert d["max_pairwise_rel_err"] == spread
+    assert abs(details["s_2.0"]["gk"] - 1.0) < 1e-12
 
 
 def test_cs_requires_admissible(sd21):
     sp = spectral_param(0.5, sd21)  # below the Re s > r - 1 gate
     assert not sp.admissible
     with pytest.raises(AdmissibilityError):
-        poisson.c_s(sp, method="gk")
+        poisson.c_s(sp)
 
 
 @pytest.mark.parametrize("t_grid", [
@@ -336,7 +353,7 @@ def test_cs_fatou_rejects_bad_t_grids(sd11, monkeypatch, t_grid):
 
     monkeypatch.setattr(poisson, "_default_radial_rule", no_rule)
     with pytest.raises(DomainError):
-        poisson.c_s(spectral_param(2.0, sd11), method="fatou", t_grid=t_grid)
+        poisson._cs_fatou(spectral_param(2.0, sd11), t_grid=t_grid)
 
 
 def _cs_fatou_per_s(sp, t_grid, rule):
@@ -366,7 +383,7 @@ def test_cs_fatou_s_axis_matches_per_s_loop(rb):
     sps = [spectral_param(s, sd) for s in CS_AXIS[rb]]
     want = [_cs_fatou_per_s(sp, t_grid, rule) for sp in sps]
     assert poisson._cs_fatou(sps, rule=rule) == want
-    assert [poisson.c_s(sp, method="fatou", rule=rule) for sp in sps] == want
+    assert [poisson._cs_fatou(sp, rule=rule) for sp in sps] == want
     assert poisson._phi_profile(sps, t_grid, rule).shape == (len(sps), len(t_grid))
 
 
@@ -398,10 +415,23 @@ def test_cs_fatou_s_axis_names_the_s_that_fails(sd11):
     t_grid = np.arange(5) * 0.5
     sps = [spectral_param(s, sd11) for s in (2.0, 2.5, 5.0)]
     assert len(poisson._cs_fatou(sps[:2], t_grid=t_grid)) == 2
-    with pytest.raises(ConvergenceError, match=r"s = \(5\+0j\)"):
+    with pytest.raises(ConvergenceError, match="Re s = 5"):
         poisson._cs_fatou(sps, t_grid=t_grid)
     with pytest.raises(DomainError):
         poisson._cs_fatou([sps[0], spectral_param(4.0, structure_data(2, 1))], t_grid=t_grid)
+
+
+def test_cs_fatou_and_boundary_limit_fail_with_one_message(sd11):
+    # both take the one Fatou limit, so a tail that has not converged by t = 2
+    # at s = 5 is reported in the same words by either route
+    sp = spectral_param(5.0, sd11)
+    t_grid = np.arange(5) * 0.5
+    with pytest.raises(ConvergenceError) as via_cs:
+        poisson._cs_fatou(sp, t_grid=t_grid)
+    with pytest.raises(ConvergenceError) as via_limit:
+        fatou.boundary_limit(sp, fatou.zonal_profile(sp, t_grid))
+    assert str(via_cs.value) == str(via_limit.value)
+    assert "1 of 1 nodes" in str(via_cs.value)
 
 
 def test_transform_linearity(sd11, sphere6, rng):
@@ -510,6 +540,22 @@ def test_hardy_profile_matches_per_t_lifts(sd11, monkeypatch, s):
 def test_hardy_profile_rejects_p_not_finite_above_one(sd11, sp2, sphere6, p):
     with pytest.raises(DomainError, match="finite p > 1"):
         poisson.hardy_profile(sp2, 1.0, p, np.linspace(0.0, 2.0, 5), sphere6)
+
+
+@pytest.mark.parametrize("t_grid", [[], [np.nan, 1.0], [1.0, np.inf], [[0.0, 1.0]], 1.0],
+                         ids=["empty", "nan", "inf", "2-D", "scalar"])
+def test_hardy_profile_rejects_bad_t_grids(sd11, sphere6, t_grid):
+    # each used to fail inside numpy or return nan; the sandwich goes through the same check
+    sp = spectral_param(2.5, sd11)
+    with pytest.raises(DomainError, match="t grid"):
+        poisson.hardy_profile(sp, 1.0, 2.0, t_grid, sphere6)
+    with pytest.raises(DomainError, match="t grid"):
+        fatou.norm_sandwich(sp, 2.0, [1.0], t_grid, sphere6)
+
+
+def test_hardy_profile_takes_a_single_t(sd11, sp2, sphere6):
+    # fatou sandwich --t-stop 0 reads the norm on the one-point grid [0]
+    assert abs(poisson.hardy_norm(sp2, 1.0, 2.0, [0.0], sphere6) - 1.0) < 1e-10
 
 
 # criteria 7 (0 to 6 by 0.5 at s = 2.5), 9 (0 to 5 at s = 2 and 2.5), 10 (t = 1 and
