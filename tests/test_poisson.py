@@ -306,9 +306,23 @@ def test_cs_fatou_resolves_the_cusp(b):
         assert abs(fat - gk) <= 1e-7 * abs(gk), sp.s
 
 
-def test_check_cs_compares_every_route_on_one_chart(sd11, monkeypatch):
-    # rank one: the Gamma product, the Fatou limit and the chart integral per
-    # s, with one chart built for every s
+def test_cs_all_routes_consistent(sd11):
+    # rank one: check_cs compares the Gamma product, the Fatou limit and the
+    # chart integral per s, and the worst pairwise spread is within 1e-3
+    worst, ok, details = suite.check_cs(sd11, (2.0,), 1000, 7)
+    d = details["s_2.0"]
+    assert ok and worst < 1e-3
+    assert set(d) == {"gk", "fatou", "direct", "max_pairwise_rel_err"}
+    assert d["gk"] == poisson.c_s(spectral_param(2.0, sd11))
+    assert abs(d["gk"] - 1.0) < 1e-12
+    vals = [d["gk"], d["fatou"], d["direct"]]
+    spread = max(abs(u - v) for u in vals for v in vals) / max(abs(v) for v in vals)
+    assert d["max_pairwise_rel_err"] == spread == worst
+
+
+def test_cs_all_reuses_a_given_chart(sd11, monkeypatch):
+    # check_cs builds one chart for every s, and the chart route on a given
+    # chart builds none of its own
     charts = []
     chart_fn = boundary.heisenberg_chart
 
@@ -318,18 +332,15 @@ def test_check_cs_compares_every_route_on_one_chart(sd11, monkeypatch):
 
     monkeypatch.setattr(boundary, "heisenberg_chart", counted)
     s_values = (2.0, 2.5)
-    worst, ok, details = suite.check_cs(sd11, s_values, 1000, 7)
-    assert ok and worst < 1e-3 and len(charts) == 1
+    _, ok, details = suite.check_cs(sd11, s_values, 1000, 7)
+    assert ok and len(charts) == 1
+
+    def no_chart(*args, **kwargs):
+        raise AssertionError("the chart route built a chart although one was given")
+
+    monkeypatch.setattr(boundary, "heisenberg_chart", no_chart)
     for s in s_values:
-        d = details["s_%s" % s]
-        assert set(d) == {"gk", "fatou", "direct", "max_pairwise_rel_err"}
-        sp = spectral_param(s, sd11)
-        assert d["gk"] == poisson.c_s(sp)
-        assert d["direct"] == poisson._cs_direct(sp, charts[0])
-        vals = [d["gk"], d["fatou"], d["direct"]]
-        spread = max(abs(u - v) for u in vals for v in vals) / max(abs(v) for v in vals)
-        assert d["max_pairwise_rel_err"] == spread
-    assert abs(details["s_2.0"]["gk"] - 1.0) < 1e-12
+        assert details["s_%s" % s]["direct"] == poisson._cs_direct(spectral_param(s, sd11), charts[0])
 
 
 def test_cs_requires_admissible(sd21):
