@@ -16,11 +16,13 @@ spectrum) draw with --samples nodes (200000) at --seed. In a mirror
     poisson cs       6  Stiefel nodes (2^16)  ktypes schur    10  -
     fatou limit      7  Stiefel nodes (10^5)  fatou invert    11  functions (1)
 
-and a mirror writes {"worst", "passed", "details"} as JSON to --out.
+and a mirror writes {"worst", "passed", "details"} as JSON to --out. The six
+others but suite are tables: a CSV of rows, and a JSON summary where there is one.
 
-Artifacts are CSV (with #-prefixed metadata headers) and JSON (sorted keys),
-written atomically via temp file + rename. Identical configuration and seed
-produce byte-identical files; wall-clock timings go to stdout only.
+Every artifact, suite's included, is JSON {"version", "config", "payload"} with
+sorted keys or CSV with #-prefixed metadata headers, written atomically via
+temp file + rename. Identical configuration and seed produce byte-identical
+files; wall-clock timings go to stdout only.
 
 Exit codes: 0 success, 1 failed invariant or non-convergence, 2 usage or
 precondition error, 3 numerical degeneracy.
@@ -119,7 +121,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                               % (path, type(loaded).__name__))
         unknown = set(loaded) - set(values)
         if unknown:
-            raise MatrixBallError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+            raise DomainError("unknown config keys: %s" % ", ".join(sorted(unknown)))
         for fld in fields(RunConfig):
             if fld.name in loaded and not _config_type_ok(fld.type, loaded[fld.name]):
                 raise DomainError("--config %s: %s must be %s, got %r"
@@ -165,11 +167,30 @@ def _write_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _sanitize(obj):
+    """Make details JSON-serializable deterministically."""
+    if isinstance(obj, dict):
+        return {str(k): _sanitize(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
+    return obj
+
+
 def emit_json(cfg: RunConfig, payload: dict, path: str):
     doc = {
         "version": __version__,
-        "config": suite._sanitize(cfg.as_dict()),
-        "payload": suite._sanitize(payload),
+        "config": _sanitize(cfg.as_dict()),
+        "payload": _sanitize(payload),
     }
     _write_atomic(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -177,7 +198,7 @@ def emit_json(cfg: RunConfig, payload: dict, path: str):
 def emit_csv(cfg: RunConfig, header: str, rows, path: str):
     lines = [
         "# matrixball %s" % __version__,
-        "# config: %s" % json.dumps(suite._sanitize(cfg.as_dict()), sort_keys=True),
+        "# config: %s" % json.dumps(_sanitize(cfg.as_dict()), sort_keys=True),
         "# seed: %d" % cfg.seed,
         "# wall-time: excluded from artifacts so reruns are byte-identical",
         header,
@@ -200,22 +221,38 @@ def _out_paths(cfg: RunConfig, stem: str):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def cmd_structure(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
+def _table(stem: str, header: str | None):
+    """Subcommand writing its artifacts to --out: a CSV of rows under `header`
+    (none when header is None) and a JSON summary (none when it is None).
+
+    The decorated function maps (cfg, sd) to (rows, summary, line, passed);
+    the subcommand prints the line and exits 0 exactly when passed.
+    """
+    def wrap(body):
+        def cmd(cfg: RunConfig) -> int:
+            rows, summary, line, ok = body(cfg, structure_data(cfg.r, cfg.b))
+            jp, cp = _out_paths(cfg, stem)
+            if cp and header is not None:
+                emit_csv(cfg, header, rows, cp)
+            if jp and summary is not None:
+                emit_json(cfg, summary, jp)
+            print(line)
+            return 0 if ok else 1
+        return cmd
+    return wrap
+
+
+@_table("structure", "root,multiplicity")
+def cmd_structure(cfg, sd):
     roots = restricted_roots(sd)
     payload = {"r": sd.r, "b": sd.b, "n": sd.n, "a": sd.a, "m": sd.m,
                "harmonic_s": sd.harmonic_s, "roots": roots}
-    jp, cp = _out_paths(cfg, "structure")
-    if jp:
-        emit_json(cfg, payload, jp)
-        emit_csv(cfg, "root,multiplicity", sorted(roots.items()), cp)
-    print("structure r=%d b=%d: n=%d, a=%d, roots %s" % (sd.r, sd.b, sd.n, sd.a,
-                                                         sorted(roots.items())))
-    return 0
+    return sorted(roots.items()), payload, "structure r=%d b=%d: n=%d, a=%d, roots %s" % (
+        sd.r, sd.b, sd.n, sd.a, sorted(roots.items())), True
 
 
-def cmd_poisson_kernel(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
+@_table("kernel", "t,kernel_re,kernel_im,horospherical_rel_err")
+def cmd_poisson_kernel(cfg, sd):
     sp = spectral_param(cfg.s, sd)
     U0 = group.base_point(sd)
     Z0 = np.zeros((sd.r, sd.q), dtype=np.complex128)
@@ -231,52 +268,42 @@ def cmd_poisson_kernel(cfg: RunConfig) -> int:
         rel = abs(K - href) / abs(href)
         worst = max(worst, rel)
         rows.append((float(t), float(K.real), float(K.imag), rel))
-    jp, cp = _out_paths(cfg, "kernel")
-    if cp:
-        emit_csv(cfg, "t,kernel_re,kernel_im,horospherical_rel_err", rows, cp)
-        emit_json(cfg, {"worst_rel_err": worst, "rows": len(rows)}, jp)
     tol = suite.KERNEL_FORM_TOL if cfg.tol_rel is None else cfg.tol_rel
-    print("kernel radial check s=%s: %d points, det vs horospherical worst %.3e"
-          % (cfg.s, len(rows), worst))
-    return 0 if worst <= tol else 1
+    line = ("kernel radial check s=%s: %d points, det vs horospherical worst %.3e"
+            % (cfg.s, len(rows), worst))
+    return rows, {"worst_rel_err": worst, "rows": len(rows)}, line, worst <= tol
 
 
-def cmd_poisson_phi(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd)
-    t_grid = cfg.t_grid()
-    rows = []
-    for t, v in zip(t_grid, poisson.phi_s(sp, t_grid, rule)):
-        v = complex(v)
-        ren = v * np.exp(-sp.growth * t)
-        rows.append((float(t), float(v.real), float(v.imag), float(abs(ren))))
-    jp, cp = _out_paths(cfg, "phi")
-    if cp:
-        emit_csv(cfg, "t,phi_re,phi_im,renormalized_abs", rows, cp)
-    print("phi_s profile s=%s on %d nodes: renormalized last %.6g"
-          % (cfg.s, len(rule), rows[-1][3]))
-    return 0
-
-
-def cmd_poisson_transform(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
-    sp = spectral_param(cfg.s, sd)
-    rule = build_rule(cfg, sd)
-    f = _seeded_function(cfg, sd)
-    t_grid = cfg.t_grid()
-    vals = poisson.transform_radial(sp, f, group.base_point(sd)[None], t_grid, rule)[0]
+def _radial_rows(sp, t_grid, vals) -> list:
+    """(t, re, im, |renormalized|) rows of radial values on t_grid."""
     rows = []
     for t, v in zip(t_grid, vals):
         v = complex(v)
         ren = v * np.exp(-sp.growth * t)
         rows.append((float(t), v.real, v.imag, float(abs(ren))))
-    jp, cp = _out_paths(cfg, "transform")
-    if cp:
-        emit_csv(cfg, "t,value_re,value_im,renormalized_abs", rows, cp)
-    print("transform of seeded band-limited f along the radial line: %d points, "
-          "renormalized last %.6g" % (len(rows), rows[-1][3]))
-    return 0
+    return rows
+
+
+@_table("phi", "t,phi_re,phi_im,renormalized_abs")
+def cmd_poisson_phi(cfg, sd):
+    sp = spectral_param(cfg.s, sd)
+    rule = build_rule(cfg, sd)
+    t_grid = cfg.t_grid()
+    rows = _radial_rows(sp, t_grid, poisson.phi_s(sp, t_grid, rule))
+    return rows, None, "phi_s profile s=%s on %d nodes: renormalized last %.6g" % (
+        cfg.s, len(rule), rows[-1][3]), True
+
+
+@_table("transform", "t,value_re,value_im,renormalized_abs")
+def cmd_poisson_transform(cfg, sd):
+    sp = spectral_param(cfg.s, sd)
+    rule = build_rule(cfg, sd)
+    t_grid = cfg.t_grid()
+    vals = poisson.transform_radial(sp, _seeded_function(cfg, sd), group.base_point(sd)[None],
+                                    t_grid, rule)[0]
+    rows = _radial_rows(sp, t_grid, vals)
+    return rows, None, ("transform of seeded band-limited f along the radial line: %d points, "
+                        "renormalized last %.6g" % (len(rows), rows[-1][3])), True
 
 
 def _seeded_function(cfg: RunConfig, sd):
@@ -287,29 +314,23 @@ def _seeded_function(cfg: RunConfig, sd):
     return suite.trace_affine(sd, cfg.seed)
 
 
-def cmd_fatou_profile(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
+@_table("fatou-profile", "node_index,t,re,im")
+def cmd_fatou_profile(cfg, sd):
     sp = spectral_param(cfg.s, sd)
     rule = build_rule(cfg, sd)
-    f = _seeded_function(cfg, sd)
     nodes = rule.nodes[: min(64, len(rule))]
-    prof = fatou.radial_profile(sp, f, nodes, cfg.t_grid(), rule)
+    prof = fatou.radial_profile(sp, _seeded_function(cfg, sd), nodes, cfg.t_grid(), rule)
     ren = prof.renormalized
     rows = [(k, float(t), float(ren[k, i].real), float(ren[k, i].imag))
             for k in range(len(nodes)) for i, t in enumerate(prof.t_grid)]
     tail = prof.tail_variation()
-    jp, cp = _out_paths(cfg, "fatou-profile")
-    if cp:
-        emit_csv(cfg, "node_index,t,re,im", rows, cp)
-        emit_json(cfg, {"nodes": len(nodes), "t_stop": float(prof.t_grid[-1]),
-                        "tail_variation": tail}, jp)
-    print("fatou profile s=%s over %d nodes: tail variation %.3e"
-          % (cfg.s, len(nodes), tail))
-    return 0
+    summary = {"nodes": len(nodes), "t_stop": float(prof.t_grid[-1]), "tail_variation": tail}
+    return rows, summary, "fatou profile s=%s over %d nodes: tail variation %.3e" % (
+        cfg.s, len(nodes), tail), True
 
 
-def cmd_ktypes_spectrum(cfg: RunConfig) -> int:
-    sd = structure_data(cfg.r, cfg.b)
+@_table("spectrum", "p,q,coeff_re,coeff_im")
+def cmd_ktypes_spectrum(cfg, sd):
     if sd.r != 1:
         raise DomainError("ktypes spectrum is rank-one only")
     rule = build_rule(cfg, sd)
@@ -317,14 +338,10 @@ def cmd_ktypes_spectrum(cfg: RunConfig) -> int:
     coeffs, defect = ktypes.ktype_spectrum(f, 3, 3, rule)
     rows = [(d.p, d.q, float(c.real), float(c.imag)) for d, c in sorted(
         coeffs.items(), key=lambda kv: (kv[0].p, kv[0].q))]
-    jp, cp = _out_paths(cfg, "spectrum")
-    if cp:
-        emit_csv(cfg, "p,q,coeff_re,coeff_im", rows, cp)
-        emit_json(cfg, {"defect": defect, "coefficients": {
-            "%d_%d" % (d.p, d.q): c for d, c in coeffs.items()}}, jp)
-    print("ktype spectrum up to (3,3): Parseval defect %.3e over %d types"
-          % (defect, len(rows)))
-    return 0
+    summary = {"defect": defect,
+               "coefficients": {"%d_%d" % (d.p, d.q): c for d, c in coeffs.items()}}
+    return rows, summary, "ktype spectrum up to (3,3): Parseval defect %.3e over %d types" % (
+        defect, len(rows)), True
 
 
 def _tols(**tols) -> dict:
@@ -346,14 +363,12 @@ def _mirror(name: str, index: int):
     its (worst, passed, details); the subcommand passes exactly when it does.
     """
     def wrap(inputs):
-        def cmd(cfg: RunConfig) -> int:
-            worst, ok, details = inputs(cfg, structure_data(cfg.r, cfg.b))
-            jp, _ = _out_paths(cfg, name.replace(" ", "-"))
-            if jp:
-                emit_json(cfg, {"worst": worst, "passed": ok, "details": details}, jp)
-            print("%s r=%d b=%d s=%s (criterion %d): worst %.3e -> %s"
-                  % (name, cfg.r, cfg.b, cfg.s, index, worst, "ok" if ok else "FAIL"))
-            return 0 if ok else 1
+        def body(cfg, sd):
+            worst, ok, details = inputs(cfg, sd)
+            line = "%s r=%d b=%d s=%s (criterion %d): worst %.3e -> %s" % (
+                name, cfg.r, cfg.b, cfg.s, index, worst, "ok" if ok else "FAIL")
+            return None, {"worst": worst, "passed": ok, "details": details}, line, ok
+        cmd = _table(name.replace(" ", "-"), None)(body)
         cmd.criterion = index
         return cmd
     return wrap
@@ -439,12 +454,15 @@ def cmd_suite(cfg: RunConfig) -> int:
     results = suite.run_all(seed=cfg.seed, profile=cfg.profile, criteria=indices,
                             log=print)
     out_dir = cfg.out or "matrixball-suite"
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "suite.json"),
-                  suite.results_json(results, cfg.seed, cfg.profile, cfg.as_dict()))
-    _write_atomic(os.path.join(out_dir, "suite.csv"),
-                  suite.results_csv(results, cfg.seed, cfg.profile, cfg.as_dict()))
     n_pass = sum(r.passed for r in results)
+    records = [{"index": r.index, "name": r.name, "passed": bool(r.passed),
+                "worst": float(r.worst), "tol": float(r.tol), "budget_s": float(r.budget_s),
+                "details": r.details} for r in results]
+    emit_json(cfg, {"all_passed": n_pass == len(results), "results": records},
+              os.path.join(out_dir, "suite.json"))
+    emit_csv(cfg, "index,name,passed,worst,tol,budget_s",
+             [(r.index, r.name, int(r.passed), float(r.worst), float(r.tol), float(r.budget_s))
+              for r in results], os.path.join(out_dir, "suite.csv"))
     print("suite: %d/%d criteria passed, artifacts in %s"
           % (n_pass, len(results), out_dir))
     return 0 if n_pass == len(results) else 1

@@ -76,11 +76,9 @@ def _warn_inadmissible(sp: SpectralParam):
 
 def _profile_grid(t_grid) -> np.ndarray:
     """A profile's t grid as an array: finite, strictly increasing, at least two points."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid.ndim != 1 or len(t_grid) < 2 or not np.all(np.isfinite(t_grid))
-            or np.any(np.diff(t_grid) <= 0)):
-        raise DomainError("t_grid must be a finite, increasing 1-D grid with at least two points")
-    return t_grid
+    return poisson._finite_t(
+        t_grid, "t_grid must be a finite, increasing 1-D grid with at least two points",
+        lambda t: t.ndim == 1 and len(t) >= 2 and np.all(np.diff(t) > 0))
 
 
 def radial_profile(sp: SpectralParam, f, nodes, t_grid, rule: QuadratureRule) -> RadialProfile:
@@ -260,6 +258,8 @@ def domination_check(sp, t_list, chart: QuadratureRule):
     sp_list, single = poisson._spectral_axis(sp)
     for x in sp_list:
         poisson._require_admissible(x)
+    poisson._finite_t(t_list, "domination_check needs a non-empty, finite 1-D t list",
+                      lambda t: t.ndim == 1)
     sd = sp_list[0].sd
     if "h1" not in chart.aux:
         raise DomainError("domination_check needs a heisenberg chart rule")

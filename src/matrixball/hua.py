@@ -42,7 +42,6 @@ __all__ = [
     "LieBasis",
     "FDScheme",
     "ThirdOrderReport",
-    "build_basis",
     "hua_basis",
     "lie_derivative",
     "hua_second",
@@ -78,8 +77,9 @@ class LieBasis:
                     raise DomainError("bracket [p+, p-] leaves the block diagonal")
 
 
-def build_basis(sd: StructureData) -> LieBasis:
-    """Elementary p+ basis e_(j, r+k) with duals e_(r+k, j)."""
+def hua_basis(sd: StructureData) -> LieBasis:
+    """The basis all Hua checks use: the elementary p+ basis e_(j, r+k) with
+    duals e_(r+k, j) under the plain trace pairing."""
     r, q, m = sd.r, sd.q, sd.m
     pplus = np.zeros((sd.n, m, m), dtype=np.complex128)
     pminus = np.zeros((sd.n, m, m), dtype=np.complex128)
@@ -92,19 +92,6 @@ def build_basis(sd: StructureData) -> LieBasis:
     basis = LieBasis(sd=sd, pplus=pplus, pminus=pminus)
     basis.validate()
     return basis
-
-
-def remix_basis(basis: LieBasis, A: np.ndarray) -> LieBasis:
-    """Change of p+ basis v' = A v with duals recomputed for the same pairing."""
-    A = np.asarray(A, dtype=np.complex128)
-    if A.shape != (basis.sd.n, basis.sd.n):
-        raise DomainError("mixing matrix must be n x n")
-    Ainv = np.linalg.inv(A)
-    pplus = np.einsum("ac,cij->aij", A, basis.pplus)
-    pminus = np.einsum("ca,cij->aij", Ainv, basis.pminus)
-    out = LieBasis(sd=basis.sd, pplus=pplus, pminus=pminus)
-    out.validate()
-    return out
 
 
 @dataclass
@@ -421,11 +408,6 @@ def measure_fd_order(sp: SpectralParam, basis: LieBasis, order: int = 4,
     res = [eigen_residual(sp, g, U, basis, FDScheme(step=h, order=order, richardson=False))
            for h in (4e-2, 2e-2)]
     return math.log2(res[0] / res[1])
-
-
-def hua_basis(sd: StructureData) -> LieBasis:
-    """The basis all Hua checks use: duals under the plain trace pairing."""
-    return build_basis(sd)
 
 
 @dataclass

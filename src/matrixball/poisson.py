@@ -235,6 +235,16 @@ def _require_admissible(sp: SpectralParam):
         )
 
 
+def _finite_t(t, message: str = "the radii t must be non-empty and finite",
+              shape_ok=None) -> np.ndarray:
+    """t (one radius or a grid) as a float array; DomainError(message) unless it is
+    non-empty and finite and, when shape_ok is given, shape_ok(t) holds."""
+    t = np.asarray(t, dtype=float)
+    if not t.size or not np.all(np.isfinite(t)) or (shape_ok is not None and not shape_ok(t)):
+        raise DomainError(message)
+    return t
+
+
 def kernel(sp: SpectralParam, Z: np.ndarray, U: np.ndarray):
     """Poisson kernel K_s(Z, U).
 
@@ -361,8 +371,8 @@ def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
         if not group.is_shilov_point(centers, tol=1e-8):
             raise MembershipError("centers must satisfy U U^H = I")
         M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
+    t_grid = _finite_t(t)
     coefs = _radial_coefficients(sd, rule)
-    t_grid = np.asarray(t, dtype=float)
     out = np.empty((len(M), t_grid.size), dtype=np.complex128)
     for j, tj in enumerate(t_grid.reshape(-1)):
         out[:, j] = _transform_at(sp, ev, form, M, float(tj), rule, coefs)
@@ -404,6 +414,7 @@ def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
     the weights and their mean are real, so they are computed in float64.
     """
     sps, single = _spectral_axis(sp)
+    t_grid = _finite_t(t_grid)
     sd = sps[0].sd
     coefs = _radial_coefficients(sd, rule, disk=True)
     sigmas = [x.s - sd.harmonic_s for x in sps]
@@ -428,13 +439,11 @@ def _default_radial_rule(sd, t_max: float):
 
 def _fatou_grid_step(t_grid) -> float:
     """The step of a t grid the extrapolation accepts: finite, strictly increasing, uniform, >= 4 points."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    dts = np.diff(np.atleast_1d(t_grid))
-    if (t_grid.ndim != 1 or len(t_grid) < 4 or not np.all(np.isfinite(t_grid))
-            or not np.all(dts > 0) or not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-12)):
-        raise DomainError("fatou extrapolation needs a finite, strictly increasing, "
-                          "uniform t grid with >= 4 points")
-    return float(dts[0])
+    t_grid = _finite_t(t_grid, "fatou extrapolation needs a finite, strictly increasing, "
+                       "uniform t grid with >= 4 points",
+                       lambda t: t.ndim == 1 and len(t) >= 4 and np.all(np.diff(t) > 0)
+                       and np.allclose(np.diff(t), t[1] - t[0], rtol=1e-12, atol=1e-12))
+    return float(t_grid[1] - t_grid[0])
 
 
 def _correction_exponents(sp: SpectralParam) -> list:
@@ -553,9 +562,8 @@ def hardy_profile(sp: SpectralParam, f, p, t_grid, rule: QuadratureRule) -> np.n
     length-T array, or a sequence, giving one row per p that shares the slices.
     """
     p_list = _lp_exponents(p)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or not len(t_grid) or not np.all(np.isfinite(t_grid)):
-        raise DomainError("the Hardy profile needs a non-empty, finite 1-D t grid")
+    t_grid = _finite_t(t_grid, "the Hardy profile needs a non-empty, finite 1-D t grid",
+                       lambda t: t.ndim == 1)
     renorm = np.exp(-float(np.real(sp.growth)) * t_grid)
     lift = transform_radial(sp, f, rule.nodes, t_grid, rule)
     lift_abs = np.ascontiguousarray(np.abs(lift).T)  # (T, N): one slice per row
@@ -577,7 +585,8 @@ def gamma_estimate(sp: SpectralParam, t_grid, rule: QuadratureRule) -> float:
     """
     from .structure import spectral_param
 
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _finite_t(t_grid, "gamma_estimate needs a non-empty, finite 1-D t grid",
+                       lambda t: t.ndim == 1)
     if 0.0 not in t_grid:
         t_grid = np.concatenate([[0.0], t_grid])
     sp_re = spectral_param(float(np.real(sp.s)), sp.sd)

@@ -20,7 +20,6 @@ outputs across reruns.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -31,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, _kernels, boundary, fatou, group, hua, ktypes, poisson
+from . import _kernels, boundary, fatou, group, hua, ktypes, poisson
 from .errors import ConvergenceError, DomainError
 from .structure import restricted_roots, spectral_param, structure_data
 
@@ -63,25 +62,6 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         return "criterion %2d %-22s %s  worst %.3e (tol %.1e)  [%.1fs]" % (
             self.index, self.name, status, self.worst, self.tol, self.elapsed_s)
-
-
-def _sanitize(obj):
-    """Make details JSON-serializable deterministically."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    return obj
 
 
 def _require_rank_one(sd, index: int):
@@ -638,41 +618,3 @@ def run_all(seed: int = 7, profile: str = "full", criteria=None, log=None):
         if log is not None:
             log(res.line())
     return results
-
-
-def results_json(results, seed: int, profile: str, config: dict | None = None) -> str:
-    payload = {
-        "version": __version__,
-        "seed": seed,
-        "profile": profile,
-        "config": _sanitize(config or {}),
-        "all_passed": bool(all(r.passed for r in results)),
-        "results": [
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": bool(r.passed),
-                "worst": float(r.worst),
-                "tol": float(r.tol),
-                "budget_s": float(r.budget_s),
-                "details": _sanitize(r.details),
-            }
-            for r in results
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def results_csv(results, seed: int, profile: str, config: dict | None = None) -> str:
-    lines = [
-        "# matrixball %s" % __version__,
-        "# config: %s" % json.dumps(_sanitize(config or {}), sort_keys=True),
-        "# seed: %d  profile: %s" % (seed, profile),
-        "# wall-time: excluded from artifacts so reruns are byte-identical",
-        "index,name,passed,worst,tol,budget_s",
-    ]
-    for r in results:
-        lines.append("%d,%s,%d,%r,%r,%r" % (r.index, r.name, int(r.passed),
-                                            float(r.worst), float(r.tol),
-                                            float(r.budget_s)))
-    return "\n".join(lines) + "\n"

@@ -111,7 +111,7 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nope": 1}))
     res = run_cli("structure", "--config", str(cfg))
-    assert res.returncode == 1
+    assert res.returncode == 2
     assert "unknown config" in res.stderr.lower()
 
 
@@ -120,14 +120,14 @@ def test_workers_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 2}))
     res = run_cli("structure", "--config", str(cfg))
-    assert res.returncode == 1
+    assert res.returncode == 2
     assert "unknown config keys: workers" in res.stderr.lower()
 
 
 def test_rule_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rule": "disk"}))
-    assert cli.main(["poisson", "phi", "--config", str(cfg)]) == 1
+    assert cli.main(["poisson", "phi", "--config", str(cfg)]) == 2
     assert "unknown config keys: rule" in capsys.readouterr().err
 
 
@@ -151,9 +151,9 @@ def test_suite_single_criterion(tmp_path):
     assert "PASS" in res.stdout
     assert "suite: 1/1 criteria passed" in res.stdout
     doc = json.loads(open(out + "/suite.json").read())
-    assert doc["all_passed"] is True
-    assert doc["results"][0]["passed"] is True
-    assert doc["results"][0]["index"] == 1
+    assert doc["payload"]["all_passed"] is True
+    assert doc["payload"]["results"][0]["passed"] is True
+    assert doc["payload"]["results"][0]["index"] == 1
 
 
 def test_suite_unknown_criterion():
@@ -344,3 +344,40 @@ def test_malformed_config_exits_2(tmp_path, text, capsys):
     cfg.write_text(text)
     assert cli.main(["structure", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: --config")
+
+
+CHEAP_FLAGS = {
+    "structure": (),
+    "group selftest": ("--samples", "5"),
+    "poisson kernel": (),
+    "poisson transform": ("--level", "3", "--t-stop", "1"),
+    "poisson phi": ("--level", "3", "--t-stop", "1"),
+    "poisson cs": (),
+    "poisson norms": ("--level", "3"),
+    "hua check": ("--samples", "1"),
+    "hua third-ratio": ("--samples", "1"),
+    "fatou profile": ("--level", "3"),
+    "fatou limit": ("--level", "5"),
+    "fatou invert": ("--level", "3", "--t-start", "3", "--t-stop", "4", "--t-step", "1"),
+    "fatou dominate": (),
+    "fatou sandwich": ("--level", "3", "--samples", "1"),
+    "ktypes spectrum": ("--level", "3"),
+    "ktypes schur": ("--level", "3"),
+    "suite": ("--criteria", "1", "--profile", "quick"),
+}
+
+
+def test_every_artifact_has_the_documented_layout(tmp_path):
+    # suite.json included: every JSON is {version, config, payload}, and every
+    # CSV (the table subcommands' and suite.csv) starts with the metadata header
+    assert set(CHEAP_FLAGS) == {" ".join(words) for words, _, _ in cli.SUBCOMMANDS}
+    for words, fn, _ in cli.SUBCOMMANDS:
+        out = tmp_path / "-".join(words)
+        assert cli.main(list(words) + list(CHEAP_FLAGS[" ".join(words)])
+                        + ["--out", str(out) + os.sep]) == 0, words
+        jsons, csvs = sorted(out.glob("*.json")), sorted(out.glob("*.csv"))
+        assert len(jsons) <= 1 and len(csvs) == (0 if hasattr(fn, "criterion") else 1), words
+        for path in jsons:
+            assert set(json.loads(path.read_text())) == {"version", "config", "payload"}, path
+        for path in csvs:
+            assert path.read_text().startswith("# matrixball "), path

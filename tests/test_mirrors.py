@@ -17,7 +17,7 @@ from matrixball import cli, suite
 def _criterion(index: int, profile: str = "quick"):
     res = suite.run_criterion(index, seed=7, profile=profile)
     assert res.passed, res.line()
-    return res.worst, json.loads(json.dumps(suite._sanitize(res.details)))
+    return res.worst, json.loads(json.dumps(cli._sanitize(res.details)))
 
 
 def _run(tmp_path, *argv):

@@ -564,6 +564,32 @@ def test_hardy_profile_rejects_bad_t_grids(sd11, sphere6, t_grid):
         fatou.norm_sandwich(sp, 2.0, [1.0], t_grid, sphere6)
 
 
+# each entry point of the radial machinery with a t it cannot use; each used to
+# return nan, a value for a grid it silently extended, or a numpy error
+BAD_T_CALLS = {
+    "gamma_estimate nan": lambda sp, rule: poisson.gamma_estimate(sp, [np.nan, 1.0], rule),
+    "gamma_estimate empty": lambda sp, rule: poisson.gamma_estimate(sp, [], rule),
+    "gamma_estimate 2-D": lambda sp, rule: poisson.gamma_estimate(sp, [[0.0, 1.0]], rule),
+    "phi_s nan": lambda sp, rule: poisson.phi_s(sp, np.nan, rule),
+    "phi_s inf": lambda sp, rule: poisson.phi_s(sp, np.inf, rule),
+    "transform_radial nan": lambda sp, rule: poisson.transform_radial(
+        sp, 1.0, rule.nodes, np.nan, rule),
+    "invert_l2 nan": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), np.nan, rule),
+    "spherical_profile nan": lambda sp, rule: ktypes.spherical_profile(
+        sp, ktypes.KTypeIndex(1, 0), [np.nan], rule),
+    "schur_diagonality nan": lambda sp, rule: ktypes.schur_diagonality(
+        sp, ktypes.KTypeIndex(1, 0), np.nan, rule.nodes, rule),
+    "domination_check nan": lambda sp, rule: fatou.domination_check(
+        sp, [np.nan], boundary.heisenberg_chart(sp.sd)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_T_CALLS.values(), ids=BAD_T_CALLS.keys())
+def test_radial_entry_points_reject_t_not_finite_or_empty(sd11, call):
+    with pytest.raises(DomainError, match="finite"):
+        call(spectral_param(2.5, sd11), boundary.sphere_rule(sd11, level=4))
+
+
 def test_hardy_profile_takes_a_single_t(sd11, sp2, sphere6):
     # fatou sandwich --t-stop 0 reads the norm on the one-point grid [0]
     assert abs(poisson.hardy_norm(sp2, 1.0, 2.0, [0.0], sphere6) - 1.0) < 1e-10
