@@ -238,5 +238,5 @@ def random_group_element(seed, scale: float, sd: StructureData) -> np.ndarray:
         X[:, r:, :r] = np.swapaxes(B, -1, -2).conj()
         X -= (np.trace(X, axis1=-2, axis2=-1) / m)[:, None, None] * np.eye(m)
         X = scale * X
-    G = linalg.expm(X)  # exp(0) = I exactly: scipy exponentiates a diagonal slice entrywise
+    G = linalg.expm(X)  # exp(0) = I exactly, as linalg.expm guarantees
     return G if np.ndim(seed) else G[0]

@@ -147,13 +147,14 @@ def _as_batch(F):
 
 
 @functools.lru_cache(maxsize=1024)
-def _step_exp(R_bytes: bytes, m: int, t: float) -> np.ndarray:
-    """expm(t R) for a real-form direction R given by its bytes, read-only.
+def _step_exps(parts_bytes: bytes, m: int, ts: tuple) -> np.ndarray:
+    """expm(t R), (2, len(ts), m, m) read-only, for the two real parts R of a direction.
 
-    A stencil exponential depends only on (R, t = h * offset), never on the
-    point g, the kernel parameters or U, so each one is computed once.
+    A stencil exponential depends only on (R, t = h * offset), never on the point
+    g, the kernel parameters or U, so each direction's come from one expm call.
     """
-    E = linalg.expm(t * np.frombuffer(R_bytes, dtype=np.complex128).reshape(m, m))
+    parts = np.frombuffer(parts_bytes, dtype=np.complex128).reshape(2, 1, m, m)
+    E = linalg.expm(np.array(ts)[:, None, None] * parts)
     E.flags.writeable = False
     return E
 
@@ -171,14 +172,14 @@ class _StencilPlan:
     def __init__(self, sd: StructureData, dirs, scheme: FDScheme, h: float):
         J = group.jmatrix(sd)
         m = sd.m
-        ts = [h * o for o in scheme.offsets]
+        ts = tuple(h * o for o in scheme.offsets)
         units = np.array([1.0, 1j])
         cfs = np.array(scheme.coeffs)
         mats = None  # (combos, sels, m, m)
         ccoef = np.array([1.0 + 0.0j])  # (combos,)
         for v in dirs:
             parts = _split_real(np.asarray(v, dtype=np.complex128), J)
-            E = np.array([[_step_exp(R.tobytes(), m, t) for t in ts] for R in parts])
+            E = _step_exps(np.array(parts).tobytes(), m, ts)
             if mats is None:
                 mats = E
             else:

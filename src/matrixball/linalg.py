@@ -3,16 +3,17 @@
 Matrices are plain numpy ``complex128`` arrays throughout the package; this
 module wraps the handful of primitives the rest of the code relies on
 (determinant, definiteness test, exponential, phase-fixed QR) behind stable
-contracts and package-specific error types. The determinant, condition number
-and exponential are numpy/scipy LAPACK calls, which at these sizes are
-effectively exact. The QR is a two-pass Gram-Schmidt vectorised across a stack
-of matrices, since the stacks it factors (a Stiefel rule's Gaussians, passed in
-blocks of _kernels.BLOCK samples) hold matrices too small for one LAPACK call
-each to pay off. Each matrix's factors do not depend on the rest of the stack.
+contracts and package-specific error types. The determinant and condition
+number are numpy LAPACK calls, effectively exact at these sizes. The exponential
+(Pade-13 scaling and squaring) and the QR (two-pass Gram-Schmidt) are vectorised
+across stacks (Lie algebra samples, a Stiefel rule's Gaussians in blocks of
+_kernels.BLOCK) of matrices too small for one LAPACK call each to pay off. Each
+matrix's result does not depend on the rest of the stack.
 """
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .errors import DegeneracyError, MembershipError
 
@@ -61,9 +62,34 @@ def is_strictly_positive(H) -> bool:
     return True
 
 
+# Pade-13 coefficients b_k = (26 - k)! 13! / (26! k! (13 - k)!), so b_0 = 1 and exp(0)
+# solves I X = I exactly, and theta_13 (Higham 2005, Table 2.3)
+_PADE13 = [math.factorial(26 - k) * math.factorial(13)
+           / (math.factorial(26) * math.factorial(k) * math.factorial(13 - k)) for k in range(14)]
+_THETA13 = 5.371920351148152
+
+
 def expm(X):
-    """Matrix exponential (scaling and squaring with Pade approximants)."""
-    return scipy.linalg.expm(np.asarray(X, dtype=np.complex128))
+    """Matrix exponential of X (..., m, m) by Pade-13 scaling and squaring (Higham 2005).
+
+    Each matrix is scaled by its own 2^-s, the least with ||X 2^-s||_1 < theta_13, and
+    squared s times, so its result does not depend on the rest of the stack, bit for
+    bit. exp(0) is exactly I.
+    """
+    A = np.asarray(X, dtype=np.complex128)
+    s = np.frexp(np.maximum(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13, 0.5))[1]
+    A = A * np.exp2(-s)[..., None, None]
+    b, I = _PADE13, np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
+    E = np.linalg.solve(V - U, V + U)
+    for k in range(s.max(initial=0)):
+        E[s > k] = E[s > k] @ E[s > k]
+    return E
 
 
 def _sum_rows(x):

@@ -41,13 +41,13 @@ one transform_radial call over the whole t grid on the rule's nodes, shared
 across exponents (hardy_profile, hardy_norm).
 """
 
+import cmath
 import functools
 import math
 import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import loggamma
 
 from . import _kernels, boundary, group
 from .boundary import QuadratureRule
@@ -522,6 +522,21 @@ def _cs_direct(sp: SpectralParam, chart: QuadratureRule) -> complex:
     return complex(num / den)
 
 
+def _loggamma(z: complex) -> complex:
+    """A logarithm of Gamma(z), z not a pole, up to a multiple of 2 pi i.
+
+    Gamma(z) = Gamma(z + 1) / z moves z to Re z >= 15, where Stirling's series
+    (B_2k / (2k (2k - 1) z^(2k - 1)), k <= 6) is good to 1e-17.
+    """
+    z, prod = complex(z), 1.0
+    while z.real < 15.0:
+        prod *= z
+        z += 1.0
+    stirling = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+    series = sum(c / z ** (2 * k + 1) for k, c in enumerate(stirling))
+    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series - cmath.log(prod)
+
+
 def c_s(sp: SpectralParam) -> complex:
     """The boundary-limit constant c_s, as the closed-form Gamma product.
 
@@ -534,13 +549,11 @@ def c_s(sp: SpectralParam) -> complex:
     def log_prod(s):
         lam = lambda_coefficients(s, sd)
         total = 0.0 + 0.0j
-        for j in range(sd.r):
-            x = lam[j]
-            total += -x * math.log(2.0) + loggamma(x) - 2.0 * loggamma(0.5 * (x + sd.b + 1))
+        for x in lam:
+            total += -x * math.log(2.0) + _loggamma(x) - 2.0 * _loggamma(0.5 * (x + sd.b + 1))
         for j in range(sd.r):
             for k in range(j + 1, sd.r):
-                x = 0.5 * (lam[j] + lam[k])
-                total += -np.log(np.sqrt(np.pi) * x)
+                total += -np.log(np.sqrt(np.pi) * (0.5 * (lam[j] + lam[k])))
         return total
 
     return complex(np.exp(log_prod(sp.s) - log_prod(sd.harmonic_s)))

@@ -410,7 +410,8 @@ def check_sandwich(sd, s_values, p_list, n_f: int, level: int, t_grid, seed: int
 
     The lifted values are shared across p. worst is the largest ratio of a
     bound's left side to its right side, minus 1; each bound allows the relative
-    slack fatou.SANDWICH_SLACK (2%).
+    slack fatou.SANDWICH_SLACK (2%). details names the side that set it and t_last:
+    the Hardy norm reaches the lower bound only as t grows.
     """
     _require_rank_one(sd, 9)
     rule = boundary.sphere_rule(sd, level=level)
@@ -418,19 +419,20 @@ def check_sandwich(sd, s_values, p_list, n_f: int, level: int, t_grid, seed: int
                                      translates=1) for j in range(n_f)]
     details = {}
     ok = True
-    worst = 0.0
+    used = []  # (slack used, side) per entry
     for s in s_values:
         for rep in fatou.norm_sandwich(spectral_param(s, sd), p_list, fs, t_grid, rule):
             lo = np.asarray(rep.f_norms) * rep.cs_abs / np.asarray(rep.hardy_norms)
             hi = np.asarray(rep.hardy_norms) / (rep.gamma * np.asarray(rep.f_norms))
-            slack_used = float(max(np.max(lo), np.max(hi)) - 1.0)
+            used.append(max((float(np.max(lo) - 1.0), "lower"), (float(np.max(hi) - 1.0), "upper")))
             details["s_%s_p_%s" % (s, rep.p)] = {
                 "all_ok": rep.all_ok, "gamma": rep.gamma, "cs_abs": rep.cs_abs,
-                "max_slack_used": slack_used,
+                "max_slack_used": used[-1][0], "side": used[-1][1],
             }
             ok = ok and rep.all_ok
-            worst = max(worst, slack_used)
-    return worst, ok, details
+    slack_used, details["worst_side"] = max(used, default=(0.0, None))
+    details["t_last"] = float(t_grid[-1])
+    return max(0.0, slack_used), ok, details
 
 
 def criterion_sandwich(seed: int = 7, profile: str = "full") -> CriterionResult:

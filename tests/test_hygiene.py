@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used or re-exported, the
 names the benchmark's tracer wraps still exist, every benchmark workload
-still runs and passes at its smoke sizes, and building a Stiefel rule does
-not import scipy.stats."""
+still runs and passes at its smoke sizes, and the library neither imports
+scipy nor loads a module after its own import."""
 
 import ast
 import importlib.util
@@ -85,13 +85,21 @@ def test_benchmark_workloads_pass_at_smoke_sizes():
             assert out.passed and out.worst <= out.tol, (name, op_name, out)
 
 
-def test_stiefel_rule_does_not_import_scipy_stats():
-    # scipy.stats costs a fresh process a third of a second on import; the Sobol
-    # sampler is written in numpy, so neither the suite nor the rule loads it
+def test_library_imports_no_scipy_and_nothing_after_its_import():
+    # every process that checks the paper's claims imports the library first,
+    # and scipy.linalg and scipy.special were two thirds of that import. In a
+    # fresh process: import the CLI, then run criteria 2, 4 and 6, which use
+    # expm, c_s's log-Gamma and the Stiefel rule's inverse normal CDF. No scipy
+    # module may load, and no module the import did not already load.
     code = ("import sys\n"
-            "from matrixball import boundary, suite\n"
-            "from matrixball.structure import structure_data\n"
-            "boundary.stiefel_rule(structure_data(2, 1), 100, seed=7)\n"
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n")
+            "import matrixball.cli\n"
+            "from matrixball import suite\n"
+            "loaded = set(sys.modules)\n"
+            "for index in (2, 4, 6):\n"
+            "    assert suite.CRITERIA[index](seed=7, profile='quick').passed, index\n"
+            "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not scipy, 'scipy modules loaded: %s' % scipy[:5]\n"
+            "late = sorted(set(sys.modules) - loaded)\n"
+            "assert not late, 'loaded after the import: %s' % late\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

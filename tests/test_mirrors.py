@@ -99,6 +99,19 @@ def test_sandwich_subcommands_are_criterion_9(tmp_path, command):
     assert (got["worst"], got["details"]) == (worst, details)
 
 
+def test_sandwich_details_name_the_side_and_the_last_t(tmp_path):
+    # the Hardy norm is a sup over the t grid and reaches the lower bound only
+    # as t grows: a grid stopping at t = 1 fails the lower side, and says so
+    out = str(tmp_path / "m")
+    assert cli.main(["poisson", "norms", "--level", "4", "--t-stop", "1", "--out", out]) == 1
+    got = json.loads((tmp_path / "m.json").read_text())["payload"]
+    assert got["worst"] > 0.5
+    assert (got["details"]["worst_side"], got["details"]["t_last"]) == ("lower", 1.0)
+    got = _run(tmp_path, "poisson", "norms", "--level", "4")
+    assert got["worst"] < 2e-3
+    assert (got["details"]["worst_side"], got["details"]["t_last"]) == ("lower", 4.0)
+
+
 def test_ktypes_schur_is_criterion_10(tmp_path):
     # the subcommand checks K-types up to (3, 3), the full profile's range
     worst, details = _criterion(10, "full")
