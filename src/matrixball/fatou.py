@@ -320,7 +320,6 @@ def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule):
     """
     poisson._require_admissible(sp)
     p_list = poisson._lp_exponents(p)
-    t_grid = np.asarray(t_grid, dtype=float)
     cs_abs = abs(poisson.c_s(sp))
     f_abs = [np.abs(poisson._as_evaluator(f)(rule.nodes)) for f in f_list]
     h_norms = [poisson.hardy_norm(sp, f, p_list, t_grid, rule) for f in f_list]

@@ -144,7 +144,7 @@ def ktype_spectrum(f, max_p: int, max_q: int, rule: QuadratureRule):
 
 
 def spherical_profile(sp: SpectralParam, delta: KTypeIndex, t_grid, rule: QuadratureRule) -> SphericalProfile:
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = poisson._finite_t(t_grid)
     vals = poisson.transform_radial(sp, zonal_function(delta, sp.sd), None, t_grid, rule)
     return SphericalProfile(delta=delta, t_grid=t_grid, values=vals)
 

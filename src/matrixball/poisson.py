@@ -15,8 +15,8 @@ a_t the radial flow,
 
 where V_1 is the leading r x r block of the integration node V and k acts
 linearly on Shilov points. This keeps quadrature nodes spread over the whole
-boundary instead of collapsing toward the image of a_t, so deep t stays
-numerically tame.
+boundary instead of collapsing toward the image of a_t, and the push solves
+only the r x r system T = cosh t I + sinh t V_1, so deep t stays numerically tame.
 
 Boundary functions that are polynomials in the entries of U and conj(U)
 (band-limited functions and their K-translates, the inversion interpolant,
@@ -25,9 +25,10 @@ tagged with its form, and transform_radial sums them in another order. With
 w the entries of a_t . V and x those of (a_t . V) M_k P, every monomial of x
 is a combination of monomials of w whose coefficients depend on the center
 only: T(x) = T(w) S_k. The node sum then splits into moments
-mu = sum_V cw(V) T(w)^T conj(T(w)), taken once per (s, t), and a small
-contraction with S_k per center, so a call costs O(N_nodes + N_centers)
-instead of O(N_nodes N_centers) evaluations. Any other callable is
+mu = sum_V cw(V) T(w)^T conj(T(w)), taken once per (s, t), and a center
+matrix H_k = sum over terms of S_p G conj(S_q)^T, built once per call; each
+value is the entrywise sum H_k . mu, so a call costs O(N_nodes + N_centers)
+evaluations instead of O(N_nodes N_centers). Any other callable is
 evaluated at every pushed point.
 
 c_s is the closed-form Gamma product (c_s). Two independent routes check it:
@@ -150,7 +151,8 @@ class PolynomialForm:
     its monomials of degree <= d_p (_monomial_table) and T_q(x) that of
     degree <= d_q. All terms share k and (d_p, d_q): P has shape
     (terms, q, k) and G (terms, n_p, n_q). The K-translate U -> f(U R) is the
-    same form with P -> R P.
+    same form with P -> R P. moments and center_matrices split
+    transform_radial's node sum (module docstring).
     """
 
     def __init__(self, P, G, degrees):
@@ -200,11 +202,11 @@ class PolynomialForm:
         n_p, n_q = self._prefixes(n)
         return (T[:, :n_p].T * cw) @ T[:, :n_q].conj()
 
-    def contract(self, mu: np.ndarray, M: np.ndarray, r: int) -> np.ndarray:
-        """sum_V cw(V) f(W_V M_k) for each right factor M_k (K, q, q), given mu of W.
+    def center_matrices(self, M: np.ndarray, r: int) -> np.ndarray:
+        """H_k = sum over terms of S_p G conj(S_q)^T for each right factor M_k (K, q, q).
 
-        x = L_k w with L_k = I_r (x) (M_k P)^T, so T(x) = T(w) S_k
-        (_symmetric_power) and the value is sum G . (S_p^T mu conj(S_q)).
+        x = L_k w with L_k = I_r (x) (M_k P)^T, so T(x) = T(w) S_k (_symmetric_power)
+        and sum_V cw(V) f(W_V M_k) = sum H_k . mu, mu from moments.
         """
         Q = M[:, None] @ self.P
         K, terms, q, k = Q.shape
@@ -214,10 +216,10 @@ class PolynomialForm:
         S = _symmetric_power(L.reshape(K * terms, r * k, r * q), max(self.degrees))
         S = S.reshape(K, terms, *S.shape[1:])
         n_p, n_q = self._prefixes(r * k)
-        m_p, m_q = mu.shape
-        B = S[..., :m_p, :n_p] @ self.G
-        A = mu @ S[..., :m_q, :n_q].conj()
-        return np.einsum("ktab,ktab->k", B, A)
+        m_p, m_q = self._prefixes(r * q)
+        B = np.swapaxes(S[..., :m_p, :n_p] @ self.G, 1, 2).reshape(K, m_p, terms * n_q)
+        C = np.swapaxes(S[..., :m_q, :n_q], 1, 2).reshape(K, m_q, terms * n_q)
+        return B @ np.swapaxes(C, 1, 2).conj()
 
 
 def _as_evaluator(f):
@@ -238,11 +240,12 @@ def _require_admissible(sp: SpectralParam):
 def _finite_t(t, message: str = "the radii t must be non-empty and finite",
               shape_ok=None) -> np.ndarray:
     """t (one radius or a grid) as a float array; DomainError(message) unless it is
-    non-empty and finite and, when shape_ok is given, shape_ok(t) holds."""
-    t = np.asarray(t, dtype=float)
-    if not t.size or not np.all(np.isfinite(t)) or (shape_ok is not None and not shape_ok(t)):
+    real, non-empty and finite and, when shape_ok is given, shape_ok(t) holds."""
+    t = np.asarray(t)
+    if (t.dtype.kind not in "biuf" or not t.size or not np.all(np.isfinite(t))
+            or (shape_ok is not None and not shape_ok(t))):
         raise DomainError(message)
-    return t
+    return t.astype(float, copy=False)
 
 
 def kernel(sp: SpectralParam, Z: np.ndarray, U: np.ndarray):
@@ -323,32 +326,30 @@ def _radial_coefficients(sd, rule: QuadratureRule, disk: bool = False):
 
 
 def _radial_pushforward(sp: SpectralParam, t: float, rule: QuadratureRule, coefs):
-    """Pushed nodes a_t . V and complex weights w * |det(..)|^(s - n/r); coefs from _radial_coefficients."""
+    """Pushed nodes a_t . V = T^-1 [cosh t V_1 + sinh t I | V_2], T = cosh t I + sinh t V_1, and
+    complex weights w * |det T|^(s - n/r); coefs from _radial_coefficients. The push is a division
+    at r = 1 and one r x r solve above, not a q x q solve, whose cancellation grows as e^(2t)."""
     sd = sp.sd
     lw = _kernels.radial_logweight(coefs, t)
     cw = rule.weights * np.exp((sp.s - sd.harmonic_s) * lw)
-    at = group.radial(t, sd)
-    W = _kernels.mobius_batch(at, rule.nodes, sd.r)
-    return W, cw
+    V1, eye = rule.nodes[..., : sd.r], np.eye(sd.r)
+    T = math.sinh(t) * V1 + math.cosh(t) * eye
+    W = np.concatenate([math.cosh(t) * V1 + math.sinh(t) * eye, rule.nodes[..., sd.r :]], axis=-1)
+    return (W / T if sd.r == 1 else np.linalg.solve(T, W)), cw
 
 
-def _transform_at(sp: SpectralParam, ev, form, M: np.ndarray, t: float, rule: QuadratureRule, coefs):
-    """P_s f at k a_t . 0 for each right factor M_k (K, q, q) at one radius t."""
+def _transform_at(sp: SpectralParam, ev, M: np.ndarray, t: float, rule: QuadratureRule, coefs):
+    """P_s f at k a_t . 0 for each right factor M_k (K, q, q) at one radius t, with
+    f evaluated at every pushed point (the pointwise route)."""
     sd = sp.sd
     W, cw = _radial_pushforward(sp, t, rule, coefs)
-    if form is not None:
-        mu = form.moments(W, cw)
-    else:
-        W = np.ascontiguousarray(W).reshape(-1, sd.q)  # mobius_batch gives a transposed view
+    W = W.reshape(-1, sd.q)
     out = np.empty(len(M), dtype=np.complex128)
-    chunk = RADIAL_CHUNK if form is not None else max(1, POINTWISE_POINTS // len(cw))
+    chunk = max(1, POINTWISE_POINTS // len(cw))
     for lo in range(0, len(M), chunk):
         Mc = M[lo : lo + chunk]
-        if form is not None:
-            out[lo : lo + len(Mc)] = form.contract(mu, Mc, sd.r)
-        else:
-            pushed = np.matmul(W, Mc)  # (n, m r, q), already contiguous
-            out[lo : lo + len(Mc)] = ev(pushed.reshape(-1, sd.r, sd.q)).reshape(len(Mc), len(cw)) @ cw
+        pushed = np.matmul(W, Mc)  # (n, m r, q), already contiguous
+        out[lo : lo + len(Mc)] = ev(pushed.reshape(-1, sd.r, sd.q)).reshape(len(Mc), len(cw)) @ cw
     return out
 
 
@@ -357,7 +358,8 @@ def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
 
     centers: (N, r, q) Shilov points (or None for the single point a_t . 0).
     t: one radius, or a 1-D grid of radii; the centers are checked and their
-    right factors M_k computed once for the whole grid.
+    right factors M_k computed once for the whole grid; on the moment route,
+    so are the center matrices, per block of RADIAL_CHUNK centers.
     Returns a length-N complex array for one radius and an (N, T) array for a
     grid; with centers None, a scalar and a length-T array.
     """
@@ -374,8 +376,17 @@ def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
     t_grid = _finite_t(t)
     coefs = _radial_coefficients(sd, rule)
     out = np.empty((len(M), t_grid.size), dtype=np.complex128)
-    for j, tj in enumerate(t_grid.reshape(-1)):
-        out[:, j] = _transform_at(sp, ev, form, M, float(tj), rule, coefs)
+    if form is None:
+        for j, tj in enumerate(t_grid.reshape(-1)):
+            out[:, j] = _transform_at(sp, ev, M, float(tj), rule, coefs)
+    else:
+        # one contiguous row of moments per t, so each column is the single-t call's
+        mus = np.stack([form.moments(*_radial_pushforward(sp, float(tj), rule, coefs)).ravel()
+                        for tj in t_grid.reshape(-1)])
+        for lo in range(0, len(M), RADIAL_CHUNK):
+            H = form.center_matrices(M[lo : lo + RADIAL_CHUNK], sd.r).reshape(-1, mus.shape[1])
+            for j, mu in enumerate(mus):
+                out[lo : lo + len(H), j] = H @ mu
     out = out.reshape(out.shape[:1] + t_grid.shape)
     if centers is None:
         return complex(out[0]) if t_grid.ndim == 0 else out[0]
@@ -388,7 +399,7 @@ def phi_s(sp: SpectralParam, t, rule: QuadratureRule):
     t: one radius, giving a complex, or an array of radii, giving a complex
     array of the same shape.
     """
-    t_grid = np.asarray(t, dtype=float)
+    t_grid = _finite_t(t)
     vals = _phi_profile(sp, t_grid.reshape(-1), rule)
     return complex(vals[0]) if t_grid.ndim == 0 else vals.reshape(t_grid.shape)
 
@@ -501,7 +512,7 @@ def _cs_fatou(sp, t_grid=None, rule=None):
     sd = sps[0].sd
     if t_grid is None:
         t_grid = np.arange(0.0, 8.01, 0.5)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.asarray(t_grid)
     dt = _fatou_grid_step(t_grid)
     if rule is None:
         rule = _default_radial_rule(sd, float(t_grid[-1]))

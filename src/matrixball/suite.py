@@ -327,8 +327,8 @@ def check_fatou(sd, s, size: int, t_grid, seed: int, p: float = 2.0,
     Rank one takes a band-limited f (seed + 90) at every node of a level-`size`
     sphere rule, and worst is the sup error (within 1e-2). Higher rank takes
     trace_affine (seed + 92) at the first 160 nodes of a `size`-node Stiefel
-    rule (seed + 91), and worst is the L^p error (within 5e-2). Every node's
-    radial profile must converge.
+    rule (seed + 91), and worst is the L^p error (within 5e-2); details'
+    worst_err names that error. Every node's radial profile must converge.
     """
     sp = spectral_param(s, sd)
     if sd.r == 1:
@@ -341,10 +341,11 @@ def check_fatou(sd, s, size: int, t_grid, seed: int, p: float = 2.0,
         nodes, default_tol = rule.nodes[:160], 5e-2
     prof = fatou.radial_profile(sp, f, nodes, t_grid, rule)
     rep = fatou.boundary_limit(sp, prof, reference=f, p=p, rule=rule)
-    worst = rep.sup_err if sd.r == 1 else rep.lp_err
+    err = "sup_err" if sd.r == 1 else "l%g_err" % p
     tol = default_tol if tol is None else tol
     details = {"sup_err": rep.sup_err, "l%g_err" % p: rep.lp_err,
-               "t_max": float(t_grid[-1]), "nodes": len(nodes)}
+               "t_max": float(t_grid[-1]), "nodes": len(nodes), "worst_err": err}
+    worst = details[err]
     return worst, bool(np.all(rep.converged)) and worst <= tol, details
 
 
@@ -352,7 +353,7 @@ def criterion_fatou(seed: int = 7, profile: str = "full") -> CriterionResult:
     level, t_max = (6, 6.0) if profile == "full" else (5, 5.0)
     worst, ok, d1 = check_fatou(structure_data(1, 1), 2.5, level,
                                 np.arange(0.0, t_max + 1e-9, 0.5), seed)
-    details = {"r1_b1": d1}
+    details = {"r1_b1": d1, "worst_from": "r1_b1 " + d1["worst_err"]}
 
     # negative control: inadmissible s must be reported as non-convergent
     try:
@@ -367,7 +368,8 @@ def criterion_fatou(seed: int = 7, profile: str = "full") -> CriterionResult:
         worst2, ok2, details["r2_b1"] = check_fatou(structure_data(2, 1), 4.0, 10 ** 5,
                                                     np.arange(0.0, 4.01, 0.5), seed)
         ok = ok and ok2
-        worst = max(worst, worst2)
+        if worst2 > worst:
+            worst, details["worst_from"] = worst2, "r2_b1 " + details["r2_b1"]["worst_err"]
     return CriterionResult(7, "fatou-recovery", ok, worst, FATOU_TOL, 600.0, details=details)
 
 
@@ -508,7 +510,7 @@ def check_inversion(sd, s, n_f: int, level: int, t_list, seed: int,
     read from one transform_radial call over t_list.
 
     The relative L^2 error must fall strictly with t and end within tol;
-    worst is the largest final error.
+    worst is the largest final error, and details' worst_from names its f and t.
     """
     _require_rank_one(sd, 11)
     rule = boundary.sphere_rule(sd, level=level)
@@ -529,6 +531,8 @@ def check_inversion(sd, s, n_f: int, level: int, t_list, seed: int,
         decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
         details["f_%d" % k] = {"errors": errs, "decreasing": decreasing}
         ok = ok and decreasing and errs[-1] <= tol
+        if k == 0 or errs[-1] > worst:
+            details["worst_from"] = "f_%d t=%g" % (k, t_list[-1])
         worst = max(worst, errs[-1])
     return worst, ok, details
 

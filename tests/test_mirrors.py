@@ -8,9 +8,11 @@ per-domain / per-s detail, bit for bit.
 import functools
 import json
 
+import numpy as np
 import pytest
 
 from matrixball import cli, suite
+from matrixball.structure import structure_data
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,6 +126,23 @@ def test_fatou_invert_is_criterion_11(tmp_path):
     got = _run(tmp_path, "fatou", "invert", "--level", "5", "--t-start", "3", "--t-stop", "4",
                "--t-step", "1")
     assert (got["worst"], got["details"]) == (worst, details)
+
+
+def test_recovery_and_inversion_name_the_sub_check_that_set_worst():
+    worst, details = _criterion(7)
+    assert details["worst_from"] == "r1_b1 sup_err"
+    assert worst == details["r1_b1"]["sup_err"]
+    # rank two reads the L^2 error; a small rule keeps the check cheap
+    sd = structure_data(2, 1)
+    worst2, _, d2 = suite.check_fatou(sd, 4.0, 4000, np.arange(0.0, 4.01, 0.5), 7)
+    assert (d2["worst_err"], worst2) == ("l2_err", d2["l2_err"])
+    worst, details = _criterion(11)
+    assert details["worst_from"] == "f_0 t=4"
+    assert worst == details["f_0"]["errors"][-1]
+    worst, _, details = suite.check_inversion(structure_data(1, 1), 2.0, 3, 5, (3.0, 4.0), 7)
+    finals = [details["f_%d" % k]["errors"][-1] for k in range(3)]
+    assert details["worst_from"] == "f_%d t=4" % int(np.argmax(finals))
+    assert worst == max(finals)
 
 
 def test_tolerance_flag_overrides_only_the_cli(capsys):

@@ -369,7 +369,8 @@ def test_cs_requires_admissible(sd21):
     np.array([0.0, 0.5, 1.0, 1.5, np.inf]),
     np.array([0.0, 0.5, 1.0, 2.0, 2.5]),  # not uniform
     np.array([0.0, 0.5, 1.0]),  # fewer than 4 points
-], ids=["decreasing", "nan", "inf", "non-uniform", "short"])
+    np.arange(0.0, 2.01, 0.5) + 0j,  # complex
+], ids=["decreasing", "nan", "inf", "non-uniform", "short", "complex"])
 def test_cs_fatou_rejects_bad_t_grids(sd11, monkeypatch, t_grid):
     # a bad grid is a usage error (exit 2), found before any rule is built
     def no_rule(*args, **kwargs):
@@ -587,9 +588,17 @@ BAD_T_CALLS = {
     "phi_s inf": lambda sp, rule: poisson.phi_s(sp, np.inf, rule),
     "transform_radial nan": lambda sp, rule: poisson.transform_radial(
         sp, 1.0, rule.nodes, np.nan, rule),
+    "transform_radial complex": lambda sp, rule: poisson.transform_radial(
+        sp, 1.0, rule.nodes, 1 + 1j, rule),
+    "transform_radial complex grid": lambda sp, rule: poisson.transform_radial(
+        sp, 1.0, None, np.array([0.5, 1 + 1j]), rule),
+    "phi_s complex": lambda sp, rule: poisson.phi_s(sp, 1 + 1j, rule),
     "invert_l2 nan": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), np.nan, rule),
     "spherical_profile nan": lambda sp, rule: ktypes.spherical_profile(
         sp, ktypes.KTypeIndex(1, 0), [np.nan], rule),
+    "spherical_profile complex": lambda sp, rule: ktypes.spherical_profile(
+        sp, ktypes.KTypeIndex(1, 0), [1 + 1j], rule),
+    "norm_sandwich complex": lambda sp, rule: fatou.norm_sandwich(sp, 2.0, [1.0], [1 + 1j], rule),
     "schur_diagonality nan": lambda sp, rule: ktypes.schur_diagonality(
         sp, ktypes.KTypeIndex(1, 0), np.nan, rule.nodes, rule),
     "domination_check nan": lambda sp, rule: fatou.domination_check(
@@ -653,6 +662,80 @@ def test_moment_route_matches_pointwise(gate_cases, name):
                 want = poisson.transform_radial(sp, pointwise, where, float(t), rule)
                 err = np.max(np.abs(np.subtract(got, want)))
                 assert err <= 1e-13 * np.max(np.abs(want)), (s, t, where is None, err)
+
+
+def _contract(form, mu, M, r):
+    """The per-t contraction the moment route used to run: sum_V cw(V) f(W_V M_k) for
+    each right factor M_k, given the moments mu, rebuilding S_k and S_k G at every t."""
+    Q = M[:, None] @ form.P
+    K, terms, q, k = Q.shape
+    L = np.zeros((K, terms, r * k, r * q), dtype=np.complex128)
+    for i in range(r):
+        L[:, :, i * k : (i + 1) * k, i * q : (i + 1) * q] = np.swapaxes(Q, -1, -2)
+    S = poisson._symmetric_power(L.reshape(K * terms, r * k, r * q), max(form.degrees))
+    S = S.reshape(K, terms, *S.shape[1:])
+    n_p, n_q = form._prefixes(r * k)
+    m_p, m_q = mu.shape
+    B = S[..., :m_p, :n_p] @ form.G
+    A = mu @ S[..., :m_q, :n_q].conj()
+    return np.einsum("ktab,ktab->k", B, A)
+
+
+@pytest.mark.parametrize("name", GATE_CASES)
+def test_center_matrices_match_per_t_contraction(gate_cases, name):
+    # the center matrices are built once per call and contracted with each t's
+    # moments; the per-t contraction that rebuilt them at every t is the oracle
+    sd, f, centers, rule, grids = gate_cases[name]
+    form = f.polynomial_form
+    M = group.kappa_right_factors(centers)
+    H = form.center_matrices(M, sd.r)
+    coefs = poisson._radial_coefficients(sd, rule)
+    for s, t_grid in grids:
+        sp = spectral_param(s, sd)
+        lift = poisson.transform_radial(sp, f, centers, t_grid, rule)
+        for j, t in enumerate(t_grid):
+            mu = form.moments(*poisson._radial_pushforward(sp, float(t), rule, coefs))
+            want = _contract(form, mu, M, sd.r)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(np.einsum("kab,ab->k", H, mu) - want)) <= 1e-13 * scale, (s, t)
+            assert np.max(np.abs(lift[:, j] - want)) <= 1e-13 * scale, (s, t)
+
+
+@pytest.mark.parametrize("rb", [(1, 1), (2, 1), (3, 1)])
+def test_radial_pushforward_matches_the_moebius_action(rb):
+    # the closed-form push T^-1 [cosh t V_1 + sinh t I | V_2] against the
+    # fractional-linear action of a_t; the oracle's own q x q inverse loses
+    # digits as t grows. Measured at most 2.1e-15 e^t (r = 3, t = 8); bound ~5x that
+    sd = structure_data(*rb)
+    sp = spectral_param(sd.harmonic_s + 1.0, sd)
+    rule = (boundary.sphere_rule(sd, level=5) if sd.r == 1
+            else boundary.stiefel_rule(sd, samples=2000, seed=3))
+    coefs = poisson._radial_coefficients(sd, rule)
+    for t in (0.0, 0.5, 2.0, 4.0, 8.0):
+        W, cw = poisson._radial_pushforward(sp, t, rule, coefs)
+        assert W.shape == rule.nodes.shape
+        want = group.mobius(group.radial(t, sd), rule.nodes)
+        assert np.max(np.abs(W - want)) <= 1e-14 * math.exp(t), t
+
+
+@pytest.mark.parametrize("route", ["moment", "pointwise"])
+def test_deep_radii_keep_the_renormalized_transform(sd11, sd21, sphere6, route):
+    # the renormalized transform has converged by t = 20; a push that solved a
+    # q x q system lost digits as e^(2t) and was off by a factor 1.4e5 at t = 40.
+    # Measured: 4e-15 at rank one (t = 40) and 4.6e-12 at rank two (t = 25, where
+    # the 4000-node rule's renormalized transform still moves as e^(-t))
+    cases = [(spectral_param(2.5, sd11),
+              ktypes.random_band_limited(sd11, seed=97, max_p=2, max_q=2, translates=1),
+              sphere6, 40.0, 1e-12)]
+    rule2 = boundary.stiefel_rule(sd21, samples=4000, seed=91)
+    cases.append((spectral_param(4.0, sd21), suite.trace_affine(sd21, 92), rule2, 25.0, 1e-10))
+    for sp, f, rule, t_deep, tol in cases:
+        g = f if route == "moment" else (lambda U, f=f: f(U))
+        centers = rule.nodes[:: len(rule) // 16]
+        lift = poisson.transform_radial(sp, g, centers, [20.0, t_deep], rule)
+        renorm = np.exp(-sp.growth.real * np.array([20.0, t_deep])) * lift
+        assert np.all(np.isfinite(renorm))
+        assert np.max(np.abs(renorm[:, 1] - renorm[:, 0])) <= tol, (sp.sd, t_deep)
 
 
 @pytest.mark.parametrize("name", GATE_CASES)
