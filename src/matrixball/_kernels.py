@@ -52,8 +52,8 @@ def _eye_minus(M):
     return out
 
 
-def _logdet_ipzz(Z):
-    # h1_batch calls this form directly, so one h1_batch call is one kernel call
+def logdet_ipzz(Z):
+    """log det(I_r - Z Z^H) for a stack of domain points, shape (..., r, q) -> (...)."""
     Z = np.asarray(Z, dtype=np.complex128)
     r = Z.shape[-2]
     if r == 1:
@@ -68,11 +68,6 @@ def _logdet_ipzz(Z):
         return np.log(_det3(H).real)
     _, ld = np.linalg.slogdet(H)
     return ld
-
-
-def logdet_ipzz(Z):
-    """log det(I_r - Z Z^H) for a stack of domain points, shape (..., r, q) -> (...)."""
-    return _logdet_ipzz(Z)
 
 
 def _logabsdet_izuh(Z, U):
@@ -166,19 +161,17 @@ def mobius_batch(g, Z, r):
 def h1_batch(G, r):
     """Horospherical height h1 for a stack of group elements (..., m, m) -> (...).
 
-    h1 = -(1/2r) log[det(I - Z Z^H) / |det(I - Z U0^H)|^2] with Z = (g^-1).0
-    and U0 = [I_r | 0] the base Shilov point.
+    h1(g) = (1/r) log|det(D + C U0)| with C = g[r:, :r], D = g[r:, r:] and
+    C U0 = [C | 0] for the base Shilov point U0 = [I_r | 0]: one q x q
+    determinant, equal to -(1/2r) log[det(I - Z Z^H) / |det(I - Z U0^H)|^2]
+    with Z = (g^-1).0 but free of that ratio's cancellation far out. Only the
+    lower block row g[r:] is read, so a stack of those rows (..., q, m) serves too.
     """
     G = np.asarray(G, dtype=np.complex128)
-    gi = np.swapaxes(G, -1, -2).conj().copy()  # g^H
-    gi[..., :r, r:] *= -1.0  # J g^H J
-    gi[..., r:, :r] *= -1.0
-    Bblk = gi[..., :r, r:]
-    Dblk = gi[..., r:, r:]
-    Zt = np.linalg.solve(np.swapaxes(Dblk, -1, -2), np.swapaxes(Bblk, -1, -2))
-    Z = np.swapaxes(Zt, -1, -2)
-    izu0 = _logabsdet_small(_eye_minus(Z[..., :, :r]))
-    return -(_logdet_ipzz(Z) - 2.0 * izu0) / (2.0 * r)
+    q = G.shape[-1] - r
+    X = G[..., -q:, r:].copy()
+    X[..., :r] += G[..., -q:, :r]
+    return _logabsdet_small(X) / r
 
 
 def cross_logabsdet(Z, U):

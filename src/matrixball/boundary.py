@@ -344,13 +344,12 @@ def heisenberg_chart(sd: StructureData) -> QuadratureRule:
     only. It is a fixed tensor Gauss-Legendre rule of CHART_NODES_PER_AXIS^2 =
     128^2 = 16,384 nodes in (rho = |x|, y >= 0) at every b, each axis mapped
     from [0, 1] by tan(pi u / 2), with weight rho^(2b-1) from the polar
-    coordinates of x. The size is fixed: at 256 per axis the map puts the
-    outermost nodes so far out that h1_batch returns NaN there, while 96 to
-    192 stay finite; at 128, c_s agrees with the Gamma product to 3e-7 at
-    b = 1, 2, 3 and s = 1.5, 2, 2.5, 3 + 0.5i. Nodes are the group
-    elements exp(rho E_x + y E_y) = I + A + A^2/2 with E_y the grade -2 and E_x
-    the first grade -1 element of nbar_basis. Weights are scaled so the
-    pushforward normalization sum(w * exp(-2 n h1)) equals one.
+    coordinates of x. The size is fixed at 128, where c_s agrees with the
+    Gamma product to 3e-7 at b = 1, 2, 3 and s = 1.5, 2, 2.5, 3 + 0.5i; the
+    heights (h1_batch) stay finite on the far-out nodes of 256 per axis too.
+    Nodes are the group elements exp(rho E_x + y E_y) = I + A + A^2/2 with E_y
+    the grade -2 and E_x the first grade -1 element of nbar_basis. Weights are
+    scaled so the pushforward normalization sum(w * exp(-2 n h1)) equals one.
     """
     if sd.r != 1:
         raise DomainError("heisenberg_chart is rank-one only")

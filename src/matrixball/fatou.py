@@ -163,7 +163,9 @@ def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: 
     The design columns are T(u)[i] conj(T(u))[j] for the monomial table T of
     the q entries u (poisson._monomial_table) and deg i + deg j <= degree; the
     coefficient of column (i, j) is entry G[i, j] of a one-term form with P = I.
-    Returns (evaluator, relative L2 residual of the fit on the nodes).
+    values is one slice (N,), giving (evaluator, relative L2 residual of the
+    fit on the nodes), or a stack (N, K) whose columns share one factorisation
+    of the design, giving a list of K evaluators and a (K,) array of residuals.
     """
     q = rule.nodes.shape[-1]
     T = poisson._monomial_table(rule.nodes.reshape(-1, q), degree)
@@ -172,20 +174,20 @@ def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: 
     I, J = np.nonzero(deg[:, None] + deg[None, :] <= degree)
     M = T[:, I] * T[:, J].conj()
     sw = np.sqrt(rule.weights)
-    coef, *_ = np.linalg.lstsq(M * sw[:, None], values * sw, rcond=None)
-    resid = M @ coef - values
-    rel = float(
-        math.sqrt(max(np.dot(rule.weights, np.abs(resid) ** 2), 0.0))
-        / max(math.sqrt(np.dot(rule.weights, np.abs(values) ** 2)), 1e-300)
-    )
-    G = np.zeros((len(deg), len(deg)), dtype=np.complex128)
-    G[I, J] = coef
-    form = poisson.PolynomialForm(np.eye(q)[None], G[None], (degree, degree))
-    return form.evaluator(), rel
+    V = values.reshape(len(M), -1)
+    coef, *_ = np.linalg.lstsq(M * sw[:, None], V * sw[:, None], rcond=None)
+    rel = [math.sqrt(max(np.dot(rule.weights, np.abs(M @ c - v) ** 2), 0.0))
+           / max(math.sqrt(np.dot(rule.weights, np.abs(v) ** 2)), 1e-300)
+           for c, v in zip(coef.T, V.T)]
+    G = np.zeros((len(rel), len(deg), len(deg)), dtype=np.complex128)
+    G[:, I, J] = coef.T
+    evs = [poisson.PolynomialForm(np.eye(q)[None], g[None], (degree, degree)).evaluator()
+           for g in G]
+    return (evs[0], rel[0]) if values.ndim == 1 else (evs, np.array(rel))
 
 
-def invert_l2(sp: SpectralParam, values, t: float, rule: QuadratureRule) -> np.ndarray:
-    """Recover f on the rule nodes from one radial slice of its transform.
+def invert_l2(sp: SpectralParam, values, t, rule: QuadratureRule):
+    """Recover f on the rule nodes from one radial slice of its transform, or from a stack of them.
 
     g_t(k) = |c_s|^-2 e^(2(n - r Re s)t) sum_h w_h conj(K_s(Z_t(k), U_h)) F(U_h, t)
     with Z_t(k) = tanh(t) U_k = mobius(k a_t, 0).
@@ -199,8 +201,12 @@ def invert_l2(sp: SpectralParam, values, t: float, rule: QuadratureRule) -> np.n
     pushforward, whose accuracy is uniform in t.
     conj(K_s) = K_conj(s) since the kernel's log-arguments are real, so the
     h-integral is the Poisson transform of the slice at conj(s). Real part
-    of s is used in the renormalization (moduli are what converge). Returns
-    g_t at the rule nodes, an (N,) array.
+    of s is used in the renormalization (moduli are what converge). With one
+    radius t, values is (N,) and g_t at the rule nodes comes back, an (N,)
+    array. With t a 1-D grid of K radii, values is an (N, K) stack, one slice
+    per column, fitted with one factorisation of the design, and the call
+    returns (g, fit): g of shape (N, K), and the relative residual of each
+    column's fit, a (K,) array.
     """
     poisson._require_admissible(sp)
     from .structure import spectral_param
@@ -208,25 +214,29 @@ def invert_l2(sp: SpectralParam, values, t: float, rule: QuadratureRule) -> np.n
     sd = sp.sd
     if sd.r != 1:
         raise DomainError("invert_l2 slice reconstruction is rank-one only")
-    if t < 1.0:
-        warnings.warn("small t biases the inversion (t = %.2f)" % t, RuntimeWarning, stacklevel=2)
+    t = poisson._finite_t(t, "invert_l2 needs one finite t or a finite 1-D grid of them",
+                          lambda t: t.ndim <= 1)
+    if np.min(t) < 1.0:
+        warnings.warn("small t biases the inversion (t = %.2f)" % np.min(t), RuntimeWarning,
+                      stacklevel=2)
     Fvals = np.asarray(values, dtype=np.complex128)
-    if Fvals.shape != (len(rule),):
-        raise DomainError("the slice needs one value per rule node, got shape %s" % (Fvals.shape,))
-    slice_f, fit_rel = _band_limited_interpolant(rule, Fvals, INVERSION_DEGREE)
-    if fit_rel > 1e-6:
+    if Fvals.shape != (len(rule),) + t.shape:
+        raise DomainError("the slice needs one value per rule node (and a column per t), got "
+                          "shape %s for %d radii" % (Fvals.shape, t.size))
+    slices, fit_rel = _band_limited_interpolant(rule, Fvals, INVERSION_DEGREE)
+    if np.max(fit_rel) > 1e-6:
         warnings.warn(
             "transform slice is not band-limited within degree %d "
-            "(fit residual %.2e); inversion is biased" % (INVERSION_DEGREE, fit_rel),
+            "(fit residual %.2e); inversion is biased" % (INVERSION_DEGREE, np.max(fit_rel)),
             RuntimeWarning,
             stacklevel=2,
         )
     sp_conj = spectral_param(np.conj(sp.s), sd)
-    vals = poisson.transform_radial(sp_conj, slice_f, rule.nodes, float(t), rule)
-    pref = abs(poisson.c_s(sp)) ** -2 * math.exp(
-        2.0 * (sd.n - sd.r * sp.s.real) * float(t)
-    )
-    return pref * vals
+    cs2 = abs(poisson.c_s(sp)) ** -2
+    g = [cs2 * math.exp(2.0 * (sd.n - sd.r * sp.s.real) * tk)
+         * poisson.transform_radial(sp_conj, f, rule.nodes, tk, rule)
+         for f, tk in zip(slices if t.ndim else [slices], t.reshape(-1).tolist())]
+    return g[0] if t.ndim == 0 else (np.stack(g, axis=1), fit_rel)
 
 
 @dataclass
@@ -265,11 +275,9 @@ def domination_check(sp, t_list, chart: QuadratureRule):
         raise DomainError("domination_check needs a heisenberg chart rule")
     h1n = chart.aux["h1"]
     h1t_list = []
-    for t in t_list:
-        at = group.radial(float(t), sd)
-        at_inv = group.radial(-float(t), sd)
-        conj = np.einsum("ij,njk,kl->nil", at, chart.nodes, at_inv)
-        h1t_list.append(_kernels.h1_batch(np.ascontiguousarray(conj), sd.r))
+    for t in t_list:  # h1 reads only the lower block row of a_t nbar a_-t
+        low = (group.radial(float(t), sd)[sd.r :] @ chart.nodes) @ group.radial(-float(t), sd)
+        h1t_list.append(_kernels.h1_batch(low, sd.r))
     reports = []
     for x in sp_list:
         res = x.s.real

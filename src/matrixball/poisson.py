@@ -71,7 +71,7 @@ __all__ = [
 
 BOUNDARY_DEGENERACY_TOL = 1e-13
 DYNAMIC_RANGE_WARN = 1e12
-RADIAL_CHUNK = 512  # centers per block of symmetric powers on transform_radial's moment route
+MOMENT_BLOCK = 512 * 72  # complex entries of S and H per moment-route center block: 512 two-term degree-2 centers
 POINTWISE_POINTS = 2 ** 16  # pushed points per block on transform_radial's pointwise route
 SHILOV_RULES = ("deterministic-sphere", "sobol-stiefel")  # rule kinds whose nodes are Shilov points
 FATOU_REL_TOL = 1e-3  # last two Richardson extrapolants' difference over the largest final profile value
@@ -328,14 +328,19 @@ def _radial_coefficients(sd, rule: QuadratureRule, disk: bool = False):
 def _radial_pushforward(sp: SpectralParam, t: float, rule: QuadratureRule, coefs):
     """Pushed nodes a_t . V = T^-1 [cosh t V_1 + sinh t I | V_2], T = cosh t I + sinh t V_1, and
     complex weights w * |det T|^(s - n/r); coefs from _radial_coefficients. The push is a division
-    at r = 1 and one r x r solve above, not a q x q solve, whose cancellation grows as e^(2t)."""
+    at r = 1, the adjugate of T over det T at r = 2 and one r x r solve above, not a q x q solve,
+    whose cancellation grows as e^(2t)."""
     sd = sp.sd
     lw = _kernels.radial_logweight(coefs, t)
     cw = rule.weights * np.exp((sp.s - sd.harmonic_s) * lw)
     V1, eye = rule.nodes[..., : sd.r], np.eye(sd.r)
     T = math.sinh(t) * V1 + math.cosh(t) * eye
     W = np.concatenate([math.cosh(t) * V1 + math.sinh(t) * eye, rule.nodes[..., sd.r :]], axis=-1)
-    return (W / T if sd.r == 1 else np.linalg.solve(T, W)), cw
+    if sd.r != 2:
+        return (W / T if sd.r == 1 else np.linalg.solve(T, W)), cw
+    a, b, c, d = (T[..., i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    adj_W = np.stack([d * W[..., 0, :] - b * W[..., 1, :], a * W[..., 1, :] - c * W[..., 0, :]], -2)
+    return adj_W / (a * d - b * c)[..., None], cw
 
 
 def _transform_at(sp: SpectralParam, ev, M: np.ndarray, t: float, rule: QuadratureRule, coefs):
@@ -359,7 +364,8 @@ def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
     centers: (N, r, q) Shilov points (or None for the single point a_t . 0).
     t: one radius, or a 1-D grid of radii; the centers are checked and their
     right factors M_k computed once for the whole grid; on the moment route,
-    so are the center matrices, per block of RADIAL_CHUNK centers.
+    so are the center matrices, per block of centers whose S and H hold
+    about MOMENT_BLOCK complex entries.
     Returns a length-N complex array for one radius and an (N, T) array for a
     grid; with centers None, a scalar and a length-T array.
     """
@@ -383,8 +389,12 @@ def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
         # one contiguous row of moments per t, so each column is the single-t call's
         mus = np.stack([form.moments(*_radial_pushforward(sp, float(tj), rule, coefs)).ravel()
                         for tj in t_grid.reshape(-1)])
-        for lo in range(0, len(M), RADIAL_CHUNK):
-            H = form.center_matrices(M[lo : lo + RADIAL_CHUNK], sd.r).reshape(-1, mus.shape[1])
+        # per center, S holds terms * n_w * n_x complex entries and H one row of mus
+        d = max(form.degrees)
+        n_w, n_x = (len(_monomials(n, d).exponents) for n in (sd.r * sd.q, sd.r * form.P.shape[-1]))
+        chunk = max(1, MOMENT_BLOCK // (len(form.P) * n_w * n_x + mus.shape[1]))
+        for lo in range(0, len(M), chunk):
+            H = form.center_matrices(M[lo : lo + chunk], sd.r).reshape(-1, mus.shape[1])
             for j, mu in enumerate(mus):
                 out[lo : lo + len(H), j] = H @ mu
     out = out.reshape(out.shape[:1] + t_grid.shape)

@@ -293,6 +293,16 @@ def test_heisenberg_chart_calibration():
             assert abs(group.h1_scalar(g, sd) - h1v[i]) < 1e-10
 
 
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_heisenberg_chart_heights_stay_finite_at_256_per_axis(monkeypatch, b):
+    # the outermost nodes of a 256-per-axis chart lie far enough out that
+    # log det(I - Z Z^H) cancelled there (32 NaN and 4 inf at each of b = 1, 2, 3)
+    monkeypatch.setattr(boundary, "CHART_NODES_PER_AXIS", 256)
+    rule = boundary.heisenberg_chart(structure_data(1, b))
+    assert len(rule) == 256 ** 2
+    assert np.all(np.isfinite(rule.aux["h1"])) and np.all(np.isfinite(rule.weights))
+
+
 def test_heisenberg_chart_is_rank_one(sd21):
     with pytest.raises(DomainError, match="rank-one only"):
         boundary.heisenberg_chart(sd21)

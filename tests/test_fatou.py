@@ -3,12 +3,13 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from matrixball import boundary, fatou, ktypes, poisson
+from matrixball import boundary, fatou, ktypes, poisson, suite
 from matrixball.errors import AdmissibilityError, ConvergenceError, DomainError
 from matrixball.structure import spectral_param, structure_data
 
@@ -117,6 +118,68 @@ def test_invert_l2_roundtrip(sd11):
         errs.append(float(np.dot(rule.weights, diff**2)) ** 0.5 / scale)
     assert errs[1] < errs[0]
     assert errs[1] < 2e-2
+
+
+@pytest.fixture(scope="module")
+def inversion_stack(sd11):
+    """Criterion 11's full sizes: five f's slices at t = 3, 4, 5 on the level-6 sphere, stacked."""
+    sp = spectral_param(2.0, sd11)
+    rule = boundary.sphere_rule(sd11, level=6)
+    t_list = (3.0, 4.0, 5.0)
+    lifts = [poisson.transform_radial(
+        sp, ktypes.random_band_limited(sd11, seed=307 + k, max_p=2, max_q=2, translates=1),
+        rule.nodes, t_list, rule) for k in range(5)]
+    return sp, rule, np.concatenate(lifts, axis=1), np.tile(t_list, 5)
+
+
+def test_invert_l2_stack_matches_one_slice_calls(inversion_stack):
+    # one factorisation for every column moves each column by roundoff only
+    # (measured 1.3e-15 relative)
+    sp, rule, values, t = inversion_stack
+    g, fit = fatou.invert_l2(sp, values, t, rule)
+    assert g.shape == values.shape and fit.shape == t.shape
+    for j, tj in enumerate(t):
+        want = fatou.invert_l2(sp, values[:, j], tj, rule)
+        assert np.max(np.abs(g[:, j] - want)) <= 1e-13 * np.max(np.abs(want)), j
+
+
+def test_stacked_fit_residuals_match_per_column_fits(inversion_stack):
+    # band-limited slices fit to roundoff; random columns leave an O(1) residual,
+    # which the shared factorisation must report as each column's own fit does
+    _, rule, values, _ = inversion_stack
+    rng = np.random.default_rng(12)
+    noise = rng.normal(size=(len(rule), 3)) + 1j * rng.normal(size=(len(rule), 3))
+    for stack, tol in ((values, 1e-13), (noise, 1e-12)):
+        evs, fit = fatou._band_limited_interpolant(rule, stack, fatou.INVERSION_DEGREE)
+        assert len(evs) == stack.shape[1]
+        for j in range(stack.shape[1]):
+            _, want = fatou._band_limited_interpolant(rule, stack[:, j], fatou.INVERSION_DEGREE)
+            assert abs(fit[j] - want) <= tol * max(want, 1.0), j
+    assert np.max(fit) > 0.1
+
+
+def test_invert_l2_stack_checks_its_grid(inversion_stack):
+    sp, rule, values, t = inversion_stack
+    with pytest.raises(DomainError, match="one value per rule node"):
+        fatou.invert_l2(sp, values, t[:-1], rule)
+    with pytest.raises(DomainError, match="finite"):
+        fatou.invert_l2(sp, values, np.tile(t, (2, 1)), rule)
+    with pytest.warns(RuntimeWarning, match="small t"):
+        fatou.invert_l2(sp, values[:, :2], [0.5, 3.0], rule)
+
+
+def test_check_inversion_memory_and_fit_residuals(sd11):
+    # the degree-6 interpolant's centre blocks hold ~MOMENT_BLOCK complex entries of
+    # S and H (23 centres); with 512-centre blocks the peak was 31.0 MiB, now 14.3 MiB
+    tracemalloc.start()
+    try:
+        worst, ok, details = suite.check_inversion(sd11, 2.0, 5, 6, (3.0, 4.0, 5.0), 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and peak <= 20 * 2 ** 20
+    # each f's slices are band-limited within the fit's degree
+    assert all(details["f_%d" % k]["fit_residual"] <= 1e-12 for k in range(5))
 
 
 def _monomial_design(U: np.ndarray, degree: int):

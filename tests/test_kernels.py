@@ -99,7 +99,19 @@ def test_h1_batch_twins(r, q):
         num = np.linalg.det(np.eye(r) - Z @ Z.conj().T).real
         den = np.abs(np.linalg.det(np.eye(r) - Z @ U0.conj().T)) ** 2
         want.append(-np.log(num / den) / (2.0 * r))
-    assert np.max(np.abs(got - np.array(want))) < 1e-10
+    # h1_batch takes one q x q determinant of g's lower block row (measured 4.8e-14)
+    assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+
+@pytest.mark.parametrize("r,q", SHAPES)
+def test_h1_batch_of_the_radial_flow_is_t(r, q):
+    # det(D + C U0) of a_t is e^(rt); the lower block row alone gives the same heights
+    sd = structure_data(r, q - r)
+    ts = np.array([0.0, 0.5, 3.0, 10.0, 30.0])
+    A = group.radial(ts, sd)
+    got = _kernels.h1_batch(A, r)
+    assert np.max(np.abs(got - ts) / np.maximum(ts, 1.0)) <= 1e-14
+    assert np.array_equal(_kernels.h1_batch(A[:, r:], r), got)
 
 
 @pytest.mark.parametrize("r,q", SHAPES)

@@ -594,6 +594,8 @@ BAD_T_CALLS = {
         sp, 1.0, None, np.array([0.5, 1 + 1j]), rule),
     "phi_s complex": lambda sp, rule: poisson.phi_s(sp, 1 + 1j, rule),
     "invert_l2 nan": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), np.nan, rule),
+    "invert_l2 complex": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), 1 + 1j, rule),
+    "invert_l2 string": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), "3", rule),
     "spherical_profile nan": lambda sp, rule: ktypes.spherical_profile(
         sp, ktypes.KTypeIndex(1, 0), [np.nan], rule),
     "spherical_profile complex": lambda sp, rule: ktypes.spherical_profile(
