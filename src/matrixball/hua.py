@@ -19,9 +19,19 @@ Derivatives are left-invariant: (v_1..v_k F)(g) = d/dt_1 .. d/dt_k F(g e^(t_1 x_
 evaluated by central differences with precomputed stencil exponentials; each
 complexified direction v splits as v = X + iY over the real form. An
 operator's stencil plans are built once per call and step into one block of
-points. On Poisson kernels (on_kernels) that block serves every (g, U) pair
-and s: each pair pushes its points and takes the log-determinants once, and
-each s costs one exponential and one contraction.
+P points, stored side by side as one m x Pm matrix, so pushing the block to
+g is one matrix product. On Poisson kernels (on_kernels) that block serves
+every (g, U) pair and s: each pair pushes its points and takes the
+kernel's log-determinant once, and each s costs one exponential and one
+contraction.
+
+The kernel on a group element g = [[A, B], [C, D]] is one q x q determinant.
+g^H J g = J gives D^H D - B^H B = I_q, so at Z = g . 0 = B D^-1
+
+    det(I - Z Z^H) = |det D|^-2,   det(I - Z U^H) = det(D - U^H B) / det D,
+
+and log K_s(g . 0, U) = -2 sigma log|det(D - U^H B)|: no solve, no Z, and no
+cancellation between the two logarithms far from the kernel's peak.
 
 The duals are taken under the plain trace pairing <X, Y> = tr(XY), the
 normalization in which the eigenvalue law above holds; proj_k1 keeps the
@@ -207,22 +217,28 @@ def lie_derivative(F, g: np.ndarray, dirs, scheme: FDScheme | None = None, *,
 
 
 class _Stencil:
-    """Every term's stencil plan of one operator at one step h, in one (P, m, m) block.
+    """Every term's stencil plan of one operator at one step h, in one (m, P, m) block.
 
-    Term k owns the points bounds[k]:bounds[k+1]. The block is written term by
-    term and lives only for the call that builds it.
+    Point k is the matrix wide[:, k, :], so one product g @ wide.reshape(m, P m)
+    pushes all P points. Term k owns the points bounds[k]:bounds[k+1]. The
+    block is written term by term and lives only for the call that builds it.
     """
 
     def __init__(self, sd: StructureData, terms, scheme: FDScheme, h: float):
         sizes = [(2 * len(scheme.offsets)) ** len(dirs) for dirs, _ in terms]
         self.bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.weights = [weight for _, weight in terms]
-        self.mats = np.empty((self.bounds[-1], sd.m, sd.m), dtype=np.complex128)
+        self.wide = np.empty((sd.m, self.bounds[-1], sd.m), dtype=np.complex128)
         self.coeffs = np.empty(self.bounds[-1], dtype=np.complex128)
         for (dirs, _), lo, hi in zip(terms, self.bounds[:-1], self.bounds[1:]):
             plan = _StencilPlan(sd, dirs, scheme, h)
-            self.mats[lo:hi] = plan.mats
+            self.wide[:, lo:hi] = plan.mats.transpose(1, 0, 2)
             self.coeffs[lo:hi] = plan.coeffs
+
+    def points(self, g: np.ndarray) -> np.ndarray:
+        """The pushed points g M_k as a (P, m, m) view of one (m, P m) product."""
+        m, P, _ = self.wide.shape
+        return (g @ self.wide.reshape(m, P * m)).reshape(m, P, m).transpose(1, 0, 2)
 
     def reduce(self, vals: np.ndarray):
         """Sum_k (coeffs_k . vals_k) * weight_k, summed left to right."""
@@ -253,7 +269,7 @@ def _assemble(Fb, g, sd, terms, scheme: FDScheme):
 
     def at(h):
         stencil = _Stencil(sd, terms, scheme, h)
-        return [stencil.reduce(Fb(g @ stencil.mats))]
+        return [stencil.reduce(Fb(stencil.points(g)))]
 
     return _extrapolate(at, scheme)[0]
 
@@ -321,14 +337,17 @@ def hua_third_W(F, g, basis: LieBasis, scheme: FDScheme | None = None) -> np.nda
 
 
 def _kernel_exponent(stack: np.ndarray, U: np.ndarray, sd: StructureData) -> np.ndarray:
-    """log K_s(g . 0, U) / sigma = log det(I - Z Z^H) - 2 log|det(I - Z U^H)| at Z = g . 0."""
+    """log K_s(g . 0, U) / sigma = -2 log|det(D - U^H B)| for g = [[A, B], [C, D]].
+
+    This is log det(I - Z Z^H) - 2 log|det(I - Z U^H)| at Z = g . 0 = B D^-1,
+    with no Z formed; see the module docstring.
+    """
     r = sd.r
-    B = stack[:, :r, r:]
-    D = stack[:, r:, r:]
-    Z = np.linalg.solve(np.swapaxes(D, -1, -2), np.swapaxes(B, -1, -2))
-    Z = np.ascontiguousarray(np.swapaxes(Z, -1, -2))
-    U = np.asarray(U, dtype=np.complex128).reshape(1, r, sd.q)
-    return _kernels.logdet_ipzz(Z) - 2.0 * _kernels.cross_logabsdet(Z, U)[:, 0]
+    Uc = np.asarray(U, dtype=np.complex128).conj()
+    X = stack[:, r:, r:].copy()
+    for k in range(r):  # X -= U^H B, one row of B at a time
+        X -= Uc[k, :, None] * stack[:, None, k, r:]
+    return -2.0 * _kernels._logabsdet_small(X)
 
 
 def lift_kernel(sp: SpectralParam, U: np.ndarray):
@@ -360,7 +379,7 @@ def on_kernels(which: str, sp_list, pairs, basis: LieBasis,
         stencil = _Stencil(sd, terms, scheme, h)
         out = []
         for g, U in pairs:
-            expo = _kernel_exponent(g @ stencil.mats, U, sd)
+            expo = _kernel_exponent(stencil.points(g), U, sd)
             out.extend(stencil.reduce(np.exp(sp.sigma * expo)) for sp in sp_list)
         return out
 
@@ -451,7 +470,7 @@ def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None
     undefined or ill-conditioned.
 
     U and W are one on_kernels call each: their plans are built once per
-    step, and the stencil points and log-determinants of each sample are
+    step, and the stencil points and kernel exponents of each sample are
     shared by every s.
     """
     if not sp_list:

@@ -191,14 +191,18 @@ def check_hua(sd, s_values, n_pts: int, seed: int, tol: float = HUA_TOL):
     """Criterion 4 on one domain: H K_s = (1/4)(s^2 - (r+b)^2) K_s I_r.
 
     The residual is taken at n_pts seeded (g, U) pairs shared by every s;
-    worst is the largest. H K_s must also vanish (within 1e-5) at the
-    harmonic point s = r + b.
+    worst is the largest, and details' worst_from names its s and pair. H K_s
+    must also vanish (within 1e-5) at the harmonic point s = r + b.
     """
     pairs = hua._sample_pairs(sd, n_pts, seed)
     sps = [spectral_param(s, sd) for s in s_values] + [spectral_param(float(sd.r + sd.b), sd)]
     *rows, zero_row = hua.eigen_residuals(sps, pairs, hua.hua_basis(sd))
     details = {"s_%s" % s: {"residuals": res, "max": max(res)} for s, res in zip(s_values, rows)}
     worst = max([0.0] + [max(res) for res in rows])
+    named = [("s=%s pair %d" % (s, j), x)
+             for s, res in zip(s_values, rows) for j, x in enumerate(res)]
+    if named:
+        details["worst_from"] = max(named, key=lambda item: item[1])[0]
     details["harmonic_zero_residual"] = max(zero_row)
     ok = worst <= tol and max(zero_row) <= 1e-5
     return worst, ok, details
@@ -209,6 +213,8 @@ def criterion_hua(seed: int = 7, profile: str = "full") -> CriterionResult:
     s_values = (2.0, 3.0, 4.0 + 1.0j) if profile == "full" else (2.0,)
     n_pts = 5 if profile == "full" else 2
     worst, ok, details = _per_domain(check_hua, domains, s_values, n_pts, seed)
+    worst_rb = max(details, key=lambda rb: max(details[rb]["s_%s" % s]["max"] for s in s_values))
+    details["worst_from"] = worst_rb + " " + details[worst_rb]["worst_from"]
     if profile == "full":
         sd = structure_data(1, 1)
         slope = hua.measure_fd_order(spectral_param(2.0, sd), hua.hua_basis(sd),
@@ -227,15 +233,19 @@ THIRD_ORDER_S = (2.4, 2.8, 3.2, 3.6, 4.4, 4.8, 5.2, 5.6, 6.0, 6.4)
 
 def check_third_order(sd, s_values, samples: int, seed: int, tol_cv: float = THIRD_ORDER_TOL):
     """Criterion 5 on one domain: per s, the U/W ratio is constant (CV) and its mean
-    matches hua.ratio_law (relative error); worst is the larger of the two."""
+    matches hua.ratio_law (relative error); worst is the larger of the two, and
+    details' worst_from names its s and which of the two set it."""
     rep = hua.third_order_ratio([spectral_param(s, sd) for s in s_values],
                                 samples=samples, seed=seed + 70)
-    worst = max(rep.cvs + rep.law_errs)
+    named = [("s=%s cv" % s, cv) for s, cv in zip(s_values, rep.cvs)]
+    named += [("s=%s law_err" % s, err) for s, err in zip(s_values, rep.law_errs)]
+    worst_from, worst = max(named, key=lambda item: item[1])
     details = {
         "s_values": list(s_values),
         "cvs": rep.cvs,
         "ratios": rep.ratios,
         "law_errs": rep.law_errs,
+        "worst_from": worst_from,
     }
     return worst, worst <= tol_cv, details
 

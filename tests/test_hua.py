@@ -384,15 +384,69 @@ def test_zero_samples_is_a_domain_error(sd11):
 
 
 def test_on_kernels_non_finite_value_is_degeneracy(sd11, monkeypatch):
-    real = _kernels.logdet_ipzz
+    # poison the q x q determinant the kernel exponent is taken from
+    real = _kernels._logabsdet_small
 
-    def poisoned(Z):
-        out = real(Z)
+    def poisoned(T):
+        out = real(T)
         out[5] = np.nan
         return out
 
-    monkeypatch.setattr(_kernels, "logdet_ipzz", poisoned)
+    monkeypatch.setattr(_kernels, "_logabsdet_small", poisoned)
     basis = hua.hua_basis(sd11)
     pairs = hua._sample_pairs(sd11, 1, seed=3)
     with pytest.raises(DegeneracyError, match="non-finite F value in FD stencil \\(point 5 of"):
         hua.on_kernels("second", [spectral_param(3.0, sd11)], pairs, basis)
+
+
+@pytest.mark.parametrize("rb", suite.DOMAINS)
+def test_kernel_exponent_matches_ball_point_form(rb):
+    # -2 log|det(D - U^H B)| against log det(I - Z Z^H) - 2 log|det(I - Z U^H)| at Z = g . 0;
+    # K_s = exp(sigma * exponent), so the error is relative to max(|exponent|, 1)
+    sd = structure_data(*rb)
+    for g, U in hua._sample_pairs(sd, 3, seed=11):
+        Z = group.mobius(g, np.zeros((sd.r, sd.q)))
+        want = _kernels.logdet_ipzz(Z) - 2.0 * _kernels.logabsdet_izuh(Z, U)
+        got = hua._kernel_exponent(g[None], U, sd)[0]
+        assert abs(got - want) <= 1e-11 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0, 20.0])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_exponent_far_from_the_peak(r, t):
+    # at g = a_t, U = -U0 the kernel is e^(-2 r t sigma): no cancellation, no -inf
+    sd = structure_data(r, 1)
+    got = hua._kernel_exponent(group.radial(t, sd)[None], -group.base_point(sd), sd)[0]
+    assert abs(got + 2.0 * r * t) <= 1e-13 * 2.0 * r * t
+
+
+@pytest.mark.parametrize("which", ["second", "U"])
+@pytest.mark.parametrize("r,b", [(1, 1), (2, 1)])
+def test_stencil_points_match_plan_products(r, b, which):
+    sd = structure_data(r, b)
+    terms, scheme = hua._operator(hua.hua_basis(sd), which, None)
+    stencil = hua._Stencil(sd, terms, scheme, scheme.step)
+    g = hua._sample_pairs(sd, 1, seed=5)[0][0]
+    want = np.concatenate([g @ hua._StencilPlan(sd, dirs, scheme, scheme.step).mats
+                           for dirs, _ in terms])
+    got = stencil.points(g)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_third_order_ratio_peak_memory():
+    # the stencil is kept once, in its wide layout; a second (P, m, m) copy peaks near 49 MiB
+    code = (
+        "import tracemalloc\n"
+        "from matrixball import hua\n"
+        "from matrixball.structure import spectral_param, structure_data\n"
+        "sd = structure_data(2, 1)\n"
+        "shift = sd.n / sd.r - 2.0\n"
+        "sps = [spectral_param(s + shift, sd) for s in (2.4, 3.2, 4.4, 5.2)]\n"
+        "tracemalloc.start()\n"
+        "hua.third_order_ratio(sps, samples=3)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 38 * 2 ** 20

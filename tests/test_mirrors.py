@@ -145,6 +145,28 @@ def test_recovery_and_inversion_name_the_sub_check_that_set_worst():
     assert worst == max(finals)
 
 
+def test_hua_criteria_name_the_s_and_sample_that_set_worst():
+    worst, details = _criterion(4)
+    res = details["r1_b1"]["s_2.0"]["residuals"]
+    assert details["worst_from"] == "r1_b1 s=2.0 pair %d" % int(np.argmax(res))
+    assert worst == max(res)
+    # the full profile has two domains and three s: the name picks the domain, then s and pair
+    worst, details = _criterion(4, "full")
+    rb, s, _, j = details["worst_from"].split()
+    assert details[rb]["worst_from"] == "%s pair %s" % (s, j)
+    assert worst == details[rb]["s_%s" % s[2:]]["residuals"][int(j)]
+    worst, _, d2 = suite.check_hua(structure_data(2, 1), (2.0, 3.0), 2, 7)
+    rows = [d2["s_%s" % s]["residuals"] for s in (2.0, 3.0)]
+    i, j = np.unravel_index(np.argmax(rows), (2, 2))
+    assert d2["worst_from"] == "s=%s pair %d" % ((2.0, 3.0)[i], j)
+    assert worst == rows[i][j]
+    worst, details = _criterion(5)
+    s, which = details["worst_from"].split()
+    k = details["s_values"].index(float(s[2:]))
+    assert worst == {"cv": details["cvs"], "law_err": details["law_errs"]}[which][k]
+    assert worst == max(details["cvs"] + details["law_errs"])
+
+
 def test_tolerance_flag_overrides_only_the_cli(capsys):
     # the check's worst CV here is ~2e-13, so a 1e-14 CV tolerance fails it
     assert cli.main(["ktypes", "schur", "--s-re", "2.5", "--level", "6", "--tol-cv", "1e-14"]) == 1
