@@ -1,11 +1,13 @@
 """Low-level batch kernels: log-determinant ratios, Moebius pushes, heights.
 
-Each kernel is a vectorized numpy closed form over a leading batch axis: the
-r x r determinants are written out for r <= 3 and fall back to
-``np.linalg.slogdet`` above that. The radial weight
-log|det(cosh t I + sinh t V1)| is evaluated from the coefficients e_k(V1) of
-det(I + tau V1), which radial_coefficients builds once per node set, so a
-profile over many t costs one small polynomial per node and t.
+Each kernel is a vectorized numpy closed form over a leading batch axis.
+Every log|det| goes through one rank ladder, _logabsdet_small: the
+determinant written out for r <= 3, ``np.linalg.slogdet`` above that. The
+radial weight log|det(cosh t I + sinh t V1)| of the phi_s profile, which
+weighs one node set at many t without pushing it, is evaluated from the
+coefficients e_k(V1) of det(I + tau V1) (radial_coefficients, built once per
+node set), so a profile costs one small polynomial per node and t; the
+transform's push forms T itself and weighs by its determinant.
 
 All kernels assume validated inputs (sizes r <= a few, complex128); membership
 and degeneracy checks live in the higher-level modules. BLOCK is the number of
@@ -55,26 +57,11 @@ def _eye_minus(M):
 def logdet_ipzz(Z):
     """log det(I_r - Z Z^H) for a stack of domain points, shape (..., r, q) -> (...)."""
     Z = np.asarray(Z, dtype=np.complex128)
-    r = Z.shape[-2]
-    if r == 1:
-        t = 1.0 - np.einsum("...ij,...ij->...", Z, Z.conj()).real
-        return np.log(t)
-    H = _eye_minus(Z @ np.swapaxes(Z, -1, -2).conj())
-    # Hermitian with real diagonal; determinant is real
-    if r == 2:
-        det = H[..., 0, 0].real * H[..., 1, 1].real - (H[..., 0, 1] * H[..., 1, 0]).real
-        return np.log(det)
-    if r == 3:
-        return np.log(_det3(H).real)
-    _, ld = np.linalg.slogdet(H)
-    return ld
+    return _logabsdet_small(_eye_minus(Z @ np.swapaxes(Z, -1, -2).conj()))
 
 
 def _logabsdet_izuh(Z, U):
     # cross_logabsdet calls this form directly, so one call of it is one kernel call
-    if Z.shape[-2] == 1:
-        W = np.einsum("...iq,...iq->...", Z, U.conj())
-        return np.log(np.abs(1.0 - W))
     return _logabsdet_small(_eye_minus(np.einsum("...rq,...sq->...rs", Z, U.conj())))
 
 
@@ -93,10 +80,8 @@ def radial_coefficients(V1):
     """Coefficients (e_1, ..., e_r) of det(I + tau V1) = sum_k tau^k e_k(V1), V1 (..., r, r).
 
     e_k is the sum of the principal k x k minors: V1 itself at r = 1, the
-    trace and determinant at r = 2, the trace, the sum of principal 2 x 2
-    minors and the determinant at r = 3, Faddeev-LeVerrier above that. Each
-    is a contiguous (...) array, built once for every t a node set is
-    weighed at.
+    trace and determinant at r = 2, Faddeev-LeVerrier above that. Each is a
+    contiguous (...) array, built once for every t a node set is weighed at.
     """
     V1 = np.asarray(V1, dtype=np.complex128)
     r = V1.shape[-1]
@@ -105,12 +90,6 @@ def radial_coefficients(V1):
     if r == 2:
         a, b, c, d = V1[..., 0, 0], V1[..., 0, 1], V1[..., 1, 0], V1[..., 1, 1]
         return a + d, a * d - b * c
-    if r == 3:
-        a, b, c = V1[..., 0, 0], V1[..., 0, 1], V1[..., 0, 2]
-        d, e, f = V1[..., 1, 0], V1[..., 1, 1], V1[..., 1, 2]
-        g, h, i = V1[..., 2, 0], V1[..., 2, 1], V1[..., 2, 2]
-        minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
-        return a + e + i, minors, _det3(V1)
     # Faddeev-LeVerrier: M_k = V1 M_(k-1) + (-1)^(k-1) e_(k-1) I, e_k = (-1)^(k-1) tr(V1 M_k) / k
     idx = np.arange(r)
     coefs = [np.ones(V1.shape[:-2], dtype=np.complex128)]
@@ -134,10 +113,6 @@ def radial_logweight(V1, t):
     t = float(t)
     sh, ch = np.sinh(t), np.cosh(t)
     r = len(coefs)
-    if r == 1:
-        x = sh * coefs[0]
-        x += ch
-        return np.log(np.abs(x))
     x = (ch ** (r - 1) * sh) * coefs[0]
     for k in range(2, r + 1):
         x += (ch ** (r - k) * sh**k) * coefs[k - 1]

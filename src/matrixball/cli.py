@@ -3,11 +3,12 @@
 Ten subcommands mirror a criterion: each is a thin call of that criterion's
 check function in `suite` on the flags' domain and s, and passes exactly
 when the check would on those inputs. Pass rules and tolerances live in
-`suite`; --tol-rel, --tol-abs and --tol-cv override one for the command line
-only. --seed is the criterion seed. No subcommand takes --rule: rank one
-uses a sphere rule of --level and higher rank a Stiefel rule, which the
-four other subcommands (poisson phi and transform, fatou profile, ktypes
-spectrum) draw with --samples nodes (200000) at --seed. In a mirror
+`suite`; --tol overrides the check's tolerance for the command line only, on
+the eight subcommands that have one (TOL_COMMANDS). --seed is the criterion
+seed. No subcommand takes --rule: rank one uses a sphere rule of --level and
+higher rank a Stiefel rule, which the four other subcommands (poisson phi and
+transform, fatou profile, ktypes spectrum) draw with --samples nodes
+(200000) at --seed. In a mirror
 --samples sets
 
     group selftest   2  cocycle pairs (200)   fatou dominate   8  -
@@ -66,9 +67,7 @@ class RunConfig:
     out: str | None = None
     profile: str = "full"
     criteria: str | None = None
-    tol_rel: float | None = None
-    tol_abs: float | None = None
-    tol_cv: float | None = None
+    tol: float | None = None
 
     @property
     def s(self) -> complex:
@@ -140,10 +139,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in ("s_re", "s_im"):
         if not math.isfinite(values[key]):
             raise DomainError("--%s must be finite, got %r" % (key.replace("_", "-"), values[key]))
-    for key in ("tol_rel", "tol_abs", "tol_cv"):
-        tol = values[key]
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise DomainError("--%s must be positive and finite, got %r" % (key.replace("_", "-"), tol))
+    if values["tol"] is not None and not hasattr(args, "tol"):
+        raise DomainError("this subcommand has no tolerance for --tol to override")
+    if values["tol"] is not None and not (math.isfinite(values["tol"]) and values["tol"] > 0):
+        raise DomainError("--tol must be positive and finite, got %r" % (values["tol"],))
     return RunConfig(**values)
 
 
@@ -268,7 +267,7 @@ def cmd_poisson_kernel(cfg, sd):
         rel = abs(K - href) / abs(href)
         worst = max(worst, rel)
         rows.append((float(t), float(K.real), float(K.imag), rel))
-    tol = suite.KERNEL_FORM_TOL if cfg.tol_rel is None else cfg.tol_rel
+    tol = suite.KERNEL_FORM_TOL if cfg.tol is None else cfg.tol
     line = ("kernel radial check s=%s: %d points, det vs horospherical worst %.3e"
             % (cfg.s, len(rows), worst))
     return rows, {"worst_rel_err": worst, "rows": len(rows)}, line, worst <= tol
@@ -344,9 +343,9 @@ def cmd_ktypes_spectrum(cfg, sd):
         defect, len(rows)), True
 
 
-def _tols(**tols) -> dict:
-    """The --tol-* overrides that were given; a check keeps its own default for the rest."""
-    return {k: v for k, v in tols.items() if v is not None}
+def _tol(cfg: RunConfig) -> dict:
+    """The --tol override as a check's keyword, if given; else the check keeps its default."""
+    return {} if cfg.tol is None else {"tol": cfg.tol}
 
 
 def _t_values(cfg: RunConfig, keep, need: str) -> list:
@@ -376,12 +375,12 @@ def _mirror(name: str, index: int):
 
 @_mirror("group selftest", 2)
 def cmd_group_selftest(cfg, sd):
-    return suite.check_cocycle(sd, cfg.samples or 200, cfg.seed, **_tols(tol=cfg.tol_abs))
+    return suite.check_cocycle(sd, cfg.samples or 200, cfg.seed, **_tol(cfg))
 
 
 @_mirror("hua check", 4)
 def cmd_hua_check(cfg, sd):
-    return suite.check_hua(sd, [cfg.s], cfg.samples or 5, cfg.seed, **_tols(tol=cfg.tol_rel))
+    return suite.check_hua(sd, [cfg.s], cfg.samples or 5, cfg.seed, **_tol(cfg))
 
 
 @_mirror("hua third-ratio", 5)
@@ -390,21 +389,18 @@ def cmd_hua_third_ratio(cfg, sd):
     # At (2, 2) it puts s = 7.2 only 0.011 from the law's pole sqrt(52); at 3
     # samples the CV there is 2.7e-7 and the law error 4.1e-8, 10^4 under tolerance.
     s_values = [s + (sd.harmonic_s - 2.0) for s in suite.THIRD_ORDER_S]
-    return suite.check_third_order(sd, s_values, cfg.samples or 10, cfg.seed,
-                                   **_tols(tol_cv=cfg.tol_cv))
+    return suite.check_third_order(sd, s_values, cfg.samples or 10, cfg.seed, **_tol(cfg))
 
 
 @_mirror("poisson cs", 6)
 def cmd_poisson_cs(cfg, sd):
-    return suite.check_cs(sd, [cfg.s], cfg.samples or suite.CS_SAMPLES, cfg.seed,
-                          **_tols(tol=cfg.tol_rel))
+    return suite.check_cs(sd, [cfg.s], cfg.samples or suite.CS_SAMPLES, cfg.seed, **_tol(cfg))
 
 
 @_mirror("fatou limit", 7)
 def cmd_fatou_limit(cfg, sd):
     size = cfg.level if sd.r == 1 else cfg.samples or 10 ** 5
-    return suite.check_fatou(sd, cfg.s, size, cfg.t_grid(), cfg.seed, cfg.p,
-                             **_tols(tol=cfg.tol_rel))
+    return suite.check_fatou(sd, cfg.s, size, cfg.t_grid(), cfg.seed, cfg.p, **_tol(cfg))
 
 
 @_mirror("fatou dominate", 8)
@@ -426,14 +422,14 @@ cmd_poisson_norms = _mirror("poisson norms", 9)(_sandwich(1))
 
 @_mirror("ktypes schur", 10)
 def cmd_ktypes_schur(cfg, sd):
-    return suite.check_schur(sd, cfg.s, 3, cfg.level, cfg.seed, **_tols(tol_cv=cfg.tol_cv))
+    return suite.check_schur(sd, cfg.s, 3, cfg.level, cfg.seed, **_tol(cfg))
 
 
 @_mirror("fatou invert", 11)
 def cmd_fatou_invert(cfg, sd):
     ts = _t_values(cfg, lambda t: t >= 1.0, ">= 1")
     return suite.check_inversion(sd, cfg.s, cfg.samples or 1, cfg.level, ts, cfg.seed,
-                                 **_tols(tol=cfg.tol_rel))
+                                 **_tol(cfg))
 
 
 def _criterion_index(token: str) -> int:
@@ -486,12 +482,11 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--t-step", type=float, dest="t_step")
     p.add_argument("--out", help="output path prefix (directory for suite)")
     p.add_argument("--config", help="JSON file with default flag values")
-    p.add_argument("--tol-rel", type=float, dest="tol_rel", help="relative tolerance override")
-    p.add_argument("--tol-abs", type=float, dest="tol_abs", help="absolute tolerance override")
-    p.add_argument("--tol-cv", type=float, dest="tol_cv",
-                   help="coefficient-of-variation tolerance override (hua third-ratio: "
-                        "also the s-law error)")
 
+
+# subcommands whose pass rule has a tolerance; --tol is registered on these alone
+TOL_COMMANDS = (cmd_group_selftest, cmd_poisson_kernel, cmd_hua_check, cmd_hua_third_ratio,
+                cmd_poisson_cs, cmd_fatou_limit, cmd_ktypes_schur, cmd_fatou_invert)
 
 GROUPS = {
     "group": "group-level self tests",
@@ -542,6 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
             help_text += " (criterion %d's check)" % criterion
         p = parent.add_parser(words[-1], help=help_text)
         _common_flags(p)
+        if fn in TOL_COMMANDS:
+            p.add_argument("--tol", type=float,
+                           help="override the pass rule's tolerance, in the unit of its worst")
         p.set_defaults(fn=fn)
         if fn is cmd_suite:
             p.add_argument("--profile", choices=("quick", "full"),

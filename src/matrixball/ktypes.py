@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels, poisson
+from . import _kernels, group, poisson
 from .boundary import QuadratureRule
 from .errors import DomainError
 from .structure import SpectralParam, StructureData
@@ -145,7 +145,8 @@ def ktype_spectrum(f, max_p: int, max_q: int, rule: QuadratureRule):
 
 def spherical_profile(sp: SpectralParam, delta: KTypeIndex, t_grid, rule: QuadratureRule) -> SphericalProfile:
     t_grid = poisson._finite_t(t_grid)
-    vals = poisson.transform_radial(sp, zonal_function(delta, sp.sd), None, t_grid, rule)
+    base = group.base_point(sp.sd)[None]
+    vals = poisson.transform_radial(sp, zonal_function(delta, sp.sd), base, t_grid, rule)[0]
     return SphericalProfile(delta=delta, t_grid=t_grid, values=vals)
 
 

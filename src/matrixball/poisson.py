@@ -15,8 +15,11 @@ a_t the radial flow,
 
 where V_1 is the leading r x r block of the integration node V and k acts
 linearly on Shilov points. This keeps quadrature nodes spread over the whole
-boundary instead of collapsing toward the image of a_t, and the push solves
-only the r x r system T = cosh t I + sinh t V_1, so deep t stays numerically tame.
+boundary instead of collapsing toward the image of a_t. The push solves only
+the r x r system T = cosh t I + sinh t V_1, so deep t stays numerically tame,
+and weighs each node by the det T it forms. Every log-determinant here takes
+_kernels' one rank ladder; phi_s, which weighs nodes without pushing them,
+takes the weight from the coefficients of det(I + tau V_1) instead.
 
 Boundary functions that are polynomials in the entries of U and conj(U)
 (band-limited functions and their K-translates, the inversion interpolant,
@@ -309,14 +312,13 @@ def _require_shilov_rule(sd, rule: QuadratureRule):
                           % (sd.r, sd.q, sd.r, sd.q, rule.kind, rule.nodes.shape))
 
 
-def _radial_coefficients(sd, rule: QuadratureRule, disk: bool = False):
+def _radial_coefficients(sd, rule: QuadratureRule):
     """Coefficients of det(I + tau V_1) over the rule's nodes, built once per call.
 
     The rule must fit the domain: a Shilov-point rule (_require_shilov_rule)
-    or, where disk is set, the rank-one disk rule of the same b. Anything else
-    raises DomainError.
+    or the rank-one disk rule of the same b. Anything else raises DomainError.
     """
-    if disk and rule.kind == "deterministic-disk":
+    if rule.kind == "deterministic-disk":
         if sd.r != 1 or rule.aux.get("b") != sd.b:
             raise DomainError("a disk rule for b = %s does not fit (r, b) = (%d, %d)"
                               % (rule.aux.get("b"), sd.r, sd.b))
@@ -325,29 +327,30 @@ def _radial_coefficients(sd, rule: QuadratureRule, disk: bool = False):
     return _kernels.radial_coefficients(rule.nodes[..., :, : sd.r])
 
 
-def _radial_pushforward(sp: SpectralParam, t: float, rule: QuadratureRule, coefs):
+def _radial_pushforward(sp: SpectralParam, t: float, rule: QuadratureRule):
     """Pushed nodes a_t . V = T^-1 [cosh t V_1 + sinh t I | V_2], T = cosh t I + sinh t V_1, and
-    complex weights w * |det T|^(s - n/r); coefs from _radial_coefficients. The push is a division
-    at r = 1, the adjugate of T over det T at r = 2 and one r x r solve above, not a q x q solve,
-    whose cancellation grows as e^(2t)."""
+    complex weights w * |det T|^(s - n/r) from the same T. The push is a division at r = 1, the
+    adjugate of T over det T at r = 2 and one r x r solve above, not a q x q solve, whose
+    cancellation grows as e^(2t)."""
     sd = sp.sd
-    lw = _kernels.radial_logweight(coefs, t)
-    cw = rule.weights * np.exp((sp.s - sd.harmonic_s) * lw)
     V1, eye = rule.nodes[..., : sd.r], np.eye(sd.r)
     T = math.sinh(t) * V1 + math.cosh(t) * eye
     W = np.concatenate([math.cosh(t) * V1 + math.sinh(t) * eye, rule.nodes[..., sd.r :]], axis=-1)
-    if sd.r != 2:
-        return (W / T if sd.r == 1 else np.linalg.solve(T, W)), cw
-    a, b, c, d = (T[..., i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    adj_W = np.stack([d * W[..., 0, :] - b * W[..., 1, :], a * W[..., 1, :] - c * W[..., 0, :]], -2)
-    return adj_W / (a * d - b * c)[..., None], cw
+    if sd.r == 2:
+        a, b, c, d = (T[..., i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        det = a * d - b * c
+        W = np.stack([d * W[..., 0, :] - b * W[..., 1, :], a * W[..., 1, :] - c * W[..., 0, :]], -2)
+        W, lw = W / det[..., None], np.log(np.abs(det[..., 0]))
+    else:
+        W, lw = (W / T if sd.r == 1 else np.linalg.solve(T, W)), _kernels._logabsdet_small(T)
+    return W, rule.weights * np.exp((sp.s - sd.harmonic_s) * lw)
 
 
-def _transform_at(sp: SpectralParam, ev, M: np.ndarray, t: float, rule: QuadratureRule, coefs):
+def _transform_at(sp: SpectralParam, ev, M: np.ndarray, t: float, rule: QuadratureRule):
     """P_s f at k a_t . 0 for each right factor M_k (K, q, q) at one radius t, with
     f evaluated at every pushed point (the pointwise route)."""
     sd = sp.sd
-    W, cw = _radial_pushforward(sp, t, rule, coefs)
+    W, cw = _radial_pushforward(sp, t, rule)
     W = W.reshape(-1, sd.q)
     out = np.empty(len(M), dtype=np.complex128)
     chunk = max(1, POINTWISE_POINTS // len(cw))
@@ -361,33 +364,32 @@ def _transform_at(sp: SpectralParam, ev, M: np.ndarray, t: float, rule: Quadratu
 def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
     """P_s f at the points k_U a_t . 0 for a batch of Shilov centers U.
 
-    centers: (N, r, q) Shilov points (or None for the single point a_t . 0).
-    t: one radius, or a 1-D grid of radii; the centers are checked and their
-    right factors M_k computed once for the whole grid; on the moment route,
-    so are the center matrices, per block of centers whose S and H hold
-    about MOMENT_BLOCK complex entries.
-    Returns a length-N complex array for one radius and an (N, T) array for a
-    grid; with centers None, a scalar and a length-T array.
+    centers: an (N, r, q) stack of Shilov points, required (the base point
+    U0 = group.base_point(sd)[None] gives a_t . 0); anything else raises
+    MembershipError. t: one radius, or a 1-D grid of radii; the centers are
+    checked and their right factors M_k computed once for the whole grid; on
+    the moment route, so are the center matrices, per block of centers whose
+    S and H hold about MOMENT_BLOCK complex entries.
+    Returns a length-N complex array for one radius and an (N, T) array for a grid.
     """
     sd = sp.sd
     ev = _as_evaluator(f)
     form = getattr(ev, "polynomial_form", None)
-    if centers is None:
-        M = np.eye(sd.q, dtype=np.complex128)[None]
-    else:
-        centers = np.asarray(centers, dtype=np.complex128).reshape(-1, sd.r, sd.q)
-        if not group.is_shilov_point(centers, tol=1e-8):
-            raise MembershipError("centers must satisfy U U^H = I")
-        M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
+    centers = np.asarray(centers, dtype=np.complex128)  # None becomes a 0-d nan
+    if (centers.ndim != 3 or centers.shape[1:] != (sd.r, sd.q)
+            or not group.is_shilov_point(centers, tol=1e-8)):
+        raise MembershipError("centers must be an (N, %d, %d) stack of Shilov points (U U^H = I), "
+                              "got shape %s" % (sd.r, sd.q, centers.shape))
+    M = group.kappa_right_factors(centers)  # (N, q, q), boundary action V -> V M
     t_grid = _finite_t(t)
-    coefs = _radial_coefficients(sd, rule)
+    _require_shilov_rule(sd, rule)
     out = np.empty((len(M), t_grid.size), dtype=np.complex128)
     if form is None:
         for j, tj in enumerate(t_grid.reshape(-1)):
-            out[:, j] = _transform_at(sp, ev, M, float(tj), rule, coefs)
+            out[:, j] = _transform_at(sp, ev, M, float(tj), rule)
     else:
         # one contiguous row of moments per t, so each column is the single-t call's
-        mus = np.stack([form.moments(*_radial_pushforward(sp, float(tj), rule, coefs)).ravel()
+        mus = np.stack([form.moments(*_radial_pushforward(sp, float(tj), rule)).ravel()
                         for tj in t_grid.reshape(-1)])
         # per center, S holds terms * n_w * n_x complex entries and H one row of mus
         d = max(form.degrees)
@@ -397,10 +399,7 @@ def transform_radial(sp: SpectralParam, f, centers, t, rule: QuadratureRule):
             H = form.center_matrices(M[lo : lo + chunk], sd.r).reshape(-1, mus.shape[1])
             for j, mu in enumerate(mus):
                 out[lo : lo + len(H), j] = H @ mu
-    out = out.reshape(out.shape[:1] + t_grid.shape)
-    if centers is None:
-        return complex(out[0]) if t_grid.ndim == 0 else out[0]
-    return out
+    return out.reshape(out.shape[:1] + t_grid.shape)
 
 
 def phi_s(sp: SpectralParam, t, rule: QuadratureRule):
@@ -437,7 +436,7 @@ def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
     sps, single = _spectral_axis(sp)
     t_grid = _finite_t(t_grid)
     sd = sps[0].sd
-    coefs = _radial_coefficients(sd, rule, disk=True)
+    coefs = _radial_coefficients(sd, rule)
     sigmas = [x.s - sd.harmonic_s for x in sps]
     sigmas = [sigma.real if sigma.imag == 0 else sigma for sigma in sigmas]
     vals = np.empty((len(sps), len(t_grid)), dtype=np.complex128)

@@ -20,6 +20,7 @@ outputs across reruns.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -139,7 +140,8 @@ def criterion_cocycle(seed: int = 7, profile: str = "full") -> CriterionResult:
     pairs = 200 if profile == "full" else 20
     domains = DOMAINS if profile == "full" else ((1, 1), (2, 1))
     worst, ok, details = _per_domain(check_cocycle, domains, pairs, seed)
-    details["total_violations"] = sum(d["violations"] for d in details.values())
+    details.update(total_violations=sum(d["violations"] for d in details.values()),
+                   worst_from=max(details, key=lambda rb: details[rb]["cocycle_worst"]))
     return CriterionResult(2, "cocycle-suite", ok, worst, COCYCLE_TOL, 10.0, details=details)
 
 
@@ -147,7 +149,9 @@ def criterion_cocycle(seed: int = 7, profile: str = "full") -> CriterionResult:
 # 3. kernel determinant form vs horospherical form
 # ---------------------------------------------------------------------------
 
-def kernel_form_battery(sd, n_pairs: int, seed: int, s_values=(2.0, 3.0 + 0.5j)) -> float:
+def kernel_form_battery(sd, n_pairs: int, seed: int, s_values=(2.0, 3.0 + 0.5j)):
+    """Largest relative gap between the kernel's determinant and horospherical forms
+    over n_pairs seeded (Z, U) pairs and s_values, and the s and pair that set it."""
     sps = [spectral_param(s, sd) for s in s_values]
     Z0 = np.zeros((sd.r, sd.q), dtype=np.complex128)
     U0 = group.base_point(sd)
@@ -166,19 +170,24 @@ def kernel_form_battery(sd, n_pairs: int, seed: int, s_values=(2.0, 3.0 + 0.5j))
     hval = _kernels.h1_batch(group.group_inverse(g, sd) @ kt, sd.r)
     lhs = [poisson.kernel(sp, Z, U) for sp in sps]
     rhs = [np.exp(-(sp.s * sd.r + sd.n) * hval) for sp in sps]
-    worst = 0.0
+    worst, worst_from = 0.0, None
     for i in range(n_pairs):  # scalar relative errors: the array abs rounds differently
-        for a, b in zip(lhs, rhs):
-            worst = max(worst, abs(a[i] - b[i]) / abs(b[i]))
-    return worst
+        for s, a, b in zip(s_values, lhs, rhs):
+            err = abs(a[i] - b[i]) / abs(b[i])
+            if err > worst:
+                worst, worst_from = err, "s=%s pair %d" % (s, i)
+    return worst, worst_from
 
 
 def criterion_kernel_form(seed: int = 7, profile: str = "full") -> CriterionResult:
     n_pairs = 300 if profile == "full" else 30
     domains = DOMAINS if profile == "full" else ((1, 1), (2, 1))
     outs = [kernel_form_battery(structure_data(*rb), n_pairs, seed) for rb in domains]
-    details = {"r%d_b%d" % rb: {"worst_rel_err": w} for rb, w in zip(domains, outs)}
-    worst = max(outs)
+    details = {"r%d_b%d" % rb: {"worst_rel_err": w, "worst_from": where}
+               for rb, (w, where) in zip(domains, outs)}
+    worst_rb = max(details, key=lambda rb: details[rb]["worst_rel_err"])
+    worst = details[worst_rb]["worst_rel_err"]
+    details["worst_from"] = "%s %s" % (worst_rb, details[worst_rb]["worst_from"])
     return CriterionResult(3, "kernel-form", worst <= KERNEL_FORM_TOL, worst, KERNEL_FORM_TOL,
                            10.0, details=details)
 
@@ -231,7 +240,7 @@ def criterion_hua(seed: int = 7, profile: str = "full") -> CriterionResult:
 THIRD_ORDER_S = (2.4, 2.8, 3.2, 3.6, 4.4, 4.8, 5.2, 5.6, 6.0, 6.4)
 
 
-def check_third_order(sd, s_values, samples: int, seed: int, tol_cv: float = THIRD_ORDER_TOL):
+def check_third_order(sd, s_values, samples: int, seed: int, tol: float = THIRD_ORDER_TOL):
     """Criterion 5 on one domain: per s, the U/W ratio is constant (CV) and its mean
     matches hua.ratio_law (relative error); worst is the larger of the two, and
     details' worst_from names its s and which of the two set it."""
@@ -247,7 +256,7 @@ def check_third_order(sd, s_values, samples: int, seed: int, tol_cv: float = THI
         "law_errs": rep.law_errs,
         "worst_from": worst_from,
     }
-    return worst, worst <= tol_cv, details
+    return worst, worst <= tol, details
 
 
 def criterion_third_order(seed: int = 7, profile: str = "full") -> CriterionResult:
@@ -272,7 +281,8 @@ def check_cs(sd, s_values, samples: int, seed: int, tol: float | None = None):
     s); worst is the largest pairwise difference relative to the largest
     modulus, within 1e-3 at rank one. Higher rank takes the Fatou limit on a
     Stiefel rule of `samples` nodes (seed + 40), within 1e-2. The Fatou
-    limits of every s come from one radial pass.
+    limits of every s come from one radial pass. details' worst_from names the
+    s and the two routes whose difference set worst.
     """
     sps = [spectral_param(s, sd) for s in s_values]
     for sp in sps:  # an inadmissible s fails before the chart or rule is built
@@ -287,11 +297,13 @@ def check_cs(sd, s_values, samples: int, seed: int, tol: float | None = None):
         routes = {"gk": poisson.c_s(sp), "fatou": fat}
         if chart is not None:
             routes["direct"] = poisson._cs_direct(sp, chart)
-        vals = list(routes.values())
-        errs.append(max(abs(u - v) for u in vals for v in vals) / max(abs(v) for v in vals))
-        details["s_%s" % s] = dict(routes, max_pairwise_rel_err=errs[-1])
+        gap, pair = max((abs(routes[u] - routes[v]), "s=%s %s-%s" % (s, u, v))
+                        for u, v in itertools.combinations(routes, 2))
+        errs.append((gap / max(abs(v) for v in routes.values()), pair))
+        details["s_%s" % s] = dict(routes, max_pairwise_rel_err=errs[-1][0])
+    worst, details["worst_from"] = max(errs, key=lambda e: e[0], default=(0.0, None))
     tol = (CS_TOL if sd.r == 1 else 1e-2) if tol is None else tol
-    return max([0.0] + errs), all(e <= tol for e in errs), details
+    return worst, all(e <= tol for e, _ in errs), details
 
 
 # criterion 6's rank-two Sobol nodes at the full profile, and the poisson cs default
@@ -306,6 +318,7 @@ def criterion_cs(seed: int = 7, profile: str = "full") -> CriterionResult:
     _, ok2, two = check_cs(structure_data(2, 1), (4,), samples, seed)
     details = {"r1_b1_" + k: v for k, v in one.items()}
     details.update({"r2_b1_" + k: v for k, v in two.items()})
+    details["worst_from"] = "r1_b1 " + one["worst_from"]  # worst is rank one's
     return CriterionResult(6, "cs-triple", ok and ok2, worst, CS_TOL, 300.0, details=details)
 
 
@@ -461,13 +474,14 @@ def criterion_sandwich(seed: int = 7, profile: str = "full") -> CriterionResult:
 # 10. Schur diagonality and the coefficient form of the Hardy norm
 # ---------------------------------------------------------------------------
 
-def check_schur(sd, s, max_pq: int, level: int, seed: int, tol_cv: float = SCHUR_TOL):
+def check_schur(sd, s, max_pq: int, level: int, seed: int, tol: float = SCHUR_TOL):
     """Criterion 10 on one rank-one domain, on a level-`level` sphere rule.
 
     P_s f / f is constant (worst CV) and equal to Phi_{s,delta} for a translated
     zonal f of every K-type up to (max_pq, max_pq) (seed + 11 + i). The Hardy
     norm of a random combination (seed + 1000) computed from its coefficients
-    matches the direct quadrature norm within 1e-2.
+    matches the direct quadrature norm within 1e-2. details' worst_from names
+    the K-type whose CV set worst.
     """
     _require_rank_one(sd, 10)
     rule = boundary.sphere_rule(sd, level=level)
@@ -479,10 +493,11 @@ def check_schur(sd, s, max_pq: int, level: int, seed: int, tol_cv: float = SCHUR
     for i, d in enumerate(deltas):
         rep = ktypes.schur_diagonality(sp, d, 1.0, rule.nodes, rule, seed=seed + 11 + i)
         worst_cv = max(worst_cv, rep.cv)
-        ok = ok and rep.cv <= tol_cv and rep.ratio_matches_phi
+        ok = ok and rep.cv <= tol and rep.ratio_matches_phi
         details["delta_%d_%d" % (d.p, d.q)] = {
             "cv": rep.cv, "ratio": rep.ratio_mean, "phi": rep.phi_reference,
         }
+    details["worst_from"] = max(details, key=lambda k: details[k]["cv"])
     # coefficient-based Hardy norm vs the direct quadrature norm
     rng = np.random.default_rng(seed + 1000)
     coeffs = {d: complex(rng.normal(), rng.normal()) for d in deltas}

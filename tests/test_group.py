@@ -109,6 +109,15 @@ def test_kappa_right_factors_unitary(rng):
     assert np.max(np.abs(group.mobius(k, group.base_point(sd)) - U)) < 1e-12
 
 
+@pytest.mark.parametrize("rb", suite.DOMAINS)
+def test_base_point_right_factor_is_exactly_the_identity(rb):
+    # transform_radial at the base point (spherical_profile's only center) acts by
+    # this factor, so the radial line a_t . 0 is evaluated without any rounding of M
+    sd = structure_data(*rb)
+    M = group.kappa_right_factors(group.base_point(sd)[None])
+    assert np.array_equal(M, np.eye(sd.q)[None])
+
+
 def test_contraction_inequality_samples(sd11):
     # conjugating nbar toward the identity cannot increase the height
     E = group.nbar_basis(sd11)
@@ -242,8 +251,9 @@ def _cocycle_battery_loop(sd, pairs, contraction_samples, seed):
 
 
 def _kernel_form_battery_loop(sd, n_pairs, seed, s_values=(2.0, 3.0 + 0.5j)):
-    """Criterion 3's battery one sample at a time, as the suite ran it before."""
-    worst = 0.0
+    """Criterion 3's battery one sample at a time, as the suite ran it before, and
+    the s and pair of its worst."""
+    worst, worst_from = 0.0, None
     sps = [spectral_param(s, sd) for s in s_values]
     Z0 = np.zeros((sd.r, sd.q), dtype=np.complex128)
     U0 = group.base_point(sd)
@@ -259,11 +269,12 @@ def _kernel_form_battery_loop(sd, n_pairs, seed, s_values=(2.0, 3.0 + 0.5j)):
         Z = group.mobius(g, Z0)
         U = group.mobius(kt, U0)
         hval = group.h1_scalar(group.group_inverse(g, sd) @ kt, sd)
-        for sp in sps:
+        for s, sp in zip(s_values, sps):
             lhs = poisson.kernel(sp, Z, U)
             rhs = np.exp(-(sp.s * sd.r + sd.n) * hval)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+            if abs(lhs - rhs) / abs(rhs) > worst:
+                worst, worst_from = abs(lhs - rhs) / abs(rhs), "s=%s pair %d" % (s, i)
+    return worst, worst_from
 
 
 @pytest.mark.parametrize("rb", suite.DOMAINS)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matrixball import boundary, ktypes, poisson
+from matrixball import boundary, group, ktypes, poisson
 from matrixball.errors import DomainError
 from matrixball.structure import spectral_param, structure_data
 
@@ -88,6 +88,16 @@ def test_phi_delta_trivial_is_radial_phi(sd11, sphere6):
     prof = ktypes.spherical_profile(sp, ktypes.KTypeIndex(0, 0), (0.5, 1.5), sphere6)
     for t, got in zip(prof.t_grid, prof.values):
         assert abs(got - poisson.phi_s(sp, float(t), sphere6)) < 1e-10
+
+
+@pytest.mark.parametrize("delta", [(0, 0), (1, 0), (2, 1)])
+def test_spherical_profile_is_the_transform_at_the_base_point(sd11, sphere6, delta):
+    sp = spectral_param(2.5, sd11)
+    t_grid = np.linspace(0.0, 5.0, 6)
+    delta = ktypes.KTypeIndex(*delta)
+    want = poisson.transform_radial(sp, ktypes.zonal_function(delta, sd11),
+                                    group.base_point(sd11)[None], t_grid, sphere6)[0]
+    assert np.array_equal(ktypes.spherical_profile(sp, delta, t_grid, sphere6).values, want)
 
 
 def test_schur_diagonality(sd11, sphere6):

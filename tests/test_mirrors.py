@@ -167,7 +167,35 @@ def test_hua_criteria_name_the_s_and_sample_that_set_worst():
     assert worst == max(details["cvs"] + details["law_errs"])
 
 
+def test_cocycle_kernel_cs_and_schur_name_the_sub_check_that_set_worst():
+    # criterion 2: the domain
+    worst, details = _criterion(2)
+    domains = [k for k in details if k.startswith("r")]
+    assert worst == details[details["worst_from"]]["cocycle_worst"]
+    assert worst == max(details[rb]["cocycle_worst"] for rb in domains)
+    # criterion 3: the domain, s and pair; test_group checks the pair against a per-sample loop
+    worst, details = _criterion(3)
+    rb, s, _, j = details["worst_from"].split()
+    assert details[rb]["worst_from"] == "%s pair %s" % (s, j)
+    assert worst == details[rb]["worst_rel_err"]
+    assert worst == max(d["worst_rel_err"] for k, d in details.items() if k.startswith("r"))
+    # criterion 6: the domain, s and the two routes whose gap set worst (rank one's)
+    worst, details = _criterion(6)
+    rb, s, pair = details["worst_from"].split()
+    assert details[rb + "_worst_from"] == "%s %s" % (s, pair)
+    entry = details["%s_s_%s" % (rb, s[2:])]
+    assert worst == entry["max_pairwise_rel_err"]
+    value = {k: complex(v["re"], v["im"]) for k, v in entry.items() if isinstance(v, dict)}
+    u, v = pair.split("-")
+    assert abs(value[u] - value[v]) == max(abs(a - b) for a in value.values() for b in value.values())
+    assert details["r2_b1_worst_from"] == "s=4 gk-fatou"
+    # criterion 10: the K-type whose CV set worst
+    worst, details = _criterion(10)
+    assert worst == details[details["worst_from"]]["cv"]
+    assert worst == max(d["cv"] for k, d in details.items() if k.startswith("delta_"))
+
+
 def test_tolerance_flag_overrides_only_the_cli(capsys):
     # the check's worst CV here is ~2e-13, so a 1e-14 CV tolerance fails it
-    assert cli.main(["ktypes", "schur", "--s-re", "2.5", "--level", "6", "--tol-cv", "1e-14"]) == 1
+    assert cli.main(["ktypes", "schur", "--s-re", "2.5", "--level", "6", "--tol", "1e-14"]) == 1
     assert "-> FAIL" in capsys.readouterr().out

@@ -13,6 +13,7 @@ from matrixball.errors import (
     AdmissibilityError, ConvergenceError, DegeneracyError, DomainError, MembershipError,
 )
 from matrixball.structure import lambda_coefficients, spectral_param, structure_data
+from test_kernels import _det_clongdouble
 
 # phi_s(a_t) at (r, b) = (1, 1), frozen from an independent 30-digit
 # evaluation of the hypergeometric radial formula
@@ -258,35 +259,71 @@ def test_disk_rule_fits_rank_one_profiles_only(sd11, sd21):
     sp = spectral_param(2.5, sd11)
     assert abs(poisson.phi_s(sp, 1.0, rule) - PHI_ORACLE[(2.5, 1.0)]) < 1e-3
     with pytest.raises(DomainError):
-        poisson.transform_radial(sp, 1.0, None, 1.0, rule)
+        poisson.transform_radial(sp, 1.0, group.base_point(sd11)[None], 1.0, rule)
     with pytest.raises(DomainError):
         poisson.phi_s(spectral_param(4.0, sd21), 1.0, rule)
 
 
-def test_radial_coefficients_built_once_per_call(monkeypatch, sd11, sd21, sphere6):
-    # _phi_profile and transform_radial build the coefficients once for a whole
-    # t grid, and both weigh every t through the one radial_logweight kernel
-    calls = {"radial_coefficients": 0, "radial_logweight": 0}
-    for name in calls:
-        fn = getattr(_kernels, name)
+def test_transform_pushes_once_per_t_and_phi_builds_coefficients_once(monkeypatch, sd11, sd21,
+                                                                       sphere6):
+    # transform_radial weighs each pushed node by the det T of its own push: one
+    # push per t on either route and no coefficients. _phi_profile weighs without
+    # pushing: it builds the coefficients once for the whole grid and weighs every
+    # node once per t through the one radial_logweight kernel
+    calls = {"radial_coefficients": 0, "pushes": []}
+    weighed = {}
+    coefficients, logweight = _kernels.radial_coefficients, _kernels.radial_logweight
+    push = poisson._radial_pushforward
 
-        def counted(*args, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+    def counted_coefficients(V1):
+        calls["radial_coefficients"] += 1
+        return coefficients(V1)
 
-        monkeypatch.setattr(_kernels, name, counted)
+    def counted_logweight(coefs, t):
+        weighed[t] = weighed.get(t, 0) + len(coefs[0])
+        return logweight(coefs, t)
+
+    def counted_push(sp, t, rule):
+        calls["pushes"].append(t)
+        return push(sp, t, rule)
+
+    monkeypatch.setattr(_kernels, "radial_coefficients", counted_coefficients)
+    monkeypatch.setattr(_kernels, "radial_logweight", counted_logweight)
+    monkeypatch.setattr(poisson, "_radial_pushforward", counted_push)
     t_grid = np.arange(0.0, 8.01, 0.5)
     rule2 = boundary.stiefel_rule(sd21, samples=2000, seed=4)
     sp2 = spectral_param(4.0, sd21)
     f = suite.trace_affine(sd21, 6)
-    sp1 = spectral_param(3.0 + 0.5j, sd11)
-    for run in (lambda: poisson._phi_profile(sp2, t_grid, rule2),
-                lambda: poisson._phi_profile(sp1, t_grid, sphere6),
-                lambda: poisson.transform_radial(sp2, f, rule2.nodes[:5], t_grid, rule2),
-                lambda: poisson.transform_radial(sp2, lambda U: f(U), None, t_grid, rule2)):
-        calls.update(radial_coefficients=0, radial_logweight=0)
-        run()
-        assert calls == {"radial_coefficients": 1, "radial_logweight": len(t_grid)}
+    for g in (f, lambda U: f(U)):
+        calls.update(radial_coefficients=0, pushes=[])
+        poisson.transform_radial(sp2, g, rule2.nodes[:5], t_grid, rule2)
+        assert calls == {"radial_coefficients": 0, "pushes": list(t_grid)} and weighed == {}
+    for sp, rule in ((sp2, rule2), (spectral_param(3.0 + 0.5j, sd11), sphere6)):
+        calls.update(radial_coefficients=0, pushes=[])
+        weighed.clear()
+        poisson._phi_profile(sp, t_grid, rule)
+        assert calls == {"radial_coefficients": 1, "pushes": []}
+        assert list(weighed) == list(t_grid) and set(weighed.values()) == {len(rule)}
+
+
+@pytest.mark.parametrize("rb", [(1, 1), (2, 1), (3, 1)])
+def test_radial_pushforward_weighs_by_the_det_of_its_own_T(rb):
+    # the weights w |det T|^(s - n/r) come from the T the push inverts; the oracle
+    # takes det T in extended precision. Measured at most 1.6e-13 relative
+    # (r = 3, t = 8, complex s); the bound is 3x that
+    sd = structure_data(*rb)
+    rule = (boundary.sphere_rule(sd, level=5) if sd.r == 1
+            else boundary.stiefel_rule(sd, samples=2000, seed=3))
+    V1 = rule.nodes[..., : sd.r].astype(np.clongdouble)
+    for s in (sd.harmonic_s + 1.0, sd.harmonic_s + 1.5 + 0.5j):
+        sp = spectral_param(s, sd)
+        for t in np.arange(0.0, 8.01, 0.5):
+            T = np.sinh(np.longdouble(t)) * V1
+            T[..., np.arange(sd.r), np.arange(sd.r)] += np.cosh(np.longdouble(t))
+            lw = np.log(np.abs(_det_clongdouble(T)))
+            want = rule.weights * np.exp((sp.s - sd.harmonic_s) * lw)
+            _, cw = poisson._radial_pushforward(sp, float(t), rule)
+            assert np.max(np.abs(cw - want) / np.abs(want)) <= 5e-13, (s, t)
 
 
 def test_loggamma_matches_scipy_modulo_2pi_i():
@@ -383,7 +420,7 @@ def test_cs_fatou_rejects_bad_t_grids(sd11, monkeypatch, t_grid):
 
 def _cs_fatou_per_s(sp, t_grid, rule):
     """The one-s Fatou route the s axis replaced: its own coefficients and log-weights."""
-    coefs = poisson._radial_coefficients(sp.sd, rule, disk=True)
+    coefs = poisson._radial_coefficients(sp.sd, rule)
     sigma = sp.s - sp.sd.harmonic_s
     if sigma.imag == 0:
         sigma = sigma.real
@@ -591,7 +628,7 @@ BAD_T_CALLS = {
     "transform_radial complex": lambda sp, rule: poisson.transform_radial(
         sp, 1.0, rule.nodes, 1 + 1j, rule),
     "transform_radial complex grid": lambda sp, rule: poisson.transform_radial(
-        sp, 1.0, None, np.array([0.5, 1 + 1j]), rule),
+        sp, 1.0, group.base_point(sp.sd)[None], np.array([0.5, 1 + 1j]), rule),
     "phi_s complex": lambda sp, rule: poisson.phi_s(sp, 1 + 1j, rule),
     "invert_l2 nan": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), np.nan, rule),
     "invert_l2 complex": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), 1 + 1j, rule),
@@ -659,11 +696,11 @@ def test_moment_route_matches_pointwise(gate_cases, name):
     for s, t_grid in grids:
         sp = spectral_param(s, sd)
         for t in t_grid:
-            for where in (centers, None):
+            for where in (centers, group.base_point(sd)[None]):
                 got = poisson.transform_radial(sp, f, where, float(t), rule)
                 want = poisson.transform_radial(sp, pointwise, where, float(t), rule)
                 err = np.max(np.abs(np.subtract(got, want)))
-                assert err <= 1e-13 * np.max(np.abs(want)), (s, t, where is None, err)
+                assert err <= 1e-13 * np.max(np.abs(want)), (s, t, len(where), err)
 
 
 def _contract(form, mu, M, r):
@@ -691,12 +728,11 @@ def test_center_matrices_match_per_t_contraction(gate_cases, name):
     form = f.polynomial_form
     M = group.kappa_right_factors(centers)
     H = form.center_matrices(M, sd.r)
-    coefs = poisson._radial_coefficients(sd, rule)
     for s, t_grid in grids:
         sp = spectral_param(s, sd)
         lift = poisson.transform_radial(sp, f, centers, t_grid, rule)
         for j, t in enumerate(t_grid):
-            mu = form.moments(*poisson._radial_pushforward(sp, float(t), rule, coefs))
+            mu = form.moments(*poisson._radial_pushforward(sp, float(t), rule))
             want = _contract(form, mu, M, sd.r)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(np.einsum("kab,ab->k", H, mu) - want)) <= 1e-13 * scale, (s, t)
@@ -712,9 +748,8 @@ def test_radial_pushforward_matches_the_moebius_action(rb):
     sp = spectral_param(sd.harmonic_s + 1.0, sd)
     rule = (boundary.sphere_rule(sd, level=5) if sd.r == 1
             else boundary.stiefel_rule(sd, samples=2000, seed=3))
-    coefs = poisson._radial_coefficients(sd, rule)
     for t in (0.0, 0.5, 2.0, 4.0, 8.0):
-        W, cw = poisson._radial_pushforward(sp, t, rule, coefs)
+        W, cw = poisson._radial_pushforward(sp, t, rule)
         assert W.shape == rule.nodes.shape
         want = group.mobius(group.radial(t, sd), rule.nodes)
         assert np.max(np.abs(W - want)) <= 1e-14 * math.exp(t), t
@@ -771,6 +806,18 @@ def test_transform_radial_rejects_bad_centers(sd11, sphere6, bad, route):
         poisson.transform_radial(spectral_param(2.5, sd11), f, centers, 1.0, sphere6)
 
 
+@pytest.mark.parametrize("centers", ["none", "one point", "wrong q", "flat"])
+def test_transform_radial_requires_a_stack_of_centers(sd11, sphere6, centers):
+    # centers are required: None (the removed single-point mode) and anything but an
+    # (N, r, q) stack are membership errors; a bad shape used to be reshaped into one
+    # silently ("flat") or to leak numpy's ValueError
+    U = sphere6.nodes[:4]
+    centers = {"none": None, "one point": U[0], "wrong q": U[..., :1],
+               "flat": U.reshape(4, -1)}[centers]
+    with pytest.raises(MembershipError, match=r"\(N, 1, 2\) stack"):
+        poisson.transform_radial(spectral_param(2.5, sd11), 1.0, centers, 1.0, sphere6)
+
+
 def test_transform_radial_matches_direct_rank_two(sd21):
     # at r = 2 both routes are equal-weight sums over the same Haar nodes of
     # two integrands with the same mean, so their gap is a mean of per-node
@@ -786,7 +833,7 @@ def test_transform_radial_matches_direct_rank_two(sd21):
         Z = math.tanh(t) * U
         via_radial = poisson.transform_radial(sp, f, U[None], t, rule)[0]
         direct = poisson.transform(sp, f, Z, rule)
-        W, cw = poisson._radial_pushforward(sp, t, rule, poisson._radial_coefficients(sd21, rule))
+        W, cw = poisson._radial_pushforward(sp, t, rule)
         d = cw / rule.weights * f(W @ M[0]) - poisson.kernel(sp, Z, rule.nodes) * f(rule.nodes)
         se = math.sqrt(np.sum(rule.weights**2 * np.abs(d - np.mean(d)) ** 2))
         assert abs(via_radial - direct) <= 4.0 * se
@@ -807,9 +854,10 @@ def test_transform_radial_grid_matches_per_t_calls(gate_cases, name):
             single = poisson.transform_radial(sp, g, centers, float(t), rule)
             assert single.shape == (len(centers),)
             assert np.array_equal(grid[:, j], single)
-        at_base = poisson.transform_radial(sp, g, None, t_grid, rule)
+        base = group.base_point(sd)[None]
+        at_base = poisson.transform_radial(sp, g, base, t_grid, rule)[0]
         assert at_base.shape == (len(t_grid),)
-        assert all(at_base[j] == poisson.transform_radial(sp, g, None, float(t), rule)
+        assert all(at_base[j] == poisson.transform_radial(sp, g, base, float(t), rule)[0]
                    for j, t in enumerate(t_grid))
 
 
