@@ -60,14 +60,11 @@ def logdet_ipzz(Z):
     return _logabsdet_small(_eye_minus(Z @ np.swapaxes(Z, -1, -2).conj()))
 
 
-def _logabsdet_izuh(Z, U):
-    # cross_logabsdet calls this form directly, so one call of it is one kernel call
-    return _logabsdet_small(_eye_minus(np.einsum("...rq,...sq->...rs", Z, U.conj())))
-
-
 def logabsdet_izuh(Z, U):
     """log|det(I_r - Z U^H)| pair by pair over broadcast-matched stacks (..., r, q)."""
-    return _logabsdet_izuh(np.asarray(Z, dtype=np.complex128), np.asarray(U, dtype=np.complex128))
+    Z = np.asarray(Z, dtype=np.complex128)
+    U = np.asarray(U, dtype=np.complex128)
+    return _logabsdet_small(_eye_minus(np.einsum("...rq,...sq->...rs", Z, U.conj())))
 
 
 def logabsdet_izu0(Z):
@@ -101,15 +98,13 @@ def radial_coefficients(V1):
     return tuple(coefs[1:])
 
 
-def radial_logweight(V1, t):
-    """log|det(cosh(t) I_r + sinh(t) V1)| for V1 of shape (..., r, r).
+def radial_logweight(coefs, t):
+    """log|det(cosh(t) I_r + sinh(t) V1)| from the coefficients radial_coefficients(V1).
 
-    V1 may also be given as its coefficients from radial_coefficients, which a
-    caller that weighs one node set at many t builds once. The weight is
-    log|sum_k cosh^(r-k)(t) sinh^k(t) e_k(V1)|; at r = 1 that is
+    A caller that weighs one node set at many t builds the coefficients once.
+    The weight is log|sum_k cosh^(r-k)(t) sinh^k(t) e_k(V1)|; at r = 1 that is
     log|cosh t + sinh t v|.
     """
-    coefs = V1 if isinstance(V1, tuple) else radial_coefficients(V1)
     t = float(t)
     sh, ch = np.sinh(t), np.cosh(t)
     r = len(coefs)
@@ -153,7 +148,7 @@ def cross_logabsdet(Z, U):
     """All-pairs log|det(I - Z_m U_n^H)|: (M,r,q) x (N,r,q) -> (M,N)."""
     Z = np.asarray(Z, dtype=np.complex128)
     U = np.asarray(U, dtype=np.complex128)
-    return _logabsdet_izuh(Z[:, None], U[None])
+    return logabsdet_izuh(Z[:, None], U[None])
 
 
 def jacobi_batch(k, alpha, beta, x):

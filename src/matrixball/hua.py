@@ -18,9 +18,11 @@ s^2 = nu^2 + 4(n + 1).
 Derivatives are left-invariant: (v_1..v_k F)(g) = d/dt_1 .. d/dt_k F(g e^(t_1 x_1) .. e^(t_k x_k))
 evaluated by central differences with precomputed stencil exponentials; each
 complexified direction v splits as v = X + iY over the real form. An
-operator's stencil plans are built once per call and step into one block of
-P points, stored side by side as one m x Pm matrix, so pushing the block to
-g is one matrix product. On Poisson kernels (on_kernels) that block serves
+operator's stencil (_Stencil) is built once per call and step as one block
+of P points, stored side by side as one m x Pm matrix, so pushing the block
+to g is one matrix product. One function (_stencil_sums) reduces the values on
+a step's block and Richardson-combines the two steps, for a single F
+(_assemble) as for kernels. On Poisson kernels (on_kernels) that block serves
 every (g, U) pair and s: each pair pushes its points and takes the
 kernel's log-determinant once, and each s costs one exponential and one
 contraction.
@@ -129,31 +131,12 @@ class FDScheme:
         return (-0.5, 0.5)
 
 
-def _tau(w: np.ndarray, J: np.ndarray) -> np.ndarray:
-    return -J @ w.conj().T @ J
-
-
 def _split_real(v: np.ndarray, J: np.ndarray):
     """v = X + iY with X, Y in the real form su(r, q)."""
-    t = _tau(v, J)
+    t = -J @ v.conj().T @ J
     X = 0.5 * (v + t)
     Y = (v - t) / 2j
     return X, Y
-
-
-def _as_batch(F):
-    """F on a stack of group elements, which must give one value per element.
-
-    Exceptions raised by F propagate.
-    """
-
-    def Fb(stack: np.ndarray) -> np.ndarray:
-        out = np.asarray(F(stack))
-        if out.shape != stack.shape[:1]:
-            raise DomainError("F must return one value per stacked element")
-        return out
-
-    return Fb
 
 
 @functools.lru_cache(maxsize=1024)
@@ -169,39 +152,6 @@ def _step_exps(parts_bytes: bytes, m: int, ts: tuple) -> np.ndarray:
     return E
 
 
-class _StencilPlan:
-    """Evaluation points and coefficients for one iterated derivative.
-
-    Each direction v = X + iY contributes the exponentials of its real parts at
-    every offset; the points are the products e^(t_1 R_1) .. e^(t_k R_k) over all
-    X/Y choices (combo) and offsets (sel), ordered combo-major with the first
-    axis slowest. Products and weights are formed left to right, one axis at a
-    time, for the whole batch.
-    """
-
-    def __init__(self, sd: StructureData, dirs, scheme: FDScheme, h: float):
-        J = group.jmatrix(sd)
-        m = sd.m
-        ts = tuple(h * o for o in scheme.offsets)
-        units = np.array([1.0, 1j])
-        cfs = np.array(scheme.coeffs)
-        mats = None  # (combos, sels, m, m)
-        ccoef = np.array([1.0 + 0.0j])  # (combos,)
-        for v in dirs:
-            parts = _split_real(np.asarray(v, dtype=np.complex128), J)
-            E = _step_exps(np.array(parts).tobytes(), m, ts)
-            if mats is None:
-                mats = E
-            else:
-                mats = (mats[:, None, :, None] @ E[None, :, None, :]).reshape(2 * len(mats), -1, m, m)
-            ccoef = (ccoef[:, None] * units).ravel()
-        w = ccoef[:, None]
-        for _ in dirs:
-            w = (w[:, :, None] * cfs).reshape(len(ccoef), -1)
-        self.mats = mats.reshape(-1, m, m)
-        self.coeffs = w.ravel() / h ** len(dirs)
-
-
 def lie_derivative(F, g: np.ndarray, dirs, scheme: FDScheme | None = None, *,
                    sd: StructureData) -> complex:
     """Iterated left-invariant derivative (v_1 ... v_k F)(g), k <= 3.
@@ -213,27 +163,45 @@ def lie_derivative(F, g: np.ndarray, dirs, scheme: FDScheme | None = None, *,
         scheme = FDScheme()
     if not 1 <= len(dirs) <= 3:
         raise DomainError("between one and three directions are supported")
-    return _assemble(_as_batch(F), np.asarray(g, dtype=np.complex128), sd, [(dirs, 1.0)], scheme)
+    return _assemble(F, np.asarray(g, dtype=np.complex128), sd, [(dirs, 1.0)], scheme)
 
 
 class _Stencil:
-    """Every term's stencil plan of one operator at one step h, in one (m, P, m) block.
+    """Every term's stencil of one operator at one step h, in one (m, P, m) block.
 
-    Point k is the matrix wide[:, k, :], so one product g @ wide.reshape(m, P m)
-    pushes all P points. Term k owns the points bounds[k]:bounds[k+1]. The
-    block is written term by term and lives only for the call that builds it.
+    Term k owns the points bounds[k]:bounds[k+1]: the products e^(t_1 R_1) ..
+    e^(t_k R_k) of the real parts R of its directions v = X + iY at every
+    offset, over all X/Y choices (combo) and offsets (sel), combo-major with
+    the first axis slowest, formed left to right one axis at a time. Point k is
+    the matrix wide[:, k, :], so one product g @ wide.reshape(m, P m) pushes all
+    P points.
     """
 
     def __init__(self, sd: StructureData, terms, scheme: FDScheme, h: float):
-        sizes = [(2 * len(scheme.offsets)) ** len(dirs) for dirs, _ in terms]
+        J = group.jmatrix(sd)
+        m = sd.m
+        ts = tuple(h * o for o in scheme.offsets)
+        units = np.array([1.0, 1j])
+        cfs = np.array(scheme.coeffs)
+        sizes = [(2 * len(ts)) ** len(dirs) for dirs, _ in terms]
         self.bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.weights = [weight for _, weight in terms]
-        self.wide = np.empty((sd.m, self.bounds[-1], sd.m), dtype=np.complex128)
+        self.wide = np.empty((m, self.bounds[-1], m), dtype=np.complex128)
         self.coeffs = np.empty(self.bounds[-1], dtype=np.complex128)
         for (dirs, _), lo, hi in zip(terms, self.bounds[:-1], self.bounds[1:]):
-            plan = _StencilPlan(sd, dirs, scheme, h)
-            self.wide[:, lo:hi] = plan.mats.transpose(1, 0, 2)
-            self.coeffs[lo:hi] = plan.coeffs
+            mats = None  # (combos, sels, m, m)
+            ccoef = np.array([1.0 + 0.0j])  # (combos,)
+            for v in dirs:
+                parts = _split_real(np.asarray(v, dtype=np.complex128), J)
+                E = _step_exps(np.array(parts).tobytes(), m, ts)
+                mats = E if mats is None else (
+                    mats[:, None, :, None] @ E[None, :, None, :]).reshape(2 * len(mats), -1, m, m)
+                ccoef = (ccoef[:, None] * units).ravel()
+            w = ccoef[:, None]
+            for _ in dirs:
+                w = (w[:, :, None] * cfs).reshape(len(ccoef), -1)
+            self.wide[:, lo:hi] = mats.reshape(-1, m, m).transpose(1, 0, 2)
+            self.coeffs[lo:hi] = w.ravel() / h ** len(dirs)
 
     def points(self, g: np.ndarray) -> np.ndarray:
         """The pushed points g M_k as a (P, m, m) view of one (m, P m) product."""
@@ -254,24 +222,33 @@ class _Stencil:
         return out
 
 
-def _extrapolate(at, scheme: FDScheme) -> list:
-    """The list at(h) at the scheme's step, Richardson-combined with the half step."""
-    A = at(scheme.step)
+def _stencil_sums(sd, terms, scheme: FDScheme, blocks) -> list:
+    """The reduced sum of every value block that blocks(stencil) yields, one per block.
+
+    The stencil is built at the scheme's step h; with Richardson on, also at
+    h/2, and the two lists A and B combine to (2^order B - A) / (2^order - 1).
+    """
+    sums = []
+    for h in (scheme.step, scheme.step / 2.0) if scheme.richardson else (scheme.step,):
+        stencil = _Stencil(sd, terms, scheme, h)
+        sums.append(list(map(stencil.reduce, blocks(stencil))))  # holds no block past its reduce
     if not scheme.richardson:
-        return A
-    B = at(scheme.step / 2.0)
+        return sums[0]
     fac = 2.0 ** scheme.order
-    return [(fac * b - a) / (fac - 1.0) for a, b in zip(A, B)]
+    return [(fac * b - a) / (fac - 1.0) for a, b in zip(*sums)]
 
 
-def _assemble(Fb, g, sd, terms, scheme: FDScheme):
+def _assemble(F, g, sd, terms, scheme: FDScheme):
     """Sum_k (iterated derivative along dirs_k) * weight_k, all stencils in one F call."""
 
-    def at(h):
-        stencil = _Stencil(sd, terms, scheme, h)
-        return [stencil.reduce(Fb(stencil.points(g)))]
+    def blocks(stencil):
+        stack = stencil.points(g)
+        vals = np.asarray(F(stack))
+        if vals.shape != stack.shape[:1]:
+            raise DomainError("F must return one value per stacked element")
+        return [vals]
 
-    return _extrapolate(at, scheme)[0]
+    return _stencil_sums(sd, terms, scheme, blocks)[0]
 
 
 def _second_terms(basis: LieBasis):
@@ -323,7 +300,7 @@ def _operator(basis: LieBasis, which: str, scheme: FDScheme | None):
 
 def _apply(which: str, F, g, basis: LieBasis, scheme: FDScheme | None):
     terms, scheme = _operator(basis, which, scheme)
-    return _assemble(_as_batch(F), np.asarray(g, dtype=np.complex128), basis.sd, terms, scheme)
+    return _assemble(F, np.asarray(g, dtype=np.complex128), basis.sd, terms, scheme)
 
 
 def hua_third_U(F, g, basis: LieBasis, scheme: FDScheme | None = None) -> np.ndarray:
@@ -375,15 +352,13 @@ def on_kernels(which: str, sp_list, pairs, basis: LieBasis,
     terms, scheme = _operator(basis, which, scheme)
     pairs = [(np.asarray(g, dtype=np.complex128), U) for g, U in pairs]
 
-    def at(h):
-        stencil = _Stencil(sd, terms, scheme, h)
-        out = []
+    def blocks(stencil):
         for g, U in pairs:
             expo = _kernel_exponent(stencil.points(g), U, sd)
-            out.extend(stencil.reduce(np.exp(sp.sigma * expo)) for sp in sp_list)
-        return out
+            for sp in sp_list:
+                yield np.exp(sp.sigma * expo)
 
-    vals = _extrapolate(at, scheme)
+    vals = _stencil_sums(sd, terms, scheme, blocks)
     return np.array(vals).reshape((len(pairs), len(sp_list)) + np.shape(vals[0]))
 
 
@@ -412,6 +387,14 @@ def eigen_residual(sp: SpectralParam, g: np.ndarray, U: np.ndarray, basis: LieBa
     return eigen_residuals([sp], [(g, U)], basis, scheme)[0][0]
 
 
+def _shilov_point(sd: StructureData, seed: int) -> np.ndarray:
+    """A seeded Shilov point U: a complex Gaussian q x r draw made unitary, conjugate-transposed."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(sd.q, sd.r)) + 1j * rng.normal(size=(sd.q, sd.r))
+    Q, _ = linalg.qr_unitary(v)
+    return Q[:, : sd.r].conj().T
+
+
 def measure_fd_order(sp: SpectralParam, basis: LieBasis, order: int = 4,
                      seed: int = 23) -> float:
     """Observed convergence order: log2 of the residual drop from step 4e-2 to 2e-2.
@@ -421,10 +404,7 @@ def measure_fd_order(sp: SpectralParam, basis: LieBasis, order: int = 4,
     """
     sd = sp.sd
     g = group.random_group_element(seed, 0.3, sd)
-    rng = np.random.default_rng(seed + 1)
-    v = rng.normal(size=(sd.q, sd.r)) + 1j * rng.normal(size=(sd.q, sd.r))
-    Q, _ = linalg.qr_unitary(v)
-    U = Q[:, : sd.r].conj().T
+    U = _shilov_point(sd, seed + 1)
     res = [eigen_residual(sp, g, U, basis, FDScheme(step=h, order=order, richardson=False))
            for h in (4e-2, 2e-2)]
     return math.log2(res[0] / res[1])
@@ -443,13 +423,7 @@ def _sample_pairs(sd: StructureData, samples: int, seed: int):
     if samples < 1:
         raise DomainError("need at least one sample point (got %d)" % samples)
     gs = group.random_group_element([seed + 7 * i for i in range(samples)], 0.25, sd)
-    out = []
-    for i, g in enumerate(gs):
-        rng = np.random.default_rng(seed + 7 * i + 3)
-        v = rng.normal(size=(sd.q, sd.r)) + 1j * rng.normal(size=(sd.q, sd.r))
-        Q, _ = linalg.qr_unitary(v)
-        out.append((g, Q[:, : sd.r].conj().T))
-    return out
+    return [(g, _shilov_point(sd, seed + 7 * i + 3)) for i, g in enumerate(gs)]
 
 
 def ratio_law(s, sd: StructureData) -> complex:
@@ -469,7 +443,7 @@ def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None
     s^2 = (n/r)^2 + 4(n + 1) in sp_list, where the relative error is
     undefined or ill-conditioned.
 
-    U and W are one on_kernels call each: their plans are built once per
+    U and W are one on_kernels call each: each builds one stencil per
     step, and the stencil points and kernel exponents of each sample are
     shared by every s.
     """

@@ -493,19 +493,22 @@ def _fatou_limit(sp: SpectralParam, y: np.ndarray, dt: float) -> np.ndarray:
     A row's limit is its last Richardson extrapolant with the correction
     exponents the theory fixes; it has converged when its last two
     extrapolants differ by at most FATOU_REL_TOL times the largest final
-    value of y. A row that has not raises ConvergenceError, with the
-    admissibility condition echoed.
+    value of y. A row that has not raises ConvergenceError, which names the
+    admissibility condition when s fails it and the grid's radii otherwise.
     """
     previous, limits = _richardson_limit(y, dt, _correction_exponents(sp))
     scale = max(float(np.max(np.abs(y[..., -1]))), 1e-300)
     converged = np.abs(limits - previous) <= FATOU_REL_TOL * scale
     if not np.all(converged):
-        raise ConvergenceError(
-            "renormalized tail fails to converge at %d of %d nodes; the limit "
-            "requires admissible s (Re s > %g, here Re s = %g)"
-            % (np.count_nonzero(~converged), converged.size, sp.sd.admissibility_threshold,
-               sp.s.real)
-        )
+        threshold = sp.sd.admissibility_threshold
+        if sp.admissible:
+            why = "s is admissible (Re s = %g > %g); the grid has %d radii at step %g" % (
+                sp.s.real, threshold, y.shape[-1], dt)
+        else:
+            why = "the limit requires admissible s (Re s > %g, here Re s = %g)" % (
+                threshold, sp.s.real)
+        raise ConvergenceError("renormalized tail fails to converge at %d of %d nodes; %s"
+                               % (np.count_nonzero(~converged), converged.size, why))
     return limits
 
 

@@ -403,11 +403,12 @@ def criterion_fatou(seed: int = 7, profile: str = "full") -> CriterionResult:
 def check_domination(sd, s_values, t_list):
     """Criterion 8 on one domain: |Psi_t| <= Phi at every t on the Heisenberg
     chart (which must have at least 1000 nodes), and Phi in L^1; the heights
-    are shared across s. worst is the largest excess of Psi_t over Phi."""
+    are shared across s. worst is the largest excess of Psi_t over Phi, and
+    details' worst_from names its s (the first on a tie)."""
     chart = boundary.heisenberg_chart(sd)
     details = {"chart_nodes": len(chart)}
     ok = len(chart) >= 1000
-    worst = 0.0
+    named = []  # (s, max_excess) per s
     reps = fatou.domination_check([spectral_param(s, sd) for s in s_values], t_list, chart)
     for s, rep in zip(s_values, reps):
         details["s_%s" % s] = {
@@ -415,7 +416,8 @@ def check_domination(sd, s_values, t_list):
             "max_excess": rep.max_excess, "phi_integral": rep.phi_integral,
         }
         ok = ok and rep.ok
-        worst = max(worst, rep.max_excess)
+        named.append(("s=%s" % s, rep.max_excess))
+    details["worst_from"], worst = max(named, key=lambda item: item[1])
     return worst, ok, details
 
 

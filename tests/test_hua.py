@@ -255,10 +255,10 @@ def test_stencil_plan_matches_loop(r, b, mixed, order):
     scheme = hua.FDScheme(step=2e-2, order=order)
     for dirs in ((vp[0],), (vp[0], vm[-1]), (vm[0], vm[-1], vp[0]), (vp[-1], vp[-1], vp[-1])):
         for h in (scheme.step, scheme.step / 2.0):
-            plan = hua._StencilPlan(sd, dirs, scheme, h)
+            stencil = hua._Stencil(sd, [(dirs, 1.0)], scheme, h)
             mats, coeffs = stencil_oracle(sd, dirs, scheme, h)
-            assert np.array_equal(plan.mats, mats)
-            assert np.array_equal(plan.coeffs, coeffs)
+            assert np.array_equal(stencil.wide.transpose(1, 0, 2), mats)
+            assert np.array_equal(stencil.coeffs, coeffs)
 
 
 def test_stencil_exponentials_computed_once(sd11, monkeypatch):
@@ -333,27 +333,27 @@ def test_eigen_residuals_match_per_pair_loop(sd11):
 def count_plans(monkeypatch):
     built = []
 
-    class CountingPlan(hua._StencilPlan):
+    class CountingStencil(hua._Stencil):
         def __init__(self, *args):
             built.append(1)
             super().__init__(*args)
 
-    monkeypatch.setattr(hua, "_StencilPlan", CountingPlan)
+    monkeypatch.setattr(hua, "_Stencil", CountingStencil)
     return built
 
 
 def test_third_order_ratio_builds_each_plan_once(sd11, monkeypatch):
-    # 2 operators x 6 non-zero terms x 2 Richardson steps, whatever the number of s and samples
+    # one stencil per operator and Richardson step, whatever the number of s and samples
     built = count_plans(monkeypatch)
     hua.third_order_ratio([spectral_param(s, sd11) for s in (2.4, 3.2, 4.4, 5.2)], samples=3)
-    assert len(built) == 2 * 6 * 2
+    assert len(built) == 2 * 2
 
 
 def test_check_hua_builds_each_plan_once(sd11, monkeypatch):
-    # one operator x 2 non-zero terms x 2 Richardson steps covers every s and the harmonic point
+    # one stencil per Richardson step covers every s and the harmonic point
     built = count_plans(monkeypatch)
     suite.check_hua(sd11, (2.0, 3.0), 3, 7)
-    assert len(built) == 2 * 2
+    assert len(built) == 2
 
 
 # non-zero terms per domain: (second order, each third-order operator)
@@ -427,7 +427,7 @@ def test_stencil_points_match_plan_products(r, b, which):
     terms, scheme = hua._operator(hua.hua_basis(sd), which, None)
     stencil = hua._Stencil(sd, terms, scheme, scheme.step)
     g = hua._sample_pairs(sd, 1, seed=5)[0][0]
-    want = np.concatenate([g @ hua._StencilPlan(sd, dirs, scheme, scheme.step).mats
+    want = np.concatenate([g @ stencil_oracle(sd, dirs, scheme, scheme.step)[0]
                            for dirs, _ in terms])
     got = stencil.points(g)
     assert got.shape == want.shape

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used or re-exported, the
-names the benchmark's tracer wraps still exist, every benchmark workload
+"""Source hygiene: every name a module imports is used or re-exported, every
+private module-level name is read by library code, the names the
+benchmark's tracer wraps still exist, every benchmark workload
 still runs and passes at its smoke sizes, and the library neither imports
 scipy nor loads a module after its own import."""
 
@@ -45,6 +46,62 @@ def test_no_unused_imports(path):
 def test_unused_import_detected():
     src = "import os\nfrom .x import a, b as c\n__all__ = ['a']\n"
     assert _unused_imports(ast.parse(src)) == [(1, "os"), (2, "c")]
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level private names (one leading underscore or more) -> their defining node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def _unreferenced_private_names(trees: dict) -> list:
+    """(module, name) for each private module-level name of `trees` (module -> ast.Module)
+    that no code reads, as a bare name or an attribute, outside its own definition."""
+    reads = []  # (module, name, node)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.id, node))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.attr, node))
+    out = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree).items():
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(n == name and not (m == module and id(node) in inside)
+                       for m, n, node in reads):
+                out.append((module, name))
+    return sorted(out)
+
+
+def test_every_private_name_is_used_in_the_library():
+    # a private helper that only tests reach is dead code that the tests keep alive
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unused = _unreferenced_private_names(trees)
+    assert not unused, "private names no library code reads: %s" % (
+        ", ".join("%s:%s" % item for item in unused))
+
+
+def test_unreferenced_private_name_detected():
+    a = ("_LIMIT = 3\n"
+         "class _Plan:\n    pass\n"
+         "def _walk(n):\n    return _walk(n - 1)\n"
+         "def _used():\n    return _LIMIT\n"
+         "def public():\n    return _used()\n")
+    b = "import a\nx = a._Plan\n"
+    trees = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
+    assert _unreferenced_private_names(trees) == [("a.py", "_walk")]
+    assert _unreferenced_private_names({"a.py": ast.parse(a)}) == [("a.py", "_Plan"), ("a.py", "_walk")]
 
 
 def _bench_module(name: str):

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from matrixball import cli, suite
+from matrixball import cli, fatou, suite
 from matrixball.structure import structure_data
 
 
@@ -165,6 +165,26 @@ def test_hua_criteria_name_the_s_and_sample_that_set_worst():
     k = details["s_values"].index(float(s[2:]))
     assert worst == {"cv": details["cvs"], "law_err": details["law_errs"]}[which][k]
     assert worst == max(details["cvs"] + details["law_errs"])
+
+
+def test_domination_names_the_s_that_set_worst(monkeypatch):
+    # both s of criterion 8 have excess 0.0: the first s of the tie is named
+    worst, details = _criterion(8)
+    assert details["worst_from"] == "s=1.5"
+    assert worst == details["s_1.5"]["max_excess"] == details["s_3.0"]["max_excess"]
+    # with distinct excesses the largest is named, and the first of equal ones
+    excesses = [0.0, 3e-11, 3e-11]
+    real = fatou.domination_check
+
+    def shifted(sps, t_list, chart):
+        reps = real(sps, t_list, chart)
+        for rep, excess in zip(reps, excesses):
+            rep.max_excess = excess
+        return reps
+
+    monkeypatch.setattr(fatou, "domination_check", shifted)
+    worst, _, details = suite.check_domination(structure_data(1, 1), (1.5, 2.0, 3.0), (0.5,))
+    assert (worst, details["worst_from"]) == (3e-11, "s=2.0")
 
 
 def test_cocycle_kernel_cs_and_schur_name_the_sub_check_that_set_worst():

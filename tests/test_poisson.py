@@ -185,6 +185,7 @@ def test_real_s_profile_matches_complex_reference(r, b):
     else:
         rule = boundary.stiefel_rule(sd, samples=20000, seed=17)
         V1 = rule.nodes[..., :, :r]
+    coefs = _kernels.radial_coefficients(V1)
     t_grid = np.arange(0.0, 8.01, 0.5)
     for s in ((1.5, 2.5, 5.0) if r == 1 else (2.5, 4.0)):
         sp = spectral_param(s, sd)
@@ -192,7 +193,7 @@ def test_real_s_profile_matches_complex_reference(r, b):
         assert vals.dtype == np.complex128 and np.all(vals.imag == 0)
         sigma = complex(s - sd.harmonic_s)
         for i, t in enumerate(t_grid):
-            ref = np.dot(rule.weights, np.exp(sigma * _kernels.radial_logweight(V1, t)))
+            ref = np.dot(rule.weights, np.exp(sigma * _kernels.radial_logweight(coefs, t)))
             assert abs(vals[i] - ref) <= 1e-13 * abs(ref), (s, t)
 
 
@@ -391,6 +392,20 @@ def test_cs_all_reuses_a_given_chart(sd11, monkeypatch):
     monkeypatch.setattr(boundary, "heisenberg_chart", no_chart)
     for s in s_values:
         assert details["s_%s" % s]["direct"] == poisson._cs_direct(spectral_param(s, sd11), charts[0])
+
+
+def test_fatou_limit_names_admissibility_only_when_s_fails_it(sd11):
+    # an alternating row has no limit; at admissible s the error used to say the
+    # limit "requires admissible s (Re s > 0, here Re s = 2.5)"
+    y = np.stack([np.ones(9), (-1.0) ** np.arange(9)])
+    with pytest.raises(ConvergenceError) as exc:
+        poisson._fatou_limit(spectral_param(2.5, sd11), y, 0.5)
+    assert str(exc.value) == ("renormalized tail fails to converge at 1 of 2 nodes; s is admissible "
+                              "(Re s = 2.5 > 0); the grid has 9 radii at step 0.5")
+    with pytest.raises(ConvergenceError) as exc:
+        poisson._fatou_limit(spectral_param(-0.5, sd11), y, 0.5)
+    assert str(exc.value) == ("renormalized tail fails to converge at 1 of 2 nodes; the limit "
+                              "requires admissible s (Re s > 0, here Re s = -0.5)")
 
 
 def test_cs_requires_admissible(sd21):
