@@ -3,13 +3,12 @@
 Ten subcommands mirror a criterion: each is a thin call of that criterion's
 check function in `suite` on the flags' domain and s, and passes exactly
 when the check would on those inputs. Pass rules and tolerances live in
-`suite`; --tol overrides the check's tolerance for the command line only, on
-the eight subcommands that have one (TOL_COMMANDS). --seed is the criterion
-seed. No subcommand takes --rule: rank one uses a sphere rule of --level and
-higher rank a Stiefel rule, which the four other subcommands (poisson phi and
-transform, fatou profile, ktypes spectrum) draw with --samples nodes
-(200000) at --seed. In a mirror
---samples sets
+`suite`; --tol overrides the check's tolerance for the command line only.
+--seed is the criterion seed. A subcommand takes the flags and --config keys
+of the RunConfig fields it reads (`reads`) alone; any other exits 2. No
+subcommand takes --rule: rank one uses a sphere rule of --level and higher
+rank a Stiefel rule, which poisson phi and transform and fatou profile draw
+with --samples nodes (200000) at --seed. In a mirror --samples sets
 
     group selftest   2  cocycle pairs (200)   fatou dominate   8  -
     hua check        4  sample points (5)     fatou sandwich   9  functions (20)
@@ -125,6 +124,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if fld.name in loaded and not _config_type_ok(fld.type, loaded[fld.name]):
                 raise DomainError("--config %s: %s must be %s, got %r"
                                   % (path, fld.name, fld.type, loaded[fld.name]))
+        unread = ", ".join(sorted(set(loaded) - set(args.fn.reads)))
+        if unread:
+            raise DomainError("--config %s: this subcommand does not read %s" % (path, unread))
         values.update(loaded)
     for key in values:
         flag = getattr(args, key, None)
@@ -139,8 +141,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in ("s_re", "s_im"):
         if not math.isfinite(values[key]):
             raise DomainError("--%s must be finite, got %r" % (key.replace("_", "-"), values[key]))
-    if values["tol"] is not None and not hasattr(args, "tol"):
-        raise DomainError("this subcommand has no tolerance for --tol to override")
     if values["tol"] is not None and not (math.isfinite(values["tol"]) and values["tol"] > 0):
         raise DomainError("--tol must be positive and finite, got %r" % (values["tol"],))
     return RunConfig(**values)
@@ -195,10 +195,11 @@ def emit_json(cfg: RunConfig, payload: dict, path: str):
 
 
 def emit_csv(cfg: RunConfig, header: str, rows, path: str):
+    config = cfg.as_dict()  # the seed line repeats the config's, whether read or not
     lines = [
         "# matrixball %s" % __version__,
-        "# config: %s" % json.dumps(_sanitize(cfg.as_dict()), sort_keys=True),
-        "# seed: %d" % cfg.seed,
+        "# config: %s" % json.dumps(_sanitize(config), sort_keys=True),
+        "# seed: %d" % config["seed"],
         "# wall-time: excluded from artifacts so reruns are byte-identical",
         header,
     ]
@@ -220,12 +221,17 @@ def _out_paths(cfg: RunConfig, stem: str):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _table(stem: str, header: str | None):
+# the fields cfg.s, cfg.t_grid() and build_rule read (--level at rank one, else the others)
+S, T_GRID, RULE = ("s_re", "s_im"), ("t_start", "t_stop", "t_step"), ("level", "samples", "seed")
+
+
+def _table(stem: str, header: str | None, reads: tuple):
     """Subcommand writing its artifacts to --out: a CSV of rows under `header`
     (none when header is None) and a JSON summary (none when it is None).
 
-    The decorated function maps (cfg, sd) to (rows, summary, line, passed);
-    the subcommand prints the line and exits 0 exactly when passed.
+    The decorated function maps (cfg, sd) to (rows, summary, line, passed),
+    reading the fields `reads`; the subcommand, which adds r, b and out to its
+    `reads`, prints the line and exits 0 exactly when passed.
     """
     def wrap(body):
         def cmd(cfg: RunConfig) -> int:
@@ -237,11 +243,12 @@ def _table(stem: str, header: str | None):
                 emit_json(cfg, summary, jp)
             print(line)
             return 0 if ok else 1
+        cmd.reads = ("r", "b") + reads + ("out",)
         return cmd
     return wrap
 
 
-@_table("structure", "root,multiplicity")
+@_table("structure", "root,multiplicity", ())
 def cmd_structure(cfg, sd):
     roots = restricted_roots(sd)
     payload = {"r": sd.r, "b": sd.b, "n": sd.n, "a": sd.a, "m": sd.m,
@@ -250,7 +257,7 @@ def cmd_structure(cfg, sd):
         sd.r, sd.b, sd.n, sd.a, sorted(roots.items())), True
 
 
-@_table("kernel", "t,kernel_re,kernel_im,horospherical_rel_err")
+@_table("kernel", "t,kernel_re,kernel_im,horospherical_rel_err", S + T_GRID + ("tol",))
 def cmd_poisson_kernel(cfg, sd):
     sp = spectral_param(cfg.s, sd)
     U0 = group.base_point(sd)
@@ -283,7 +290,7 @@ def _radial_rows(sp, t_grid, vals) -> list:
     return rows
 
 
-@_table("phi", "t,phi_re,phi_im,renormalized_abs")
+@_table("phi", "t,phi_re,phi_im,renormalized_abs", S + RULE + T_GRID)
 def cmd_poisson_phi(cfg, sd):
     sp = spectral_param(cfg.s, sd)
     rule = build_rule(cfg, sd)
@@ -293,7 +300,7 @@ def cmd_poisson_phi(cfg, sd):
         cfg.s, len(rule), rows[-1][3]), True
 
 
-@_table("transform", "t,value_re,value_im,renormalized_abs")
+@_table("transform", "t,value_re,value_im,renormalized_abs", S + RULE + T_GRID)
 def cmd_poisson_transform(cfg, sd):
     sp = spectral_param(cfg.s, sd)
     rule = build_rule(cfg, sd)
@@ -313,7 +320,7 @@ def _seeded_function(cfg: RunConfig, sd):
     return suite.trace_affine(sd, cfg.seed)
 
 
-@_table("fatou-profile", "node_index,t,re,im")
+@_table("fatou-profile", "node_index,t,re,im", S + RULE + T_GRID)
 def cmd_fatou_profile(cfg, sd):
     sp = spectral_param(cfg.s, sd)
     rule = build_rule(cfg, sd)
@@ -328,7 +335,7 @@ def cmd_fatou_profile(cfg, sd):
         cfg.s, len(nodes), tail), True
 
 
-@_table("spectrum", "p,q,coeff_re,coeff_im")
+@_table("spectrum", "p,q,coeff_re,coeff_im", ("level", "seed"))
 def cmd_ktypes_spectrum(cfg, sd):
     if sd.r != 1:
         raise DomainError("ktypes spectrum is rank-one only")
@@ -355,7 +362,7 @@ def _t_values(cfg: RunConfig, keep, need: str) -> list:
     return ts
 
 
-def _mirror(name: str, index: int):
+def _mirror(name: str, index: int, reads: tuple):
     """Subcommand running criterion `index`'s check on the flags' domain.
 
     The decorated function maps the flags to the check's inputs and returns
@@ -364,26 +371,27 @@ def _mirror(name: str, index: int):
     def wrap(inputs):
         def body(cfg, sd):
             worst, ok, details = inputs(cfg, sd)
-            line = "%s r=%d b=%d s=%s (criterion %d): worst %.3e -> %s" % (
-                name, cfg.r, cfg.b, cfg.s, index, worst, "ok" if ok else "FAIL")
+            line = "%s r=%d b=%d%s (criterion %d): worst %.3e -> %s" % (
+                name, cfg.r, cfg.b, " s=%s" % (cfg.s,) if "s_re" in reads else "", index, worst,
+                "ok" if ok else "FAIL")
             return None, {"worst": worst, "passed": ok, "details": details}, line, ok
-        cmd = _table(name.replace(" ", "-"), None)(body)
+        cmd = _table(name.replace(" ", "-"), None, reads)(body)
         cmd.criterion = index
         return cmd
     return wrap
 
 
-@_mirror("group selftest", 2)
+@_mirror("group selftest", 2, ("samples", "seed", "tol"))
 def cmd_group_selftest(cfg, sd):
     return suite.check_cocycle(sd, cfg.samples or 200, cfg.seed, **_tol(cfg))
 
 
-@_mirror("hua check", 4)
+@_mirror("hua check", 4, S + ("samples", "seed", "tol"))
 def cmd_hua_check(cfg, sd):
     return suite.check_hua(sd, [cfg.s], cfg.samples or 5, cfg.seed, **_tol(cfg))
 
 
-@_mirror("hua third-ratio", 5)
+@_mirror("hua third-ratio", 5, ("samples", "seed", "tol"))
 def cmd_hua_third_ratio(cfg, sd):
     # the criterion's s list, moved with the harmonic point r + b (the law's zero).
     # At (2, 2) it puts s = 7.2 only 0.011 from the law's pole sqrt(52); at 3
@@ -392,18 +400,18 @@ def cmd_hua_third_ratio(cfg, sd):
     return suite.check_third_order(sd, s_values, cfg.samples or 10, cfg.seed, **_tol(cfg))
 
 
-@_mirror("poisson cs", 6)
+@_mirror("poisson cs", 6, S + ("samples", "seed", "tol"))
 def cmd_poisson_cs(cfg, sd):
     return suite.check_cs(sd, [cfg.s], cfg.samples or suite.CS_SAMPLES, cfg.seed, **_tol(cfg))
 
 
-@_mirror("fatou limit", 7)
+@_mirror("fatou limit", 7, S + RULE + T_GRID + ("p", "tol"))
 def cmd_fatou_limit(cfg, sd):
     size = cfg.level if sd.r == 1 else cfg.samples or 10 ** 5
     return suite.check_fatou(sd, cfg.s, size, cfg.t_grid(), cfg.seed, cfg.p, **_tol(cfg))
 
 
-@_mirror("fatou dominate", 8)
+@_mirror("fatou dominate", 8, S + T_GRID)
 def cmd_fatou_dominate(cfg, sd):
     ts = _t_values(cfg, lambda t: t > 0, "> 0")
     return suite.check_domination(sd, [cfg.s], ts)
@@ -416,16 +424,16 @@ def _sandwich(functions: int):
     return inputs
 
 
-cmd_fatou_sandwich = _mirror("fatou sandwich", 9)(_sandwich(20))
-cmd_poisson_norms = _mirror("poisson norms", 9)(_sandwich(1))
+cmd_fatou_sandwich = _mirror("fatou sandwich", 9, S + RULE + T_GRID + ("p",))(_sandwich(20))
+cmd_poisson_norms = _mirror("poisson norms", 9, S + RULE + T_GRID + ("p",))(_sandwich(1))
 
 
-@_mirror("ktypes schur", 10)
+@_mirror("ktypes schur", 10, S + ("level", "seed", "tol"))
 def cmd_ktypes_schur(cfg, sd):
     return suite.check_schur(sd, cfg.s, 3, cfg.level, cfg.seed, **_tol(cfg))
 
 
-@_mirror("fatou invert", 11)
+@_mirror("fatou invert", 11, S + RULE + T_GRID + ("tol",))
 def cmd_fatou_invert(cfg, sd):
     ts = _t_values(cfg, lambda t: t >= 1.0, ">= 1")
     return suite.check_inversion(sd, cfg.s, cfg.samples or 1, cfg.level, ts, cfg.seed,
@@ -441,7 +449,7 @@ def _criterion_index(token: str) -> int:
 
 def cmd_suite(cfg: RunConfig) -> int:
     indices = None
-    if cfg.criteria:
+    if cfg.criteria is not None:  # "" is a malformed list, not "all"
         indices = sorted({_criterion_index(x)
                           for x in str(cfg.criteria).replace(" ", "").split(",")})
         bad = [i for i in indices if i not in suite.CRITERIA]
@@ -464,29 +472,29 @@ def cmd_suite(cfg: RunConfig) -> int:
     return 0 if n_pass == len(results) else 1
 
 
+cmd_suite.reads = ("seed", "profile", "criteria", "out")
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--r", type=int, help="rank r of the matrix ball (default 1)")
-    p.add_argument("--b", type=int, help="excess b = q - r >= 1 (default 1)")
-    p.add_argument("--s-re", type=float, dest="s_re", help="Re(s)")
-    p.add_argument("--s-im", type=float, dest="s_im", help="Im(s)")
-    p.add_argument("--p", type=float, help="L^p exponent")
-    p.add_argument("--level", type=int, help="quadrature level (deterministic rules)")
-    p.add_argument("--samples", type=int, help="sample count (Stiefel rules, batteries)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 7)")
-    p.add_argument("--t-start", type=float, dest="t_start")
-    p.add_argument("--t-stop", type=float, dest="t_stop")
-    p.add_argument("--t-step", type=float, dest="t_step")
-    p.add_argument("--out", help="output path prefix (directory for suite)")
-    p.add_argument("--config", help="JSON file with default flag values")
-
-
-# subcommands whose pass rule has a tolerance; --tol is registered on these alone
-TOL_COMMANDS = (cmd_group_selftest, cmd_poisson_kernel, cmd_hua_check, cmd_hua_third_ratio,
-                cmd_poisson_cs, cmd_fatou_limit, cmd_ktypes_schur, cmd_fatou_invert)
+# RunConfig field -> its flag's add_argument keywords; a subcommand registers those it reads
+FLAGS = {
+    "r": dict(type=int, help="rank r of the matrix ball (default 1)"),
+    "b": dict(type=int, help="excess b = q - r >= 1 (default 1)"),
+    "s_re": dict(type=float, help="Re(s)"),
+    "s_im": dict(type=float, help="Im(s)"),
+    "p": dict(type=float, help="L^p exponent"),
+    "level": dict(type=int, help="quadrature level (deterministic rules)"),
+    "samples": dict(type=int, help="sample count (Stiefel rules, batteries)"),
+    "seed": dict(type=int, help="RNG seed (default 7)"),
+    "t_start": dict(type=float), "t_stop": dict(type=float), "t_step": dict(type=float),
+    "out": dict(help="output path prefix (directory for suite)"),
+    "tol": dict(type=float, help="override the pass rule's tolerance, in the unit of its worst"),
+    "profile": dict(choices=("quick", "full"), help="battery size (default full)"),
+    "criteria": dict(help="comma-separated criterion indices (default all)"),
+}
 
 GROUPS = {
     "group": "group-level self tests",
@@ -532,19 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
                 gp = sub.add_parser(words[0], help=GROUPS[words[0]])
                 actions[words[0]] = gp.add_subparsers(dest="action", required=True)
             parent = actions[words[0]]
-        criterion = getattr(fn, "criterion", None)
-        if criterion is not None:
-            help_text += " (criterion %d's check)" % criterion
-        p = parent.add_parser(words[-1], help=help_text)
-        _common_flags(p)
-        if fn in TOL_COMMANDS:
-            p.add_argument("--tol", type=float,
-                           help="override the pass rule's tolerance, in the unit of its worst")
+        if hasattr(fn, "criterion"):
+            help_text += " (criterion %d's check)" % fn.criterion
+        p = parent.add_parser(words[-1], help=help_text, allow_abbrev=False)  # --p is no --profile
+        for name, kwargs in FLAGS.items():
+            if name in fn.reads:
+                p.add_argument("--" + name.replace("_", "-"), **kwargs)
+        p.add_argument("--config", help="JSON file with default flag values")
         p.set_defaults(fn=fn)
-        if fn is cmd_suite:
-            p.add_argument("--profile", choices=("quick", "full"),
-                           help="battery size (default full)")
-            p.add_argument("--criteria", help="comma-separated criterion indices (default all)")
     return ap
 
 
@@ -554,12 +557,9 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return args.fn(cfg)
-    except MatrixBallError as exc:
+    except (MatrixBallError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return exc.exit_code
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

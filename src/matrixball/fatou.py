@@ -91,8 +91,6 @@ def radial_profile(sp: SpectralParam, f, nodes, t_grid, rule: QuadratureRule) ->
     t_grid = _profile_grid(t_grid)
     _warn_inadmissible(sp)
     nodes = np.asarray(nodes, dtype=np.complex128)
-    if nodes.ndim == 2:
-        nodes = nodes[None]
     vals = poisson.transform_radial(sp, f, nodes, t_grid, rule)
     return RadialProfile(t_grid=t_grid, values=vals, nodes=nodes, growth=sp.growth)
 

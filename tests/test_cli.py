@@ -1,6 +1,7 @@
 """End-to-end command line checks: subprocess level, and in process through
 cli.main where only the exit code and the messages matter."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -95,16 +96,21 @@ def test_determinism_digests_independent_of_directory(tmp_path):
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"r": 1, "b": 2, "level": 5}))
-    # trailing separator requests directory semantics: <dir>/structure.json
+    cfg.write_text(json.dumps({"r": 1, "b": 1, "level": 3}))
+    # trailing separator requests directory semantics: <dir>/spectrum.json
     out = str(tmp_path) + os.sep
-    res = run_cli("structure", "--config", str(cfg), "--b", "3", "--out", out)
+    res = run_cli("ktypes", "spectrum", "--config", str(cfg), "--b", "2", "--out", out)
     assert res.returncode == 0
-    doc = json.loads(open(os.path.join(out, "structure.json")).read())
+    paths = [os.path.join(out, "spectrum" + ext) for ext in (".json", ".csv")]
+    blobs = [open(path).read() for path in paths]
+    doc = json.loads(blobs[0])
     # flag wins over file, file wins over default
-    assert doc["config"]["b"] == 3
-    assert doc["config"]["level"] == 5
-    assert doc["payload"]["b"] == 3
+    assert doc["config"]["b"] == 2
+    assert doc["config"]["level"] == 3
+    # and the run is the one the flags alone ask for, byte for byte
+    res = run_cli("ktypes", "spectrum", "--b", "2", "--level", "3", "--out", out)
+    assert res.returncode == 0
+    assert [open(path).read() for path in paths] == blobs
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -271,7 +277,7 @@ def test_tolerance_only_where_a_check_has_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tol": 1.0}))
     assert cli.main(["structure", "--config", str(cfg)]) == 2
-    assert "no tolerance" in capsys.readouterr().err
+    assert "this subcommand does not read tol" in capsys.readouterr().err
     # and where it exists it is read: the worst Hua residual is far above 1e-30
     assert cli.main(["hua", "check", "--samples", "2", "--tol", "1e-30"]) == 1
     assert "-> FAIL" in capsys.readouterr().out
@@ -318,8 +324,9 @@ def test_outside_inputs_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("criteria,token", [("a", "'a'"), ("1,,2", "''")])
+@pytest.mark.parametrize("criteria,token", [("a", "'a'"), ("1,,2", "''"), ("", "''")])
 def test_suite_non_integer_criteria_exits_2(criteria, token, capsys):
+    # an empty list is malformed like an empty entry; it does not mean "all"
     assert cli.main(["suite", "--criteria", criteria, "--profile", "quick"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --criteria") and token in err
@@ -397,3 +404,86 @@ def test_every_artifact_has_the_documented_layout(tmp_path):
             assert set(json.loads(path.read_text())) == {"version", "config", "payload"}, path
         for path in csvs:
             assert path.read_text().startswith("# matrixball "), path
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(cli.RunConfig))
+# a value of the right type for each RunConfig field, for --config files
+CONFIG_VALUES = {**cli.RunConfig().as_dict(), "samples": 5, "out": "run", "profile": "quick",
+                 "criteria": "1", "tol": 1.0}
+UNREAD = [(words, name) for words, fn, _ in cli.SUBCOMMANDS for name in cli.FLAGS
+          if name not in fn.reads]
+
+
+def test_subcommands_take_fewer_flags():
+    # 147 (subcommand, flag) pairs but --config, down from 214 when every subcommand
+    # took the same twelve flags
+    assert set(cli.FLAGS) == set(FIELDS)
+    assert sum(len(fn.reads) for _, fn, _ in cli.SUBCOMMANDS) == 147
+
+
+@pytest.mark.parametrize("words,name", UNREAD, ids=[" ".join(w) + " " + n for w, n in UNREAD])
+def test_a_field_the_subcommand_does_not_read_exits_2(tmp_path, capsys, words, name):
+    # as a flag, argparse does not know it, nor takes it for a longer flag's prefix
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(words) + [flag, str(CONFIG_VALUES[name])])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+    # as a --config key of the right type, resolve_config rejects it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: CONFIG_VALUES[name]}))
+    assert cli.main(list(words) + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: --config %s: this subcommand does not read %s\n" % (
+        cfg, name)
+
+
+class _Recording(cli.RunConfig):
+    """A RunConfig noting in `read` each field read outside as_dict."""
+
+    def __getattribute__(self, name):
+        if name in FIELDS:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+    def as_dict(self):
+        return {name: self.__dict__[name] for name in FIELDS}
+
+
+# build_rule reads --samples and --seed above rank one, and fatou limit its --samples
+RANK_TWO = {
+    "poisson transform": (("--samples", "64", "--t-stop", "1"), 0),
+    "poisson phi": (("--samples", "64", "--t-stop", "1"), 0),
+    "fatou profile": (("--samples", "64", "--t-stop", "1"), 0),
+    "fatou limit": (("--samples", "512"), 0),
+    "ktypes spectrum": ((), 2),  # rank-one only
+}
+
+
+@pytest.mark.parametrize("words,fn", [(words, fn) for words, fn, _ in cli.SUBCOMMANDS],
+                         ids=[" ".join(words) for words, _, _ in cli.SUBCOMMANDS])
+def test_each_subcommand_reads_the_fields_it_declares(tmp_path, monkeypatch, words, fn):
+    name = " ".join(words)
+    runs = [(CHEAP_FLAGS[name], 0)]
+    if name in RANK_TWO:
+        flags, code = RANK_TWO[name]
+        runs.append((("--r", "2") + flags, code))
+    read = set()
+    resolve = cli.resolve_config
+
+    def recording(args):
+        cfg = _Recording(**resolve(args).as_dict())
+        cfg.read = read
+        return cfg
+
+    monkeypatch.setattr(cli, "resolve_config", recording)
+    for flags, code in runs:
+        assert cli.main(list(words) + list(flags) + ["--out", str(tmp_path) + os.sep]) == code
+    assert read == set(fn.reads)
+
+
+@pytest.mark.parametrize("words", [("hua", "third-ratio"), ("group", "selftest")], ids=" ".join)
+def test_a_mirror_names_s_only_if_it_reads_it(capsys, words):
+    # hua third-ratio checks criterion 5's own s list, group selftest no s at all
+    assert cli.main(list(words) + list(CHEAP_FLAGS[" ".join(words)])) == 0
+    line = capsys.readouterr().out
+    assert "-> ok" in line and "s=" not in line

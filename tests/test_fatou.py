@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from matrixball import boundary, fatou, ktypes, poisson, suite
-from matrixball.errors import AdmissibilityError, ConvergenceError, DomainError
+from matrixball.errors import AdmissibilityError, ConvergenceError, DomainError, MembershipError
 from matrixball.structure import spectral_param, structure_data
 
 PHI_ORACLE = {
@@ -370,3 +370,11 @@ def test_boundary_limit_does_not_import_scipy_optimize():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_radial_profile_takes_a_stack_of_nodes_only(sd11, sphere6):
+    # one Shilov point is no stack: like transform_radial, the profile does not
+    # promote it to one centre
+    sp = spectral_param(2.5, sd11)
+    with pytest.raises(MembershipError, match="stack"):
+        fatou.radial_profile(sp, 1.0, sphere6.nodes[0], np.array([0.0, 1.0]), sphere6)
