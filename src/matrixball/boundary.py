@@ -83,6 +83,17 @@ def _require_level(level: int):
         raise DomainError("a quadrature level must be non-negative, got %r" % (level,))
 
 
+# largest node count of sphere_rule and stiefel_rule: 2^22 nodes of a b = 3 sphere rule
+# and their weights hold 300 MB, before a transform pushes copies of them
+MAX_NODES = 2 ** 22
+
+
+def _require_budget(rule: str, nodes: int):
+    if nodes > MAX_NODES:
+        raise DomainError("%s would build %d nodes, over the budget of %d (MAX_NODES)"
+                          % (rule, nodes, MAX_NODES))
+
+
 def sphere_rule(sd: StructureData, level: int, panels: int = 1) -> QuadratureRule:
     """Deterministic product rule on the unit sphere of C^(1+b) (rank one).
 
@@ -90,7 +101,8 @@ def sphere_rule(sd: StructureData, level: int, panels: int = 1) -> QuadratureRul
     panels > 1 the radial coordinate |U_1|^2 is integrated on geometric
     subintervals accumulating at 1, which resolves integrands that develop a
     boundary layer at U_1 = -1 (deep radial Poisson weights). A negative
-    level raises DomainError.
+    level, or a rule of more than MAX_NODES nodes, raises DomainError before
+    any allocation.
     """
     if sd.r != 1:
         raise DomainError("sphere_rule is rank-one only; use stiefel_rule for r >= 2")
@@ -98,6 +110,7 @@ def sphere_rule(sd: StructureData, level: int, panels: int = 1) -> QuadratureRul
     b = sd.b
     n_gl = level + b + 1
     n_ph = 2 * level + 1
+    _require_budget("sphere_rule", n_gl * max(panels, 1) * n_gl ** (b - 1) * n_ph ** (b + 1))
 
     # stick-breaking simplex coordinates for (|U_1|^2, ..., |U_{b+1}|^2)
     x1, w1 = _panel_points(n_gl, panels)
@@ -132,8 +145,7 @@ def sphere_rule(sd: StructureData, level: int, panels: int = 1) -> QuadratureRul
     nodes = np.ascontiguousarray(nodes.T)[:, None, :]  # (N, 1, 1+b)
     weights = np.repeat(wx, Nph) / float(Nph)
 
-    return QuadratureRule(nodes=nodes.astype(np.complex128), weights=weights,
-                          kind="deterministic-sphere")
+    return QuadratureRule(nodes=nodes, weights=weights, kind="deterministic-sphere")
 
 
 # disk_rule's phase ladder when panels > 1: PHASE_POINTS Gauss-Legendre nodes on
@@ -310,11 +322,12 @@ def stiefel_rule(sd: StructureData, samples: int, seed: int) -> QuadratureRule:
     linalg.qr_unitary, which works on each node alone, so the nodes do not
     depend on the block size. At 2^m nodes each coordinate puts one point in
     every interval of length 2^-m. A sample count that is not a positive
-    integer, or a domain whose 2qr exceeds the embedded table of
-    SOBOL_DIRECTIONS, raises DomainError before any allocation.
+    integer or exceeds MAX_NODES, or a domain whose 2qr exceeds the embedded
+    table of SOBOL_DIRECTIONS, raises DomainError before any allocation.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise DomainError("stiefel samples must be a positive integer, got %r" % (samples,))
+    _require_budget("stiefel_rule", int(samples))
     q, r, block = sd.q, sd.r, _kernels.BLOCK
     if 2 * q * r > len(SOBOL_DIRECTIONS):
         raise DomainError("stiefel_rule needs 2qr = %d Sobol coordinates; the embedded Joe-Kuo "

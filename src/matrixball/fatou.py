@@ -8,9 +8,9 @@ single deep slice, checks the dominating-function bound behind the
 convergence proof, and verifies the two-sided Hardy-norm estimate.
 
 Results on the boundary are node values, not callables: boundary_limit
-reports f's estimate at the profile nodes (limits / cs), invert_l2 takes the
-slice F(., t) on the rule nodes and returns g_t there, and norm_sandwich reads
-the Hardy norms from poisson.hardy_profile.
+reports f's estimate at the profile nodes (limits / cs), invert_l2 takes
+slices F(., t) on the rule nodes and returns g_t there, and norm_sandwich
+reads the Hardy norms from poisson.hardy_profile.
 """
 
 import math
@@ -106,9 +106,9 @@ def zonal_profile(sp: SpectralParam, t_grid, rule: QuadratureRule | None = None)
     _warn_inadmissible(sp)
     if rule is None:
         rule = poisson._default_radial_rule(sp.sd, t_max=float(t_grid[-1]))
-    vals = poisson._phi_profile(sp, t_grid, rule)
+    vals = poisson._phi_profile([sp], t_grid, rule)
     nodes = group.base_point(sp.sd)[None]
-    return RadialProfile(t_grid=t_grid, values=vals[None, :], nodes=nodes, growth=sp.growth)
+    return RadialProfile(t_grid=t_grid, values=vals, nodes=nodes, growth=sp.growth)
 
 
 @dataclass
@@ -156,14 +156,14 @@ def boundary_limit(sp: SpectralParam, profile: RadialProfile, reference=None,
 
 
 def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: int):
-    """Weighted least-squares polynomial fit of boundary samples (rank one).
+    """Weighted least-squares polynomial fits of boundary samples (rank one).
 
     The design columns are T(u)[i] conj(T(u))[j] for the monomial table T of
     the q entries u (poisson._monomial_table) and deg i + deg j <= degree; the
     coefficient of column (i, j) is entry G[i, j] of a one-term form with P = I.
-    values is one slice (N,), giving (evaluator, relative L2 residual of the
-    fit on the nodes), or a stack (N, K) whose columns share one factorisation
-    of the design, giving a list of K evaluators and a (K,) array of residuals.
+    values is a stack (N, K) of slices whose columns share one factorisation
+    of the design; the fit gives a list of K evaluators and a (K,) array of
+    the relative L2 residuals of the fits on the nodes.
     """
     q = rule.nodes.shape[-1]
     T = poisson._monomial_table(rule.nodes.reshape(-1, q), degree)
@@ -172,39 +172,37 @@ def _band_limited_interpolant(rule: QuadratureRule, values: np.ndarray, degree: 
     I, J = np.nonzero(deg[:, None] + deg[None, :] <= degree)
     M = T[:, I] * T[:, J].conj()
     sw = np.sqrt(rule.weights)
-    V = values.reshape(len(M), -1)
-    coef, *_ = np.linalg.lstsq(M * sw[:, None], V * sw[:, None], rcond=None)
+    coef, *_ = np.linalg.lstsq(M * sw[:, None], values * sw[:, None], rcond=None)
     rel = [math.sqrt(max(np.dot(rule.weights, np.abs(M @ c - v) ** 2), 0.0))
            / max(math.sqrt(np.dot(rule.weights, np.abs(v) ** 2)), 1e-300)
-           for c, v in zip(coef.T, V.T)]
+           for c, v in zip(coef.T, values.T)]
     G = np.zeros((len(rel), len(deg), len(deg)), dtype=np.complex128)
     G[:, I, J] = coef.T
     evs = [poisson.PolynomialForm(np.eye(q)[None], g[None], (degree, degree)).evaluator()
            for g in G]
-    return (evs[0], rel[0]) if values.ndim == 1 else (evs, np.array(rel))
+    return evs, np.array(rel)
 
 
 def invert_l2(sp: SpectralParam, values, t, rule: QuadratureRule):
-    """Recover f on the rule nodes from one radial slice of its transform, or from a stack of them.
+    """Recover f on the rule nodes from a stack of radial slices of its transform.
 
     g_t(k) = |c_s|^-2 e^(2(n - r Re s)t) sum_h w_h conj(K_s(Z_t(k), U_h)) F(U_h, t)
     with Z_t(k) = tanh(t) U_k = mobius(k a_t, 0).
 
-    values: the slice F(U_h, t) = P_s f(k_h a_t . 0), one value per rule node
-    U_h (the data the literal node sum uses). A raw node sum aliases once the
-    kernel peak, of width ~ e^(-t), drops below the node spacing; instead the
-    slice is rebuilt as a polynomial of degree INVERSION_DEGREE (exact when f
-    is band-limited within it, least-squares otherwise, residual warned
-    about) and the h-integral is evaluated with the recentered radial
-    pushforward, whose accuracy is uniform in t.
+    values: an (N, K) stack, column k the slice F(U_h, t_k) = P_s f(k_h a_t_k . 0)
+    at each rule node U_h (the data the literal node sum uses), for a 1-D grid
+    t of K radii. A raw node sum aliases once the kernel peak, of width
+    ~ e^(-t), drops below the node spacing; instead each slice is rebuilt as a
+    polynomial of degree INVERSION_DEGREE (exact when f is band-limited within
+    it, least-squares otherwise, residual warned about) and the h-integral is
+    evaluated with the recentered radial pushforward, whose accuracy is
+    uniform in t.
     conj(K_s) = K_conj(s) since the kernel's log-arguments are real, so the
     h-integral is the Poisson transform of the slice at conj(s). Real part
-    of s is used in the renormalization (moduli are what converge). With one
-    radius t, values is (N,) and g_t at the rule nodes comes back, an (N,)
-    array. With t a 1-D grid of K radii, values is an (N, K) stack, one slice
-    per column, fitted with one factorisation of the design, and the call
-    returns (g, fit): g of shape (N, K), and the relative residual of each
-    column's fit, a (K,) array.
+    of s is used in the renormalization (moduli are what converge). The
+    columns are fitted with one factorisation of the design, and the call
+    returns (g, fit): g_t at the rule nodes, one column per radius, shape
+    (N, K), and the relative residual of each column's fit, a (K,) array.
     """
     poisson._require_admissible(sp)
     from .structure import spectral_param
@@ -212,14 +210,14 @@ def invert_l2(sp: SpectralParam, values, t, rule: QuadratureRule):
     sd = sp.sd
     if sd.r != 1:
         raise DomainError("invert_l2 slice reconstruction is rank-one only")
-    t = poisson._finite_t(t, "invert_l2 needs one finite t or a finite 1-D grid of them",
-                          lambda t: t.ndim <= 1)
+    t = poisson._finite_t(t, "invert_l2 needs a finite 1-D grid of radii",
+                          lambda t: t.ndim == 1)
     if np.min(t) < 1.0:
         warnings.warn("small t biases the inversion (t = %.2f)" % np.min(t), RuntimeWarning,
                       stacklevel=2)
     Fvals = np.asarray(values, dtype=np.complex128)
-    if Fvals.shape != (len(rule),) + t.shape:
-        raise DomainError("the slice needs one value per rule node (and a column per t), got "
+    if Fvals.shape != (len(rule), t.size):
+        raise DomainError("the slices need one value per rule node and a column per t, got "
                           "shape %s for %d radii" % (Fvals.shape, t.size))
     slices, fit_rel = _band_limited_interpolant(rule, Fvals, INVERSION_DEGREE)
     if np.max(fit_rel) > 1e-6:
@@ -233,8 +231,8 @@ def invert_l2(sp: SpectralParam, values, t, rule: QuadratureRule):
     cs2 = abs(poisson.c_s(sp)) ** -2
     g = [cs2 * math.exp(2.0 * (sd.n - sd.r * sp.s.real) * tk)
          * poisson.transform_radial(sp_conj, f, rule.nodes, tk, rule)
-         for f, tk in zip(slices if t.ndim else [slices], t.reshape(-1).tolist())]
-    return g[0] if t.ndim == 0 else (np.stack(g, axis=1), fit_rel)
+         for f, tk in zip(slices, t.tolist())]
+    return np.stack(g, axis=1), fit_rel
 
 
 @dataclass
@@ -251,19 +249,18 @@ class DominationReport:
         return all(v == 0 for v in self.violations) and np.isfinite(self.phi_integral)
 
 
-def domination_check(sp, t_list, chart: QuadratureRule):
+def domination_check(sp_list, t_list, chart: QuadratureRule) -> list:
     """Pointwise |Psi_t| <= Phi on the opposite-unipotent chart, and Phi in L1.
 
     Psi_t(nbar) carries exponent -(Re s . r + n) h1(nbar) + (Re s . r - n)
     h1(a_t nbar a_-t); the majorant Phi is e^(-2n h1) for Re s above
     (a/2)(r-1) + b + 1 and e^(-(Re s . r + n) h1) otherwise.
 
-    sp may be one spectral parameter or a sequence of them on one domain; with
-    a sequence the heights h1(a_t nbar a_-t) are computed once per t and shared
-    across all the parameters, and a list of reports (one per parameter) comes
-    back in order.
+    sp_list is a sequence of spectral parameters on one domain; the heights
+    h1(a_t nbar a_-t) are computed once per t and shared across all the
+    parameters, and a list of reports (one per parameter) comes back in order.
     """
-    sp_list, single = poisson._spectral_axis(sp)
+    sp_list = poisson._spectral_axis(sp_list)
     for x in sp_list:
         poisson._require_admissible(x)
     poisson._finite_t(t_list, "domination_check needs a non-empty, finite 1-D t list",
@@ -297,7 +294,7 @@ def domination_check(sp, t_list, chart: QuadratureRule):
             phi_integral=float(np.dot(chart.weights, phi)),
             n_nodes=len(chart),
         ))
-    return reports[0] if single else reports
+    return reports
 
 
 @dataclass
@@ -316,13 +313,13 @@ class SandwichReport:
         return all(self.lower_ok) and all(self.upper_ok)
 
 
-def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule):
+def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule) -> list:
     """Check |c_s| ||f||_p <= hardy_norm(P_s f) <= gamma_s ||f||_p per f, each
     bound within a relative SANDWICH_SLACK.
 
-    p may be a single exponent or a sequence, each finite and > 1; with a
-    sequence poisson.hardy_norm shares each f's transform across the
-    exponents, and a list of reports (one per p) comes back in order.
+    p is a sequence of exponents, each finite and > 1; poisson.hardy_norm
+    shares each f's transform across them, and a list of reports (one per p)
+    comes back in order.
     """
     poisson._require_admissible(sp)
     p_list = poisson._lp_exponents(p)
@@ -339,4 +336,4 @@ def norm_sandwich(sp: SpectralParam, p, f_list, t_grid, rule: QuadratureRule):
             lower_ok=[cs_abs * x <= y * (1.0 + SANDWICH_SLACK) for x, y in zip(fn, hn)],
             upper_ok=[y <= gamma * x * (1.0 + SANDWICH_SLACK) for x, y in zip(fn, hn)],
             slack=SANDWICH_SLACK))
-    return reports[0] if np.ndim(p) == 0 else reports
+    return reports

@@ -16,16 +16,16 @@ of the spectral parameter (ratio_law), with a zero at s = nu and a pole at
 s^2 = nu^2 + 4(n + 1).
 
 Derivatives are left-invariant: (v_1..v_k F)(g) = d/dt_1 .. d/dt_k F(g e^(t_1 x_1) .. e^(t_k x_k))
-evaluated by central differences with precomputed stencil exponentials; each
-complexified direction v splits as v = X + iY over the real form. An
-operator's stencil (_Stencil) is built once per call and step as one block
-of P points, stored side by side as one m x Pm matrix, so pushing the block
-to g is one matrix product. One function (_stencil_sums) reduces the values on
-a step's block and Richardson-combines the two steps, for a single F
-(_assemble) as for kernels. On Poisson kernels (on_kernels) that block serves
-every (g, U) pair and s: each pair pushes its points and takes the
-kernel's log-determinant once, and each s costs one exponential and one
-contraction.
+evaluated by fourth-order central differences (FD_OFFSETS, FD_WEIGHTS) with
+precomputed stencil exponentials; each complexified direction v splits as
+v = X + iY over the real form. An operator's stencil (_Stencil) is built once
+per call and step as one block of P points, stored side by side as one m x Pm
+matrix, so pushing the block to g is one matrix product. One function
+(_stencil_sums) reduces the values on a step's block and Richardson-combines
+the two steps, for an F on (P, m, m) stacks of group elements (_assemble) as
+for kernels. On Poisson kernels (on_kernels) that block serves every (g, U)
+pair and s: each pair pushes its points and takes the kernel's
+log-determinant once, and each s costs one exponential and one contraction.
 
 The kernel on a group element g = [[A, B], [C, D]] is one q x q determinant.
 g^H J g = J gives D^H D - B^H B = I_q, so at Z = g . 0 = B D^-1
@@ -55,7 +55,6 @@ __all__ = [
     "FDScheme",
     "ThirdOrderReport",
     "hua_basis",
-    "lie_derivative",
     "hua_second",
     "hua_third_U",
     "hua_third_W",
@@ -75,17 +74,17 @@ class LieBasis:
     pplus: np.ndarray  # (n, m, m)
     pminus: np.ndarray  # (n, m, m)
 
-    def validate(self, tol: float = 1e-13):
+    def validate(self):
         n = self.sd.n
         P = np.einsum("aij,bji->ab", self.pplus, self.pminus)
-        if np.max(np.abs(P - np.eye(n))) > tol:
+        if np.max(np.abs(P - np.eye(n))) > 1e-13:
             raise DomainError("p+/p- pairing is not the identity")
         r = self.sd.r
         for vj in self.pplus:
             for vi in self.pminus:
                 B = vj @ vi - vi @ vj
                 off = np.abs(B[:r, r:]).max() + np.abs(B[r:, :r]).max()
-                if off > tol:
+                if off > 1e-13:
                     raise DomainError("bracket [p+, p-] leaves the block diagonal")
 
 
@@ -106,29 +105,22 @@ def hua_basis(sd: StructureData) -> LieBasis:
     return basis
 
 
+# the fourth-order central difference of a first derivative: offsets in steps, and weights
+FD_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
+FD_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+FD_ORDER = 4
+
+
 @dataclass
 class FDScheme:
-    """Central-difference plan for group derivatives."""
+    """Step of the fourth-order central differences, and whether to Richardson-extrapolate."""
 
     step: float = 1e-2
-    order: int = 4
     richardson: bool = True
 
     def __post_init__(self):
         if not (1e-4 <= self.step <= 1e-1):
             raise DomainError("FD step must lie in [1e-4, 1e-1]")
-        if self.order not in (2, 4):
-            raise DomainError("FD order must be 2 or 4")
-
-    @property
-    def offsets(self):
-        return (-2.0, -1.0, 1.0, 2.0) if self.order == 4 else (-1.0, 1.0)
-
-    @property
-    def coeffs(self):
-        if self.order == 4:
-            return (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
-        return (-0.5, 0.5)
 
 
 def _split_real(v: np.ndarray, J: np.ndarray):
@@ -152,20 +144,6 @@ def _step_exps(parts_bytes: bytes, m: int, ts: tuple) -> np.ndarray:
     return E
 
 
-def lie_derivative(F, g: np.ndarray, dirs, scheme: FDScheme | None = None, *,
-                   sd: StructureData) -> complex:
-    """Iterated left-invariant derivative (v_1 ... v_k F)(g), k <= 3.
-
-    Complex directions are handled through the split v = X + iY over the real
-    form of sd's signature.
-    """
-    if scheme is None:
-        scheme = FDScheme()
-    if not 1 <= len(dirs) <= 3:
-        raise DomainError("between one and three directions are supported")
-    return _assemble(F, np.asarray(g, dtype=np.complex128), sd, [(dirs, 1.0)], scheme)
-
-
 class _Stencil:
     """Every term's stencil of one operator at one step h, in one (m, P, m) block.
 
@@ -177,12 +155,12 @@ class _Stencil:
     P points.
     """
 
-    def __init__(self, sd: StructureData, terms, scheme: FDScheme, h: float):
+    def __init__(self, sd: StructureData, terms, h: float):
         J = group.jmatrix(sd)
         m = sd.m
-        ts = tuple(h * o for o in scheme.offsets)
+        ts = tuple(h * o for o in FD_OFFSETS)
         units = np.array([1.0, 1j])
-        cfs = np.array(scheme.coeffs)
+        cfs = np.array(FD_WEIGHTS)
         sizes = [(2 * len(ts)) ** len(dirs) for dirs, _ in terms]
         self.bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.weights = [weight for _, weight in terms]
@@ -226,20 +204,21 @@ def _stencil_sums(sd, terms, scheme: FDScheme, blocks) -> list:
     """The reduced sum of every value block that blocks(stencil) yields, one per block.
 
     The stencil is built at the scheme's step h; with Richardson on, also at
-    h/2, and the two lists A and B combine to (2^order B - A) / (2^order - 1).
+    h/2, and the two lists A and B combine to (2^FD_ORDER B - A) / (2^FD_ORDER - 1).
     """
     sums = []
     for h in (scheme.step, scheme.step / 2.0) if scheme.richardson else (scheme.step,):
-        stencil = _Stencil(sd, terms, scheme, h)
+        stencil = _Stencil(sd, terms, h)
         sums.append(list(map(stencil.reduce, blocks(stencil))))  # holds no block past its reduce
     if not scheme.richardson:
         return sums[0]
-    fac = 2.0 ** scheme.order
+    fac = 2.0 ** FD_ORDER
     return [(fac * b - a) / (fac - 1.0) for a, b in zip(*sums)]
 
 
 def _assemble(F, g, sd, terms, scheme: FDScheme):
-    """Sum_k (iterated derivative along dirs_k) * weight_k, all stencils in one F call."""
+    """Sum_k (iterated derivative along dirs_k) * weight_k at g, all stencils in one call
+    of F, which maps a (P, m, m) stack of group elements to P values."""
 
     def blocks(stencil):
         stack = stencil.points(g)
@@ -328,13 +307,10 @@ def _kernel_exponent(stack: np.ndarray, U: np.ndarray, sd: StructureData) -> np.
 
 
 def lift_kernel(sp: SpectralParam, U: np.ndarray):
-    """F(g) = K_s(g . 0, U) as a batched function on stacks of group elements."""
+    """F(g) = K_s(g . 0, U) as a function on (P, m, m) stacks of group elements."""
 
     def F(stack: np.ndarray) -> np.ndarray:
-        stack = np.asarray(stack, dtype=np.complex128)
-        single = stack.ndim == 2
-        out = np.exp(sp.sigma * _kernel_exponent(stack[None] if single else stack, U, sp.sd))
-        return out[0] if single else out
+        return np.exp(sp.sigma * _kernel_exponent(np.asarray(stack, dtype=np.complex128), U, sp.sd))
 
     return F
 
@@ -395,8 +371,7 @@ def _shilov_point(sd: StructureData, seed: int) -> np.ndarray:
     return Q[:, : sd.r].conj().T
 
 
-def measure_fd_order(sp: SpectralParam, basis: LieBasis, order: int = 4,
-                     seed: int = 23) -> float:
+def measure_fd_order(sp: SpectralParam, basis: LieBasis, seed: int = 23) -> float:
     """Observed convergence order: log2 of the residual drop from step 4e-2 to 2e-2.
 
     Richardson is disabled so the raw truncation order of the stencil is what
@@ -405,7 +380,7 @@ def measure_fd_order(sp: SpectralParam, basis: LieBasis, order: int = 4,
     sd = sp.sd
     g = group.random_group_element(seed, 0.3, sd)
     U = _shilov_point(sd, seed + 1)
-    res = [eigen_residual(sp, g, U, basis, FDScheme(step=h, order=order, richardson=False))
+    res = [eigen_residual(sp, g, U, basis, FDScheme(step=h, richardson=False))
            for h in (4e-2, 2e-2)]
     return math.log2(res[0] / res[1])
 
@@ -432,8 +407,7 @@ def ratio_law(s, sd: StructureData) -> complex:
     return x / (x - 4.0 * (sd.n + 1))
 
 
-def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None,
-                      seed: int = 77) -> ThirdOrderReport:
+def third_order_ratio(sp_list, samples: int = 10, seed: int = 77) -> ThirdOrderReport:
     """Entrywise U/W ratios on kernels per s, their spread, and their error against ratio_law.
 
     For each spectral parameter the ratio of the two third-order operators on
@@ -453,8 +427,8 @@ def third_order_ratio(sp_list, samples: int = 10, scheme: FDScheme | None = None
     basis = hua_basis(sd)
     pairs = _sample_pairs(sd, samples, seed)
     r = sd.r
-    Us = on_kernels("U", sp_list, pairs, basis, scheme)[..., :r, r:]
-    Ws = on_kernels("W", sp_list, pairs, basis, scheme)[..., :r, r:]
+    Us = on_kernels("U", sp_list, pairs, basis)[..., :r, r:]
+    Ws = on_kernels("W", sp_list, pairs, basis)[..., :r, r:]
     ratios, cvs, law_errs = [], [], []
     for i, sp in enumerate(sp_list):
         entry_ratios = []

@@ -42,7 +42,7 @@ one, a direct integral over the opposite unipotent group (_cs_direct);
 
 The Hua-Hardy norm sup_t e^(-(r Re s - n)t) ||P_s f(. a_t)||_p is read from
 one transform_radial call over the whole t grid on the rule's nodes, shared
-across exponents (hardy_profile, hardy_norm).
+across a sequence of exponents (hardy_profile, hardy_norm).
 """
 
 import cmath
@@ -409,31 +409,29 @@ def phi_s(sp: SpectralParam, t, rule: QuadratureRule):
     array of the same shape.
     """
     t_grid = _finite_t(t)
-    vals = _phi_profile(sp, t_grid.reshape(-1), rule)
-    return complex(vals[0]) if t_grid.ndim == 0 else vals.reshape(t_grid.shape)
+    vals = _phi_profile([sp], t_grid.reshape(-1), rule)[0]
+    return vals.reshape(t_grid.shape)[()]  # [()] reads a 0-d array as its scalar
 
 
-def _spectral_axis(sp):
-    """One SpectralParam or a sequence of them as (list, single); a sequence must share one domain."""
-    single = isinstance(sp, SpectralParam)
-    sps = [sp] if single else list(sp)
+def _spectral_axis(sps) -> list:
+    """A sequence of SpectralParams as a list; it must be non-empty and share one domain."""
+    sps = list(sps)
     if not sps or any(x.sd != sps[0].sd for x in sps):
         raise DomainError("an s axis needs at least one s, all on one domain")
-    return sps, single
+    return sps
 
 
-def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
-    """phi_s on t_grid, as a complex128 array.
+def _phi_profile(sps, t_grid, rule: QuadratureRule) -> np.ndarray:
+    """phi_s on t_grid for each SpectralParam of sps (one domain), one complex128 row per s.
 
-    sp is one SpectralParam, giving a length-T array, or a sequence of them on
-    one domain, giving one row per s. The rule is a Shilov-point rule or the
-    rank-one disk rule; the radial weights come from coefficients built once
-    for the whole grid, and each t's log-weights are computed once, in
-    cache-sized blocks into one reused buffer, and shared by every s, which
-    then costs one exponential and one mean over the whole buffer. For real s
-    the weights and their mean are real, so they are computed in float64.
+    The rule is a Shilov-point rule or the rank-one disk rule; the radial
+    weights come from coefficients built once for the whole grid, and each t's
+    log-weights are computed once, in cache-sized blocks into one reused
+    buffer, and shared by every s, which then costs one exponential and one
+    mean over the whole buffer. For real s the weights and their mean are
+    real, so they are computed in float64.
     """
-    sps, single = _spectral_axis(sp)
+    sps = _spectral_axis(sps)
     t_grid = _finite_t(t_grid)
     sd = sps[0].sd
     coefs = _radial_coefficients(sd, rule)
@@ -447,7 +445,7 @@ def _phi_profile(sp, t_grid, rule: QuadratureRule) -> np.ndarray:
             lw[lo : lo + _kernels.BLOCK] = _kernels.radial_logweight(block, float(t))
         for k, sigma in enumerate(sigmas):
             vals[k, i] = np.dot(rule.weights, np.exp(sigma * lw))
-    return vals[0] if single else vals
+    return vals
 
 
 def _default_radial_rule(sd, t_max: float):
@@ -512,15 +510,14 @@ def _fatou_limit(sp: SpectralParam, y: np.ndarray, dt: float) -> np.ndarray:
     return limits
 
 
-def _cs_fatou(sp, t_grid=None, rule=None):
+def _cs_fatou(sps, t_grid=None, rule=None) -> list:
     """c_s as the Fatou limit (_fatou_limit) of the renormalized radial profile of P_s 1.
 
-    sp is one SpectralParam, giving a complex, or a sequence of them on one
-    domain, giving a list with one value per s from one rule and one radial
-    pass (_phi_profile). A profile that has not converged raises
+    One value per SpectralParam of sps (one domain), all from one rule and one
+    radial pass (_phi_profile). A profile that has not converged raises
     ConvergenceError naming its Re s.
     """
-    sps, single = _spectral_axis(sp)
+    sps = _spectral_axis(sps)
     sd = sps[0].sd
     if t_grid is None:
         t_grid = np.arange(0.0, 8.01, 0.5)
@@ -528,9 +525,8 @@ def _cs_fatou(sp, t_grid=None, rule=None):
     dt = _fatou_grid_step(t_grid)
     if rule is None:
         rule = _default_radial_rule(sd, float(t_grid[-1]))
-    out = [complex(_fatou_limit(x, np.exp(-x.growth * t_grid) * phi, dt))
-           for x, phi in zip(sps, _phi_profile(sps, t_grid, rule))]
-    return out[0] if single else out
+    return [complex(_fatou_limit(x, np.exp(-x.growth * t_grid) * phi, dt))
+            for x, phi in zip(sps, _phi_profile(sps, t_grid, rule))]
 
 
 def _cs_direct(sp: SpectralParam, chart: QuadratureRule) -> complex:
@@ -583,8 +579,8 @@ def c_s(sp: SpectralParam) -> complex:
 
 
 def _lp_exponents(p) -> list:
-    """One exponent or a sequence of them as a list; each must be finite and > 1."""
-    p_list = [float(p)] if np.ndim(p) == 0 else [float(x) for x in p]
+    """A sequence of exponents as a list of floats; each must be finite and > 1."""
+    p_list = [float(x) for x in p]
     if not all(math.isfinite(x) and x > 1 for x in p_list):
         raise DomainError("the L^p norm needs finite p > 1, got %r" % (p,))
     return p_list
@@ -594,8 +590,8 @@ def hardy_profile(sp: SpectralParam, f, p, t_grid, rule: QuadratureRule) -> np.n
     """Renormalized L^p slice norms e^(-t(r Re s - n)) ||P_s f(. a_t)||_p on t_grid.
 
     The slices P_s f(k_U a_t . 0) on the rule's nodes come from one
-    transform_radial call over the grid. p is one exponent, giving a
-    length-T array, or a sequence, giving one row per p that shares the slices.
+    transform_radial call over the grid. p is a sequence of exponents, giving
+    one row per p; every row shares the slices.
     """
     p_list = _lp_exponents(p)
     t_grid = _finite_t(t_grid, "the Hardy profile needs a non-empty, finite 1-D t grid",
@@ -603,14 +599,12 @@ def hardy_profile(sp: SpectralParam, f, p, t_grid, rule: QuadratureRule) -> np.n
     renorm = np.exp(-float(np.real(sp.growth)) * t_grid)
     lift = transform_radial(sp, f, rule.nodes, t_grid, rule)
     lift_abs = np.ascontiguousarray(np.abs(lift).T)  # (T, N): one slice per row
-    prof = np.array([renorm * np.dot(lift_abs**px, rule.weights) ** (1.0 / px) for px in p_list])
-    return prof[0] if np.ndim(p) == 0 else prof
+    return np.array([renorm * np.dot(lift_abs**px, rule.weights) ** (1.0 / px) for px in p_list])
 
 
-def hardy_norm(sp: SpectralParam, f, p, t_grid, rule: QuadratureRule):
-    """Hardy-type norm: the sup of hardy_profile on the grid, a float or one per p."""
-    norms = np.max(hardy_profile(sp, f, p, t_grid, rule), axis=-1)
-    return float(norms) if np.ndim(p) == 0 else norms
+def hardy_norm(sp: SpectralParam, f, p, t_grid, rule: QuadratureRule) -> np.ndarray:
+    """Hardy-type norm: the sup of hardy_profile on the grid, one per p of the sequence p."""
+    return np.max(hardy_profile(sp, f, p, t_grid, rule), axis=-1)
 
 
 def gamma_estimate(sp: SpectralParam, t_grid, rule: QuadratureRule) -> float:
@@ -627,5 +621,5 @@ def gamma_estimate(sp: SpectralParam, t_grid, rule: QuadratureRule) -> float:
         t_grid = np.concatenate([[0.0], t_grid])
     sp_re = spectral_param(float(np.real(sp.s)), sp.sd)
     _require_admissible(sp_re)
-    vals = _phi_profile(sp_re, t_grid, rule)
+    vals = _phi_profile([sp_re], t_grid, rule)[0]
     return float(np.max(np.exp(-np.real(sp_re.growth) * t_grid) * np.real(vals)))

@@ -241,6 +241,28 @@ def test_stiefel_rule_memory_guard(rb):
     assert peak <= 2.5 * rule.nodes.nbytes
 
 
+def test_node_budget_admits_the_rules_in_use():
+    # the --level 8 default and a level-9 rule at b = 2, a level-48 rule at b = 1, 2^20 Sobol nodes
+    assert len(boundary.sphere_rule(structure_data(1, 2), level=8)) == 594_473
+    assert max(12 ** 2 * 19 ** 3, 50 * 97 ** 2, 2 ** 20) <= boundary.MAX_NODES
+
+
+@pytest.mark.parametrize("build", [
+    lambda: boundary.sphere_rule(structure_data(1, 3), level=5),  # 10,673,289 nodes
+    lambda: boundary.sphere_rule(structure_data(1, 2), level=24),  # about 8.6e7 nodes
+    lambda: boundary.stiefel_rule(structure_data(2, 1), boundary.MAX_NODES + 1, seed=5),
+], ids=["sphere b=3", "sphere b=2", "stiefel"])
+def test_rules_over_the_node_budget_raise_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="over the budget of %d" % boundary.MAX_NODES):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("samples", [0, -5, 2.5])
 def test_stiefel_rule_rejects_bad_samples(sd21, samples):
     tracemalloc.start()
@@ -339,8 +361,8 @@ def test_heisenberg_chart_cs_matches_gamma_product(b):
 @pytest.mark.parametrize("s", [1.5, 4.0])
 def test_heisenberg_chart_domination_at_b2(sd12, s):
     # the L^1 majorant holds on the chart beyond b = 1, on both branches
-    rep = fatou.domination_check(spectral_param(s, sd12), (0.5, 1.0, 2.0, 4.0),
-                                 boundary.heisenberg_chart(sd12))
+    (rep,) = fatou.domination_check([spectral_param(s, sd12)], (0.5, 1.0, 2.0, 4.0),
+                                    boundary.heisenberg_chart(sd12))
     assert rep.ok and rep.violations == [0, 0, 0, 0]
     assert rep.branch == ("small-s" if s < sd12.b + 1 else "large-s")
 

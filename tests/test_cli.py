@@ -316,10 +316,13 @@ def test_empty_t_grid_exits_2(argv, capsys):
     ("fatou", "limit", "--p", "nan"),
     ("fatou", "sandwich", "--p", "inf", "--samples", "1", "--level", "3"),
     ("fatou", "sandwich", "--p", "nan", "--samples", "1", "--level", "3"),
+    ("fatou", "profile", "--b", "3", "--level", "5"),  # 10,673,289 nodes
+    ("poisson", "phi", "--b", "3"),  # the --level 8 default: 144,324,288 nodes
 ], ids=" ".join)
 def test_outside_inputs_exit_2(argv, capsys):
-    # a negative level, a negative seed, a non-finite s and a p that is not a
-    # finite exponent >= 1 are usage errors, never an empty rule or a raw crash
+    # a negative level, a negative seed, a non-finite s, a p that is not a finite
+    # exponent >= 1 and a rule over the node budget are usage errors, never an
+    # empty rule or a raw crash
     assert cli.main(list(argv)) == 2
     assert capsys.readouterr().err.startswith("error:")
 

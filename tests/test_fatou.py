@@ -112,7 +112,7 @@ def test_invert_l2_roundtrip(sd11):
     scale = float(np.dot(rule.weights, np.abs(ref) ** 2)) ** 0.5
     errs = []
     for j, t in enumerate((3.0, 4.0)):
-        g = fatou.invert_l2(sp, lift[:, j], t, rule)
+        g = fatou.invert_l2(sp, lift[:, [j]], [t], rule)[0][:, 0]
         assert g.shape == (len(rule),)
         diff = np.abs(g - ref)
         errs.append(float(np.dot(rule.weights, diff**2)) ** 0.5 / scale)
@@ -139,7 +139,7 @@ def test_invert_l2_stack_matches_one_slice_calls(inversion_stack):
     g, fit = fatou.invert_l2(sp, values, t, rule)
     assert g.shape == values.shape and fit.shape == t.shape
     for j, tj in enumerate(t):
-        want = fatou.invert_l2(sp, values[:, j], tj, rule)
+        want = fatou.invert_l2(sp, values[:, [j]], [tj], rule)[0][:, 0]
         assert np.max(np.abs(g[:, j] - want)) <= 1e-13 * np.max(np.abs(want)), j
 
 
@@ -153,7 +153,7 @@ def test_stacked_fit_residuals_match_per_column_fits(inversion_stack):
         evs, fit = fatou._band_limited_interpolant(rule, stack, fatou.INVERSION_DEGREE)
         assert len(evs) == stack.shape[1]
         for j in range(stack.shape[1]):
-            _, want = fatou._band_limited_interpolant(rule, stack[:, j], fatou.INVERSION_DEGREE)
+            _, (want,) = fatou._band_limited_interpolant(rule, stack[:, [j]], fatou.INVERSION_DEGREE)
             assert abs(fit[j] - want) <= tol * max(want, 1.0), j
     assert np.max(fit) > 0.1
 
@@ -212,7 +212,7 @@ def test_interpolant_matches_design_matrix(b, degree, level):
     rule = boundary.sphere_rule(sd, level=level)
     rng = np.random.default_rng(5)
     values = rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule))
-    ev, _ = fatou._band_limited_interpolant(rule, values, degree)
+    (ev,), _ = fatou._band_limited_interpolant(rule, values[:, None], degree)
     G = ev.polynomial_form.G[0]
     index = {ex: i for i, ex in enumerate(poisson._monomials(sd.q, degree).exponents)}
     U = boundary.sphere_rule(sd, level=level + 1).nodes
@@ -243,21 +243,24 @@ def test_invert_l2_guards(sd11, sd21):
     rule = boundary.sphere_rule(sd11, level=3)
     ones = np.ones(len(rule))
     with pytest.raises(AdmissibilityError):
-        fatou.invert_l2(spectral_param(-1.0, sd11), ones, 3.0, rule)
+        fatou.invert_l2(spectral_param(-1.0, sd11), ones[:, None], [3.0], rule)
     with pytest.warns(RuntimeWarning, match="small t"):
-        fatou.invert_l2(spectral_param(2.5, sd11), ones, 0.5, rule)
+        fatou.invert_l2(spectral_param(2.5, sd11), ones[:, None], [0.5], rule)
+    # each bad slice, stacked as one column, and a bare slice with no column axis
     for bad in (ones[:-1], ones[:, None], np.ones((2, len(rule))), 1.0):
         with pytest.raises(DomainError, match="one value per rule node"):
-            fatou.invert_l2(spectral_param(2.5, sd11), bad, 3.0, rule)
+            fatou.invert_l2(spectral_param(2.5, sd11), np.asarray(bad)[..., None], [3.0], rule)
+    with pytest.raises(DomainError, match="one value per rule node"):
+        fatou.invert_l2(spectral_param(2.5, sd11), ones, [3.0], rule)
     srule = boundary.stiefel_rule(sd21, 64, seed=1)
     with pytest.raises(DomainError):
-        fatou.invert_l2(spectral_param(4.0, sd21), np.ones(len(srule)), 3.0, srule)
+        fatou.invert_l2(spectral_param(4.0, sd21), np.ones((len(srule), 1)), [3.0], srule)
 
 
 @pytest.mark.parametrize("s", [1.5, 3.0])
 def test_domination_check(sd11, s):
     chart = boundary.heisenberg_chart(sd11)
-    rep = fatou.domination_check(spectral_param(s, sd11), (0.5, 1.0, 2.0), chart)
+    (rep,) = fatou.domination_check([spectral_param(s, sd11)], (0.5, 1.0, 2.0), chart)
     assert rep.ok
     assert rep.max_excess <= 1e-10
     assert np.isfinite(rep.phi_integral) and rep.phi_integral > 0
@@ -271,7 +274,7 @@ def test_domination_check_shares_heights_across_s(sd11, sd21):
     reports = fatou.domination_check(sps, t_list, chart)
     assert len(reports) == len(sps)
     for sp, rep in zip(sps, reports):
-        single = fatou.domination_check(sp, t_list, chart)
+        (single,) = fatou.domination_check([sp], t_list, chart)
         for name in ("t_list", "branch", "violations", "max_excess", "phi_integral", "n_nodes"):
             assert getattr(rep, name) == getattr(single, name)
     assert [rep.branch for rep in reports] == ["small-s", "large-s", "large-s"]
@@ -293,11 +296,11 @@ def test_norm_sandwich_shared_lifts(sd11):
     for rep in reports:
         assert rep.all_ok
         assert rep.cs_abs <= rep.gamma + 1e-12
-    single = fatou.norm_sandwich(sp, 2.0, fs, t_grid, rule)
+    (single,) = fatou.norm_sandwich(sp, [2.0], fs, t_grid, rule)
     assert np.allclose(single.hardy_norms, reports[1].hardy_norms)
     for p in (1.0, np.inf, np.nan, (2.0, np.inf)):
         with pytest.raises(DomainError, match="finite p > 1"):
-            fatou.norm_sandwich(sp, p, fs, t_grid, rule)
+            fatou.norm_sandwich(sp, np.atleast_1d(p), fs, t_grid, rule)
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +342,7 @@ def test_boundary_limit_and_fatou_cs_share_one_extrapolation(r, b, s):
     sp = spectral_param(s, structure_data(r, b))
     grid = np.arange(0.0, 8.01, 0.5)
     limit = fatou.boundary_limit(sp, fatou.zonal_profile(sp, grid)).limits[0]
-    cs = poisson._cs_fatou(sp, t_grid=grid)
+    cs = poisson._cs_fatou([sp], t_grid=grid)[0]
     assert abs(limit - cs) <= 1e-13 * abs(cs)
 
 

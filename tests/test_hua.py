@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def test_lie_derivative_constant(sd11):
     one = lambda G: np.ones(G.shape[0], dtype=np.complex128)
     e = np.eye(3, dtype=np.complex128)
     for dirs in ((X0,), (X0, X0), (X0, X0, X0)):
-        assert abs(hua.lie_derivative(one, e, dirs, sd=sd11)) < 1e-9
+        assert abs(hua._assemble(one, e, sd11, [(dirs, 1.0)], hua.FDScheme())) < 1e-9
 
 
 def test_lie_derivative_height(sd11):
@@ -38,14 +39,14 @@ def test_lie_derivative_height(sd11):
     X0 = radial_generator(sd11)
     F = h1_func(sd11)
     for g in (np.eye(3, dtype=np.complex128), group.radial(0.7, sd11)):
-        d1 = hua.lie_derivative(F, g, (X0,), sd=sd11)
+        d1 = hua._assemble(F, g, sd11, [((X0,), 1.0)], hua.FDScheme())
         assert abs(d1 - 1.0) < 1e-9
     # second and third derivatives of powers of the height at the identity
     e = np.eye(3, dtype=np.complex128)
     F2 = lambda G: h1_func(sd11)(G) ** 2
     F3 = lambda G: h1_func(sd11)(G) ** 3
-    assert abs(hua.lie_derivative(F2, e, (X0, X0), sd=sd11) - 2.0) < 1e-8
-    assert abs(hua.lie_derivative(F3, e, (X0, X0, X0), sd=sd11) - 6.0) < 1e-6
+    assert abs(hua._assemble(F2, e, sd11, [((X0, X0), 1.0)], hua.FDScheme()) - 2.0) < 1e-8
+    assert abs(hua._assemble(F3, e, sd11, [((X0, X0, X0), 1.0)], hua.FDScheme()) - 6.0) < 1e-6
 
 
 def test_lie_derivative_linearity(sd11):
@@ -54,9 +55,7 @@ def test_lie_derivative_linearity(sd11):
     F = h1_func(sd11)
     G2 = lambda G: np.exp(h1_func(sd11)(G))
     combo = lambda G: 2.0 * F(G) - 0.5j * G2(G)
-    a = hua.lie_derivative(F, g, (X0,), sd=sd11)
-    b = hua.lie_derivative(G2, g, (X0,), sd=sd11)
-    c = hua.lie_derivative(combo, g, (X0,), sd=sd11)
+    a, b, c = (hua._assemble(H, g, sd11, [((X0,), 1.0)], hua.FDScheme()) for H in (F, G2, combo))
     assert abs(c - (2.0 * a - 0.5j * b)) < 1e-9
 
 
@@ -81,7 +80,7 @@ def test_lie_derivative_propagates_stack_errors(sd11):
         return complex(_kernels.h1_batch(G[None], sd11.r)[0])
 
     with pytest.raises(ValueError, match="stack rejected"):
-        hua.lie_derivative(F, np.eye(3, dtype=np.complex128), (X0,), sd=sd11)
+        hua._assemble(F, np.eye(3, dtype=np.complex128), sd11, [((X0,), 1.0)], hua.FDScheme())
     assert calls == [3]
 
 
@@ -91,7 +90,7 @@ def test_lie_derivative_single_element_fallback(sd11):
     X0 = radial_generator(sd11)
     F = lambda G: complex(_kernels.h1_batch(np.asarray(G).reshape(-1, 3, 3), sd11.r)[0])
     with pytest.raises(DomainError, match="one value per stacked element"):
-        hua.lie_derivative(F, group.radial(0.7, sd11), (X0,), sd=sd11)
+        hua._assemble(F, group.radial(0.7, sd11), sd11, [((X0,), 1.0)], hua.FDScheme())
 
 
 @pytest.mark.parametrize("r,b,s", [(1, 1, 3.0), (1, 1, 4 + 1j), (2, 1, 4.0)])
@@ -125,8 +124,7 @@ def test_sample_pairs_take_seeds_past_int64(sd11):
 def test_fd_order_slopes(sd11):
     basis = hua.hua_basis(sd11)
     sp = spectral_param(3.0, sd11)
-    assert abs(hua.measure_fd_order(sp, basis, order=4) - 4.0) < 0.3
-    assert abs(hua.measure_fd_order(sp, basis, order=2) - 2.0) < 0.3
+    assert abs(hua.measure_fd_order(sp, basis) - 4.0) < 0.3
 
 
 def third_ratio_at(sp, g, U, basis):
@@ -216,14 +214,23 @@ def test_third_order_ratio_does_not_import_scipy_optimize():
     assert res.stdout.strip() == "False"
 
 
-def stencil_oracle(sd, dirs, scheme, h):
+def central_difference(order):
+    """Offsets -m..m (0 left out, m = order / 2) of the order-`order` central first
+    difference, and their weights: (-1)^(k+1) (m!)^2 / (k (m-k)! (m+k)!) at offset k."""
+    m, f = order // 2, math.factorial
+    offs = [k for k in range(-m, m + 1) if k]
+    return offs, [float(Fraction((-1) ** abs(k + 1) * f(m) ** 2, k * f(m - abs(k)) * f(m + abs(k))))
+                  for k in offs]
+
+
+def stencil_oracle(sd, dirs, h, order=4):
     """The per-point stencil loop: one expm per (X/Y choice, axis, offset)."""
     J = group.jmatrix(sd)
     parts = []
     for v in dirs:
         X, Y = hua._split_real(np.asarray(v, dtype=np.complex128), J)
         parts.append(((X, 1.0), (Y, 1j)))
-    offs, cfs = scheme.offsets, scheme.coeffs
+    offs, cfs = central_difference(order)
     mats, coeffs = [], []
     for combo in itertools.product(*parts):
         ccoef = 1.0 + 0.0j
@@ -241,7 +248,7 @@ def stencil_oracle(sd, dirs, scheme, h):
     return np.array(mats), np.array(coeffs) / h ** len(dirs)
 
 
-@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("order", [hua.FD_ORDER])
 @pytest.mark.parametrize("mixed", [False, True])
 @pytest.mark.parametrize("r,b", [(1, 1), (2, 1)])
 def test_stencil_plan_matches_loop(r, b, mixed, order):
@@ -252,11 +259,10 @@ def test_stencil_plan_matches_loop(r, b, mixed, order):
         A = rng.normal(size=(sd.n, sd.n)) + 1j * rng.normal(size=(sd.n, sd.n))
         basis = remix_basis(basis, A)
     vp, vm = basis.pplus, basis.pminus
-    scheme = hua.FDScheme(step=2e-2, order=order)
     for dirs in ((vp[0],), (vp[0], vm[-1]), (vm[0], vm[-1], vp[0]), (vp[-1], vp[-1], vp[-1])):
-        for h in (scheme.step, scheme.step / 2.0):
-            stencil = hua._Stencil(sd, [(dirs, 1.0)], scheme, h)
-            mats, coeffs = stencil_oracle(sd, dirs, scheme, h)
+        for h in (2e-2, 1e-2):
+            stencil = hua._Stencil(sd, [(dirs, 1.0)], h)
+            mats, coeffs = stencil_oracle(sd, dirs, h, order)
             assert np.array_equal(stencil.wide.transpose(1, 0, 2), mats)
             assert np.array_equal(stencil.coeffs, coeffs)
 
@@ -286,7 +292,7 @@ OPERATORS = {"second": hua.hua_second, "U": hua.hua_third_U, "W": hua.hua_third_
 
 
 @pytest.mark.parametrize("richardson", [True, False])
-@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("order", [hua.FD_ORDER])
 @pytest.mark.parametrize("r,b", [(1, 1), (2, 1)])
 def test_on_kernels_matches_per_pair_loop(r, b, order, richardson):
     # the per-s, per-pair loop of the generic route is the oracle, bit for bit
@@ -296,15 +302,19 @@ def test_on_kernels_matches_per_pair_loop(r, b, order, richardson):
     plain = hua.hua_basis(sd)
     pairs = hua._sample_pairs(sd, 2, seed=17)
     sps = [spectral_param(s, sd) for s in (2.5, 4.0 + 1.0j)]
-    scheme = hua.FDScheme(step=2e-2, order=order, richardson=richardson)
-    # third-order stencils at (2, 1) have 66 terms: run them at the cheapest scheme only
-    third = r == 1 or (order == 2 and not richardson)
+    scheme = hua.FDScheme(step=2e-2, richardson=richardson)
+    # third-order stencils at (2, 1) have 66 terms: run them at the cheaper scheme only
+    third = r == 1 or not richardson
     for basis in (plain, remix_basis(plain, A)):
         for which in ("second", "U", "W") if third else ("second",):
             got = hua.on_kernels(which, sps, pairs, basis, scheme)
             want = np.array([[OPERATORS[which](hua.lift_kernel(sp, U), g, basis, scheme)
                               for sp in sps] for g, U in pairs])
             assert np.array_equal(got, want), which
+            if richardson:  # the steps h and h/2 combine with the order's Richardson factor
+                a, b = (hua.on_kernels(which, sps, pairs, basis, hua.FDScheme(step=h, richardson=False))
+                        for h in (2e-2, 1e-2))
+                assert np.array_equal(got, (2.0 ** order * b - a) / (2.0 ** order - 1.0)), which
 
 
 def test_eigen_residuals_match_per_pair_loop(sd11):
@@ -327,7 +337,7 @@ def test_eigen_residuals_match_per_pair_loop(sd11):
     assert [[hua.eigen_residual(sp, g, U, basis) for g, U in pairs] for sp in sps] == want
     # at s = r + b the eigenvalue is 0 and the residual is max|H K_s| / |K_s(g . 0)|
     assert want[-1] == [float(np.max(np.abs(hua.hua_second(hua.lift_kernel(sps[-1], U), g, basis)))
-                              / abs(hua.lift_kernel(sps[-1], U)(g))) for g, U in pairs]
+                              / abs(hua.lift_kernel(sps[-1], U)(g[None])[0])) for g, U in pairs]
 
 
 def count_plans(monkeypatch):
@@ -425,9 +435,9 @@ def test_kernel_exponent_far_from_the_peak(r, t):
 def test_stencil_points_match_plan_products(r, b, which):
     sd = structure_data(r, b)
     terms, scheme = hua._operator(hua.hua_basis(sd), which, None)
-    stencil = hua._Stencil(sd, terms, scheme, scheme.step)
+    stencil = hua._Stencil(sd, terms, scheme.step)
     g = hua._sample_pairs(sd, 1, seed=5)[0][0]
-    want = np.concatenate([g @ stencil_oracle(sd, dirs, scheme, scheme.step)[0]
+    want = np.concatenate([g @ stencil_oracle(sd, dirs, scheme.step)[0]
                            for dirs, _ in terms])
     got = stencil.points(g)
     assert got.shape == want.shape

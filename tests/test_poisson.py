@@ -189,7 +189,7 @@ def test_real_s_profile_matches_complex_reference(r, b):
     t_grid = np.arange(0.0, 8.01, 0.5)
     for s in ((1.5, 2.5, 5.0) if r == 1 else (2.5, 4.0)):
         sp = spectral_param(s, sd)
-        vals = poisson._phi_profile(sp, t_grid, rule)
+        vals = poisson._phi_profile([sp], t_grid, rule)[0]
         assert vals.dtype == np.complex128 and np.all(vals.imag == 0)
         sigma = complex(s - sd.harmonic_s)
         for i, t in enumerate(t_grid):
@@ -206,7 +206,7 @@ def test_rank_two_fatou_cs_converges_on_small_stiefel_rule(sd21, s):
     sp = spectral_param(s, sd21)
     rule = boundary.stiefel_rule(sd21, samples=2000, seed=5)
     grid = np.arange(0.0, 8.01, 0.5)
-    cs = poisson._cs_fatou(sp, rule=rule, t_grid=grid)
+    cs = poisson._cs_fatou([sp], rule=rule, t_grid=grid)[0]
     y = np.exp(-sp.growth * grid) * poisson.phi_s(sp, grid, rule)
     previous, last = poisson._richardson_limit(y, 0.5, poisson._correction_exponents(sp))
     assert cs == last
@@ -236,7 +236,7 @@ def test_radial_routes_reject_a_rule_that_does_not_fit(sd11, misfit_rules, name)
     with pytest.raises(DomainError):
         poisson.phi_s(sp, 1.0, rule)
     with pytest.raises(DomainError):
-        poisson._cs_fatou(sp, rule=rule)
+        poisson._cs_fatou([sp], rule=rule)
     with pytest.raises(DomainError):
         poisson.gamma_estimate(sp, np.arange(0.0, 4.01, 0.5), rule)
     with pytest.raises(DomainError):
@@ -302,7 +302,7 @@ def test_transform_pushes_once_per_t_and_phi_builds_coefficients_once(monkeypatc
     for sp, rule in ((sp2, rule2), (spectral_param(3.0 + 0.5j, sd11), sphere6)):
         calls.update(radial_coefficients=0, pushes=[])
         weighed.clear()
-        poisson._phi_profile(sp, t_grid, rule)
+        poisson._phi_profile([sp], t_grid, rule)
         assert calls == {"radial_coefficients": 1, "pushes": []}
         assert list(weighed) == list(t_grid) and set(weighed.values()) == {len(rule)}
 
@@ -430,7 +430,7 @@ def test_cs_fatou_rejects_bad_t_grids(sd11, monkeypatch, t_grid):
 
     monkeypatch.setattr(poisson, "_default_radial_rule", no_rule)
     with pytest.raises(DomainError):
-        poisson._cs_fatou(spectral_param(2.0, sd11), t_grid=t_grid)
+        poisson._cs_fatou([spectral_param(2.0, sd11)], t_grid=t_grid)
 
 
 def _cs_fatou_per_s(sp, t_grid, rule):
@@ -460,7 +460,7 @@ def test_cs_fatou_s_axis_matches_per_s_loop(rb):
     sps = [spectral_param(s, sd) for s in CS_AXIS[rb]]
     want = [_cs_fatou_per_s(sp, t_grid, rule) for sp in sps]
     assert poisson._cs_fatou(sps, rule=rule) == want
-    assert [poisson._cs_fatou(sp, rule=rule) for sp in sps] == want
+    assert [poisson._cs_fatou([sp], rule=rule)[0] for sp in sps] == want
     assert poisson._phi_profile(sps, t_grid, rule).shape == (len(sps), len(t_grid))
 
 
@@ -504,7 +504,7 @@ def test_cs_fatou_and_boundary_limit_fail_with_one_message(sd11):
     sp = spectral_param(5.0, sd11)
     t_grid = np.arange(5) * 0.5
     with pytest.raises(ConvergenceError) as via_cs:
-        poisson._cs_fatou(sp, t_grid=t_grid)
+        poisson._cs_fatou([sp], t_grid=t_grid)
     with pytest.raises(ConvergenceError) as via_limit:
         fatou.boundary_limit(sp, fatou.zonal_profile(sp, t_grid))
     assert str(via_cs.value) == str(via_limit.value)
@@ -571,7 +571,7 @@ def test_gamma_estimate_harmonic(sd11, sp2, sphere6):
 
 
 def test_hardy_norm_constant_function(sd11, sp2, sphere6):
-    val = poisson.hardy_norm(sp2, 1.0, 2.0, np.linspace(0.0, 2.0, 5), sphere6)
+    val = poisson.hardy_norm(sp2, 1.0, [2.0], np.linspace(0.0, 2.0, 5), sphere6)[0]
     assert isinstance(val, float)
     assert abs(val - 1.0) < 1e-10
 
@@ -607,7 +607,7 @@ def test_hardy_profile_matches_per_t_lifts(sd11, monkeypatch, s):
         assert np.array_equal(poisson.hardy_norm(sp, f, p_list, t_grid, rule), np.max(rows, axis=1))
         for i, p in enumerate(p_list):
             # a p list shares the lift and changes no value
-            assert np.array_equal(poisson.hardy_profile(sp, f, p, t_grid, rule), rows[i])
+            assert np.array_equal(poisson.hardy_profile(sp, f, [p], t_grid, rule)[0], rows[i])
         want = _hardy_profile_per_t(sp, f, p_list, t_grid, rule)
         assert np.max(np.abs(rows - want) / want) <= 1e-14
 
@@ -616,7 +616,7 @@ def test_hardy_profile_matches_per_t_lifts(sd11, monkeypatch, s):
                          ids=["one", "half", "inf", "nan", "list-with-inf"])
 def test_hardy_profile_rejects_p_not_finite_above_one(sd11, sp2, sphere6, p):
     with pytest.raises(DomainError, match="finite p > 1"):
-        poisson.hardy_profile(sp2, 1.0, p, np.linspace(0.0, 2.0, 5), sphere6)
+        poisson.hardy_profile(sp2, 1.0, np.atleast_1d(p), np.linspace(0.0, 2.0, 5), sphere6)
 
 
 @pytest.mark.parametrize("t_grid", [[], [np.nan, 1.0], [1.0, np.inf], [[0.0, 1.0]], 1.0],
@@ -625,9 +625,9 @@ def test_hardy_profile_rejects_bad_t_grids(sd11, sphere6, t_grid):
     # each used to fail inside numpy or return nan; the sandwich goes through the same check
     sp = spectral_param(2.5, sd11)
     with pytest.raises(DomainError, match="t grid"):
-        poisson.hardy_profile(sp, 1.0, 2.0, t_grid, sphere6)
+        poisson.hardy_profile(sp, 1.0, [2.0], t_grid, sphere6)
     with pytest.raises(DomainError, match="t grid"):
-        fatou.norm_sandwich(sp, 2.0, [1.0], t_grid, sphere6)
+        fatou.norm_sandwich(sp, [2.0], [1.0], t_grid, sphere6)
 
 
 # each entry point of the radial machinery with a t it cannot use; each used to
@@ -645,18 +645,19 @@ BAD_T_CALLS = {
     "transform_radial complex grid": lambda sp, rule: poisson.transform_radial(
         sp, 1.0, group.base_point(sp.sd)[None], np.array([0.5, 1 + 1j]), rule),
     "phi_s complex": lambda sp, rule: poisson.phi_s(sp, 1 + 1j, rule),
-    "invert_l2 nan": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), np.nan, rule),
-    "invert_l2 complex": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), 1 + 1j, rule),
-    "invert_l2 string": lambda sp, rule: fatou.invert_l2(sp, np.ones(len(rule)), "3", rule),
+    "invert_l2 nan": lambda sp, rule: fatou.invert_l2(sp, np.ones((len(rule), 1)), [np.nan], rule),
+    "invert_l2 complex": lambda sp, rule: fatou.invert_l2(
+        sp, np.ones((len(rule), 1)), [1 + 1j], rule),
+    "invert_l2 string": lambda sp, rule: fatou.invert_l2(sp, np.ones((len(rule), 1)), ["3"], rule),
     "spherical_profile nan": lambda sp, rule: ktypes.spherical_profile(
         sp, ktypes.KTypeIndex(1, 0), [np.nan], rule),
     "spherical_profile complex": lambda sp, rule: ktypes.spherical_profile(
         sp, ktypes.KTypeIndex(1, 0), [1 + 1j], rule),
-    "norm_sandwich complex": lambda sp, rule: fatou.norm_sandwich(sp, 2.0, [1.0], [1 + 1j], rule),
+    "norm_sandwich complex": lambda sp, rule: fatou.norm_sandwich(sp, [2.0], [1.0], [1 + 1j], rule),
     "schur_diagonality nan": lambda sp, rule: ktypes.schur_diagonality(
         sp, ktypes.KTypeIndex(1, 0), np.nan, rule.nodes, rule),
     "domination_check nan": lambda sp, rule: fatou.domination_check(
-        sp, [np.nan], boundary.heisenberg_chart(sp.sd)),
+        [sp], [np.nan], boundary.heisenberg_chart(sp.sd)),
 }
 
 
@@ -668,7 +669,7 @@ def test_radial_entry_points_reject_t_not_finite_or_empty(sd11, call):
 
 def test_hardy_profile_takes_a_single_t(sd11, sp2, sphere6):
     # fatou sandwich --t-stop 0 reads the norm on the one-point grid [0]
-    assert abs(poisson.hardy_norm(sp2, 1.0, 2.0, [0.0], sphere6) - 1.0) < 1e-10
+    assert abs(poisson.hardy_norm(sp2, 1.0, [2.0], [0.0], sphere6)[0] - 1.0) < 1e-10
 
 
 # criteria 7 (0 to 6 by 0.5 at s = 2.5), 9 (0 to 5 at s = 2 and 2.5), 10 (t = 1 and
@@ -691,7 +692,7 @@ def gate_cases():
         cases["band-limited b=%d" % b] = (sd, f, centers, rule, RANK_ONE_GRIDS)
         rng = np.random.default_rng(b)
         values = rng.normal(size=len(rule)) + 1j * rng.normal(size=len(rule))
-        ev, _ = fatou._band_limited_interpolant(rule, values, degree)
+        (ev,), _ = fatou._band_limited_interpolant(rule, values[:, None], degree)
         cases["interpolant q=%d degree %d" % (sd.q, degree)] = (
             sd, ev, centers, rule, RANK_ONE_GRIDS)
     sd2 = structure_data(2, 1)
